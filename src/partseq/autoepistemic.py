@@ -10,6 +10,7 @@ part), so kernels stand in for whole belief sets here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .errors import ResourceLimitError
@@ -19,17 +20,21 @@ from .logic import (
     Formula,
     Kernel,
     ModalFormula,
-    Not,
     Vocabulary,
     World,
     conjoin,
     enumerate_worlds,
-    evaluate,
     holds_throughout,
     models,
-    satisfiable_in,
 )
-from .sequences import PartitionSequence, Violation, validate_structure
+from .sequences import (
+    Item,
+    PartitionSequence,
+    Violation,
+    check_peels,
+    peel_sequences,
+    validate_structure,
+)
 
 # The expansion search guesses belief values for the distinct formulas
 # appearing under L, so it is exponential in their number.
@@ -133,8 +138,13 @@ def stable_expansions(
     return [Kernel(ws, premises.vocab) for ws in found]
 
 
-def _firing_premises(premises: AelPremises, kernel: Kernel) -> list[ModalFormula]:
-    return [pm for pm in premises.formulas if _fires(pm, kernel.contains)]
+def _licensed(premises: AelPremises, pool: frozenset[World]) -> list[Item]:
+    """Premises whose belief conditions ``pool`` vouches for: the positive
+    condition holds throughout it and each negative one fails somewhere
+    in it. A licensed premise peels with no prerequisite.
+    """
+    believed = partial(holds_throughout, worlds=pool)
+    return [(str(pm), TRUE, pm.gamma) for pm in premises.formulas if _fires(pm, believed)]
 
 
 def build_ael_sequences(
@@ -148,61 +158,17 @@ def build_ael_sequences(
     The first class is empty by definition; afterwards the firing premises
     split off the worlds falsifying their conclusions, in any order, until
     nothing is left to split, which lands exactly on the expansion kernel.
-    Alternative orders are explored up to ``order_limit`` per expansion
-    and exact duplicates dropped.
+    Orders are explored under the shared ``order_limit`` budget of
+    :func:`~partseq.sequences.peel_sequences`.
     """
     worlds = frozenset(enumerate_worlds(premises.vocab, max_names))
-    results: list[PartitionSequence] = []
-    seen: set[tuple] = set()
-    budget = [order_limit]  # shared across expansions, per call
-
-    def emit(classes, labels):
-        seq = PartitionSequence(
-            classes=classes,
-            vocab=premises.vocab,
-            kind="autoepistemic",
-            provenance=labels,
-        )
-        if seq.classes not in seen:
-            seen.add(seq.classes)
-            results.append(seq)
-
-    for kernel in stable_expansions(premises, max_names, max_guesses):
-        firing = _firing_premises(premises, kernel)
-        count_before = len(results)
-
-        def ready_peels(remaining):
-            ready = []
-            for pm in firing:
-                peel = frozenset(w for w in remaining if not evaluate(pm.gamma, w))
-                if peel:
-                    ready.append((pm, peel))
-            return ready
-
-        def explore(remaining, classes, labels):
-            if budget[0] <= 0:
-                return
-            ready = ready_peels(remaining)
-            if not ready:
-                budget[0] -= 1
-                emit((*classes, remaining), (*labels, ""))
-                return
-            for pm, peel in ready:
-                explore(remaining - peel, (*classes, peel), (*labels, str(pm)))
-
-        explore(worlds, (frozenset(),), ("",))
-        if len(results) == count_before:
-            remaining, classes, labels = worlds, (frozenset(),), ("",)
-            while True:
-                ready = ready_peels(remaining)
-                if not ready:
-                    break
-                pm, peel = ready[0]
-                remaining -= peel
-                classes += (peel,)
-                labels += (str(pm),)
-            emit((*classes, remaining), (*labels, ""))
-    return results
+    item_lists = [
+        _licensed(premises, k.worlds)
+        for k in stable_expansions(premises, max_names, max_guesses)
+    ]
+    return peel_sequences(
+        "autoepistemic", premises.vocab, frozenset(), worlds, item_lists, order_limit
+    )
 
 
 def check_ael_sequence(
@@ -233,55 +199,12 @@ def check_ael_sequence(
         problems.append(
             Violation("condition 1", "the first class must be empty", class_index=0)
         )
-    last = seq.last_class
-    n = len(seq.classes)
-    if not last:
+    if not seq.last_class:
         problems.append(
             Violation(
                 "condition 3",
                 "the last class is empty: no consistent belief set is characterised",
-                class_index=n - 1,
+                class_index=len(seq.classes) - 1,
             )
         )
-
-    for i in range(1, n - 1):
-        peeled_before = frozenset().union(*seq.classes[:i])
-        pool = seq.classes[i] if strict else last
-        justified = False
-        for pm in premises.formulas:
-            alpha = pm.alpha if pm.alpha is not None else TRUE
-            if not holds_throughout(alpha, pool):
-                continue
-            if not all(satisfiable_in(Not(b), pool) for b in pm.betas):
-                continue
-            expected = frozenset(
-                w for w in worlds if w not in peeled_before and not evaluate(pm.gamma, w)
-            )
-            if seq.classes[i] == expected:
-                justified = True
-                break
-        if not justified:
-            problems.append(
-                Violation(
-                    "condition 2",
-                    "no premise produces this class from the remaining worlds",
-                    class_index=i,
-                )
-            )
-
-    for pm in premises.formulas:
-        alpha = pm.alpha if pm.alpha is not None else TRUE
-        if not holds_throughout(alpha, last):
-            continue
-        if not all(satisfiable_in(Not(b), last) for b in pm.betas):
-            continue
-        if not holds_throughout(pm.gamma, last):
-            problems.append(
-                Violation(
-                    "condition 3",
-                    "licensed premise's conclusion fails somewhere in the last class",
-                    class_index=n - 1,
-                    item=str(pm),
-                )
-            )
-    return problems
+    return problems + check_peels(seq, partial(_licensed, premises), strict, "premise")

@@ -12,6 +12,7 @@ extension is witnessed by at least one sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .errors import ResourceLimitError
@@ -24,12 +25,19 @@ from .logic import (
     World,
     conjoin,
     enumerate_worlds,
-    evaluate,
     holds_throughout,
     models,
     satisfiable_in,
 )
-from .sequences import PartitionSequence, Violation, validate_structure
+from .sequences import (
+    Item,
+    PartitionSequence,
+    Violation,
+    check_peels,
+    falsifiers,
+    peel_sequences,
+    validate_structure,
+)
 
 # Candidate extensions are searched over subsets of the rule set.
 DEFAULT_RULE_CAP = 16
@@ -137,26 +145,17 @@ def extensions(
     return [Kernel(ws, theory.vocab) for ws in found]
 
 
-def _applicable(
-    theory: DefaultTheory,
-    remaining: frozenset[World],
-    extension: frozenset[World],
-) -> list[tuple[DefaultRule, frozenset[World]]]:
-    """Rules ready to split off a non-empty class from ``remaining``.
+def _licensed(theory: DefaultTheory, pool: frozenset[World]) -> list[Item]:
+    """Rules whose justifications are each satisfiable in ``pool``.
 
-    The prerequisite must hold throughout the remaining worlds and every
-    justification must be satisfiable in the target last class.
+    A licensed rule peels only while its prerequisite holds throughout the
+    remaining worlds.
     """
-    ready = []
-    for rule in theory.rules:
-        if not holds_throughout(rule.alpha, remaining):
-            continue
-        if not all(satisfiable_in(b, extension) for b in rule.betas):
-            continue
-        peel = frozenset(w for w in remaining if not evaluate(rule.gamma, w))
-        if peel:
-            ready.append((rule, peel))
-    return ready
+    return [
+        (rule.rule_id, rule.alpha, rule.gamma)
+        for rule in theory.rules
+        if all(satisfiable_in(b, pool) for b in rule.betas)
+    ]
 
 
 def build_default_sequences(
@@ -172,61 +171,21 @@ def build_default_sequences(
     split off, until no rule applies. Any maximal application order lands
     exactly on the extension's model set, so alternative orders yield
     further valid sequences differing in their intermediate classes only.
-    At most ``order_limit`` orders are explored per call; past that, each
-    remaining extension still gets one greedily built sequence. Exact
-    duplicates are dropped. The inconsistent extension, having no worlds
-    to end on, gets no sequence.
+    Orders are explored under the shared ``order_limit`` budget of
+    :func:`~partseq.sequences.peel_sequences`. The inconsistent extension,
+    having no worlds to end on, gets no sequence.
     """
     worlds = enumerate_worlds(theory.vocab, max_names)
     fact_worlds = models(theory.fact_formula, worlds)
+    item_lists = [
+        _licensed(theory, k.worlds)
+        for k in extensions(theory, max_names, max_rules)
+        if k.is_consistent
+    ]
     w0 = frozenset(worlds) - fact_worlds
-
-    results: list[PartitionSequence] = []
-    seen: set[tuple] = set()
-    budget = [order_limit]  # shared across extensions, per call
-
-    def emit(classes, labels):
-        seq = PartitionSequence(
-            classes=classes,
-            vocab=theory.vocab,
-            kind="default",
-            provenance=labels,
-        )
-        if seq.classes not in seen:
-            seen.add(seq.classes)
-            results.append(seq)
-
-    for kernel in extensions(theory, max_names, max_rules):
-        if not kernel.is_consistent:
-            continue
-        count_before = len(results)
-
-        def explore(remaining, classes, labels):
-            if budget[0] <= 0:
-                return
-            ready = _applicable(theory, remaining, kernel.worlds)
-            if not ready:
-                budget[0] -= 1
-                emit((*classes, remaining), (*labels, ""))
-                return
-            for rule, peel in ready:
-                explore(remaining - peel, (*classes, peel), (*labels, rule.rule_id))
-
-        explore(fact_worlds, (w0,), ("",))
-        if len(results) == count_before:
-            # budget ran out before this extension produced anything; one
-            # greedy order is always emitted regardless
-            remaining, classes, labels = fact_worlds, (w0,), ("",)
-            while True:
-                ready = _applicable(theory, remaining, kernel.worlds)
-                if not ready:
-                    break
-                rule, peel = ready[0]
-                remaining -= peel
-                classes += (peel,)
-                labels += (rule.rule_id,)
-            emit((*classes, remaining), (*labels, ""))
-    return results
+    return peel_sequences(
+        "default", theory.vocab, w0, fact_worlds, item_lists, order_limit
+    )
 
 
 def check_default_sequence(
@@ -254,9 +213,7 @@ def check_default_sequence(
         return structural
 
     problems = []
-    fact = theory.fact_formula
-    expected_w0 = frozenset(w for w in worlds if not evaluate(fact, w))
-    if seq.classes[0] != expected_w0:
+    if seq.classes[0] != falsifiers(theory.fact_formula, worlds):
         problems.append(
             Violation(
                 "condition 1",
@@ -264,46 +221,4 @@ def check_default_sequence(
                 class_index=0,
             )
         )
-
-    last = seq.last_class
-    n = len(seq.classes)
-    for i in range(1, n - 1):
-        peeled_before = frozenset().union(*seq.classes[:i])
-        remaining = frozenset().union(*seq.classes[i:])
-        witness_pool = seq.classes[i] if strict else last
-        justified = False
-        for rule in theory.rules:
-            if not holds_throughout(rule.alpha, remaining):
-                continue
-            if not all(satisfiable_in(b, witness_pool) for b in rule.betas):
-                continue
-            expected = frozenset(
-                w for w in worlds if w not in peeled_before and not evaluate(rule.gamma, w)
-            )
-            if seq.classes[i] == expected:
-                justified = True
-                break
-        if not justified:
-            problems.append(
-                Violation(
-                    "condition 2",
-                    "no rule produces this class from the remaining worlds",
-                    class_index=i,
-                )
-            )
-
-    for rule in theory.rules:
-        if not holds_throughout(rule.alpha, last):
-            continue
-        if not all(satisfiable_in(b, last) for b in rule.betas):
-            continue
-        if not holds_throughout(rule.gamma, last):
-            problems.append(
-                Violation(
-                    "condition 3",
-                    "applicable rule's conclusion fails somewhere in the last class",
-                    class_index=n - 1,
-                    item=rule.rule_id,
-                )
-            )
-    return problems
+    return problems + check_peels(seq, partial(_licensed, theory), strict, "rule")

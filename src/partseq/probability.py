@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     BelowThresholdError,
@@ -21,7 +22,7 @@ from .errors import (
 )
 from .logic import Formula, Vocabulary, World, evaluate, format_formula
 from .rationals import Rational, as_fraction
-from .sequences import PartitionSequence
+from .sequences import PartitionSequence, falsifiers
 
 # Sample-space weights must total 1; inputs that arrived through floats
 # may carry binary representation error up to this much.
@@ -86,22 +87,8 @@ def condition(space: SampleSpace, conds) -> PartitionSequence:
     conds = tuple(conds)
     if not conds:
         raise ValueError("at least one condition formula is required")
-    remaining = list(space.worlds)
-    classes = []
-    provenance = []
-    for phi in conds:
-        peel = frozenset(w for w in remaining if not evaluate(phi, w))
-        remaining = [w for w in remaining if evaluate(phi, w)]
-        classes.append(peel)
-        provenance.append(format_formula(phi))
-    classes.append(frozenset(remaining))
-    provenance.append("")
-    return PartitionSequence(
-        classes=tuple(classes),
-        vocab=space.vocab,
-        kind="conditional",
-        provenance=tuple(provenance),
-    )
+    whole = PartitionSequence((frozenset(space.worlds),), space.vocab, "conditional")
+    return reduce(extend, conds, whole)
 
 
 def extend(seq: PartitionSequence, phi: Formula) -> PartitionSequence:
@@ -112,8 +99,8 @@ def extend(seq: PartitionSequence, phi: Formula) -> PartitionSequence:
     """
     if seq.kind not in ("conditional", "threshold"):
         raise SemanticError(f"cannot extend a {seq.kind} sequence by conditioning")
-    last = seq.classes[-1]
-    peel = frozenset(w for w in last if not evaluate(phi, w))
+    last = seq.last_class
+    peel = falsifiers(phi, last)
     return PartitionSequence(
         classes=(*seq.classes[:-1], peel, last - peel),
         vocab=seq.vocab,
@@ -129,14 +116,7 @@ def cond_prob(seq: PartitionSequence, psi: Formula) -> Fraction:
     the sequence was conditioned on. Undefined when the last class has no
     mass.
     """
-    last = seq.last_class
-    total = sum((w.weight for w in last), Fraction(0))
-    if total == 0:
-        raise UndefinedConditionalError(
-            "the conditioned-on formulas have probability zero"
-        )
-    hit = sum((w.weight for w in last if evaluate(psi, w)), Fraction(0))
-    return hit / total
+    return persistent_prob(seq, psi, len(seq.classes) - 1)
 
 
 def persistent_prob(seq: PartitionSequence, psi: Formula, upto: int) -> Fraction:

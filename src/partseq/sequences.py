@@ -1,4 +1,5 @@
-"""The ordered world-partition type shared by all four formalisms.
+"""The ordered world-partition type shared by all four formalisms, and
+the peel construction that builds and checks default and belief sequences.
 
 A sequence is a tuple of world classes <W_0, ..., W_l>; later classes are
 the more suitable candidates for the real situation. Empty classes are
@@ -11,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import SemanticError
-from .logic import Vocabulary, World
+from .logic import Formula, Vocabulary, World, evaluate, holds_throughout
 from .rationals import decimal_digits
 
 KINDS = ("default", "autoepistemic", "conditional", "threshold", "possibility")
@@ -139,6 +140,141 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
         tail = tail | cls
         tails.append(tail)
     return PreferenceChain(models=tuple(reversed(tails)))
+
+
+# ---------------------------------------------------------------------------
+# Peel construction
+# ---------------------------------------------------------------------------
+#
+# Default and belief sequences are both built by peeling: split off the
+# worlds still remaining that falsify the conclusion of a licensed item,
+# then repeat. A formalism states only which items a pool of worlds
+# licenses, as (label, prerequisite, conclusion) triples; an item peels
+# only while its prerequisite holds throughout the remaining worlds.
+
+Item = tuple[str, Formula, Formula]
+
+
+def falsifiers(phi: Formula, worlds: Iterable[World]) -> frozenset[World]:
+    """The worlds in ``worlds`` where ``phi`` fails."""
+    return frozenset(w for w in worlds if not evaluate(phi, w))
+
+
+def _ready(
+    items: list[Item], remaining: frozenset[World]
+) -> list[tuple[str, frozenset[World]]]:
+    """Labels and non-empty peels of the items ready on ``remaining``."""
+    steps = []
+    for label, prerequisite, conclusion in items:
+        if holds_throughout(prerequisite, remaining):
+            peel = falsifiers(conclusion, remaining)
+            if peel:
+                steps.append((label, peel))
+    return steps
+
+
+def peel_sequences(
+    kind: str,
+    vocab: Vocabulary,
+    first: frozenset[World],
+    rest: frozenset[World],
+    item_lists: Iterable[list[Item]],
+    order_limit: int,
+) -> list[PartitionSequence]:
+    """Sequences peeled by each list of items, one per peel order.
+
+    Every sequence opens with the class ``first``; the worlds of ``rest``
+    are then peeled by the items of one list, in any order, until none
+    splits off anything, and what remains closes the sequence. The order
+    budget is shared per call: at most ``order_limit`` finished orders are
+    explored over all lists together, and once it is spent each list
+    still without a sequence gets one greedy order, always peeling by the
+    first ready item. Exact duplicates are dropped.
+    """
+    results: list[PartitionSequence] = []
+    seen: set[tuple] = set()
+    budget = order_limit
+
+    def emit(classes, labels):
+        if classes not in seen:
+            seen.add(classes)
+            results.append(PartitionSequence(classes, vocab, kind, labels))
+
+    def explore(items, remaining, classes, labels):
+        nonlocal budget
+        if budget <= 0:
+            return
+        steps = _ready(items, remaining)
+        if not steps:
+            budget -= 1
+            emit((*classes, remaining), (*labels, ""))
+        for label, peel in steps:
+            explore(items, remaining - peel, (*classes, peel), (*labels, label))
+
+    for items in item_lists:
+        count_before = len(results)
+        explore(items, rest, (first,), ("",))
+        if len(results) == count_before:
+            remaining, classes, labels = rest, (first,), ("",)
+            while steps := _ready(items, remaining):
+                label, peel = steps[0]
+                remaining -= peel
+                classes += (peel,)
+                labels += (label,)
+            emit((*classes, remaining), (*labels, ""))
+    return results
+
+
+def check_peels(
+    seq: PartitionSequence,
+    licensed: Callable[[frozenset[World]], list[Item]],
+    strict: bool,
+    noun: str,
+) -> list[Violation]:
+    """Violations of clauses 2 and 3 in a structurally valid ``seq``.
+
+    Clause 2: each intermediate class is exactly the remaining worlds
+    falsifying the conclusion of an item licensed by the witness pool
+    whose prerequisite holds throughout those remaining worlds. The pool
+    is the last class, or with ``strict=True`` the class being split off.
+    Clause 3: every item the last class licenses whose prerequisite holds
+    throughout it has its conclusion hold throughout it as well. ``noun``
+    names the items in the messages.
+    """
+    problems = []
+    last = seq.last_class
+    n = len(seq.classes)
+    by_last = licensed(last)
+    remaining = seq.all_worlds - seq.classes[0]
+    for i in range(1, n - 1):
+        cls = seq.classes[i]
+        items = licensed(cls) if strict else by_last
+        if not any(
+            holds_throughout(prerequisite, remaining)
+            and falsifiers(conclusion, remaining) == cls
+            for _, prerequisite, conclusion in items
+        ):
+            problems.append(
+                Violation(
+                    "condition 2",
+                    f"no {noun} produces this class from the remaining worlds",
+                    class_index=i,
+                )
+            )
+        remaining -= cls
+    for label, prerequisite, conclusion in by_last:
+        if not holds_throughout(prerequisite, last):
+            continue
+        if not holds_throughout(conclusion, last):
+            problems.append(
+                Violation(
+                    "condition 3",
+                    f"licensed {noun}'s conclusion fails somewhere in the last class",
+                    class_index=n - 1,
+                    item=label,
+                )
+            )
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,23 @@ def _default_sequence_ok(theory, classes, ts: _TruthSets) -> bool:
     return True
 
 
-def brute_force_default_last_classes(theory, worlds) -> set[frozenset]:
-    """Last classes of every valid sequence, by bounded enumeration.
+def _candidate_sequences(ts: _TruthSets, first, start, conclusions, max_classes):
+    """Every class list grown from ``[first]`` by splitting off the
+    remaining worlds falsifying one of ``conclusions``, up to
+    ``max_classes`` classes, each closed by the worlds still remaining."""
+
+    def grow(remaining, classes):
+        yield classes + [remaining]
+        if len(classes) + 1 >= max_classes:
+            return
+        for peel in {remaining - ts.sat(gamma) for gamma in conclusions}:
+            yield from grow(remaining - peel, classes + [peel])
+
+    yield from grow(start, [first])
+
+
+def default_candidates(theory, worlds):
+    """The truth sets and candidate class lists the default oracle judges.
 
     The class budget 2 + #rules covers the longest useful sequence (one
     split per rule plus the fixed ends); longer ones only repeat empty
@@ -209,22 +224,16 @@ def brute_force_default_last_classes(theory, worlds) -> set[frozenset]:
     """
     ts = _TruthSets(worlds)
     fact_sat = ts.sat(conjoin(theory.facts))
-    w0 = ts.worlds - fact_sat
-    max_classes = 2 + len(theory.rules)
-    found: set[frozenset] = set()
+    conclusions = [rule.gamma for rule in theory.rules]
+    return ts, _candidate_sequences(
+        ts, ts.worlds - fact_sat, fact_sat, conclusions, 2 + len(theory.rules)
+    )
 
-    def grow(remaining, classes):
-        candidate = classes + [remaining]
-        if _default_sequence_ok(theory, candidate, ts):
-            found.add(remaining)
-        if len(classes) + 1 >= max_classes:
-            return
-        peels = {remaining - ts.sat(rule.gamma) for rule in theory.rules}
-        for peel in peels:
-            grow(remaining - peel, classes + [peel])
 
-    grow(fact_sat, [w0])
-    return found
+def brute_force_default_last_classes(theory, worlds) -> set[frozenset]:
+    """Last classes of every valid sequence, by bounded enumeration."""
+    ts, candidates = default_candidates(theory, worlds)
+    return {c[-1] for c in candidates if _default_sequence_ok(theory, c, ts)}
 
 
 def _ael_sequence_ok(premises, classes, ts: _TruthSets) -> bool:
@@ -255,23 +264,18 @@ def _ael_sequence_ok(premises, classes, ts: _TruthSets) -> bool:
     return True
 
 
-def brute_force_ael_last_classes(premises, worlds) -> set[frozenset]:
+def ael_candidates(premises, worlds):
+    """The truth sets and candidate class lists the belief oracle judges."""
     ts = _TruthSets(worlds)
-    max_classes = 2 + len(premises.formulas)
-    found: set[frozenset] = set()
+    conclusions = [pm.gamma for pm in premises.formulas]
+    return ts, _candidate_sequences(
+        ts, frozenset(), ts.worlds, conclusions, 2 + len(premises.formulas)
+    )
 
-    def grow(remaining, classes):
-        candidate = classes + [remaining]
-        if _ael_sequence_ok(premises, candidate, ts):
-            found.add(remaining)
-        if len(classes) + 1 >= max_classes:
-            return
-        peels = {remaining - ts.sat(pm.gamma) for pm in premises.formulas}
-        for peel in peels:
-            grow(remaining - peel, classes + [peel])
 
-    grow(ts.worlds, [frozenset()])
-    return found
+def brute_force_ael_last_classes(premises, worlds) -> set[frozenset]:
+    ts, candidates = ael_candidates(premises, worlds)
+    return {c[-1] for c in candidates if _ael_sequence_ok(premises, c, ts)}
 
 
 # ---------------------------------------------------------------------------

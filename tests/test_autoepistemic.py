@@ -23,7 +23,12 @@ from partseq import (
     stable_expansions,
     validate_structure,
 )
-from genkit import brute_force_ael_last_classes, random_premises
+from genkit import (
+    _ael_sequence_ok,
+    ael_candidates,
+    brute_force_ael_last_classes,
+    random_premises,
+)
 
 P, Q = Const("p"), Const("q")
 
@@ -213,3 +218,16 @@ class TestAgainstBruteForce:
             expected = brute_force_ael_last_classes(premises, worlds)
             got = {k.worlds for k in stable_expansions(premises)}
             assert got == expected
+
+    def test_checker_agrees_with_oracle_on_every_candidate(self):
+        rng = random.Random(4242)
+        rejected = 0
+        for _ in range(150):
+            premises = random_premises(rng)
+            ts, candidates = ael_candidates(premises, enumerate_worlds(premises.vocab))
+            for classes in candidates:
+                seq = PartitionSequence(tuple(classes), premises.vocab, "autoepistemic")
+                ok = _ael_sequence_ok(premises, classes, ts)
+                assert (check_ael_sequence(premises, seq) == []) == ok, seq
+                rejected += not ok
+        assert rejected > 0

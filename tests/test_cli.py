@@ -248,6 +248,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "default", "bogus", "x.dl")
         assert code == 3
 
+    def test_missing_kb_is_three(self, capsys, tmp_path):
+        code, _, err = run(capsys, "default", "extensions", tmp_path / "absent.dl")
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_missing_sequence_is_three(self, kbdir, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "default", "check", kbdir / "rivals.dl", tmp_path / "absent.json"
+        )
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_resource_error_is_three(self, capsys, tmp_path):
         big = tmp_path / "big.dl"
         names = " ".join(f"x{i}" for i in range(25))

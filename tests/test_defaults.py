@@ -22,7 +22,12 @@ from partseq import (
     models,
     validate_structure,
 )
-from genkit import brute_force_default_last_classes, random_default_theory
+from genkit import (
+    _default_sequence_ok,
+    brute_force_default_last_classes,
+    default_candidates,
+    random_default_theory,
+)
 
 P, Q = Const("p"), Const("q")
 
@@ -201,3 +206,16 @@ class TestAgainstBruteForce:
             expected = brute_force_default_last_classes(theory, worlds)
             got = {k.worlds for k in extensions(theory)}
             assert got == expected
+
+    def test_checker_agrees_with_oracle_on_every_candidate(self):
+        rng = random.Random(4242)
+        rejected = 0
+        for _ in range(150):
+            theory = random_default_theory(rng)
+            ts, candidates = default_candidates(theory, enumerate_worlds(theory.vocab))
+            for classes in candidates:
+                seq = PartitionSequence(tuple(classes), theory.vocab, "default")
+                ok = _default_sequence_ok(theory, classes, ts)
+                assert (check_default_sequence(theory, seq) == []) == ok, seq
+                rejected += not ok
+        assert rejected > 0
