@@ -10,7 +10,6 @@ part), so kernels stand in for whole belief sets here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 from .errors import ResourceLimitError
@@ -32,7 +31,9 @@ from .sequences import (
     PartitionSequence,
     Violation,
     check_peels,
+    close,
     peel_sequences,
+    validate_kind,
     validate_structure,
 )
 
@@ -59,10 +60,16 @@ def _guess_formulas(premises: AelPremises) -> list[Formula]:
     return seen
 
 
-def _fires(premise: ModalFormula, believed) -> bool:
-    if premise.alpha is not None and not believed(premise.alpha):
-        return False
-    return all(not believed(b) for b in premise.betas)
+def _licensed(premises: AelPremises, believed) -> list[Item]:
+    """Premises whose belief conditions the membership test ``believed``
+    vouches for: it accepts the positive condition and none of the
+    negative ones. A licensed premise peels with no prerequisite.
+    """
+    return [
+        (str(pm), TRUE, pm.gamma)
+        for pm in premises.formulas
+        if (pm.alpha is None or believed(pm.alpha)) and not any(map(believed, pm.betas))
+    ]
 
 
 def omega_operator(
@@ -73,18 +80,13 @@ def omega_operator(
     """The least kernel containing the conclusions the belief set licenses.
 
     A premise contributes its conclusion when its positive condition is in
-    the given belief set and none of its negative ones are. All conditions
-    refer to the argument belief set only, never to the growing result, so
-    a single pass reaches the fixed point.
+    the given belief set and none of its negative ones are: the value is
+    the closure of all worlds under the premises ``kernel`` licenses.
     """
     if not kernel.is_consistent:
         raise ValueError("the belief operator is defined for consistent kernels only")
     worlds = frozenset(enumerate_worlds(premises.vocab, max_names))
-    result = worlds
-    for pm in premises.formulas:
-        if _fires(pm, kernel.contains):
-            result &= models(pm.gamma, result)
-    return Kernel(result, premises.vocab)
+    return Kernel(close(worlds, _licensed(premises, kernel.contains)), premises.vocab)
 
 
 def forced_inconsistency(premises: AelPremises, max_names: int = DEFAULT_WORLD_CAP) -> bool:
@@ -124,11 +126,7 @@ def stable_expansions(
     seen: set[frozenset[World]] = set()
     for bits in product((False, True), repeat=len(guesses)):
         assignment = dict(zip(guesses, bits))
-        believed = assignment.__getitem__
-        kernel_worlds = worlds
-        for pm in premises.formulas:
-            if _fires(pm, believed):
-                kernel_worlds &= models(pm.gamma, kernel_worlds)
+        kernel_worlds = close(worlds, _licensed(premises, assignment.__getitem__))
         if not kernel_worlds or kernel_worlds in seen:
             continue
         if all(holds_throughout(g, kernel_worlds) == assignment[g] for g in guesses):
@@ -136,15 +134,6 @@ def stable_expansions(
             found.append(kernel_worlds)
     found.sort(key=lambda ws: (len(ws), sorted(w.bits() for w in ws)))
     return [Kernel(ws, premises.vocab) for ws in found]
-
-
-def _licensed(premises: AelPremises, pool: frozenset[World]) -> list[Item]:
-    """Premises whose belief conditions ``pool`` vouches for: the positive
-    condition holds throughout it and each negative one fails somewhere
-    in it. A licensed premise peels with no prerequisite.
-    """
-    believed = partial(holds_throughout, worlds=pool)
-    return [(str(pm), TRUE, pm.gamma) for pm in premises.formulas if _fires(pm, believed)]
 
 
 def build_ael_sequences(
@@ -163,7 +152,7 @@ def build_ael_sequences(
     """
     worlds = frozenset(enumerate_worlds(premises.vocab, max_names))
     item_lists = [
-        _licensed(premises, k.worlds)
+        _licensed(premises, k.contains)
         for k in stable_expansions(premises, max_names, max_guesses)
     ]
     return peel_sequences(
@@ -187,10 +176,11 @@ def check_ael_sequence(
     licenses, and must be non-empty to characterise a consistent belief
     set. ``strict=True`` evaluates clause 2's conditions on the class
     being split off instead of the last class, a tighter variant kept
-    for comparison.
+    for comparison. A sequence of another kind, or one that is no
+    partition of the worlds, gets only those violations.
     """
     worlds = enumerate_worlds(premises.vocab, max_names)
-    structural = validate_structure(seq, worlds)
+    structural = validate_kind(seq, "autoepistemic") or validate_structure(seq, worlds)
     if structural:
         return structural
 
@@ -207,4 +197,9 @@ def check_ael_sequence(
                 class_index=len(seq.classes) - 1,
             )
         )
-    return problems + check_peels(seq, partial(_licensed, premises), strict, "premise")
+    return problems + check_peels(
+        seq,
+        lambda pool: _licensed(premises, Kernel(pool, premises.vocab).contains),
+        strict,
+        "premise",
+    )

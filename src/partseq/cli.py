@@ -88,21 +88,14 @@ def _build_parser() -> _Parser:
     common.add_argument("--strict", action="store_true", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="group", required=True)
 
-    p_default = sub.add_parser("default", help="default-rule theories (.dl)")
-    d_sub = p_default.add_subparsers(dest="action", required=True)
-    d_sub.add_parser("extensions", parents=[common]).add_argument("kb")
-    d_sub.add_parser("sequences", parents=[common]).add_argument("kb")
-    p = d_sub.add_parser("check", parents=[common])
-    p.add_argument("kb")
-    p.add_argument("sequence")
-
-    p_ael = sub.add_parser("ael", help="belief premises (.ael)")
-    a_sub = p_ael.add_subparsers(dest="action", required=True)
-    a_sub.add_parser("expansions", parents=[common]).add_argument("kb")
-    a_sub.add_parser("sequences", parents=[common]).add_argument("kb")
-    p = a_sub.add_parser("check", parents=[common])
-    p.add_argument("kb")
-    p.add_argument("sequence")
+    for group, what, search in (
+        ("default", "default-rule theories (.dl)", "extensions"),
+        ("ael", "belief premises (.ael)", "expansions"),
+    ):
+        g_sub = sub.add_parser(group, help=what).add_subparsers(dest="action", required=True)
+        g_sub.add_parser(search, parents=[common]).add_argument("kb")
+        g_sub.add_parser("sequences", parents=[common]).add_argument("kb")
+        _add_check(g_sub, common)
 
     p_prob = sub.add_parser("prob", help="weighted sample spaces (.prob)")
     pr_sub = p_prob.add_subparsers(dest="action", required=True)
@@ -127,15 +120,19 @@ def _build_parser() -> _Parser:
     p = po_sub.add_parser("query", parents=[common])
     p.add_argument("kb")
     p.add_argument("--query", required=True, metavar="FORMULA")
-    p = po_sub.add_parser("check", parents=[common])
-    p.add_argument("kb")
-    p.add_argument("sequence")
+    _add_check(po_sub, common)
 
     p = sub.add_parser("worlds", parents=[common], help="list a knowledge base's worlds")
     p.add_argument("kb")
     p = sub.add_parser("explain", parents=[common], help="pretty-print a sequence JSON file")
     p.add_argument("sequence")
     return parser
+
+
+def _add_check(group_sub, common):
+    p = group_sub.add_parser("check", parents=[common])
+    p.add_argument("kb")
+    p.add_argument("sequence")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -244,17 +241,17 @@ def _dispatch(args, out: _Output) -> int:
     action = args.action
     handler = {
         ("default", "extensions"): _cmd_default_extensions,
-        ("default", "sequences"): _cmd_default_sequences,
-        ("default", "check"): _cmd_default_check,
+        ("default", "sequences"): _cmd_sequences,
+        ("default", "check"): _cmd_check,
         ("ael", "expansions"): _cmd_ael_expansions,
-        ("ael", "sequences"): _cmd_ael_sequences,
-        ("ael", "check"): _cmd_ael_check,
+        ("ael", "sequences"): _cmd_sequences,
+        ("ael", "check"): _cmd_check,
         ("prob", "condition"): _cmd_prob_condition,
         ("prob", "threshold"): _cmd_prob_threshold,
         ("prob", "query"): _cmd_prob_query,
         ("poss", "build"): _cmd_poss_build,
         ("poss", "query"): _cmd_poss_query,
-        ("poss", "check"): _cmd_poss_check,
+        ("poss", "check"): _cmd_check,
     }[(group, action)]
     return handler(args, out)
 
@@ -283,28 +280,39 @@ def _cmd_default_extensions(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_default_sequences(args, out) -> int:
-    doc = _read_kb(args.kb, "default")
-    seqs = defaults.build_default_sequences(doc.body)
-    out.record("default sequences", {"kb": args.kb}, {"count": len(seqs)}, seqs)
+# -- sequences and checks shared by several groups ----------------------------
+
+_BUILDERS = {
+    "default": (defaults.build_default_sequences, "the theory has no consistent extension"),
+    "ael": (ael.build_ael_sequences, "the premises have no consistent stable expansion"),
+}
+
+_CHECKERS = {
+    "default": defaults.check_default_sequence,
+    "ael": ael.check_ael_sequence,
+    # possibility classes are fixed by the levels; there is no strict variant
+    "poss": lambda kb, seq, strict: check_poss_sequence(kb, seq),
+}
+
+
+def _cmd_sequences(args, out) -> int:
+    build, missing = _BUILDERS[args.group]
+    seqs = build(_read_kb(args.kb, args.group).body)
+    out.record(f"{args.group} sequences", {"kb": args.kb}, {"count": len(seqs)}, seqs)
     if not seqs:
-        out.say("no sequence: the theory has no consistent extension")
+        out.say(f"no sequence: {missing}")
         return EXIT_NEGATIVE
     for i, seq in enumerate(seqs, 1):
         _say_sequence(out, seq, i)
     return EXIT_OK
 
 
-def _cmd_default_check(args, out) -> int:
-    doc = _read_kb(args.kb, "default")
+def _cmd_check(args, out) -> int:
+    doc = _read_kb(args.kb, args.group)
     seq = _read_sequence(args.sequence)
-    problems = defaults.check_default_sequence(doc.body, seq, strict=args.strict)
-    return _report_check(args, out, "default check", problems)
-
-
-def _report_check(args, out, command: str, problems) -> int:
+    problems = _CHECKERS[args.group](doc.body, seq, strict=args.strict)
     result = {"ok": not problems, "violations": [str(p) for p in problems]}
-    out.record(command, {"kb": args.kb, "sequence": args.sequence}, result)
+    out.record(f"{args.group} check", {"kb": args.kb, "sequence": args.sequence}, result)
     if problems:
         for p in problems:
             out.say(f"violation: {p}")
@@ -336,25 +344,6 @@ def _cmd_ael_expansions(args, out) -> int:
     for i, k in enumerate(kernels, 1):
         out.say(f"expansion kernel {i}: {_kernel_text(k)}")
     return EXIT_OK
-
-
-def _cmd_ael_sequences(args, out) -> int:
-    doc = _read_kb(args.kb, "ael")
-    seqs = ael.build_ael_sequences(doc.body)
-    out.record("ael sequences", {"kb": args.kb}, {"count": len(seqs)}, seqs)
-    if not seqs:
-        out.say("no sequence: the premises have no consistent stable expansion")
-        return EXIT_NEGATIVE
-    for i, seq in enumerate(seqs, 1):
-        _say_sequence(out, seq, i)
-    return EXIT_OK
-
-
-def _cmd_ael_check(args, out) -> int:
-    doc = _read_kb(args.kb, "ael")
-    seq = _read_sequence(args.sequence)
-    problems = ael.check_ael_sequence(doc.body, seq, strict=args.strict)
-    return _report_check(args, out, "ael check", problems)
 
 
 # -- prob ---------------------------------------------------------------------
@@ -473,13 +462,6 @@ def _cmd_poss_query(args, out) -> int:
     out.say(f"possibility: {format_fraction(pi)}")
     out.say(f"necessity: {format_fraction(nec)}")
     return EXIT_OK
-
-
-def _cmd_poss_check(args, out) -> int:
-    doc = _read_kb(args.kb, "poss")
-    seq = _read_sequence(args.sequence)
-    problems = check_poss_sequence(doc.body, seq)
-    return _report_check(args, out, "poss check", problems)
 
 
 # -- worlds / explain ----------------------------------------------------------

@@ -20,12 +20,10 @@ from .logic import (
     DEFAULT_WORLD_CAP,
     Formula,
     Kernel,
-    Not,
     Vocabulary,
     World,
     conjoin,
     enumerate_worlds,
-    holds_throughout,
     models,
     satisfiable_in,
 )
@@ -34,8 +32,10 @@ from .sequences import (
     PartitionSequence,
     Violation,
     check_peels,
+    close,
     falsifiers,
     peel_sequences,
+    validate_kind,
     validate_structure,
 )
 
@@ -75,76 +75,6 @@ class DefaultTheory:
         return conjoin(self.facts)
 
 
-def gamma_operator(
-    theory: DefaultTheory,
-    candidate: frozenset[World],
-    max_names: int = DEFAULT_WORLD_CAP,
-) -> frozenset[World]:
-    """Model set of the operator value at ``candidate``.
-
-    Starting from the models of the facts, repeatedly apply every rule
-    whose prerequisite already holds throughout the current model set and
-    whose justifications are each consistent with the candidate theory
-    (no ~beta_i holds throughout ``candidate``), shrinking the model set
-    by the rule's conclusion. Runs to the least fixed point; the result
-    is independent of application order.
-    """
-    worlds = enumerate_worlds(theory.vocab, max_names)
-    current = models(theory.fact_formula, worlds)
-    # justification status depends only on the candidate, so compute once
-    unblocked = [
-        rule
-        for rule in theory.rules
-        if all(not holds_throughout(Not(b), candidate) for b in rule.betas)
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for rule in unblocked:
-            if holds_throughout(rule.alpha, current):
-                shrunk = current & models(rule.gamma, current)
-                if shrunk != current:
-                    current = shrunk
-                    changed = True
-    return current
-
-
-def extensions(
-    theory: DefaultTheory,
-    max_names: int = DEFAULT_WORLD_CAP,
-    max_rules: int = DEFAULT_RULE_CAP,
-) -> list[Kernel]:
-    """All fixed points of the operator, as kernels, deterministically ordered.
-
-    Every extension is generated by the facts plus the conclusions of the
-    rules that fire in it, so sweeping rule subsets and verifying each
-    candidate with one operator evaluation finds exactly the fixed points.
-    The inconsistent extension (empty model set) appears alone when the
-    facts themselves are unsatisfiable.
-    """
-    if len(theory.rules) > max_rules:
-        raise ResourceLimitError(
-            f"theory has {len(theory.rules)} rules; extension search is "
-            f"capped at {max_rules}"
-        )
-    worlds = enumerate_worlds(theory.vocab, max_names)
-    fact_worlds = models(theory.fact_formula, worlds)
-    seen: set[frozenset[World]] = set()
-    found = []
-    for size in range(len(theory.rules) + 1):
-        for chosen in combinations(theory.rules, size):
-            candidate = fact_worlds
-            for rule in chosen:
-                candidate &= models(rule.gamma, candidate)
-            if candidate in seen:
-                continue
-            seen.add(candidate)
-            if gamma_operator(theory, candidate, max_names) == candidate:
-                found.append(candidate)
-    found.sort(key=lambda ws: (len(ws), sorted(w.bits() for w in ws)))
-    return [Kernel(ws, theory.vocab) for ws in found]
-
-
 def _licensed(theory: DefaultTheory, pool: frozenset[World]) -> list[Item]:
     """Rules whose justifications are each satisfiable in ``pool``.
 
@@ -156,6 +86,55 @@ def _licensed(theory: DefaultTheory, pool: frozenset[World]) -> list[Item]:
         for rule in theory.rules
         if all(satisfiable_in(b, pool) for b in rule.betas)
     ]
+
+
+def gamma_operator(
+    theory: DefaultTheory,
+    candidate: frozenset[World],
+    max_names: int = DEFAULT_WORLD_CAP,
+) -> frozenset[World]:
+    """Model set of the operator value at ``candidate``: the closure of
+    the facts' models under the rules whose justifications are each
+    consistent with the candidate theory (no ~beta_i holds throughout
+    ``candidate``), the least fixed point of applying them.
+    """
+    worlds = enumerate_worlds(theory.vocab, max_names)
+    return close(models(theory.fact_formula, worlds), _licensed(theory, candidate))
+
+
+def extensions(
+    theory: DefaultTheory,
+    max_names: int = DEFAULT_WORLD_CAP,
+    max_rules: int = DEFAULT_RULE_CAP,
+) -> list[Kernel]:
+    """All fixed points of the operator, as kernels, deterministically ordered.
+
+    Every extension is generated by the facts plus the conclusions of the
+    rules that fire in it, so sweeping rule subsets and keeping each
+    candidate equal to its operator value finds exactly the fixed points.
+    The inconsistent extension (empty model set) appears alone when the
+    facts themselves are unsatisfiable.
+    """
+    if len(theory.rules) > max_rules:
+        raise ResourceLimitError(
+            f"theory has {len(theory.rules)} rules; extension search is "
+            f"capped at {max_rules}"
+        )
+    worlds = enumerate_worlds(theory.vocab, max_names)
+    fact_worlds = models(theory.fact_formula, worlds)
+    conclusion_worlds = [models(rule.gamma, fact_worlds) for rule in theory.rules]
+    seen: set[frozenset[World]] = set()
+    found = []
+    for size in range(len(theory.rules) + 1):
+        for chosen in combinations(conclusion_worlds, size):
+            candidate = fact_worlds.intersection(*chosen)
+            if candidate in seen:
+                continue
+            seen.add(candidate)
+            if close(fact_worlds, _licensed(theory, candidate)) == candidate:
+                found.append(candidate)
+    found.sort(key=lambda ws: (len(ws), sorted(w.bits() for w in ws)))
+    return [Kernel(ws, theory.vocab) for ws in found]
 
 
 def build_default_sequences(
@@ -205,10 +184,12 @@ def check_default_sequence(
     Witnesses live in the final class; ``strict=True`` instead demands
     them inside the class being split off, a tighter variant under which
     a rule whose conclusion equals its justification can never justify
-    its own split (each split removes exactly those witnesses).
+    its own split (each split removes exactly those witnesses). A
+    sequence of another kind, or one that is no partition of the worlds,
+    gets only those violations.
     """
     worlds = enumerate_worlds(theory.vocab, max_names)
-    structural = validate_structure(seq, worlds)
+    structural = validate_kind(seq, "default") or validate_structure(seq, worlds)
     if structural:
         return structural
 

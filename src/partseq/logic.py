@@ -222,12 +222,14 @@ def conjoin(formulas: Iterable[Formula]) -> Formula:
     """Fold a formula collection into one conjunction (Top when empty).
 
     A set of facts and the single conjunction of its members are used
-    interchangeably throughout.
+    interchangeably throughout. Neighbours are paired level by level, so
+    the depth grows with the log of the count and long lists stay shallow.
     """
-    result: Formula | None = None
-    for phi in formulas:
-        result = phi if result is None else And(result, phi)
-    return TRUE if result is None else result
+    parts = list(formulas) or [TRUE]
+    while len(parts) > 1:
+        pairs = [parts[i : i + 2] for i in range(0, len(parts), 2)]
+        parts = [And(*pair) if len(pair) == 2 else pair[0] for pair in pairs]
+    return parts[0]
 
 
 def evaluate(phi: Formula, world: World) -> bool:
@@ -281,7 +283,7 @@ def holds_throughout(phi: Formula, worlds: Iterable[World]) -> bool:
     exactly membership of ``phi`` in the theory (vacuously true on the
     empty set, matching the inconsistent theory containing everything).
     """
-    return all(evaluate(phi, w) for w in worlds)
+    return isinstance(phi, Top) or all(evaluate(phi, w) for w in worlds)
 
 
 def satisfiable_in(phi: Formula, worlds: Iterable[World]) -> bool:
@@ -408,11 +410,21 @@ def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
     return tokens
 
 
+# Deepest formula the parser accepts, counting connectives and nested
+# parentheses. Valuation, printing and hashing all recurse once per level,
+# so the bound keeps them well inside Python's recursion limit.
+MAX_FORMULA_DEPTH = 200
+
+# binary connectives by token kind: (precedence, node), tighter binds higher
+_BINARY = {"iff": (1, Iff), "imp": (2, Implies), "or": (3, Or), "and": (4, And)}
+
+
 class _FormulaParser:
     def __init__(self, tokens: list[Token], vocab: Vocabulary | None):
         self.tokens = tokens
         self.pos = 0
         self.vocab = vocab
+        self.level = 0  # expressions open around the parser: parentheses, operands
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -422,69 +434,66 @@ class _FormulaParser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
+    def expected(self, what: str) -> ParseError:
         tok = self.peek()
-        if tok.kind != kind:
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {got!r}", tok.line, tok.column)
-        return self.take()
+        got = tok.text or "end of input"
+        return ParseError(f"expected {what}, found {got!r}", tok.line, tok.column)
+
+    def within_limit(self, depth: int, tok: Token) -> int:
+        if depth > MAX_FORMULA_DEPTH:
+            raise ParseError(
+                f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", tok.line, tok.column
+            )
+        return depth
 
     def parse(self) -> Formula:
-        phi = self.iff()
+        phi, _ = self.expr(1)
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected {tok.text!r} after formula", tok.line, tok.column)
         return phi
 
-    def iff(self) -> Formula:
-        phi = self.imp()
-        while self.peek().kind == "iff":
-            self.take()
-            phi = Iff(phi, self.imp())
-        return phi
+    def expr(self, min_prec: int) -> tuple[Formula, int]:
+        """The formula ahead whose connectives bind at ``min_prec`` or
+        tighter, and its depth (precedence climbing)."""
+        self.level = self.within_limit(self.level + 1, self.peek())
+        phi, depth = self.unary()
+        while (op := _BINARY.get(self.peek().kind)) and op[0] >= min_prec:
+            prec, make = op
+            tok = self.take()
+            # -> chains to the right, the other connectives to the left
+            rhs, rhs_depth = self.expr(prec if make is Implies else prec + 1)
+            phi, depth = make(phi, rhs), self.within_limit(1 + max(depth, rhs_depth), tok)
+        self.level -= 1
+        return phi, depth
 
-    def imp(self) -> Formula:
-        phi = self.disj()
-        if self.peek().kind == "imp":
-            self.take()
-            return Implies(phi, self.imp())
-        return phi
-
-    def disj(self) -> Formula:
-        phi = self.conj()
-        while self.peek().kind == "or":
-            self.take()
-            phi = Or(phi, self.conj())
-        return phi
-
-    def conj(self) -> Formula:
-        phi = self.unary()
-        while self.peek().kind == "and":
-            self.take()
-            phi = And(phi, self.unary())
-        return phi
-
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
+        negations = []
+        while self.peek().kind == "not":
+            negations.append(self.take())
         tok = self.peek()
-        if tok.kind == "not":
-            self.take()
-            return Not(self.unary())
-        if tok.kind == "lp":
-            self.take()
-            phi = self.iff()
-            self.expect("rp", "')'")
-            return phi
         if tok.kind == "name":
+            phi, depth = self.constant(tok), 0
+        elif tok.kind == "lp":
             self.take()
-            if tok.text == "true":
-                return TRUE
-            if tok.text == "false":
-                return FALSE
-            if self.vocab is not None and tok.text not in self.vocab:
-                raise ParseError(f"unknown constant {tok.text!r}", tok.line, tok.column)
-            return Const(tok.text)
-        got = tok.text or "end of input"
-        raise ParseError(f"expected a formula, found {got!r}", tok.line, tok.column)
+            phi, depth = self.expr(1)
+            if self.peek().kind != "rp":
+                raise self.expected("')'")
+        else:
+            raise self.expected("a formula")
+        self.take()  # the constant or the closing parenthesis
+        for neg in reversed(negations):
+            phi, depth = Not(phi), self.within_limit(depth + 1, neg)
+        return phi, depth
+
+    def constant(self, tok: Token) -> Formula:
+        if tok.text == "true":
+            return TRUE
+        if tok.text == "false":
+            return FALSE
+        if self.vocab is not None and tok.text not in self.vocab:
+            raise ParseError(f"unknown constant {tok.text!r}", tok.line, tok.column)
+        return Const(tok.text)
 
 
 def parse_formula(

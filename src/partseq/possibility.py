@@ -25,7 +25,7 @@ from .logic import (
     format_formula,
     satisfiable_in,
 )
-from .sequences import PartitionSequence, Violation, validate_structure
+from .sequences import PartitionSequence, Violation, validate_kind, validate_structure
 
 # Class weight totals are compared within this tolerance so that checked
 # sequences may carry float-derived weights.
@@ -156,10 +156,11 @@ def check_poss_sequence(
 
     Class memberships must match the level construction exactly; weights
     inside a class may be distributed any way whose total equals the
-    level's gap (within a small tolerance).
+    level's gap (within a small tolerance). A sequence of another kind
+    gets a single ``kind`` violation.
     """
     worlds = enumerate_worlds(kb.vocab, max_names)
-    structural = validate_structure(seq, worlds)
+    structural = validate_kind(seq, "possibility") or validate_structure(seq, worlds)
     if structural:
         return structural
 

@@ -123,6 +123,13 @@ def validate_structure(
     return problems
 
 
+def validate_kind(seq: PartitionSequence, kind: str) -> list[Violation]:
+    """A violation when ``seq`` belongs to another formalism than ``kind``."""
+    if seq.kind == kind:
+        return []
+    return [Violation("kind", f"the sequence is {seq.kind}, expected {kind}")]
+
+
 def isomorphic(a: PartitionSequence, b: PartitionSequence) -> bool:
     """Whether two sequences induce the same theory: identical last class."""
     if a.kind != b.kind:
@@ -158,6 +165,29 @@ Item = tuple[str, Formula, Formula]
 def falsifiers(phi: Formula, worlds: Iterable[World]) -> frozenset[World]:
     """The worlds in ``worlds`` where ``phi`` fails."""
     return frozenset(w for w in worlds if not evaluate(phi, w))
+
+
+def close(worlds: frozenset[World], items: Iterable[Item]) -> frozenset[World]:
+    """``worlds`` peeled by every item whose prerequisite holds throughout
+    what remains, until a full pass peels nothing: the operator of both
+    formalisms, at the pool that licensed ``items``.
+
+    An item peels at most once, since its conclusion then holds throughout
+    every later remainder, so the order of ``items`` does not matter.
+    """
+    pending = list(items)
+    while pending:
+        waiting = []
+        for item in pending:
+            _, prerequisite, conclusion = item
+            if holds_throughout(prerequisite, worlds):
+                worlds -= falsifiers(conclusion, worlds)
+            else:
+                waiting.append(item)
+        if len(waiting) == len(pending):
+            break
+        pending = waiting
+    return worlds
 
 
 def _ready(

@@ -279,6 +279,61 @@ def brute_force_ael_last_classes(premises, worlds) -> set[frozenset]:
 
 
 # ---------------------------------------------------------------------------
+# Operator oracles
+# ---------------------------------------------------------------------------
+
+
+def _subset(ordered, mask) -> frozenset:
+    """The members of the list ``ordered`` that the bits of ``mask`` pick."""
+    return frozenset(w for i, w in enumerate(ordered) if mask >> i & 1)
+
+
+def _subsets(worlds):
+    ordered = sorted(worlds, key=World.bits)
+    for mask in range(1 << len(ordered)):
+        yield _subset(ordered, mask)
+
+
+def default_operator(theory, candidate, ts: _TruthSets) -> frozenset:
+    """Model set of the least theory containing the facts and closed under
+    every rule whose justifications are each consistent with ``candidate``.
+
+    A theory is closed when holding a rule's prerequisite makes it hold
+    the conclusion. The least closed theory is the intersection of all
+    closed ones, so its model set is the union of every closed model set
+    inside the facts' models, found here by trying each subset.
+    """
+    licensed = [
+        rule for rule in theory.rules if all(ts.sat(b) & candidate for b in rule.betas)
+    ]
+    closed = frozenset()
+    for sub in _subsets(ts.sat(conjoin(theory.facts))):
+        if all(
+            sub <= ts.sat(rule.gamma) for rule in licensed if sub <= ts.sat(rule.alpha)
+        ):
+            closed |= sub
+    return closed
+
+
+def belief_operator(premises, kernel_worlds, ts: _TruthSets) -> frozenset:
+    """Model set of the least kernel holding the conclusion of every premise
+    whose positive condition the kernel believes and none of whose negative
+    ones it does."""
+    result = ts.worlds
+    for pm in premises.formulas:
+        alpha_sat = ts.sat(pm.alpha) if pm.alpha is not None else ts.worlds
+        if kernel_worlds <= alpha_sat and not any(
+            kernel_worlds <= ts.sat(b) for b in pm.betas
+        ):
+            result &= ts.sat(pm.gamma)
+    return result
+
+
+def random_nonempty_subset(rng: random.Random, worlds) -> frozenset:
+    return _subset(sorted(worlds, key=World.bits), rng.randrange(1, 1 << len(worlds)))
+
+
+# ---------------------------------------------------------------------------
 # Probability oracles
 # ---------------------------------------------------------------------------
 

@@ -25,8 +25,11 @@ from partseq import (
 )
 from genkit import (
     _ael_sequence_ok,
+    _TruthSets,
     ael_candidates,
+    belief_operator,
     brute_force_ael_last_classes,
+    random_nonempty_subset,
     random_premises,
 )
 
@@ -53,6 +56,19 @@ class TestOmegaOperator:
     def test_empty_kernel_rejected(self, introspective_premises, pq):
         with pytest.raises(ValueError):
             omega_operator(introspective_premises, Kernel(frozenset(), pq))
+
+    def test_agrees_with_definition_off_fixed_points(self):
+        rng = random.Random(5252)
+        moved = 0
+        for _ in range(300):
+            premises = random_premises(rng)
+            ts = _TruthSets(enumerate_worlds(premises.vocab))
+            for _ in range(8):
+                kernel = Kernel(random_nonempty_subset(rng, ts.worlds), premises.vocab)
+                got = omega_operator(premises, kernel).worlds
+                assert got == belief_operator(premises, kernel.worlds, ts), (premises, kernel)
+                moved += got != kernel.worlds
+        assert moved > 0
 
 
 class TestStableExpansions:

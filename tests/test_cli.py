@@ -8,6 +8,8 @@ import pytest
 from partseq import lottery_space, sequence_from_json
 from partseq.cli import main
 from partseq.kbformats import KbDocument, serialize_kb
+from partseq.logic import MAX_FORMULA_DEPTH
+from partseq.sequences import render_json
 
 RIVALS_DL = """vocab: p q
 rule r1: true : M p / p
@@ -226,6 +228,75 @@ class TestWorldsAndExplain:
         assert code == 0
         assert "preference chain" in out
         assert "M2" in out
+
+
+class TestKindCheck:
+    @pytest.mark.parametrize(
+        "group, build, kb, kind, relabel",
+        [
+            ("default", "sequences", "rivals.dl", "default", "autoepistemic"),
+            ("default", "sequences", "rivals.dl", "default", "possibility"),
+            ("ael", "sequences", "introspective.ael", "autoepistemic", "default"),
+            ("poss", "build", "nested.poss", "possibility", "conditional"),
+        ],
+        ids=[
+            "default-as-autoepistemic",
+            "default-as-possibility",
+            "ael-as-default",
+            "poss-as-conditional",
+        ],
+    )
+    def test_relabelled_sequence_fails(
+        self, kbdir, capsys, tmp_path, group, build, kb, kind, relabel
+    ):
+        _, out, _ = run(capsys, "--json", group, build, kbdir / kb)
+        obj = json.loads(out, parse_float=Fraction)["sequences"][0]
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(render_json(obj))
+        code, out, _ = run(capsys, group, "check", kbdir / kb, seq_file)
+        assert (code, out) == (0, "ok\n")
+        obj["kind"] = relabel
+        seq_file.write_text(render_json(obj))
+        code, out, _ = run(capsys, group, "check", kbdir / kb, seq_file)
+        assert code == 1
+        assert out == f"violation: kind: the sequence is {relabel}, expected {kind}\n"
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize(
+        "name, text, argv",
+        [
+            ("facts.dl", "vocab: p\n" + "fact: p\n" * 1500, ["default", "extensions"]),
+            ("premises.ael", "vocab: p\n" + "p\n" * 1500, ["ael", "expansions"]),
+        ],
+        ids=["facts", "premises"],
+    )
+    def test_long_fact_list(self, capsys, tmp_path, name, text, argv):
+        kb = tmp_path / name
+        kb.write_text(text)
+        code, out, err = run(capsys, *argv, kb)
+        assert code == 0 and out.endswith(" 1: {p}\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "formula, column",
+        [
+            # the connective or parenthesis that crosses the limit is cited
+            (" & ".join(["p"] * 3000), 7 + 4 * MAX_FORMULA_DEPTH + 2),
+            ("~" * 5000 + "p", 7 + 5000 - MAX_FORMULA_DEPTH - 1),
+            ("(" * 3000 + "p" + ")" * 3000, 7 + MAX_FORMULA_DEPTH),
+        ],
+        ids=["conjunctions", "negations", "parentheses"],
+    )
+    def test_too_deep_formula_is_parse_error(self, capsys, tmp_path, formula, column):
+        kb = tmp_path / "deep.dl"
+        kb.write_text("fact: " + formula + "\n")
+        code, _, err = run(capsys, "default", "extensions", kb)
+        assert code == 2
+        assert err == (
+            f"parse error: line 1, column {column}: formula nested deeper than "
+            f"{MAX_FORMULA_DEPTH} levels\n"
+        )
 
 
 class TestExitCodes:

@@ -24,9 +24,12 @@ from partseq import (
 )
 from genkit import (
     _default_sequence_ok,
+    _TruthSets,
     brute_force_default_last_classes,
     default_candidates,
+    default_operator,
     random_default_theory,
+    random_nonempty_subset,
 )
 
 P, Q = Const("p"), Const("q")
@@ -63,6 +66,19 @@ class TestGammaOperator:
             fact_worlds = models(theory.fact_formula, worlds)
             candidate = frozenset(w for w in worlds if rng.random() < 0.5)
             assert gamma_operator(theory, candidate) <= fact_worlds
+
+    def test_agrees_with_definition_off_fixed_points(self):
+        rng = random.Random(5151)
+        moved = 0
+        for _ in range(300):
+            theory = random_default_theory(rng)
+            ts = _TruthSets(enumerate_worlds(theory.vocab))
+            for _ in range(8):
+                candidate = random_nonempty_subset(rng, ts.worlds)
+                got = gamma_operator(theory, candidate)
+                assert got == default_operator(theory, candidate, ts), (theory, candidate)
+                moved += got != candidate
+        assert moved > 0
 
 
 class TestExtensions:
