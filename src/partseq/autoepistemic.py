@@ -15,16 +15,13 @@ from itertools import product
 from .errors import ResourceLimitError
 from .logic import (
     DEFAULT_WORLD_CAP,
-    TRUE,
     Formula,
     Kernel,
     ModalFormula,
+    TruthTable,
     Vocabulary,
-    World,
     conjoin,
     enumerate_worlds,
-    holds_throughout,
-    models,
 )
 from .sequences import (
     Item,
@@ -60,15 +57,45 @@ def _guess_formulas(premises: AelPremises) -> list[Formula]:
     return seen
 
 
-def _licensed(premises: AelPremises, believed) -> list[Item]:
-    """Premises whose belief conditions the membership test ``believed``
-    vouches for: it accepts the positive condition and none of the
-    negative ones. A licensed premise peels with no prerequisite.
+# A premise compiled against one truth table: the index of its positive
+# condition among the guess formulas (None when absent), the indices of
+# its negative ones, and the item it peels by once licensed.
+_Premise = tuple[int | None, tuple[int, ...], Item]
+
+
+def _compile(
+    premises: AelPremises, guesses: list[Formula], table: TruthTable
+) -> tuple[list[int], list[_Premise]]:
+    """The guess formulas' model masks, and the compiled premises.
+
+    Labels are formatted here, once per call. A premise peels with no
+    prerequisite.
     """
-    return [
-        (str(pm), TRUE, pm.gamma)
+    at = {phi: i for i, phi in enumerate(guesses)}
+    compiled = [
+        (
+            None if pm.alpha is None else at[pm.alpha],
+            tuple(at[b] for b in pm.betas),
+            (str(pm), table.full, table.mask(pm.gamma)),
+        )
         for pm in premises.formulas
-        if (pm.alpha is None or believed(pm.alpha)) and not any(map(believed, pm.betas))
+    ]
+    return [table.mask(g) for g in guesses], compiled
+
+
+def _beliefs(conditions: list[int], pool: int) -> tuple[bool, ...]:
+    """Which guess formulas, given by their model masks, hold throughout
+    ``pool``: the belief set whose kernel has that model set."""
+    return tuple(pool & ~m == 0 for m in conditions)
+
+
+def _licensed(compiled: list[_Premise], believed: tuple[bool, ...]) -> list[Item]:
+    """Premises whose belief conditions ``believed`` vouches for: it holds
+    the positive condition and none of the negative ones."""
+    return [
+        item
+        for alpha, betas, item in compiled
+        if (alpha is None or believed[alpha]) and not any(believed[b] for b in betas)
     ]
 
 
@@ -85,8 +112,11 @@ def omega_operator(
     """
     if not kernel.is_consistent:
         raise ValueError("the belief operator is defined for consistent kernels only")
-    worlds = frozenset(enumerate_worlds(premises.vocab, max_names))
-    return Kernel(close(worlds, _licensed(premises, kernel.contains)), premises.vocab)
+    table = TruthTable(premises.vocab, max_names)
+    conditions, compiled = _compile(premises, _guess_formulas(premises), table)
+    believed = _beliefs(conditions, table.mask_of(kernel.worlds))
+    value = close(table.full, _licensed(compiled, believed))
+    return Kernel(table.worlds(value), premises.vocab)
 
 
 def forced_inconsistency(premises: AelPremises, max_names: int = DEFAULT_WORLD_CAP) -> bool:
@@ -97,23 +127,20 @@ def forced_inconsistency(premises: AelPremises, max_names: int = DEFAULT_WORLD_C
     belief set is the inconsistent one. The expansion enumeration reports
     consistent kernels only; this flag covers the remaining case.
     """
-    worlds = enumerate_worlds(premises.vocab, max_names)
     hard = conjoin(pm.gamma for pm in premises.formulas if not pm.betas)
-    return not models(hard, worlds)
+    return TruthTable(premises.vocab, max_names).mask(hard) == 0
 
 
-def stable_expansions(
-    premises: AelPremises,
-    max_names: int = DEFAULT_WORLD_CAP,
-    max_guesses: int = DEFAULT_GUESS_CAP,
-) -> list[Kernel]:
-    """All consistent fixed points of the belief operator.
+def _search(
+    premises: AelPremises, max_names: int, max_guesses: int
+) -> tuple[TruthTable, list[int], list[_Premise], list[int]]:
+    """The truth table, the guess formulas' masks, the compiled premises
+    and the consistent expansions' model sets, in order.
 
     For every assignment of believed/not-believed to the distinct
     condition formulas, the firing premises induce a kernel; the guess is
     kept when the kernel agrees with it on every condition formula, which
-    is exactly the fixed-point property. Deduplicated by model set and
-    deterministically ordered.
+    is exactly the fixed-point property.
     """
     guesses = _guess_formulas(premises)
     if len(guesses) > max_guesses:
@@ -121,19 +148,28 @@ def stable_expansions(
             f"premises mention {len(guesses)} distinct belief conditions; "
             f"expansion search is capped at {max_guesses}"
         )
-    worlds = frozenset(enumerate_worlds(premises.vocab, max_names))
+    table = TruthTable(premises.vocab, max_names)
+    conditions, compiled = _compile(premises, guesses, table)
     found = []
-    seen: set[frozenset[World]] = set()
+    seen: set[int] = set()
     for bits in product((False, True), repeat=len(guesses)):
-        assignment = dict(zip(guesses, bits))
-        kernel_worlds = close(worlds, _licensed(premises, assignment.__getitem__))
-        if not kernel_worlds or kernel_worlds in seen:
-            continue
-        if all(holds_throughout(g, kernel_worlds) == assignment[g] for g in guesses):
-            seen.add(kernel_worlds)
-            found.append(kernel_worlds)
-    found.sort(key=lambda ws: (len(ws), sorted(w.bits() for w in ws)))
-    return [Kernel(ws, premises.vocab) for ws in found]
+        kernel = close(table.full, _licensed(compiled, bits))
+        if kernel and kernel not in seen and _beliefs(conditions, kernel) == bits:
+            seen.add(kernel)
+            found.append(kernel)
+    found.sort(key=table.sort_key)
+    return table, conditions, compiled, found
+
+
+def stable_expansions(
+    premises: AelPremises,
+    max_names: int = DEFAULT_WORLD_CAP,
+    max_guesses: int = DEFAULT_GUESS_CAP,
+) -> list[Kernel]:
+    """All consistent fixed points of the belief operator, deduplicated by
+    model set and deterministically ordered."""
+    table, _, _, found = _search(premises, max_names, max_guesses)
+    return [Kernel(table.worlds(k), premises.vocab) for k in found]
 
 
 def build_ael_sequences(
@@ -150,14 +186,9 @@ def build_ael_sequences(
     Orders are explored under the shared ``order_limit`` budget of
     :func:`~partseq.sequences.peel_sequences`.
     """
-    worlds = frozenset(enumerate_worlds(premises.vocab, max_names))
-    item_lists = [
-        _licensed(premises, k.contains)
-        for k in stable_expansions(premises, max_names, max_guesses)
-    ]
-    return peel_sequences(
-        "autoepistemic", premises.vocab, frozenset(), worlds, item_lists, order_limit
-    )
+    table, conditions, compiled, found = _search(premises, max_names, max_guesses)
+    item_lists = [_licensed(compiled, _beliefs(conditions, k)) for k in found]
+    return peel_sequences("autoepistemic", table, 0, table.full, item_lists, order_limit)
 
 
 def check_ael_sequence(
@@ -197,9 +228,12 @@ def check_ael_sequence(
                 class_index=len(seq.classes) - 1,
             )
         )
+    table = TruthTable(premises.vocab, max_names)
+    conditions, compiled = _compile(premises, _guess_formulas(premises), table)
     return problems + check_peels(
         seq,
-        lambda pool: _licensed(premises, Kernel(pool, premises.vocab).contains),
+        table,
+        lambda pool: _licensed(compiled, _beliefs(conditions, pool)),
         strict,
         "premise",
     )

@@ -13,19 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 
 from .errors import ResourceLimitError
 from .logic import (
     DEFAULT_WORLD_CAP,
     Formula,
     Kernel,
+    TruthTable,
     Vocabulary,
     World,
     conjoin,
     enumerate_worlds,
-    models,
-    satisfiable_in,
 )
 from .sequences import (
     Item,
@@ -33,7 +31,6 @@ from .sequences import (
     Violation,
     check_peels,
     close,
-    falsifiers,
     peel_sequences,
     validate_kind,
     validate_structure,
@@ -75,16 +72,33 @@ class DefaultTheory:
         return conjoin(self.facts)
 
 
-def _licensed(theory: DefaultTheory, pool: frozenset[World]) -> list[Item]:
+# A rule compiled against one truth table: (rule_id, prerequisite mask,
+# justification masks, conclusion mask).
+_Rule = tuple[str, int, tuple[int, ...], int]
+
+
+def _compile(theory: DefaultTheory, table: TruthTable) -> list[_Rule]:
+    return [
+        (
+            rule.rule_id,
+            table.mask(rule.alpha),
+            tuple(map(table.mask, rule.betas)),
+            table.mask(rule.gamma),
+        )
+        for rule in theory.rules
+    ]
+
+
+def _licensed(rules: list[_Rule], pool: int) -> list[Item]:
     """Rules whose justifications are each satisfiable in ``pool``.
 
     A licensed rule peels only while its prerequisite holds throughout the
     remaining worlds.
     """
     return [
-        (rule.rule_id, rule.alpha, rule.gamma)
-        for rule in theory.rules
-        if all(satisfiable_in(b, pool) for b in rule.betas)
+        (rule_id, alpha, gamma)
+        for rule_id, alpha, betas, gamma in rules
+        if all(b & pool for b in betas)
     ]
 
 
@@ -98,8 +112,36 @@ def gamma_operator(
     consistent with the candidate theory (no ~beta_i holds throughout
     ``candidate``), the least fixed point of applying them.
     """
-    worlds = enumerate_worlds(theory.vocab, max_names)
-    return close(models(theory.fact_formula, worlds), _licensed(theory, candidate))
+    table = TruthTable(theory.vocab, max_names)
+    licensed = _licensed(_compile(theory, table), table.mask_of(candidate))
+    return table.worlds(close(table.mask(theory.fact_formula), licensed))
+
+
+def _search(
+    theory: DefaultTheory, max_names: int, max_rules: int
+) -> tuple[TruthTable, list[_Rule], int, list[int]]:
+    """The truth table, the compiled rules, the fact models and the
+    extensions' model sets, in order.
+
+    Every extension is generated by the facts plus the conclusions of the
+    rules that fire in it, so sweeping the intersections of the fact
+    models with rule conclusions and keeping each candidate equal to its
+    operator value finds exactly the fixed points.
+    """
+    if len(theory.rules) > max_rules:
+        raise ResourceLimitError(
+            f"theory has {len(theory.rules)} rules; extension search is "
+            f"capped at {max_rules}"
+        )
+    table = TruthTable(theory.vocab, max_names)
+    rules = _compile(theory, table)
+    facts = table.mask(theory.fact_formula)
+    candidates = {facts}
+    for _, _, _, gamma in rules:
+        candidates |= {c & gamma for c in candidates}
+    found = [c for c in candidates if close(facts, _licensed(rules, c)) == c]
+    found.sort(key=table.sort_key)
+    return table, rules, facts, found
 
 
 def extensions(
@@ -109,32 +151,11 @@ def extensions(
 ) -> list[Kernel]:
     """All fixed points of the operator, as kernels, deterministically ordered.
 
-    Every extension is generated by the facts plus the conclusions of the
-    rules that fire in it, so sweeping rule subsets and keeping each
-    candidate equal to its operator value finds exactly the fixed points.
     The inconsistent extension (empty model set) appears alone when the
     facts themselves are unsatisfiable.
     """
-    if len(theory.rules) > max_rules:
-        raise ResourceLimitError(
-            f"theory has {len(theory.rules)} rules; extension search is "
-            f"capped at {max_rules}"
-        )
-    worlds = enumerate_worlds(theory.vocab, max_names)
-    fact_worlds = models(theory.fact_formula, worlds)
-    conclusion_worlds = [models(rule.gamma, fact_worlds) for rule in theory.rules]
-    seen: set[frozenset[World]] = set()
-    found = []
-    for size in range(len(theory.rules) + 1):
-        for chosen in combinations(conclusion_worlds, size):
-            candidate = fact_worlds.intersection(*chosen)
-            if candidate in seen:
-                continue
-            seen.add(candidate)
-            if close(fact_worlds, _licensed(theory, candidate)) == candidate:
-                found.append(candidate)
-    found.sort(key=lambda ws: (len(ws), sorted(w.bits() for w in ws)))
-    return [Kernel(ws, theory.vocab) for ws in found]
+    table, _, _, found = _search(theory, max_names, max_rules)
+    return [Kernel(table.worlds(m), theory.vocab) for m in found]
 
 
 def build_default_sequences(
@@ -154,16 +175,10 @@ def build_default_sequences(
     :func:`~partseq.sequences.peel_sequences`. The inconsistent extension,
     having no worlds to end on, gets no sequence.
     """
-    worlds = enumerate_worlds(theory.vocab, max_names)
-    fact_worlds = models(theory.fact_formula, worlds)
-    item_lists = [
-        _licensed(theory, k.worlds)
-        for k in extensions(theory, max_names, max_rules)
-        if k.is_consistent
-    ]
-    w0 = frozenset(worlds) - fact_worlds
+    table, rules, facts, found = _search(theory, max_names, max_rules)
+    item_lists = [_licensed(rules, e) for e in found if e]
     return peel_sequences(
-        "default", theory.vocab, w0, fact_worlds, item_lists, order_limit
+        "default", table, table.full & ~facts, facts, item_lists, order_limit
     )
 
 
@@ -193,8 +208,9 @@ def check_default_sequence(
     if structural:
         return structural
 
+    table = TruthTable(theory.vocab, max_names)
     problems = []
-    if seq.classes[0] != falsifiers(theory.fact_formula, worlds):
+    if table.mask_of(seq.classes[0]) != table.full & ~table.mask(theory.fact_formula):
         problems.append(
             Violation(
                 "condition 1",
@@ -202,4 +218,5 @@ def check_default_sequence(
                 class_index=0,
             )
         )
-    return problems + check_peels(seq, partial(_licensed, theory), strict, "rule")
+    licensed = partial(_licensed, _compile(theory, table))
+    return problems + check_peels(seq, table, licensed, strict, "rule")

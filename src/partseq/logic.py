@@ -50,6 +50,10 @@ class Vocabulary:
                 raise ValueError(f"duplicate constant name: {name!r}")
             seen.add(name)
         object.__setattr__(self, "_name_set", frozenset(self.names))
+        object.__setattr__(self, "_hash", hash(self.names))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     def __contains__(self, name: str) -> bool:
         return name in self._name_set  # type: ignore[attr-defined]
@@ -84,7 +88,7 @@ class World:
         self.weight = as_fraction(weight)
         if self.weight < 0:
             raise ValueError(f"negative world weight: {self.weight}")
-        self._hash = hash((self.vocab.names, self.true_names))
+        self._hash = hash((vocab, self.true_names))
 
     def truth(self, name: str) -> bool:
         if name not in self.vocab:
@@ -101,7 +105,7 @@ class World:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, World)
-            and self.vocab.names == other.vocab.names
+            and self.vocab == other.vocab
             and self.true_names == other.true_names
         )
 
@@ -116,17 +120,21 @@ class World:
         return inner
 
 
+def _check_cap(vocab: Vocabulary, max_names: int) -> None:
+    if len(vocab) > max_names:
+        raise ResourceLimitError(
+            f"vocabulary has {len(vocab)} constants; exhaustive world "
+            f"enumeration is capped at {max_names}"
+        )
+
+
 def enumerate_worlds(vocab: Vocabulary, max_names: int = DEFAULT_WORLD_CAP) -> list[World]:
     """All 2^n interpretations of ``vocab``, each with weight 1.
 
     The order is binary counting over the vocabulary order (first name
     most significant), so it is deterministic and duplicate-free.
     """
-    if len(vocab) > max_names:
-        raise ResourceLimitError(
-            f"vocabulary has {len(vocab)} constants; exhaustive world "
-            f"enumeration is capped at {max_names}"
-        )
+    _check_cap(vocab, max_names)
     worlds = []
     for bits in product((0, 1), repeat=len(vocab)):
         trues = [name for name, bit in zip(vocab.names, bits) if bit]
@@ -271,9 +279,8 @@ def entails(
     Sound and complete over the finite vocabulary: true iff every world
     satisfying all premises satisfies ``phi``.
     """
-    worlds = enumerate_worlds(vocab, max_names)
-    antecedent = conjoin(premises)
-    return all(evaluate(phi, w) for w in worlds if evaluate(antecedent, w))
+    table = TruthTable(vocab, max_names)
+    return table.mask(conjoin(premises)) & ~table.mask(phi) == 0
 
 
 def holds_throughout(phi: Formula, worlds: Iterable[World]) -> bool:
@@ -283,12 +290,119 @@ def holds_throughout(phi: Formula, worlds: Iterable[World]) -> bool:
     exactly membership of ``phi`` in the theory (vacuously true on the
     empty set, matching the inconsistent theory containing everything).
     """
-    return isinstance(phi, Top) or all(evaluate(phi, w) for w in worlds)
+    return all(evaluate(phi, w) for w in worlds)
 
 
 def satisfiable_in(phi: Formula, worlds: Iterable[World]) -> bool:
     """True when some world in the set satisfies ``phi``."""
     return any(evaluate(phi, w) for w in worlds)
+
+
+# ---------------------------------------------------------------------------
+# Truth tables
+# ---------------------------------------------------------------------------
+#
+# Over n constants a world set is an int of 2^n bits: bit i stands for the
+# world at index i of enumerate_worlds (binary counting, first name most
+# significant). Set operations and the tests above become bit operations:
+# S & m are the models of phi in S, S & ~m == 0 says phi holds throughout S
+# and S & m != 0 that it is satisfiable in S, where m is phi's model mask.
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending, in linear time."""
+    digits = bin(mask)[:1:-1]  # least significant first, without "0b"
+    found = []
+    i = digits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = digits.find("1", i + 1)
+    return found
+
+
+class TruthTable:
+    """Formulas over one vocabulary compiled to their model masks.
+
+    Meant to live for one call: masks and worlds are memoised per table,
+    so a search compiles each formula once and builds each world once.
+    """
+
+    def __init__(self, vocab: Vocabulary, max_names: int = DEFAULT_WORLD_CAP):
+        _check_cap(vocab, max_names)
+        self.vocab = vocab
+        self.size = 1 << len(vocab)
+        self.full = (1 << self.size) - 1
+        self._masks: dict[Formula, int] = {}
+        self._worlds: dict[int, World] = {}
+
+    def _atom(self, name: str) -> int:
+        if name not in self.vocab:
+            raise SemanticError(f"unknown constant: {name!r}")
+        # the name's bit in a world index has weight 2^b; the mask repeats
+        # 2^b clear bits then 2^b set ones, doubled up to the full width
+        half = 1 << (len(self.vocab) - 1 - self.vocab.names.index(name))
+        mask = ((1 << half) - 1) << half
+        width = 2 * half
+        while width < self.size:
+            mask |= mask << width
+            width *= 2
+        return mask
+
+    def mask(self, phi: Formula) -> int:
+        """The worlds of the vocabulary satisfying ``phi``."""
+        m = self._masks.get(phi)
+        if m is None:
+            m = self._masks[phi] = self._compile(phi)
+        return m
+
+    def _compile(self, phi: Formula) -> int:
+        match phi:
+            case Top():
+                return self.full
+            case Bottom():
+                return 0
+            case Const(name):
+                return self._atom(name)
+            case Not(sub):
+                return self.full ^ self.mask(sub)
+            case And(l, r):
+                return self.mask(l) & self.mask(r)
+            case Or(l, r):
+                return self.mask(l) | self.mask(r)
+            case Implies(l, r):
+                return (self.full ^ self.mask(l)) | self.mask(r)
+            case Iff(l, r):
+                return self.full ^ self.mask(l) ^ self.mask(r)
+            case _:
+                raise SemanticError(f"not a formula: {phi!r}")
+
+    def index(self, world: World) -> int:
+        i = 0
+        for name in self.vocab.names:
+            i = (i << 1) | (name in world.true_names)
+        return i
+
+    def mask_of(self, worlds: Iterable[World]) -> int:
+        bits = bytearray((self.size + 7) // 8)
+        for w in worlds:
+            i = self.index(w)
+            bits[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(bits, "little")
+
+    def _world(self, i: int) -> World:
+        w = self._worlds.get(i)
+        if w is None:
+            last = len(self.vocab) - 1
+            trues = [name for j, name in enumerate(self.vocab.names) if i >> (last - j) & 1]
+            w = self._worlds[i] = World(self.vocab, trues)
+        return w
+
+    def worlds(self, mask: int) -> frozenset[World]:
+        return frozenset(map(self._world, _set_bits(mask)))
+
+    def sort_key(self, mask: int) -> tuple[int, list[int]]:
+        """Orders world sets by size, then by their worlds' truth values."""
+        return mask.bit_count(), _set_bits(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -519,30 +633,30 @@ def format_formula(phi: Formula) -> str:
 
     ``parse_formula(format_formula(phi))`` reproduces ``phi`` exactly.
     """
+    return _fmt(phi, 0)
 
-    # min_prec is the lowest operator precedence printable without parens
-    # in the current position; it encodes associativity (-> chains to the
-    # right, & | <-> to the left).
-    def fmt(node: Formula, min_prec: int) -> str:
-        match node:
-            case Top():
-                return "true"
-            case Bottom():
-                return "false"
-            case Const(name):
-                return name
-            case Not(sub):
-                text, prec = "~" + fmt(sub, 5), 5
-            case And(l, r):
-                text, prec = f"{fmt(l, 4)} & {fmt(r, 5)}", 4
-            case Or(l, r):
-                text, prec = f"{fmt(l, 3)} | {fmt(r, 4)}", 3
-            case Implies(l, r):
-                text, prec = f"{fmt(l, 3)} -> {fmt(r, 2)}", 2
-            case Iff(l, r):
-                text, prec = f"{fmt(l, 1)} <-> {fmt(r, 2)}", 1
-            case _:
-                raise SemanticError(f"not a formula: {node!r}")
-        return f"({text})" if prec < min_prec else text
 
-    return fmt(phi, 0)
+# min_prec is the lowest operator precedence printable without parens in
+# the current position; it encodes associativity (-> chains to the right,
+# & | <-> to the left).
+def _fmt(node: Formula, min_prec: int) -> str:
+    match node:
+        case Top():
+            return "true"
+        case Bottom():
+            return "false"
+        case Const(name):
+            return name
+        case Not(sub):
+            text, prec = "~" + _fmt(sub, 5), 5
+        case And(l, r):
+            text, prec = f"{_fmt(l, 4)} & {_fmt(r, 5)}", 4
+        case Or(l, r):
+            text, prec = f"{_fmt(l, 3)} | {_fmt(r, 4)}", 3
+        case Implies(l, r):
+            text, prec = f"{_fmt(l, 3)} -> {_fmt(r, 2)}", 2
+        case Iff(l, r):
+            text, prec = f"{_fmt(l, 1)} <-> {_fmt(r, 2)}", 1
+        case _:
+            raise SemanticError(f"not a formula: {node!r}")
+    return f"({text})" if prec < min_prec else text

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import SemanticError
-from .logic import Formula, Vocabulary, World, evaluate, holds_throughout
+from .logic import Formula, TruthTable, Vocabulary, World, evaluate
 from .rationals import decimal_digits
 
 KINDS = ("default", "autoepistemic", "conditional", "threshold", "possibility")
@@ -157,9 +157,11 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 # worlds still remaining that falsify the conclusion of a licensed item,
 # then repeat. A formalism states only which items a pool of worlds
 # licenses, as (label, prerequisite, conclusion) triples; an item peels
-# only while its prerequisite holds throughout the remaining worlds.
+# only while its prerequisite holds throughout the remaining worlds. World
+# sets here are truth-table masks (see logic.TruthTable), and so are the
+# prerequisite and conclusion of an item: their model masks.
 
-Item = tuple[str, Formula, Formula]
+Item = tuple[str, int, int]
 
 
 def falsifiers(phi: Formula, worlds: Iterable[World]) -> frozenset[World]:
@@ -167,7 +169,7 @@ def falsifiers(phi: Formula, worlds: Iterable[World]) -> frozenset[World]:
     return frozenset(w for w in worlds if not evaluate(phi, w))
 
 
-def close(worlds: frozenset[World], items: Iterable[Item]) -> frozenset[World]:
+def close(worlds: int, items: Iterable[Item]) -> int:
     """``worlds`` peeled by every item whose prerequisite holds throughout
     what remains, until a full pass peels nothing: the operator of both
     formalisms, at the pool that licensed ``items``.
@@ -180,8 +182,8 @@ def close(worlds: frozenset[World], items: Iterable[Item]) -> frozenset[World]:
         waiting = []
         for item in pending:
             _, prerequisite, conclusion = item
-            if holds_throughout(prerequisite, worlds):
-                worlds -= falsifiers(conclusion, worlds)
+            if worlds & ~prerequisite == 0:
+                worlds &= conclusion
             else:
                 waiting.append(item)
         if len(waiting) == len(pending):
@@ -190,14 +192,12 @@ def close(worlds: frozenset[World], items: Iterable[Item]) -> frozenset[World]:
     return worlds
 
 
-def _ready(
-    items: list[Item], remaining: frozenset[World]
-) -> list[tuple[str, frozenset[World]]]:
+def _ready(items: list[Item], remaining: int) -> list[tuple[str, int]]:
     """Labels and non-empty peels of the items ready on ``remaining``."""
     steps = []
     for label, prerequisite, conclusion in items:
-        if holds_throughout(prerequisite, remaining):
-            peel = falsifiers(conclusion, remaining)
+        if remaining & ~prerequisite == 0:
+            peel = remaining & ~conclusion
             if peel:
                 steps.append((label, peel))
     return steps
@@ -205,9 +205,9 @@ def _ready(
 
 def peel_sequences(
     kind: str,
-    vocab: Vocabulary,
-    first: frozenset[World],
-    rest: frozenset[World],
+    table: TruthTable,
+    first: int,
+    rest: int,
     item_lists: Iterable[list[Item]],
     order_limit: int,
 ) -> list[PartitionSequence]:
@@ -228,7 +228,8 @@ def peel_sequences(
     def emit(classes, labels):
         if classes not in seen:
             seen.add(classes)
-            results.append(PartitionSequence(classes, vocab, kind, labels))
+            worlds = tuple(map(table.worlds, classes))
+            results.append(PartitionSequence(worlds, table.vocab, kind, labels))
 
     def explore(items, remaining, classes, labels):
         nonlocal budget
@@ -239,7 +240,7 @@ def peel_sequences(
             budget -= 1
             emit((*classes, remaining), (*labels, ""))
         for label, peel in steps:
-            explore(items, remaining - peel, (*classes, peel), (*labels, label))
+            explore(items, remaining & ~peel, (*classes, peel), (*labels, label))
 
     for items in item_lists:
         count_before = len(results)
@@ -248,7 +249,7 @@ def peel_sequences(
             remaining, classes, labels = rest, (first,), ("",)
             while steps := _ready(items, remaining):
                 label, peel = steps[0]
-                remaining -= peel
+                remaining &= ~peel
                 classes += (peel,)
                 labels += (label,)
             emit((*classes, remaining), (*labels, ""))
@@ -257,7 +258,8 @@ def peel_sequences(
 
 def check_peels(
     seq: PartitionSequence,
-    licensed: Callable[[frozenset[World]], list[Item]],
+    table: TruthTable,
+    licensed: Callable[[int], list[Item]],
     strict: bool,
     noun: str,
 ) -> list[Violation]:
@@ -272,16 +274,15 @@ def check_peels(
     names the items in the messages.
     """
     problems = []
-    last = seq.last_class
-    n = len(seq.classes)
+    classes = list(map(table.mask_of, seq.classes))
+    last = classes[-1]
     by_last = licensed(last)
-    remaining = seq.all_worlds - seq.classes[0]
-    for i in range(1, n - 1):
-        cls = seq.classes[i]
+    remaining = table.full & ~classes[0]
+    for i in range(1, len(classes) - 1):
+        cls = classes[i]
         items = licensed(cls) if strict else by_last
         if not any(
-            holds_throughout(prerequisite, remaining)
-            and falsifiers(conclusion, remaining) == cls
+            remaining & ~prerequisite == 0 and remaining & ~conclusion == cls
             for _, prerequisite, conclusion in items
         ):
             problems.append(
@@ -291,16 +292,14 @@ def check_peels(
                     class_index=i,
                 )
             )
-        remaining -= cls
+        remaining &= ~cls
     for label, prerequisite, conclusion in by_last:
-        if not holds_throughout(prerequisite, last):
-            continue
-        if not holds_throughout(conclusion, last):
+        if last & ~prerequisite == 0 and last & ~conclusion:
             problems.append(
                 Violation(
                     "condition 3",
                     f"licensed {noun}'s conclusion fails somewhere in the last class",
-                    class_index=n - 1,
+                    class_index=len(classes) - 1,
                     item=label,
                 )
             )

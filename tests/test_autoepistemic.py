@@ -13,6 +13,7 @@ from partseq import (
     PartitionSequence,
     ResourceLimitError,
     Vocabulary,
+    World,
     build_ael_sequences,
     check_ael_sequence,
     conjoin,
@@ -118,6 +119,40 @@ class TestStableExpansions:
                     if fires:
                         licensed &= models(pm.gamma, licensed)
                 assert licensed == kernel.worlds
+
+
+class TestWorldCap:
+    NAMES = [f"c{i}" for i in range(20)]
+
+    def premises(self, names):
+        """Plain premises for all but the last six constants, and
+        ``~L ~c -> c`` for the rest, so all constants end up believed."""
+        return AelPremises(
+            tuple(ModalFormula(gamma=Const(n)) for n in names[:-6])
+            + tuple(ModalFormula(gamma=Const(n), betas=(Not(Const(n)),)) for n in names[-6:]),
+            Vocabulary(names),
+        )
+
+    def test_twenty_constants_run(self):
+        premises = self.premises(self.NAMES)
+        (kernel,) = stable_expansions(premises)
+        assert kernel.worlds == {World(premises.vocab, self.NAMES)}
+        assert omega_operator(premises, kernel) == kernel
+        assert not forced_inconsistency(premises)
+
+    def test_twenty_one_constants_refused(self):
+        premises = self.premises(self.NAMES + ["c20"])
+        kernel = Kernel(frozenset({World(premises.vocab, [])}), premises.vocab)
+        seq = PartitionSequence((frozenset(), frozenset()), premises.vocab, "autoepistemic")
+        for run in (
+            lambda: stable_expansions(premises),
+            lambda: omega_operator(premises, kernel),
+            lambda: forced_inconsistency(premises),
+            lambda: build_ael_sequences(premises),
+            lambda: check_ael_sequence(premises, seq),
+        ):
+            with pytest.raises(ResourceLimitError, match="capped at 20"):
+                run()
 
 
 class TestBuildSequences:

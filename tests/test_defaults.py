@@ -14,6 +14,7 @@ from partseq import (
     PartitionSequence,
     ResourceLimitError,
     Vocabulary,
+    World,
     build_default_sequences,
     check_default_sequence,
     enumerate_worlds,
@@ -108,6 +109,41 @@ class TestExtensions:
         rules = tuple(DefaultRule(f"r{i}", TRUE, (P,), P) for i in range(17))
         with pytest.raises(ResourceLimitError):
             extensions(DefaultTheory(rules=rules, facts=(), vocab=pq))
+
+
+class TestWorldCap:
+    NAMES = [f"c{i}" for i in range(20)]
+
+    def chain(self, names):
+        """Facts pin all but the last six constants; six rules
+        ``true : M c / c`` set the rest, so all constants end up true."""
+        vocab = Vocabulary(names)
+        return DefaultTheory(
+            rules=tuple(
+                DefaultRule(f"r{i}", TRUE, (Const(n),), Const(n))
+                for i, n in enumerate(names[-6:])
+            ),
+            facts=tuple(Const(n) for n in names[:-6]),
+            vocab=vocab,
+        )
+
+    def test_twenty_constants_run(self):
+        theory = self.chain(self.NAMES)
+        (kernel,) = extensions(theory)
+        assert kernel.worlds == {World(theory.vocab, self.NAMES)}
+        assert gamma_operator(theory, kernel.worlds) == kernel.worlds
+
+    def test_twenty_one_constants_refused(self):
+        theory = self.chain(self.NAMES + ["c20"])
+        seq = PartitionSequence((frozenset(), frozenset()), theory.vocab, "default")
+        for run in (
+            lambda: extensions(theory),
+            lambda: gamma_operator(theory, frozenset()),
+            lambda: build_default_sequences(theory),
+            lambda: check_default_sequence(theory, seq),
+        ):
+            with pytest.raises(ResourceLimitError, match="capped at 20"):
+                run()
 
 
 class TestBuildSequences:

@@ -28,6 +28,7 @@ from partseq import (
     models,
     parse_formula,
 )
+from partseq.logic import TruthTable
 from genkit import random_formula, truth_table_entails
 
 P, Q = Const("p"), Const("q")
@@ -139,6 +140,62 @@ class TestEntails:
             assert entails(premises, phi, vocab) == truth_table_entails(
                 premises, phi, vocab
             )
+
+
+class TestTruthTable:
+    # formulas without constants, for the empty vocabulary
+    GROUND = [
+        TRUE,
+        FALSE,
+        Not(TRUE),
+        And(TRUE, FALSE),
+        Or(FALSE, Not(FALSE)),
+        Implies(TRUE, FALSE),
+        Iff(FALSE, FALSE),
+    ]
+
+    def test_masks_match_evaluate_bit_by_bit(self):
+        rng = random.Random(20261018)
+        names = ("a", "b", "c", "d", "e")
+        for size in range(6):
+            vocab = Vocabulary(names[:size])
+            worlds = enumerate_worlds(vocab)
+            table = TruthTable(vocab)
+            assert table.full == (1 << len(worlds)) - 1
+            for _ in range(80):
+                if size:
+                    phi = random_formula(rng, vocab.names, rng.randint(0, 4))
+                else:
+                    phi = rng.choice(self.GROUND)
+                m = table.mask(phi)
+                assert m >> len(worlds) == 0
+                for i, w in enumerate(worlds):
+                    assert bool(m >> i & 1) == evaluate(phi, w), (phi, w)
+
+    def test_world_sets_round_trip(self):
+        rng = random.Random(7)
+        for size in range(6):
+            vocab = Vocabulary(["a", "b", "c", "d", "e"][:size])
+            worlds = enumerate_worlds(vocab)
+            table = TruthTable(vocab)
+            assert [table.index(w) for w in worlds] == list(range(len(worlds)))
+            for _ in range(40):
+                subset = frozenset(w for w in worlds if rng.random() < 0.5)
+                m = table.mask_of(subset)
+                assert table.worlds(m) == subset
+                assert table.mask_of(table.worlds(m)) == m
+
+    def test_cap_checked_before_allocating(self):
+        vocab = Vocabulary([f"x{i}" for i in range(21)])
+        with pytest.raises(ResourceLimitError) as info:
+            TruthTable(vocab)
+        with pytest.raises(ResourceLimitError) as enumerated:
+            enumerate_worlds(vocab)
+        assert str(info.value) == str(enumerated.value)
+
+    def test_unknown_constant_is_semantic_error(self, pq):
+        with pytest.raises(SemanticError):
+            TruthTable(pq).mask(Const("zz"))
 
 
 # hypothesis strategy for formulas over at most 4 constants, depth <= 6
