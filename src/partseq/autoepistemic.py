@@ -24,6 +24,7 @@ from .logic import (
     enumerate_worlds,
 )
 from .sequences import (
+    DEFAULT_ORDER_LIMIT,
     Item,
     PartitionSequence,
     Violation,
@@ -37,8 +38,6 @@ from .sequences import (
 # The expansion search guesses belief values for the distinct formulas
 # appearing under L, so it is exponential in their number.
 DEFAULT_GUESS_CAP = 16
-
-DEFAULT_ORDER_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -215,12 +214,14 @@ def check_ael_sequence(
     if structural:
         return structural
 
+    table = TruthTable(premises.vocab, max_names)
+    masks = list(map(table.mask_of, seq.classes))
     problems = []
-    if seq.classes[0]:
+    if masks[0]:
         problems.append(
             Violation("condition 1", "the first class must be empty", class_index=0)
         )
-    if not seq.last_class:
+    if not masks[-1]:
         problems.append(
             Violation(
                 "condition 3",
@@ -228,11 +229,9 @@ def check_ael_sequence(
                 class_index=len(seq.classes) - 1,
             )
         )
-    table = TruthTable(premises.vocab, max_names)
     conditions, compiled = _compile(premises, _guess_formulas(premises), table)
     return problems + check_peels(
-        seq,
-        table,
+        masks,
         lambda pool: _licensed(compiled, _beliefs(conditions, pool)),
         strict,
         "premise",

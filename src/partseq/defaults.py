@@ -26,6 +26,7 @@ from .logic import (
     enumerate_worlds,
 )
 from .sequences import (
+    DEFAULT_ORDER_LIMIT,
     Item,
     PartitionSequence,
     Violation,
@@ -38,9 +39,6 @@ from .sequences import (
 
 # Candidate extensions are searched over subsets of the rule set.
 DEFAULT_RULE_CAP = 16
-
-# Bound on how many rule application orders the sequence builder explores.
-DEFAULT_ORDER_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,9 @@ def check_default_sequence(
         return structural
 
     table = TruthTable(theory.vocab, max_names)
+    masks = list(map(table.mask_of, seq.classes))
     problems = []
-    if table.mask_of(seq.classes[0]) != table.full & ~table.mask(theory.fact_formula):
+    if masks[0] != table.full & ~table.mask(theory.fact_formula):
         problems.append(
             Violation(
                 "condition 1",
@@ -219,4 +218,4 @@ def check_default_sequence(
             )
         )
     licensed = partial(_licensed, _compile(theory, table))
-    return problems + check_peels(seq, table, licensed, strict, "rule")
+    return problems + check_peels(masks, licensed, strict, "rule")

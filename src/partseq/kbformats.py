@@ -567,22 +567,17 @@ def _parse_poss(text: str) -> KbDocument:
     if not entries:
         raise ParseError("possibilistic base has no poss lines", first_line, 1)
 
-    def build(v):
-        by_value: dict[Fraction, set[Formula]] = {}
-        for value, lineno, line, start in entries:
-            by_value.setdefault(value, set()).add(_formula_at(line, lineno, start, v))
-        levels = tuple(
-            (frozenset(by_value[value]), value) for value in sorted(by_value)
-        )
-        return levels
-
+    # without a header the formulas are parsed free and the vocabulary is
+    # inferred from the constants they carry
+    formulas = [
+        _formula_at(line, lineno, start, vocab) for _, lineno, line, start in entries
+    ]
     if vocab is None:
-        formulas = [
-            _formula_at(line, lineno, start, None)
-            for _, lineno, line, start in entries
-        ]
         vocab = _infer_vocab(formulas, first_line)
-    levels = build(vocab)
+    by_value: dict[Fraction, set[Formula]] = {}
+    for (value, *_), phi in zip(entries, formulas):
+        by_value.setdefault(value, set()).add(phi)
+    levels = tuple((frozenset(by_value[value]), value) for value in sorted(by_value))
 
     source_map = tuple(
         (f"poss {format_fraction(value)}", lineno) for value, lineno, _, _ in entries

@@ -18,10 +18,8 @@ from .logic import (
     DEFAULT_WORLD_CAP,
     Formula,
     Not,
+    TruthTable,
     Vocabulary,
-    World,
-    enumerate_worlds,
-    evaluate,
     format_formula,
     satisfiable_in,
 )
@@ -68,22 +66,22 @@ class InconsistencyReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-def _level_supports(
-    kb: PossibilisticKB, worlds: list[World]
-) -> tuple[list[frozenset[World]], list[Violation]]:
-    """Per level, the union of each formula's still-unplaced supporters.
+def _levels(kb: PossibilisticKB, table: TruthTable) -> tuple[list[int], list[Violation]]:
+    """The class masks of the level construction, the remaining worlds
+    last, and the condition-1 violations met on the way.
 
-    A formula with no supporters left is an axiom violation unless its
-    stated possibility is zero (an impossible formula may well have
-    possibility zero, but a positive value needs a witnessing world).
+    Class i is the union of each level-(i+1) formula's still-unplaced
+    supporters. A formula with no supporters left is an axiom violation
+    unless its stated possibility is zero (an impossible formula may well
+    have possibility zero, but a positive value needs a witnessing world).
     """
-    placed: set[World] = set()
+    remaining = table.full
     classes = []
     problems = []
     for formulas, value in kb.levels:
-        union: set[World] = set()
+        cls = 0
         for phi in sorted(formulas, key=format_formula):
-            support = {w for w in worlds if w not in placed and evaluate(phi, w)}
+            support = remaining & table.mask(phi)
             if not support and value > 0:
                 problems.append(
                     Violation(
@@ -92,10 +90,18 @@ def _level_supports(
                         item=format_formula(phi),
                     )
                 )
-            union |= support
-        classes.append(frozenset(union))
-        placed |= union
+            cls |= support
+        classes.append(cls)
+        remaining &= ~cls
+    classes.append(remaining)
     return classes, problems
+
+
+def _gaps(kb: PossibilisticKB) -> list[Fraction]:
+    """The weight each class must total: the steps between consecutive
+    possibility values, from 0 up to 1."""
+    values = (Fraction(0),) + kb.values + (Fraction(1),)
+    return [high - low for low, high in zip(values, values[1:])]
 
 
 def build_poss_sequence(
@@ -108,15 +114,10 @@ def build_poss_sequence(
     uniformly over its worlds; any split meeting the totals would do, the
     uniform one keeps the builder deterministic.
     """
-    worlds = enumerate_worlds(kb.vocab, max_names)
-    classes, problems = _level_supports(kb, worlds)
-    placed = frozenset().union(*classes) if classes else frozenset()
-    remainder = frozenset(w for w in worlds if w not in placed)
-    classes.append(remainder)
-
-    values = (Fraction(0),) + kb.values + (Fraction(1),)
-    gaps = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    if not remainder and gaps[-1] > 0:
+    table = TruthTable(kb.vocab, max_names)
+    classes, problems = _levels(kb, table)
+    gaps = _gaps(kb)
+    if not classes[-1] and gaps[-1] > 0:
         problems.append(
             Violation(
                 "condition 2",
@@ -130,11 +131,8 @@ def build_poss_sequence(
 
     weighted = []
     for cls, gap in zip(classes, gaps):
-        if cls:
-            share = gap / len(cls)
-            weighted.append(frozenset(w.reweighted(share) for w in cls))
-        else:
-            weighted.append(frozenset())
+        share = gap / (cls.bit_count() or 1)
+        weighted.append(frozenset(w.reweighted(share) for w in table.worlds(cls)))
     provenance = tuple(
         "; ".join(sorted(format_formula(phi) for phi in formulas))
         for formulas, _ in kb.levels
@@ -159,26 +157,25 @@ def check_poss_sequence(
     level's gap (within a small tolerance). A sequence of another kind
     gets a single ``kind`` violation.
     """
-    worlds = enumerate_worlds(kb.vocab, max_names)
+    table = TruthTable(kb.vocab, max_names)
+    worlds = table.worlds(table.full)
     structural = validate_kind(seq, "possibility") or validate_structure(seq, worlds)
     if structural:
         return structural
 
-    problems = []
     n = len(kb.levels)
     if len(seq.classes) != n + 1:
-        problems.append(
+        return [
             Violation(
                 "shape",
                 f"expected {n + 1} classes for {n} levels, found {len(seq.classes)}",
             )
-        )
-        return problems
+        ]
 
-    expected_classes, support_problems = _level_supports(kb, worlds)
-    problems.extend(support_problems)
-    for i, expected in enumerate(expected_classes):
-        if seq.classes[i] != expected:
+    masks = map(table.mask_of, seq.classes[:n])
+    expected, problems = _levels(kb, table)
+    for i, (got, want) in enumerate(zip(masks, expected)):
+        if got != want:
             problems.append(
                 Violation(
                     "condition 1",
@@ -187,9 +184,7 @@ def check_poss_sequence(
                 )
             )
 
-    values = (Fraction(0),) + kb.values + (Fraction(1),)
-    for i, cls in enumerate(seq.classes):
-        gap = values[i + 1] - values[i]
+    for i, (cls, gap) in enumerate(zip(seq.classes, _gaps(kb))):
         total = sum((w.weight for w in cls), Fraction(0))
         if abs(total - gap) > CLASS_WEIGHT_TOLERANCE:
             problems.append(

@@ -103,17 +103,20 @@ def validate_structure(
         )
     seen: dict[World, int] = {}
     for i, cls in enumerate(seq.classes):
+        overlap = []
         for w in cls:
             if w in seen:
-                problems.append(
-                    Violation(
-                        "disjointness",
-                        f"world {w!r} appears in classes {seen[w]} and {i}",
-                        class_index=i,
-                    )
-                )
+                overlap.append(w)
             else:
                 seen[w] = i
+        for w in sorted(overlap, key=World.bits):
+            problems.append(
+                Violation(
+                    "disjointness",
+                    f"world {w!r} appears in classes {seen[w]} and {i}",
+                    class_index=i,
+                )
+            )
     target = frozenset(all_worlds)
     union = seq.all_worlds
     for w in sorted(target - union, key=World.bits):
@@ -162,6 +165,9 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 # prerequisite and conclusion of an item: their model masks.
 
 Item = tuple[str, int, int]
+
+# Bound on how many peel orders the sequence builders explore per call.
+DEFAULT_ORDER_LIMIT = 1000
 
 
 def falsifiers(phi: Formula, worlds: Iterable[World]) -> frozenset[World]:
@@ -257,13 +263,13 @@ def peel_sequences(
 
 
 def check_peels(
-    seq: PartitionSequence,
-    table: TruthTable,
+    classes: list[int],
     licensed: Callable[[int], list[Item]],
     strict: bool,
     noun: str,
 ) -> list[Violation]:
-    """Violations of clauses 2 and 3 in a structurally valid ``seq``.
+    """Violations of clauses 2 and 3 in a structurally valid sequence,
+    given as the masks of its ``classes``.
 
     Clause 2: each intermediate class is exactly the remaining worlds
     falsifying the conclusion of an item licensed by the witness pool
@@ -274,10 +280,11 @@ def check_peels(
     names the items in the messages.
     """
     problems = []
-    classes = list(map(table.mask_of, seq.classes))
     last = classes[-1]
     by_last = licensed(last)
-    remaining = table.full & ~classes[0]
+    remaining = 0
+    for cls in classes[1:]:
+        remaining |= cls
     for i in range(1, len(classes) - 1):
         cls = classes[i]
         items = licensed(cls) if strict else by_last

@@ -27,11 +27,13 @@ from partseq import (
     Or,
     PossibilisticKB,
     SampleSpace,
+    Violation,
     Vocabulary,
     World,
     conjoin,
     enumerate_worlds,
     evaluate,
+    format_formula,
 )
 
 NAMES = ("p", "q", "r")
@@ -331,6 +333,41 @@ def belief_operator(premises, kernel_worlds, ts: _TruthSets) -> frozenset:
 
 def random_nonempty_subset(rng: random.Random, worlds) -> frozenset:
     return _subset(sorted(worlds, key=World.bits), rng.randrange(1, 1 << len(worlds)))
+
+
+# ---------------------------------------------------------------------------
+# Possibility oracle
+# ---------------------------------------------------------------------------
+
+
+def brute_force_poss_classes(kb, worlds) -> tuple[list[frozenset], list[Violation]]:
+    """The level classes of ``kb`` walked one world at a time, the worlds
+    left unplaced last, and the condition-1 violations met on the way.
+
+    Class i holds the still-unplaced supporters of the level-(i+1)
+    formulas, taken in the order of their text. A formula left without
+    supporters violates condition 1 unless its stated possibility is zero.
+    """
+    placed: set = set()
+    classes = []
+    problems = []
+    for formulas, value in kb.levels:
+        union: set = set()
+        for phi in sorted(formulas, key=format_formula):
+            support = {w for w in worlds if w not in placed and evaluate(phi, w)}
+            if not support and value > 0:
+                problems.append(
+                    Violation(
+                        "condition 1",
+                        f"no world left can support it at possibility {value}",
+                        item=format_formula(phi),
+                    )
+                )
+            union |= support
+        classes.append(frozenset(union))
+        placed |= union
+    classes.append(frozenset(w for w in worlds if w not in placed))
+    return classes, problems
 
 
 # ---------------------------------------------------------------------------

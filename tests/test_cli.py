@@ -1,10 +1,15 @@
 """Command line behaviour: outputs, exit codes, JSON envelope."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import partseq
 from partseq import lottery_space, sequence_from_json
 from partseq.cli import main
 from partseq.kbformats import KbDocument, serialize_kb
@@ -122,6 +127,36 @@ class TestDefaultCommands:
         )
         assert code == 1
         assert "violation" in out
+
+
+    def test_overlap_report_is_world_ordered_under_any_hash_seed(
+        self, kbdir, capsys, tmp_path
+    ):
+        # class 0 also gets the last class and class 1, so worlds overlap
+        code, out, _ = run(
+            capsys, "--json", "default", "sequences", kbdir / "rivals.dl"
+        )
+        seq = json.loads(out, parse_float=Fraction)["sequences"][0]
+        classes = seq["classes"]
+        classes[0] = classes[0] + classes[-1] + classes[1]
+        seq_file = tmp_path / "overlap.json"
+        seq_file.write_text(render_json(seq))
+        src = str(Path(partseq.__file__).parents[1])
+        outputs = set()
+        for hash_seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "partseq.cli", "default", "check",
+                 str(kbdir / "rivals.dl"), str(seq_file)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 1
+            outputs.add(proc.stdout)
+        assert outputs == {
+            "violation: disjointness [class 1]: world {~p, ~q} appears in classes 0 and 1\n"
+            "violation: disjointness [class 1]: world {~p, q} appears in classes 0 and 1\n"
+            "violation: disjointness [class 3]: world {p, q} appears in classes 0 and 3\n"
+        }
 
 
 class TestAelCommands:

@@ -17,6 +17,7 @@ from partseq import (
     parse_kb,
     serialize_kb,
 )
+from partseq import kbformats
 from partseq.kbformats import KB_KINDS
 
 P, Q = Const("p"), Const("q")
@@ -232,6 +233,32 @@ class TestPossFormat:
         doc = parse_kb("poss 0.5 : p\nposs 0.5 : q", "poss")
         again = parse_kb(serialize_kb(doc), "poss")
         assert again.body == doc.body
+
+    @pytest.mark.parametrize("header", ["", "vocab: p q\n"])
+    def test_each_formula_parsed_once(self, monkeypatch, header):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return parse_formula(*args, **kwargs)
+
+        monkeypatch.setattr(kbformats, "parse_formula", counting)
+        doc = parse_kb(header + NESTED_POSS.split("\n", 1)[1], "poss")
+        assert len(calls) == 2
+        assert doc.vocab.names == ("p", "q")
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("vocab: p\nposs 0.5 : p & r\n", 2, 16),
+            ("vocab: p q\nposs 0.2 : q\nposs 0.5 : p & (q\n", 3, 18),
+            ("poss 0.2 : q\nposs 0.5 : p & (q\n", 2, 18),
+        ],
+    )
+    def test_formula_error_location(self, text, line, column):
+        with pytest.raises(ParseError) as info:
+            parse_kb(text, "poss")
+        assert (info.value.line, info.value.column) == (line, column)
 
 
 class TestTotality:

@@ -13,16 +13,18 @@ from partseq import (
     Or,
     PartitionSequence,
     PossibilisticKB,
+    Violation,
     Vocabulary,
     World,
     build_poss_sequence,
     check_poss_sequence,
     enumerate_worlds,
+    format_formula,
     necessity,
     possibility,
     validate_structure,
 )
-from genkit import random_formula, random_possibilistic_kb
+from genkit import brute_force_poss_classes, random_formula, random_possibilistic_kb
 
 P, Q = Const("p"), Const("q")
 
@@ -183,3 +185,103 @@ class TestMeasures:
             for formulas, value in kb.levels:
                 for phi in formulas:
                     assert possibility(seq, phi) == value
+
+
+def weighed(seq):
+    """Each class as its set of (truth values, weight) pairs."""
+    return [{(w.bits(), w.weight) for w in cls} for cls in seq.classes]
+
+
+class TestAgainstBruteForce:
+    """Builder and checker against the level walk of
+    ``genkit.brute_force_poss_classes``, on 300 random bases."""
+
+    @staticmethod
+    def expected_violations(seq, level_classes, support_problems, gaps):
+        problems = list(support_problems)
+        for i, (got, want) in enumerate(zip(seq.classes, level_classes[:-1])):
+            if got != want:
+                problems.append(
+                    Violation(
+                        "condition 1",
+                        "class does not match the level's supporting worlds",
+                        class_index=i,
+                    )
+                )
+        for i, (cls, gap) in enumerate(zip(seq.classes, gaps)):
+            total = sum((w.weight for w in cls), Fraction(0))
+            if total != gap:
+                problems.append(
+                    Violation(
+                        "condition 2",
+                        f"class weight totals {total}, expected {gap}",
+                        class_index=i,
+                    )
+                )
+        return problems
+
+    def test_builder_and_checker_match_the_level_walk(self):
+        rng = random.Random(373737)
+        built_count = report_count = 0
+        for _ in range(300):
+            kb = random_possibilistic_kb(rng)
+            if rng.random() < 0.25:
+                # a zero bottom level may hold formulas no world supports
+                zero = ((kb.levels[0][0], Fraction(0)),)
+                kb = PossibilisticKB(zero + kb.levels[1:], kb.vocab)
+            classes, problems = brute_force_poss_classes(kb, enumerate_worlds(kb.vocab))
+            values = (Fraction(0),) + kb.values + (Fraction(1),)
+            gaps = [high - low for low, high in zip(values, values[1:])]
+            # the level walk, weighed uniformly within each class
+            walked = PartitionSequence(
+                tuple(
+                    frozenset(w.reweighted(gap / len(cls)) for w in cls)
+                    for cls, gap in zip(classes, gaps)
+                ),
+                kb.vocab,
+                "possibility",
+                tuple("; ".join(sorted(map(format_formula, fs))) for fs, _ in kb.levels)
+                + ("",),
+            )
+            built = build_poss_sequence(kb)
+            if problems or (not classes[-1] and gaps[-1] > 0):
+                report_count += 1
+                if not classes[-1] and gaps[-1] > 0:
+                    problems = problems + [
+                        Violation(
+                            "condition 2",
+                            f"no worlds remain for the top class yet weight "
+                            f"{gaps[-1]} is left to place",
+                            class_index=len(classes) - 1,
+                        )
+                    ]
+                assert isinstance(built, InconsistencyReport)
+                assert built.violations == tuple(problems)
+                assert str(built) == "; ".join(map(str, problems))
+                support = [p for p in problems if p.clause == "condition 1"]
+                assert check_poss_sequence(kb, walked) == self.expected_violations(
+                    walked, classes, support, gaps
+                )
+                continue
+
+            built_count += 1
+            assert isinstance(built, PartitionSequence)
+            assert weighed(built) == weighed(walked)
+            assert built.provenance == walked.provenance
+            assert check_poss_sequence(kb, built) == []
+
+            pairs = [
+                (i, j)
+                for i in range(len(classes))
+                for j in range(i + 1, len(classes))
+                if classes[i] != classes[j]
+            ]
+            i, j = rng.choice(pairs)
+            swapped = list(built.classes)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            seq = PartitionSequence(tuple(swapped), kb.vocab, "possibility")
+            expected = self.expected_violations(seq, classes, [], gaps)
+            assert expected
+            assert check_poss_sequence(kb, seq) == expected
+        # both outcomes are well represented: 84 bases build, 216 do not
+        assert built_count >= 50 and report_count >= 50
