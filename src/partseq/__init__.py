@@ -72,7 +72,6 @@ from .possibility import (
 )
 from .probability import (
     ConditioningQuery,
-    QueryResult,
     SampleSpace,
     cond_prob,
     condition,
@@ -88,7 +87,6 @@ from .probability import (
 from .rationals import as_fraction, format_fraction
 from .sequences import (
     PartitionSequence,
-    PreferenceChain,
     Violation,
     isomorphic,
     preference_view,
@@ -123,8 +121,6 @@ __all__ = [
     "PartitionSequence",
     "PartseqError",
     "PossibilisticKB",
-    "PreferenceChain",
-    "QueryResult",
     "ResourceLimitError",
     "SampleSpace",
     "SemanticError",

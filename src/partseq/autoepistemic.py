@@ -21,7 +21,6 @@ from .logic import (
     TruthTable,
     Vocabulary,
     conjoin,
-    enumerate_worlds,
 )
 from .sequences import (
     DEFAULT_ORDER_LIMIT,
@@ -29,10 +28,9 @@ from .sequences import (
     PartitionSequence,
     Violation,
     check_peels,
+    class_masks,
     close,
     peel_sequences,
-    validate_kind,
-    validate_structure,
 )
 
 # The expansion search guesses belief values for the distinct formulas
@@ -209,14 +207,10 @@ def check_ael_sequence(
     for comparison. A sequence of another kind, or one that is no
     partition of the worlds, gets only those violations.
     """
-    worlds = enumerate_worlds(premises.vocab, max_names)
-    structural = validate_kind(seq, "autoepistemic") or validate_structure(seq, worlds)
-    if structural:
-        return structural
-
     table = TruthTable(premises.vocab, max_names)
-    masks = list(map(table.mask_of, seq.classes))
-    problems = []
+    masks, problems = class_masks(seq, "autoepistemic", table)
+    if problems:
+        return problems
     if masks[0]:
         problems.append(
             Violation("condition 1", "the first class must be empty", class_index=0)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import autoepistemic as ael
@@ -513,7 +512,7 @@ def _cmd_explain(args, out) -> int:
     out.say(f"{seq.kind} sequence over {{{', '.join(seq.vocab.names)}}}")
     for i, cls in enumerate(seq.classes):
         origin = f"   (from {seq.provenance[i]})" if seq.provenance[i] else ""
-        mass = sum((w.weight for w in cls), Fraction(0))
+        mass = seq.table.mass(seq.masks[i])
         mass_note = f"   weight {format_fraction(mass)}" if any(
             w.weight != 1 for w in seq.all_worlds
         ) else ""

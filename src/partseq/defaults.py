@@ -23,7 +23,6 @@ from .logic import (
     Vocabulary,
     World,
     conjoin,
-    enumerate_worlds,
 )
 from .sequences import (
     DEFAULT_ORDER_LIMIT,
@@ -31,10 +30,9 @@ from .sequences import (
     PartitionSequence,
     Violation,
     check_peels,
+    class_masks,
     close,
     peel_sequences,
-    validate_kind,
-    validate_structure,
 )
 
 # Candidate extensions are searched over subsets of the rule set.
@@ -201,14 +199,10 @@ def check_default_sequence(
     sequence of another kind, or one that is no partition of the worlds,
     gets only those violations.
     """
-    worlds = enumerate_worlds(theory.vocab, max_names)
-    structural = validate_kind(seq, "default") or validate_structure(seq, worlds)
-    if structural:
-        return structural
-
     table = TruthTable(theory.vocab, max_names)
-    masks = list(map(table.mask_of, seq.classes))
-    problems = []
+    masks, problems = class_masks(seq, "default", table)
+    if problems:
+        return problems
     if masks[0] != table.full & ~table.mask(theory.fact_formula):
         problems.append(
             Violation(

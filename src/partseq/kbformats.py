@@ -46,13 +46,11 @@ _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 @dataclass(frozen=True)
 class KbDocument:
-    """A parsed knowledge base: its kind, vocabulary, typed body, and a
-    map from item labels to source lines for error reporting."""
+    """A parsed knowledge base: its kind, vocabulary and typed body."""
 
     kind: str
     vocab: Vocabulary
     body: DefaultTheory | AelPremises | SampleSpace | PossibilisticKB
-    source_map: tuple[tuple[str, int], ...] = ()
 
 
 def parse_kb(text: str, kind: str) -> KbDocument:
@@ -177,25 +175,19 @@ def _parse_default(text: str) -> KbDocument:
 
     rule_spans = [(lineno, line, *_split_rule(line, lineno)) for lineno, line in rule_lines]
 
-    # two passes when the vocabulary must be inferred: parse all formulas
-    # free first, then rebuild nothing (the parsed trees already carry the
-    # constants the inferred vocabulary is made of)
-    def parse_all(v):
-        facts = [
-            _formula_at(line, lineno, start, v) for lineno, line, start in fact_lines
-        ]
-        rules = []
-        for lineno, line, rule_id, alpha_span, just_spans, gamma_start in rule_spans:
-            alpha = _formula_at(line, lineno, alpha_span[0], v, alpha_span[1])
-            betas = tuple(
-                _justification(line, lineno, span, v) for span in just_spans
-            )
-            gamma = _formula_at(line, lineno, gamma_start, v)
-            rules.append((rule_id, alpha, betas, gamma, lineno))
-        return facts, rules
+    # without a header the formulas are parsed free and the vocabulary is
+    # inferred from the constants they carry
+    fact_formulas = [
+        _formula_at(line, lineno, start, vocab) for lineno, line, start in fact_lines
+    ]
+    rule_parts = []
+    for lineno, line, rule_id, alpha_span, just_spans, gamma_start in rule_spans:
+        alpha = _formula_at(line, lineno, alpha_span[0], vocab, alpha_span[1])
+        betas = tuple(_justification(line, lineno, span, vocab) for span in just_spans)
+        gamma = _formula_at(line, lineno, gamma_start, vocab)
+        rule_parts.append((rule_id, alpha, betas, gamma, lineno))
 
     if vocab is None:
-        fact_formulas, rule_parts = parse_all(None)
         # constants are taken in order of first appearance in the file
         by_line = [
             (lineno, (phi,))
@@ -208,23 +200,17 @@ def _parse_default(text: str) -> KbDocument:
             phi for _, group in sorted(by_line, key=lambda t: t[0]) for phi in group
         ]
         vocab = _infer_vocab(everything, first_line or 1)
-    else:
-        fact_formulas, rule_parts = parse_all(vocab)
 
     rules = []
-    source_map: list[tuple[str, int]] = []
     seen_ids = set()
     for rule_id, alpha, betas, gamma, lineno in rule_parts:
         if rule_id in seen_ids:
             raise ParseError(f"duplicate rule id {rule_id!r}", lineno, 1)
         seen_ids.add(rule_id)
         rules.append(DefaultRule(rule_id, alpha, betas, gamma))
-        source_map.append((f"rule {rule_id}", lineno))
-    for i, (lineno, _, _) in enumerate(fact_lines, start=1):
-        source_map.append((f"fact {i}", lineno))
 
     theory = DefaultTheory(rules=tuple(rules), facts=tuple(fact_formulas), vocab=vocab)
-    return KbDocument("default", vocab, theory, tuple(source_map))
+    return KbDocument("default", vocab, theory)
 
 
 def _split_rule(line: str, lineno: int):
@@ -301,18 +287,16 @@ def _parse_ael(text: str) -> KbDocument:
             raw.append((lineno, line))
 
     shapes = [_split_premise(line, lineno) for lineno, line in raw]
-
-    def build(v):
-        premises = []
-        for (lineno, _), (alpha_toks, beta_toks, gamma_toks) in zip(raw, shapes):
-            alpha = parse_tokens(alpha_toks, v) if alpha_toks is not None else None
-            betas = tuple(parse_tokens(ts, v) for ts in beta_toks)
-            gamma = parse_tokens(gamma_toks, v)
-            premises.append(ModalFormula(gamma=gamma, alpha=alpha, betas=betas))
-        return premises
+    # without a header the formulas are parsed free and the vocabulary is
+    # inferred from the constants they carry
+    premises = []
+    for alpha_toks, beta_toks, gamma_toks in shapes:
+        alpha = parse_tokens(alpha_toks, vocab) if alpha_toks is not None else None
+        betas = tuple(parse_tokens(ts, vocab) for ts in beta_toks)
+        gamma = parse_tokens(gamma_toks, vocab)
+        premises.append(ModalFormula(gamma=gamma, alpha=alpha, betas=betas))
 
     if vocab is None:
-        premises = build(None)
         everything = []
         for pm in premises:
             if pm.alpha is not None:
@@ -324,13 +308,7 @@ def _parse_ael(text: str) -> KbDocument:
             raise ParseError(
                 "'L' is reserved in belief premises", raw[0][0] if raw else 1, 1
             )
-    else:
-        premises = build(vocab)
-
-    source_map = tuple((f"premise {i}", lineno) for i, (lineno, _) in enumerate(raw, 1))
-    return KbDocument(
-        "ael", vocab, AelPremises(tuple(premises), vocab), source_map
-    )
+    return KbDocument("ael", vocab, AelPremises(tuple(premises), vocab))
 
 
 def _terminate(tokens: list[Token]) -> list[Token]:
@@ -447,7 +425,6 @@ def _write_ael(doc: KbDocument) -> str:
 def _parse_prob(text: str) -> KbDocument:
     vocab: Vocabulary | None = None
     worlds: list[World] = []
-    source_map: list[tuple[str, int]] = []
     last_line = 1
 
     for lineno, line in _content_lines(text):
@@ -464,7 +441,6 @@ def _parse_prob(text: str) -> KbDocument:
                     indent + 1,
                 )
             worlds.append(_parse_world_line(line, lineno, indent, vocab))
-            source_map.append((f"world {len(worlds)}", lineno))
         else:
             raise ParseError("expected a vocab: or world line", lineno, indent + 1)
 
@@ -474,7 +450,7 @@ def _parse_prob(text: str) -> KbDocument:
         space = SampleSpace(worlds=tuple(worlds), vocab=vocab)
     except ValueError as exc:
         raise ParseError(str(exc), last_line, 1) from None
-    return KbDocument("prob", vocab, space, tuple(source_map))
+    return KbDocument("prob", vocab, space)
 
 
 def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) -> World:
@@ -578,15 +554,11 @@ def _parse_poss(text: str) -> KbDocument:
     for (value, *_), phi in zip(entries, formulas):
         by_value.setdefault(value, set()).add(phi)
     levels = tuple((frozenset(by_value[value]), value) for value in sorted(by_value))
-
-    source_map = tuple(
-        (f"poss {format_fraction(value)}", lineno) for value, lineno, _, _ in entries
-    )
     try:
         kb = PossibilisticKB(levels=levels, vocab=vocab)
     except ValueError as exc:
         raise ParseError(str(exc), first_line, 1) from None
-    return KbDocument("poss", vocab, kb, source_map)
+    return KbDocument("poss", vocab, kb)
 
 
 def _write_poss(doc: KbDocument) -> str:

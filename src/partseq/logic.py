@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import ParseError, ResourceLimitError, SemanticError
@@ -21,6 +23,9 @@ from .rationals import Rational, as_fraction
 DEFAULT_WORLD_CAP = 20
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# the weight of a world left unweighted, shared: Fraction(1) is slow to make
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +84,14 @@ class World:
 
     __slots__ = ("vocab", "true_names", "weight", "_hash")
 
-    def __init__(self, vocab: Vocabulary, true_names: Iterable[str], weight: Rational = 1):
+    def __init__(self, vocab: Vocabulary, true_names: Iterable[str], weight: Rational = _ONE):
         self.vocab = vocab
         self.true_names = frozenset(true_names)
-        unknown = self.true_names - vocab._name_set  # type: ignore[attr-defined]
-        if unknown:
+        if not self.true_names <= vocab._name_set:  # type: ignore[attr-defined]
+            unknown = self.true_names - vocab._name_set  # type: ignore[attr-defined]
             raise SemanticError(f"constants not in vocabulary: {sorted(unknown)}")
         self.weight = as_fraction(weight)
-        if self.weight < 0:
+        if self.weight.numerator < 0:
             raise ValueError(f"negative world weight: {self.weight}")
         self._hash = hash((vocab, self.true_names))
 
@@ -131,15 +136,12 @@ def _check_cap(vocab: Vocabulary, max_names: int) -> None:
 def enumerate_worlds(vocab: Vocabulary, max_names: int = DEFAULT_WORLD_CAP) -> list[World]:
     """All 2^n interpretations of ``vocab``, each with weight 1.
 
-    The order is binary counting over the vocabulary order (first name
-    most significant), so it is deterministic and duplicate-free.
+    These are the worlds of the vocabulary's truth table in index order:
+    binary counting over the vocabulary order (first name most
+    significant), so deterministic and duplicate-free.
     """
-    _check_cap(vocab, max_names)
-    worlds = []
-    for bits in product((0, 1), repeat=len(vocab)):
-        trues = [name for name, bit in zip(vocab.names, bits) if bit]
-        worlds.append(World(vocab, trues))
-    return worlds
+    table = TruthTable(vocab, max_names)
+    return table.world_list(table.full)
 
 
 # ---------------------------------------------------------------------------
@@ -283,30 +285,17 @@ def entails(
     return table.mask(conjoin(premises)) & ~table.mask(phi) == 0
 
 
-def holds_throughout(phi: Formula, worlds: Iterable[World]) -> bool:
-    """True when ``phi`` is satisfied by every world in the set.
-
-    For a deductively closed theory represented by its model set this is
-    exactly membership of ``phi`` in the theory (vacuously true on the
-    empty set, matching the inconsistent theory containing everything).
-    """
-    return all(evaluate(phi, w) for w in worlds)
-
-
-def satisfiable_in(phi: Formula, worlds: Iterable[World]) -> bool:
-    """True when some world in the set satisfies ``phi``."""
-    return any(evaluate(phi, w) for w in worlds)
-
-
 # ---------------------------------------------------------------------------
 # Truth tables
 # ---------------------------------------------------------------------------
 #
-# Over n constants a world set is an int of 2^n bits: bit i stands for the
-# world at index i of enumerate_worlds (binary counting, first name most
-# significant). Set operations and the tests above become bit operations:
-# S & m are the models of phi in S, S & ~m == 0 says phi holds throughout S
-# and S & m != 0 that it is satisfiable in S, where m is phi's model mask.
+# A world set is an int whose bit i stands for world i of a truth table.
+# Set operations and the tests on world sets become bit operations: S & m
+# are the models of phi in S, S & ~m == 0 says phi holds throughout S and
+# S & m != 0 that it is satisfiable in S, where m is phi's model mask.
+
+# digits of a world index in base 2, as the bytes 0 and 1 that compress reads
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -321,23 +310,43 @@ def _set_bits(mask: int) -> list[int]:
 
 
 class TruthTable:
-    """Formulas over one vocabulary compiled to their model masks.
+    """Formulas compiled to their model masks over one list of worlds.
+
+    The dense form, ``TruthTable(vocab)``, lists all 2^n worlds of the
+    vocabulary in the order of :func:`enumerate_worlds`, each of weight 1
+    and built on first use. The listed form, ``TruthTable(vocab,
+    worlds=...)``, lists the given worlds in the given order, weights
+    included. Its atom masks are read off those worlds, so it has no cap:
+    a lottery over 2000 constants has only 2000 worlds.
 
     Meant to live for one call: masks and worlds are memoised per table,
     so a search compiles each formula once and builds each world once.
     """
 
-    def __init__(self, vocab: Vocabulary, max_names: int = DEFAULT_WORLD_CAP):
-        _check_cap(vocab, max_names)
+    def __init__(
+        self,
+        vocab: Vocabulary,
+        max_names: int = DEFAULT_WORLD_CAP,
+        worlds: Iterable[World] | None = None,
+    ):
         self.vocab = vocab
-        self.size = 1 << len(vocab)
+        self.dense = worlds is None
+        if self.dense:
+            _check_cap(vocab, max_names)
+            self._worlds: dict[int, World] = {}
+            self.size = 1 << len(vocab)
+        else:
+            self._worlds = dict(enumerate(worlds))
+            self.size = len(self._worlds)
         self.full = (1 << self.size) - 1
         self._masks: dict[Formula, int] = {}
-        self._worlds: dict[int, World] = {}
 
     def _atom(self, name: str) -> int:
         if name not in self.vocab:
             raise SemanticError(f"unknown constant: {name!r}")
+        if not self.dense:
+            listed = reversed(self._worlds.values())
+            return int("0" + "".join("01"[name in w.true_names] for w in listed), 2)
         # the name's bit in a world index has weight 2^b; the mask repeats
         # 2^b clear bits then 2^b set ones, doubled up to the full width
         half = 1 << (len(self.vocab) - 1 - self.vocab.names.index(name))
@@ -349,7 +358,7 @@ class TruthTable:
         return mask
 
     def mask(self, phi: Formula) -> int:
-        """The worlds of the vocabulary satisfying ``phi``."""
+        """The worlds of the table satisfying ``phi``."""
         m = self._masks.get(phi)
         if m is None:
             m = self._masks[phi] = self._compile(phi)
@@ -376,7 +385,13 @@ class TruthTable:
             case _:
                 raise SemanticError(f"not a formula: {phi!r}")
 
+    @cached_property
+    def _listed_at(self) -> dict[World, int]:
+        return {w: i for i, w in self._worlds.items()}
+
     def index(self, world: World) -> int:
+        if not self.dense:
+            return self._listed_at[world]
         i = 0
         for name in self.vocab.names:
             i = (i << 1) | (name in world.true_names)
@@ -389,16 +404,24 @@ class TruthTable:
             bits[i >> 3] |= 1 << (i & 7)
         return int.from_bytes(bits, "little")
 
-    def _world(self, i: int) -> World:
-        w = self._worlds.get(i)
-        if w is None:
-            last = len(self.vocab) - 1
-            trues = [name for j, name in enumerate(self.vocab.names) if i >> (last - j) & 1]
-            w = self._worlds[i] = World(self.vocab, trues)
-        return w
+    def world_list(self, mask: int) -> list[World]:
+        """The worlds of ``mask`` in index order."""
+        found = _set_bits(mask)
+        built = self._worlds
+        if self.dense:
+            names, digits = self.vocab.names, f"0{len(self.vocab)}b"
+            for i in found:
+                if i not in built:
+                    trues = compress(names, format(i, digits).encode().translate(_BITS))
+                    built[i] = World(self.vocab, trues)
+        return list(map(built.__getitem__, found))
 
     def worlds(self, mask: int) -> frozenset[World]:
-        return frozenset(map(self._world, _set_bits(mask)))
+        return frozenset(self.world_list(mask))
+
+    def mass(self, mask: int) -> Fraction:
+        """The total weight of the worlds of ``mask``."""
+        return sum((w.weight for w in self.world_list(mask)), Fraction(0))
 
     def sort_key(self, mask: int) -> tuple[int, list[int]]:
         """Orders world sets by size, then by their worlds' truth values."""
@@ -454,10 +477,6 @@ class Kernel:
     @property
     def is_consistent(self) -> bool:
         return bool(self.worlds)
-
-    def contains(self, phi: Formula) -> bool:
-        """Membership of ``phi`` in the theory the kernel represents."""
-        return holds_throughout(phi, self.worlds)
 
     def __repr__(self) -> str:
         return f"Kernel({sorted(self.worlds, key=World.bits)!r})"

@@ -14,16 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .logic import (
-    DEFAULT_WORLD_CAP,
-    Formula,
-    Not,
-    TruthTable,
-    Vocabulary,
-    format_formula,
-    satisfiable_in,
-)
-from .sequences import PartitionSequence, Violation, validate_kind, validate_structure
+from .logic import DEFAULT_WORLD_CAP, Formula, Not, TruthTable, Vocabulary, format_formula
+from .sequences import PartitionSequence, Violation, class_masks
 
 # Class weight totals are compared within this tolerance so that checked
 # sequences may carry float-derived weights.
@@ -158,8 +150,7 @@ def check_poss_sequence(
     gets a single ``kind`` violation.
     """
     table = TruthTable(kb.vocab, max_names)
-    worlds = table.worlds(table.full)
-    structural = validate_kind(seq, "possibility") or validate_structure(seq, worlds)
+    masks, structural = class_masks(seq, "possibility", table)
     if structural:
         return structural
 
@@ -172,9 +163,8 @@ def check_poss_sequence(
             )
         ]
 
-    masks = map(table.mask_of, seq.classes[:n])
     expected, problems = _levels(kb, table)
-    for i, (got, want) in enumerate(zip(masks, expected)):
+    for i, (got, want) in enumerate(zip(masks[:n], expected)):
         if got != want:
             problems.append(
                 Violation(
@@ -184,8 +174,8 @@ def check_poss_sequence(
                 )
             )
 
-    for i, (cls, gap) in enumerate(zip(seq.classes, _gaps(kb))):
-        total = sum((w.weight for w in cls), Fraction(0))
+    for i, (cls, gap) in enumerate(zip(seq.masks, _gaps(kb))):
+        total = seq.table.mass(cls)
         if abs(total - gap) > CLASS_WEIGHT_TOLERANCE:
             problems.append(
                 Violation(
@@ -200,15 +190,13 @@ def check_poss_sequence(
 def possibility(seq: PartitionSequence, phi: Formula) -> Fraction:
     """Cumulative weight up to the highest class where ``phi`` holds
     somewhere; zero when it holds nowhere."""
-    top = None
-    for i, cls in enumerate(seq.classes):
-        if satisfiable_in(phi, cls):
-            top = i
-    if top is None:
-        return Fraction(0)
-    return sum(
-        (w.weight for cls in seq.classes[: top + 1] for w in cls), Fraction(0)
-    )
+    models = seq.table.mask(phi)
+    below = upto = 0
+    for cls in seq.masks:
+        below |= cls
+        if cls & models:
+            upto = below
+    return seq.table.mass(upto)
 
 
 def necessity(seq: PartitionSequence, phi: Formula) -> Fraction:

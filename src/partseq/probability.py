@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 
 from .errors import (
     BelowThresholdError,
@@ -20,9 +21,9 @@ from .errors import (
     SemanticError,
     UndefinedConditionalError,
 )
-from .logic import Formula, Vocabulary, World, evaluate, format_formula
+from .logic import Formula, Vocabulary, World, format_formula
 from .rationals import Rational, as_fraction
-from .sequences import PartitionSequence, falsifiers
+from .sequences import PartitionSequence
 
 # Sample-space weights must total 1; inputs that arrived through floats
 # may carry binary representation error up to this much.
@@ -50,9 +51,6 @@ class SampleSpace:
         total = sum((w.weight for w in self.worlds), Fraction(0))
         if abs(total - 1) > WEIGHT_TOLERANCE:
             raise ValueError(f"sample space weights total {total}, not 1")
-
-    def mass(self, worlds) -> Fraction:
-        return sum((w.weight for w in worlds), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,11 @@ def extend(seq: PartitionSequence, phi: Formula) -> PartitionSequence:
     """
     if seq.kind not in ("conditional", "threshold"):
         raise SemanticError(f"cannot extend a {seq.kind} sequence by conditioning")
-    last = seq.last_class
-    peel = falsifiers(phi, last)
+    last = seq.masks[-1]
+    models = seq.table.mask(phi)
+    peel, rest = seq.table.worlds(last & ~models), seq.table.worlds(last & models)
     return PartitionSequence(
-        classes=(*seq.classes[:-1], peel, last - peel),
+        classes=(*seq.classes[:-1], peel, rest),
         vocab=seq.vocab,
         kind=seq.kind,
         provenance=(*seq.provenance[:-1], format_formula(phi), ""),
@@ -129,14 +128,13 @@ def persistent_prob(seq: PartitionSequence, psi: Formula, upto: int) -> Fraction
     """
     if not 0 <= upto < len(seq.classes):
         raise ValueError(f"step {upto} outside the sequence")
-    tail = [w for cls in seq.classes[upto:] for w in cls]
-    total = sum((w.weight for w in tail), Fraction(0))
+    tail = reduce(int.__or__, seq.masks[upto:])
+    total = seq.table.mass(tail)
     if total == 0:
         raise UndefinedConditionalError(
             "the conditioned-on formulas have probability zero"
         )
-    hit = sum((w.weight for w in tail if evaluate(psi, w)), Fraction(0))
-    return hit / total
+    return seq.table.mass(tail & seq.table.mask(psi)) / total
 
 
 def threshold(
@@ -159,11 +157,11 @@ def threshold(
     if eps < 0:
         raise ValueError("epsilon must be non-negative")
     seq = condition(space, conds)
-    classes = seq.classes
-    tail_mass = [Fraction(0)] * (len(classes) + 1)
-    for i in range(len(classes) - 1, -1, -1):
-        tail_mass[i] = tail_mass[i + 1] + sum((w.weight for w in classes[i]), Fraction(0))
-    for i in range(len(classes) - 1):
+    masks = seq.masks
+    # tail_mass[i] is the mass of classes i onward, down to 0 past the last
+    tail_mass = list(accumulate(map(seq.table.mass, reversed(masks)), initial=Fraction(0)))
+    tail_mass.reverse()
+    for i in range(len(masks) - 1):
         peeled = tail_mass[i] - tail_mass[i + 1]
         denom = tail_mass[0] if strict else tail_mass[i]
         name = seq.provenance[i]
@@ -183,12 +181,7 @@ def threshold(
                 formula=name,
                 ratio=ratio,
             )
-    return PartitionSequence(
-        classes=seq.classes,
-        vocab=seq.vocab,
-        kind="threshold",
-        provenance=seq.provenance,
-    )
+    return PartitionSequence(seq.classes, seq.vocab, "threshold", seq.provenance)
 
 
 def threshold_prob(

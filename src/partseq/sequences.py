@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .errors import SemanticError
-from .logic import Formula, TruthTable, Vocabulary, World, evaluate
+from .logic import TruthTable, Vocabulary, World
 from .rationals import decimal_digits
 
 KINDS = ("default", "autoepistemic", "conditional", "threshold", "possibility")
@@ -47,6 +49,9 @@ class PartitionSequence:
     ``provenance`` names the knowledge-base item that produced each class
     ("" for classes fixed by the construction itself, such as the first
     and last). It carries no semantics; checkers use it for reporting.
+
+    ``table`` lists the sequence's own worlds class by class, weights
+    included, and ``masks[i]`` is class i's run of bits in it.
     """
 
     classes: tuple[frozenset[World], ...]
@@ -63,6 +68,15 @@ class PartitionSequence:
             object.__setattr__(self, "provenance", ("",) * len(self.classes))
         elif len(self.provenance) != len(self.classes):
             raise ValueError("provenance must name one item per class")
+
+    @cached_property
+    def table(self) -> TruthTable:
+        return TruthTable(self.vocab, worlds=[w for c in self.classes for w in c])
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        sizes = [len(c) for c in self.classes]
+        return tuple(((1 << n) - 1) << at for n, at in zip(sizes, accumulate(sizes, initial=0)))
 
     @property
     def last_class(self) -> frozenset[World]:
@@ -126,11 +140,21 @@ def validate_structure(
     return problems
 
 
-def validate_kind(seq: PartitionSequence, kind: str) -> list[Violation]:
-    """A violation when ``seq`` belongs to another formalism than ``kind``."""
-    if seq.kind == kind:
-        return []
-    return [Violation("kind", f"the sequence is {seq.kind}, expected {kind}")]
+def class_masks(
+    seq: PartitionSequence, kind: str, table: TruthTable
+) -> tuple[list[int], list[Violation]]:
+    """The masks of ``seq``'s classes in ``table``, which a checker of
+    ``kind`` sequences compiled its knowledge base to.
+
+    A sequence of another kind, or one that is no partition of the
+    table's worlds, has no masks; it gets those violations instead.
+    """
+    if seq.kind != kind:
+        return [], [Violation("kind", f"the sequence is {seq.kind}, expected {kind}")]
+    problems = validate_structure(seq, table.worlds(table.full))
+    if problems:
+        return [], problems
+    return list(map(table.mask_of, seq.classes)), []
 
 
 def isomorphic(a: PartitionSequence, b: PartitionSequence) -> bool:
@@ -168,11 +192,6 @@ Item = tuple[str, int, int]
 
 # Bound on how many peel orders the sequence builders explore per call.
 DEFAULT_ORDER_LIMIT = 1000
-
-
-def falsifiers(phi: Formula, worlds: Iterable[World]) -> frozenset[World]:
-    """The worlds in ``worlds`` where ``phi`` fails."""
-    return frozenset(w for w in worlds if not evaluate(phi, w))
 
 
 def close(worlds: int, items: Iterable[Item]) -> int:
@@ -390,17 +409,27 @@ def world_from_obj(obj: dict, vocab: Vocabulary) -> World:
     assign = obj["assign"]
     if set(assign) != set(vocab.names):
         raise ValueError("world assignment does not match the vocabulary")
-    trues = [name for name in vocab.names if assign[name] == 1]
+    trues = []
+    for name in vocab.names:
+        value = assign[name]
+        # bool is an int too, but not a truth value written as 0 or 1
+        if type(value) is not int or value not in (0, 1):
+            raise ValueError(f"assignment of {name!r} is {value!r}, not 0 or 1")
+        if value:
+            trues.append(name)
     return World(vocab, trues, _parse_weight(obj.get("weight", 1)))
 
 
 def sequence_from_obj(obj: dict) -> PartitionSequence:
     vocab = Vocabulary(obj["vocab"])
-    classes = tuple(
-        frozenset(world_from_obj(w, vocab) for w in cls) for cls in obj["classes"]
-    )
+    classes = []
+    for listed in obj["classes"]:
+        worlds = [world_from_obj(w, vocab) for w in listed]
+        classes.append(frozenset(worlds))
+        if len(classes[-1]) != len(worlds):
+            raise ValueError("a world is listed twice in one class")
     provenance = tuple(obj.get("provenance") or ())
-    return PartitionSequence(classes, vocab, obj["kind"], provenance)
+    return PartitionSequence(tuple(classes), vocab, obj["kind"], provenance)
 
 
 def sequence_from_json(text: str) -> PartitionSequence:

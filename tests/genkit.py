@@ -151,6 +151,12 @@ def truth_table_entails(premises, phi, vocab) -> bool:
     return True
 
 
+def holds_throughout(phi, worlds) -> bool:
+    """Whether ``phi`` holds in every world of the set: for the model set
+    of a deductively closed theory, membership of ``phi`` in the theory."""
+    return all(evaluate(phi, w) for w in worlds)
+
+
 # ---------------------------------------------------------------------------
 # Sequence-condition oracles
 # ---------------------------------------------------------------------------
@@ -368,6 +374,14 @@ def brute_force_poss_classes(kb, worlds) -> tuple[list[frozenset], list[Violatio
         placed |= union
     classes.append(frozenset(w for w in worlds if w not in placed))
     return classes, problems
+
+
+def per_world_possibility(seq, phi) -> Fraction:
+    """The weight of every class up to the highest one holding a world
+    where ``phi`` is true, read one world at a time; zero when none does."""
+    hits = [i for i, cls in enumerate(seq.classes) if any(evaluate(phi, w) for w in cls)]
+    top = max(hits, default=-1)
+    return sum((w.weight for cls in seq.classes[: top + 1] for w in cls), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from genkit import (
     ael_candidates,
     belief_operator,
     brute_force_ael_last_classes,
+    holds_throughout,
     random_nonempty_subset,
     random_premises,
 )
@@ -114,8 +115,8 @@ class TestStableExpansions:
                 licensed = worlds
                 for pm in premises.formulas:
                     fires = (
-                        pm.alpha is None or kernel.contains(pm.alpha)
-                    ) and not any(kernel.contains(b) for b in pm.betas)
+                        pm.alpha is None or holds_throughout(pm.alpha, kernel.worlds)
+                    ) and not any(holds_throughout(b, kernel.worlds) for b in pm.betas)
                     if fires:
                         licensed &= models(pm.gamma, licensed)
                 assert licensed == kernel.worlds

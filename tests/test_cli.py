@@ -374,6 +374,30 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestSequenceDocument:
+    """The sequence JSON reader refuses what it cannot read exactly."""
+
+    def write(self, tmp_path, classes):
+        path = tmp_path / "seq.json"
+        doc = {"kind": "conditional", "vocab": ["p"], "classes": classes}
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_world_listed_twice_in_a_class_is_two(self, capsys, tmp_path):
+        twice = [{"assign": {"p": 0}, "weight": "1/2"}, {"assign": {"p": 0}, "weight": "1/4"}]
+        rest = [{"assign": {"p": 1}, "weight": "1/4"}]
+        code, out, err = run(capsys, "explain", self.write(tmp_path, [twice, rest]))
+        assert (code, out) == (2, "")
+        assert "bad sequence document: a world is listed twice" in err
+
+    @pytest.mark.parametrize("value", [7, -1, True, False, "1", 1.0, None])
+    def test_assignment_other_than_zero_or_one_is_two(self, capsys, tmp_path, value):
+        classes = [[{"assign": {"p": value}}], [{"assign": {"p": 1}}]]
+        code, out, err = run(capsys, "explain", self.write(tmp_path, classes))
+        assert (code, out) == (2, "")
+        assert "bad sequence document: assignment of 'p'" in err
+
+
 class TestJson:
     def test_envelope_shape(self, kbdir, capsys):
         code, out, _ = run(capsys, "--json", "default", "extensions", kbdir / "rivals.dl")

@@ -60,7 +60,6 @@ class TestDefaultFormat:
         doc = parse_kb(RIVALS_DL, "default")
         assert len(doc.body.rules) == 3
         assert doc.vocab.names == ("p", "q")
-        assert dict(doc.source_map)["rule r3"] == 5
 
     def test_multiple_justifications(self):
         doc = parse_kb("rule r: p : M q, M ~q / p & q", "default")
@@ -87,6 +86,14 @@ class TestDefaultFormat:
         text = "rule r1: true : M p / p\nrule r1: true : M p / p"
         with pytest.raises(ParseError, match="duplicate"):
             parse_kb(text, "default")
+
+    @pytest.mark.parametrize("header", ["", "vocab: p\n"])
+    def test_formula_error_reported_before_duplicate_id(self, header):
+        text = header + "rule r1: true : M p / p\nrule r1: true : M p / p\nrule r2: p : M (p / p\n"
+        with pytest.raises(ParseError) as info:
+            parse_kb(text, "default")
+        assert "duplicate" not in str(info.value)
+        assert info.value.line == text.count("\n")
 
     def test_round_trip(self):
         doc = parse_kb(RIVALS_DL, "default")
@@ -119,6 +126,13 @@ class TestAelFormat:
     def test_plain_implication_stays_plain(self):
         doc = parse_kb("p -> q", "ael")
         assert doc.body.formulas[0] == ModalFormula(gamma=parse_formula("p -> q"))
+
+    @pytest.mark.parametrize("header", ["", "vocab: p q r\n"])
+    def test_premise_shape_error_reported_before_formula_error(self, header):
+        text = header + "L (p -> q\nL p & L q -> r\n"
+        with pytest.raises(ParseError, match="at most one positive") as info:
+            parse_kb(text, "ael")
+        assert info.value.line == text.count("\n")
 
     def test_bare_belief_assertion(self):
         doc = parse_kb("L p", "ael")

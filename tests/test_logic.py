@@ -1,6 +1,7 @@
 """Core language: world enumeration, valuation, entailment, syntax."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -142,6 +143,33 @@ class TestEntails:
             )
 
 
+def truth_tables(rng):
+    """(vocabulary, worlds in index order, table) triples: the dense table
+    over up to five constants, listed tables over random weighted subsets
+    of its worlds in random order, and one listed table over 300 constants."""
+    names = ("a", "b", "c", "d", "e")
+    for size in range(6):
+        vocab = Vocabulary(names[:size])
+        worlds = enumerate_worlds(vocab)
+        yield vocab, worlds, TruthTable(vocab)
+        for _ in range(3):
+            listed = [
+                World(vocab, w.true_names, Fraction(rng.randint(0, 9), 7))
+                for w in worlds
+                if rng.random() < 0.6
+            ]
+            rng.shuffle(listed)
+            yield vocab, listed, TruthTable(vocab, worlds=listed)
+    wide = Vocabulary(f"x{i}" for i in range(300))
+    listed = list(
+        dict.fromkeys(
+            World(wide, rng.sample(wide.names, rng.randint(0, 300)), Fraction(1, rng.randint(1, 9)))
+            for _ in range(60)
+        )
+    )
+    yield wide, listed, TruthTable(wide, worlds=listed)
+
+
 class TestTruthTable:
     # formulas without constants, for the empty vocabulary
     GROUND = [
@@ -156,14 +184,10 @@ class TestTruthTable:
 
     def test_masks_match_evaluate_bit_by_bit(self):
         rng = random.Random(20261018)
-        names = ("a", "b", "c", "d", "e")
-        for size in range(6):
-            vocab = Vocabulary(names[:size])
-            worlds = enumerate_worlds(vocab)
-            table = TruthTable(vocab)
+        for vocab, worlds, table in truth_tables(rng):
             assert table.full == (1 << len(worlds)) - 1
             for _ in range(80):
-                if size:
+                if vocab.names:
                     phi = random_formula(rng, vocab.names, rng.randint(0, 4))
                 else:
                     phi = rng.choice(self.GROUND)
@@ -174,16 +198,15 @@ class TestTruthTable:
 
     def test_world_sets_round_trip(self):
         rng = random.Random(7)
-        for size in range(6):
-            vocab = Vocabulary(["a", "b", "c", "d", "e"][:size])
-            worlds = enumerate_worlds(vocab)
-            table = TruthTable(vocab)
+        for _, worlds, table in truth_tables(rng):
             assert [table.index(w) for w in worlds] == list(range(len(worlds)))
+            assert table.world_list(table.full) == worlds
             for _ in range(40):
                 subset = frozenset(w for w in worlds if rng.random() < 0.5)
                 m = table.mask_of(subset)
                 assert table.worlds(m) == subset
                 assert table.mask_of(table.worlds(m)) == m
+                assert table.mass(m) == sum(w.weight for w in subset)
 
     def test_cap_checked_before_allocating(self):
         vocab = Vocabulary([f"x{i}" for i in range(21)])

@@ -18,13 +18,19 @@ from partseq import (
     World,
     build_poss_sequence,
     check_poss_sequence,
+    conjoin,
     enumerate_worlds,
     format_formula,
     necessity,
     possibility,
     validate_structure,
 )
-from genkit import brute_force_poss_classes, random_formula, random_possibilistic_kb
+from genkit import (
+    brute_force_poss_classes,
+    per_world_possibility,
+    random_formula,
+    random_possibilistic_kb,
+)
 
 P, Q = Const("p"), Const("q")
 
@@ -185,6 +191,34 @@ class TestMeasures:
             for formulas, value in kb.levels:
                 for phi in formulas:
                     assert possibility(seq, phi) == value
+
+    def test_sparse_sequence_over_wide_vocabulary(self):
+        # 1200 constants and 40 worlds: the measures index the listed
+        # worlds, where a truth table of the vocabulary could never fit
+        rng = random.Random(373737)
+        vocab = Vocabulary(f"c{i}" for i in range(1200))
+        used = rng.sample(vocab.names, 6)
+        listed = {
+            World(vocab, rng.sample(used, rng.randint(0, 6)) + [rng.choice(vocab.names)])
+            for _ in range(40)
+        }
+        cuts = sorted(listed, key=World.bits)
+        classes = [cuts[:24], cuts[24:37], [], cuts[37:]]
+        gaps = [Fraction(1, 10), Fraction(3, 10), Fraction(0), Fraction(6, 10)]
+        weighted = [frozenset(w.reweighted(gap / len(c)) for w in c) for c, gap in zip(classes, gaps)]
+        seq = PartitionSequence(tuple(weighted), vocab, "possibility")
+        values = set()
+        for _ in range(100):
+            if rng.random() < 0.5:
+                phi = random_formula(rng, used, rng.randint(0, 4))
+            else:  # a cube, true in few worlds
+                picked = rng.sample(used, rng.randint(1, 3))
+                phi = conjoin(rng.choice((Const(n), Not(Const(n)))) for n in picked)
+            pi, nec = possibility(seq, phi), necessity(seq, phi)
+            assert pi == per_world_possibility(seq, phi)
+            assert nec == 1 - per_world_possibility(seq, Not(phi))
+            values.add((pi, nec))
+        assert len(values) >= 5
 
 
 def weighed(seq):
