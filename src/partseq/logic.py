@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import ParseError, ResourceLimitError, SemanticError
@@ -309,6 +310,14 @@ def _set_bits(mask: int) -> list[int]:
     return found
 
 
+def _from_bits(found: Iterable[int], size: int) -> int:
+    """The mask of ``size`` bits with the bits ``found`` set."""
+    bits = bytearray((size + 7) // 8)
+    for i in found:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
 class TruthTable:
     """Formulas compiled to their model masks over one list of worlds.
 
@@ -389,20 +398,19 @@ class TruthTable:
     def _listed_at(self) -> dict[World, int]:
         return {w: i for i, w in self._worlds.items()}
 
-    def index(self, world: World) -> int:
+    def index(self, world: World) -> int | None:
+        """The bit of ``world`` in the table, or None if it is not listed."""
         if not self.dense:
-            return self._listed_at[world]
+            return self._listed_at.get(world)
+        if world.vocab is not self.vocab and world.vocab != self.vocab:
+            return None
         i = 0
         for name in self.vocab.names:
             i = (i << 1) | (name in world.true_names)
         return i
 
     def mask_of(self, worlds: Iterable[World]) -> int:
-        bits = bytearray((self.size + 7) // 8)
-        for w in worlds:
-            i = self.index(w)
-            bits[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(bits, "little")
+        return _from_bits(map(self.index, worlds), self.size)
 
     def world_list(self, mask: int) -> list[World]:
         """The worlds of ``mask`` in index order."""
@@ -419,9 +427,33 @@ class TruthTable:
     def worlds(self, mask: int) -> frozenset[World]:
         return frozenset(self.world_list(mask))
 
+    def reweighted(self, shares: Iterable[tuple[int, Rational]]) -> TruthTable:
+        """This dense table's worlds as a listed table in the same order,
+        each built once with the weight of its mask in ``shares``. The masks
+        must cover every world; the masks compiled so far carry over."""
+        names, digits = self.vocab.names, f"0{len(self.vocab)}b"
+        placed = {}
+        for mask, share in shares:
+            for i in _set_bits(mask):
+                trues = compress(names, format(i, digits).encode().translate(_BITS))
+                placed[i] = World(self.vocab, trues, share)
+        table = TruthTable(self.vocab, worlds=map(placed.__getitem__, range(self.size)))
+        table._masks.update(self._masks)
+        return table
+
+    @cached_property
+    def _numerators(self) -> tuple[list[int], int]:
+        """The listed weights as integers over their common denominator."""
+        weights = [w.weight for w in self._worlds.values()]
+        den = lcm(*(q.denominator for q in weights))
+        return [q.numerator * (den // q.denominator) for q in weights], den
+
     def mass(self, mask: int) -> Fraction:
-        """The total weight of the worlds of ``mask``."""
-        return sum((w.weight for w in self.world_list(mask)), Fraction(0))
+        """The total weight of the worlds of ``mask``, summed as integers."""
+        if self.dense:
+            return Fraction(mask.bit_count())  # every weight is 1
+        nums, den = self._numerators
+        return Fraction(sum(compress(nums, bin(mask)[:1:-1].encode().translate(_BITS))), den)
 
     def sort_key(self, mask: int) -> tuple[int, list[int]]:
         """Orders world sets by size, then by their worlds' truth values."""

@@ -121,20 +121,14 @@ def build_poss_sequence(
     if problems:
         return InconsistencyReport(tuple(problems))
 
-    weighted = []
-    for cls, gap in zip(classes, gaps):
-        share = gap / (cls.bit_count() or 1)
-        weighted.append(frozenset(w.reweighted(share) for w in table.worlds(cls)))
+    weighted = table.reweighted(
+        (cls, gap / (cls.bit_count() or 1)) for cls, gap in zip(classes, gaps)
+    )
     provenance = tuple(
         "; ".join(sorted(format_formula(phi) for phi in formulas))
         for formulas, _ in kb.levels
     ) + ("",)
-    return PartitionSequence(
-        classes=tuple(weighted),
-        vocab=kb.vocab,
-        kind="possibility",
-        provenance=provenance,
-    )
+    return PartitionSequence.from_masks(weighted, classes, "possibility", provenance)
 
 
 def check_poss_sequence(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     SemanticError,
     UndefinedConditionalError,
 )
-from .logic import Formula, Vocabulary, World, format_formula
+from .logic import Formula, TruthTable, Vocabulary, World, format_formula
 from .rationals import Rational, as_fraction
 from .sequences import PartitionSequence
 
@@ -48,9 +48,13 @@ class SampleSpace:
     def __post_init__(self):
         if len(set(self.worlds)) != len(self.worlds):
             raise ValueError("sample space worlds must have distinct assignments")
-        total = sum((w.weight for w in self.worlds), Fraction(0))
+        total = self.table.mass(self.table.full)
         if abs(total - 1) > WEIGHT_TOLERANCE:
             raise ValueError(f"sample space weights total {total}, not 1")
+
+    @cached_property
+    def table(self) -> TruthTable:  # the space's worlds, listed in their order
+        return TruthTable(self.vocab, worlds=self.worlds)
 
 
 @dataclass(frozen=True)
@@ -82,10 +86,14 @@ def condition(space: SampleSpace, conds) -> PartitionSequence:
     Class i (for i < n) holds the still-unclassified worlds falsifying
     formula i+1; the final class holds whatever remains, possibly nothing.
     """
+    return _conditioned(space, conds, "conditional")
+
+
+def _conditioned(space: SampleSpace, conds, kind: str) -> PartitionSequence:
     conds = tuple(conds)
     if not conds:
         raise ValueError("at least one condition formula is required")
-    whole = PartitionSequence((frozenset(space.worlds),), space.vocab, "conditional")
+    whole = PartitionSequence.from_masks(space.table, (space.table.full,), kind)
     return reduce(extend, conds, whole)
 
 
@@ -97,15 +105,10 @@ def extend(seq: PartitionSequence, phi: Formula) -> PartitionSequence:
     """
     if seq.kind not in ("conditional", "threshold"):
         raise SemanticError(f"cannot extend a {seq.kind} sequence by conditioning")
-    last = seq.masks[-1]
-    models = seq.table.mask(phi)
-    peel, rest = seq.table.worlds(last & ~models), seq.table.worlds(last & models)
-    return PartitionSequence(
-        classes=(*seq.classes[:-1], peel, rest),
-        vocab=seq.vocab,
-        kind=seq.kind,
-        provenance=(*seq.provenance[:-1], format_formula(phi), ""),
-    )
+    last, models = seq.masks[-1], seq.table.mask(phi)
+    masks = (*seq.masks[:-1], last & ~models, last & models)
+    provenance = (*seq.provenance[:-1], format_formula(phi), "")
+    return PartitionSequence.from_masks(seq.table, masks, seq.kind, provenance)
 
 
 def cond_prob(seq: PartitionSequence, psi: Formula) -> Fraction:
@@ -156,7 +159,7 @@ def threshold(
     eps = as_fraction(eps)
     if eps < 0:
         raise ValueError("epsilon must be non-negative")
-    seq = condition(space, conds)
+    seq = _conditioned(space, conds, "threshold")
     masks = seq.masks
     # tail_mass[i] is the mass of classes i onward, down to 0 past the last
     tail_mass = list(accumulate(map(seq.table.mass, reversed(masks)), initial=Fraction(0)))
@@ -181,7 +184,7 @@ def threshold(
                 formula=name,
                 ratio=ratio,
             )
-    return PartitionSequence(seq.classes, seq.vocab, "threshold", seq.provenance)
+    return seq
 
 
 def threshold_prob(

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import SemanticError
-from .logic import TruthTable, Vocabulary, World
+from .logic import TruthTable, Vocabulary, World, _from_bits, _set_bits
 from .rationals import decimal_digits
 
 KINDS = ("default", "autoepistemic", "conditional", "threshold", "possibility")
@@ -50,8 +50,9 @@ class PartitionSequence:
     ("" for classes fixed by the construction itself, such as the first
     and last). It carries no semantics; checkers use it for reporting.
 
-    ``table`` lists the sequence's own worlds class by class, weights
-    included, and ``masks[i]`` is class i's run of bits in it.
+    ``masks[i]`` is class i's bits in ``table``. A sequence made by
+    :meth:`from_masks` keeps the table it was cut from; any other lists
+    its own worlds class by class, weights included, on first use.
     """
 
     classes: tuple[frozenset[World], ...]
@@ -68,6 +69,15 @@ class PartitionSequence:
             object.__setattr__(self, "provenance", ("",) * len(self.classes))
         elif len(self.provenance) != len(self.classes):
             raise ValueError("provenance must name one item per class")
+
+    @classmethod
+    def from_masks(
+        cls, table: TruthTable, masks: Sequence[int], kind: str, provenance=()
+    ) -> PartitionSequence:
+        """The sequence whose class i is the worlds of ``masks[i]`` in ``table``."""
+        seq = cls(tuple(map(table.worlds, masks)), table.vocab, kind, provenance)
+        seq.__dict__.update(table=table, masks=tuple(masks))
+        return seq
 
     @cached_property
     def table(self) -> TruthTable:
@@ -102,42 +112,38 @@ class PreferenceChain:
     models: tuple[frozenset[World], ...]
 
 
-def validate_structure(
-    seq: PartitionSequence, all_worlds: Iterable[World]
-) -> list[Violation]:
-    """Check that ``seq`` is a genuine partition sequence of ``all_worlds``.
-
-    Returns every violated clause: at least two classes, non-empty classes
-    pairwise disjoint, and the union covering ``all_worlds`` exactly.
-    """
+def _partition(seq: PartitionSequence, table: TruthTable) -> tuple[list[int], list[Violation]]:
+    """The class masks of ``seq`` in ``table`` and every violated clause of
+    ``seq`` partitioning its worlds, by ``&`` and ``|`` on masks; a world
+    outside the table gets a bit past it, and reports build worlds."""
     problems = []
     if len(seq.classes) < 2:
-        problems.append(
-            Violation("length", "a partition sequence has at least two classes")
-        )
-    seen: dict[World, int] = {}
+        problems.append(Violation("length", "a partition sequence has at least two classes"))
+    foreign: dict[World, int] = {}
+    masks, union = [], 0
     for i, cls in enumerate(seq.classes):
-        overlap = []
+        at = {}
         for w in cls:
-            if w in seen:
-                overlap.append(w)
-            else:
-                seen[w] = i
-        for w in sorted(overlap, key=World.bits):
-            problems.append(
-                Violation(
-                    "disjointness",
-                    f"world {w!r} appears in classes {seen[w]} and {i}",
-                    class_index=i,
-                )
-            )
-    target = frozenset(all_worlds)
-    union = seq.all_worlds
-    for w in sorted(target - union, key=World.bits):
+            k = table.index(w)
+            at[foreign.setdefault(w, table.size + len(foreign)) if k is None else k] = w
+        mask = _from_bits(at, table.size + len(foreign))
+        for k in sorted(_set_bits(mask & union), key=lambda k: at[k].bits()):
+            first = next(j for j, m in enumerate(masks) if m >> k & 1)
+            message = f"world {at[k]!r} appears in classes {first} and {i}"
+            problems.append(Violation("disjointness", message, class_index=i))
+        masks.append(mask)
+        union |= mask
+    for w in sorted(table.world_list(table.full & ~union), key=World.bits):
         problems.append(Violation("coverage", f"world {w!r} missing from the sequence"))
-    for w in sorted(union - target, key=World.bits):
+    for w in sorted(foreign, key=World.bits):
         problems.append(Violation("coverage", f"world {w!r} does not belong to the world set"))
-    return problems
+    return masks, problems
+
+
+def validate_structure(seq: PartitionSequence, all_worlds: Iterable[World]) -> list[Violation]:
+    """Every violated clause of ``seq`` partitioning ``all_worlds``: at
+    least two classes, pairwise disjoint, covering them exactly."""
+    return _partition(seq, TruthTable(seq.vocab, worlds=dict.fromkeys(all_worlds)))[1]
 
 
 def class_masks(
@@ -151,10 +157,8 @@ def class_masks(
     """
     if seq.kind != kind:
         return [], [Violation("kind", f"the sequence is {seq.kind}, expected {kind}")]
-    problems = validate_structure(seq, table.worlds(table.full))
-    if problems:
-        return [], problems
-    return list(map(table.mask_of, seq.classes)), []
+    masks, problems = _partition(seq, table)
+    return ([], problems) if problems else (masks, [])
 
 
 def isomorphic(a: PartitionSequence, b: PartitionSequence) -> bool:
@@ -396,11 +400,8 @@ def sequence_to_json(seq: PartitionSequence) -> str:
 
 
 def _parse_weight(raw) -> Fraction:
-    if isinstance(raw, Fraction):
-        return raw
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
+    # bool is an int too, but true is no weight
+    if isinstance(raw, (Fraction, str)) or type(raw) is int:
         return Fraction(raw)
     raise ValueError(f"bad weight value: {raw!r}")
 

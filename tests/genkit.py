@@ -158,6 +158,44 @@ def holds_throughout(phi, worlds) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Structure oracle
+# ---------------------------------------------------------------------------
+
+
+def per_world_structure(seq, all_worlds) -> list[Violation]:
+    """The violated clauses of being a partition sequence of
+    ``all_worlds``, found by comparing ``World`` sets one world at a time:
+    at least two classes, classes pairwise disjoint, union exactly
+    ``all_worlds``."""
+    problems = []
+    if len(seq.classes) < 2:
+        problems.append(Violation("length", "a partition sequence has at least two classes"))
+    seen: dict = {}
+    for i, cls in enumerate(seq.classes):
+        overlap = []
+        for w in cls:
+            if w in seen:
+                overlap.append(w)
+            else:
+                seen[w] = i
+        for w in sorted(overlap, key=World.bits):
+            problems.append(
+                Violation(
+                    "disjointness",
+                    f"world {w!r} appears in classes {seen[w]} and {i}",
+                    class_index=i,
+                )
+            )
+    target = frozenset(all_worlds)
+    union = frozenset().union(*seq.classes)
+    for w in sorted(target - union, key=World.bits):
+        problems.append(Violation("coverage", f"world {w!r} missing from the sequence"))
+    for w in sorted(union - target, key=World.bits):
+        problems.append(Violation("coverage", f"world {w!r} does not belong to the world set"))
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # Sequence-condition oracles
 # ---------------------------------------------------------------------------
 #

@@ -397,6 +397,13 @@ class TestSequenceDocument:
         assert (code, out) == (2, "")
         assert "bad sequence document: assignment of 'p'" in err
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_weight_is_two(self, capsys, tmp_path, value):
+        classes = [[{"assign": {"p": 0}, "weight": value}], [{"assign": {"p": 1}, "weight": 1}]]
+        code, out, err = run(capsys, "explain", self.write(tmp_path, classes))
+        assert (code, out) == (2, "")
+        assert f"bad sequence document: bad weight value: {value}" in err
+
 
 class TestJson:
     def test_envelope_shape(self, kbdir, capsys):

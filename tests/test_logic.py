@@ -1,6 +1,7 @@
 """Core language: world enumeration, valuation, entailment, syntax."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,84 @@ class TestTruthTable:
     def test_unknown_constant_is_semantic_error(self, pq):
         with pytest.raises(SemanticError):
             TruthTable(pq).mask(Const("zz"))
+
+
+def per_world_mass(worlds, mask) -> Fraction:
+    """The oracle: the weights of the worlds of ``mask`` added one by one."""
+    return sum((w.weight for i, w in enumerate(worlds) if mask >> i & 1), Fraction(0))
+
+
+def first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+class TestMass:
+    """``mass`` sums integer numerators over one common denominator."""
+
+    def masks(self, rng, size):
+        yield 0
+        yield (1 << size) - 1
+        for _ in range(20):
+            yield rng.getrandbits(size) if size else 0
+
+    def test_listed_matches_per_world_sum(self):
+        rng = random.Random(52)
+        dens = (1, 2, 3, 7, 10, 12, 99, 1024)
+        names = [f"x{i}" for i in range(300)]
+        for size in (0, 1, 2, 5, 40, 300):
+            vocab = Vocabulary(names[:size])
+            for _ in range(5):
+                listed = [
+                    World(vocab, [n], Fraction(rng.choice((0, rng.randint(0, 50))), rng.choice(dens)))
+                    for n in vocab.names
+                ]
+                table = TruthTable(vocab, worlds=listed)
+                for m in self.masks(rng, size):
+                    got = table.mass(m)
+                    assert type(got) is Fraction
+                    assert got == per_world_mass(listed, m)
+
+    def test_all_weights_zero(self, pq):
+        listed = [World(pq, w.true_names, 0) for w in enumerate_worlds(pq)]
+        table = TruthTable(pq, worlds=listed)
+        assert table.mass(table.full) == 0 == table.mass(0)
+
+    def test_dense_mass_is_popcount(self):
+        rng = random.Random(53)
+        for size in range(8):
+            vocab = Vocabulary(f"c{i}" for i in range(size))
+            table = TruthTable(vocab)
+            worlds = enumerate_worlds(vocab)
+            for m in self.masks(rng, table.size):
+                assert table.mass(m) == m.bit_count() == per_world_mass(worlds, m)
+
+    def test_coprime_denominators_exact_and_no_slower(self):
+        # 300 worlds weighted 1/p for the first 300 primes: the common
+        # denominator is their product, about 2900 bits
+        rng = random.Random(54)
+        primes = first_primes(300)
+        vocab = Vocabulary(f"x{i}" for i in range(300))
+        listed = [World(vocab, [n], Fraction(1, p)) for n, p in zip(vocab.names, primes)]
+        table = TruthTable(vocab, worlds=listed)
+        masks = [table.full] + [rng.getrandbits(300) for _ in range(9)]
+        assert [table.mass(m) for m in masks] == [per_world_mass(listed, m) for m in masks]
+
+        def best(fn) -> float:
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                for m in masks:
+                    fn(m)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(table.mass) <= best(lambda m: per_world_mass(listed, m))
 
 
 # hypothesis strategy for formulas over at most 4 constants, depth <= 6

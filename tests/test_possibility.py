@@ -23,6 +23,8 @@ from partseq import (
     format_formula,
     necessity,
     possibility,
+    sequence_from_json,
+    sequence_to_json,
     validate_structure,
 )
 from genkit import (
@@ -219,6 +221,23 @@ class TestMeasures:
             assert nec == 1 - per_world_possibility(seq, Not(phi))
             values.add((pi, nec))
         assert len(values) >= 5
+
+    def test_builder_table_matches_fresh_table(self):
+        # the builder's sequence keeps its truth table, reweighted; a JSON
+        # round trip lists the same worlds in a table of their own
+        rng = random.Random(383838)
+        for kb, seq in consistent_kbs(150, seed=393939):
+            fresh = sequence_from_json(sequence_to_json(seq))
+            assert "table" not in fresh.__dict__ and seq.table.size == 1 << len(kb.vocab)
+            assert fresh.classes == seq.classes and fresh.provenance == seq.provenance
+            assert weighed(fresh) == weighed(seq)
+            assert check_poss_sequence(kb, fresh) == check_poss_sequence(kb, seq) == []
+            names = kb.vocab.names
+            for _ in range(4):
+                phi = random_formula(rng, names, rng.randint(0, 3))
+                assert possibility(fresh, phi) == possibility(seq, phi)
+                assert necessity(fresh, phi) == necessity(seq, phi)
+                assert possibility(seq, phi) == per_world_possibility(seq, phi)
 
 
 def weighed(seq):

@@ -23,6 +23,8 @@ from partseq import (
     lottery_space,
     parse_formula,
     persistent_prob,
+    sequence_from_json,
+    sequence_to_json,
     threshold,
     threshold_prob,
     validate_structure,
@@ -319,3 +321,66 @@ class TestLottery:
             lottery_space(0)
         with pytest.raises(ResourceLimitError):
             lottery_space(10**6 + 1)
+
+
+def value_or_undefined(fn, *args):
+    try:
+        return fn(*args)
+    except UndefinedConditionalError:
+        return "undefined"
+
+
+def assert_same_as_fresh(seq, queries):
+    """``seq`` agrees with its JSON round trip, which lists its worlds in a
+    table of its own, on classes, provenance and every probability."""
+    fresh = sequence_from_json(sequence_to_json(seq))
+    assert "table" not in fresh.__dict__
+    assert fresh.classes == seq.classes and fresh.provenance == seq.provenance
+    assert {w: w.weight for c in fresh.classes for w in c} == {
+        w: w.weight for c in seq.classes for w in c
+    }
+    for psi in queries:
+        assert value_or_undefined(cond_prob, fresh, psi) == value_or_undefined(cond_prob, seq, psi)
+        for k in range(len(seq.classes)):
+            assert value_or_undefined(persistent_prob, fresh, psi, k) == value_or_undefined(
+                persistent_prob, seq, psi, k
+            )
+
+
+class TestSharedTable:
+    """Sequences cut from a space's table answer as freshly listed ones do."""
+
+    def test_random_spaces(self):
+        rng = random.Random(242526)
+        for _ in range(150):
+            space = random_space(rng)
+            names = space.vocab.names
+            conds = [random_formula(rng, names, rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+            queries = [random_formula(rng, names, rng.randint(0, 3)) for _ in range(3)]
+            seq = condition(space, conds)
+            assert seq.table is space.table
+            assert_same_as_fresh(seq, queries)
+            extra = extend(seq, random_formula(rng, names, rng.randint(0, 2)))
+            assert extra.table is space.table
+            assert_same_as_fresh(extra, queries)
+            eps = Fraction(rng.randint(0, 4), 4)
+            for strict in (False, True):
+                try:
+                    assert_same_as_fresh(threshold(space, eps, conds, strict), queries)
+                except BelowThresholdError:
+                    pass
+            for order in enumerate_threshold_orders(space, eps, conds[:2], 2):
+                assert_same_as_fresh(threshold(space, eps, order), queries)
+
+    def test_lotteries(self):
+        rng = random.Random(272829)
+        for n in (1, 2, 5, 30, 100):
+            space = lottery_space(n)
+            tickets = [Const(f"p{i}") for i in range(1, n + 1)]
+            queries = rng.sample(tickets, min(n, 3)) + [Not(tickets[0]), TRUE, FALSE]
+            conds = [Not(t) for t in rng.sample(tickets, min(n, 3))]
+            assert_same_as_fresh(condition(space, conds), queries)
+            assert_same_as_fresh(extend(condition(space, conds), tickets[-1]), queries)
+            eps = Fraction(1, max(n - 2, 1))
+            for order in enumerate_threshold_orders(space, eps, conds, len(conds)):
+                assert_same_as_fresh(threshold(space, eps, order), queries)

@@ -1,5 +1,6 @@
 """Sequence structure, isomorphism, preference chains, serialisation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from partseq import (
     sequence_to_json,
     validate_structure,
 )
-from partseq.sequences import render_json
+from partseq.logic import TruthTable
+from partseq.sequences import class_masks, render_json
+from genkit import per_world_structure
 
 
 def world_of(vocab, trues, weight=1):
@@ -64,6 +67,85 @@ class TestStructure:
         seq = seq_of(pq, [set(worlds)])
         problems = validate_structure(seq, worlds)
         assert any(p.clause == "length" for p in problems)
+
+
+def corrupted(rng, vocab, worlds):
+    """A random weighted partition of ``worlds`` into one to four classes,
+    then a random mix of faults: worlds copied into other classes (one of
+    them into three), worlds dropped, worlds of a foreign vocabulary, all
+    classes merged into one, or the whole sequence over a foreign
+    vocabulary."""
+    weighted = lambda w: World(w.vocab, w.true_names, Fraction(rng.randint(0, 4), rng.randint(1, 3)))
+    classes = [[] for _ in range(rng.randint(1, 4))]
+    for w in worlds:
+        rng.choice(classes).append(weighted(w))
+    faults = {f for f in ("copy", "triple", "drop", "alien", "merge", "foreign") if rng.random() < 0.3}
+    if "copy" in faults:
+        for _ in range(rng.randint(1, 3)):
+            rng.choice(classes).append(weighted(rng.choice(worlds)))
+    if "triple" in faults and len(classes) >= 3:
+        w = rng.choice(worlds)
+        for cls in rng.sample(classes, 3):
+            cls.append(weighted(w))
+    if "drop" in faults:
+        for cls in classes:
+            if cls and rng.random() < 0.5:
+                cls.pop(rng.randrange(len(cls)))
+    if "alien" in faults:
+        # two names more than the foreign vocabulary below, so that no alien
+        # world ties with a foreign one in the oracle's sort by truth values
+        other = Vocabulary(vocab.names + ("z", "x"))
+        for _ in range(rng.randint(1, 3)):
+            alien = World(other, rng.sample(other.names, rng.randint(0, len(other))))
+            rng.choice(classes).append(weighted(alien))
+    if "merge" in faults:
+        classes = [[w for cls in classes for w in cls]]
+    if "foreign" in faults:
+        home, vocab = vocab, Vocabulary(tuple(reversed(vocab.names)) + ("y",))
+        moved = lambda w: World(vocab, w.true_names, w.weight) if w.vocab == home else w
+        classes = [list(map(moved, cls)) for cls in classes]
+    # a frozenset keeps the first of equal worlds, so the duplicates within a
+    # class that the faults made drop out as a class becomes a set
+    return PartitionSequence(tuple(map(frozenset, classes)), vocab, "default")
+
+
+class TestMaskStructure:
+    """The mask structure check reports what the per-world oracle reports."""
+
+    def test_matches_per_world_oracle(self):
+        rng = random.Random(61)
+        for size in range(4):
+            vocab = Vocabulary(("p", "q", "r")[:size])
+            worlds = enumerate_worlds(vocab)
+            for _ in range(300):
+                seq = corrupted(rng, vocab, worlds)
+                expected = per_world_structure(seq, worlds)
+                assert validate_structure(seq, worlds) == expected
+                listed = [World(vocab, w.true_names, rng.randint(1, 3)) for w in worlds]
+                rng.shuffle(listed)
+                assert validate_structure(seq, listed) == per_world_structure(seq, listed)
+                table = TruthTable(vocab)
+                masks, problems = class_masks(seq, "default", table)
+                assert problems == expected
+                if not expected:
+                    assert masks == [table.mask_of(cls) for cls in seq.classes]
+
+    def test_world_in_three_classes(self, pq, worlds):
+        w = worlds[0]
+        seq = seq_of(pq, [{w}, {w, worlds[1]}, {w, *worlds[2:]}])
+        problems = validate_structure(seq, worlds)
+        assert [str(p) for p in problems] == [
+            "disjointness [class 1]: world {~p, ~q} appears in classes 0 and 1",
+            "disjointness [class 2]: world {~p, ~q} appears in classes 0 and 2",
+        ]
+        assert problems == per_world_structure(seq, worlds)
+
+    def test_foreign_vocabulary(self, pq, worlds):
+        other = Vocabulary(["q", "p"])
+        seq = seq_of(other, [set(), set(enumerate_worlds(other))])
+        problems = class_masks(seq, "default", TruthTable(pq))[1]
+        assert [p.clause for p in problems] == ["coverage"] * 8
+        assert problems == per_world_structure(seq, worlds)
 
 
 class TestIsomorphic:
