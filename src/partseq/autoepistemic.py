@@ -220,7 +220,7 @@ def check_ael_sequence(
             Violation(
                 "condition 3",
                 "the last class is empty: no consistent belief set is characterised",
-                class_index=len(seq.classes) - 1,
+                class_index=len(seq.masks) - 1,
             )
         )
     conditions, compiled = _compile(premises, _guess_formulas(premises), table)

@@ -219,12 +219,13 @@ def _kernel_text(kernel: Kernel) -> str:
     return ", ".join(_world_text(w) for w in sorted(kernel.worlds, key=World.bits))
 
 
-def _say_sequence(out: _Output, seq: PartitionSequence, index: int | None = None):
-    head = f"sequence {index}:" if index is not None else "sequence:"
+def _say_sequence(out: _Output, seq: PartitionSequence, head="sequence:", weighed=False):
+    """``head``, then a line per class; ``weighed`` adds each class's weight."""
     out.say(head)
     for i, cls in enumerate(seq.classes):
         origin = f"   (from {seq.provenance[i]})" if seq.provenance[i] else ""
-        out.say(f"  W{i} = {_class_text(cls)}{origin}")
+        mass = f"   weight {format_fraction(seq.table.mass(seq.masks[i]))}" if weighed else ""
+        out.say(f"  W{i} = {_class_text(cls)}{mass}{origin}")
 
 
 def _parse_cli_formula(text: str, doc: KbDocument) -> Formula:
@@ -302,7 +303,7 @@ def _cmd_sequences(args, out) -> int:
         out.say(f"no sequence: {missing}")
         return EXIT_NEGATIVE
     for i, seq in enumerate(seqs, 1):
-        _say_sequence(out, seq, i)
+        _say_sequence(out, seq, f"sequence {i}:")
     return EXIT_OK
 
 
@@ -358,7 +359,7 @@ def _cmd_prob_condition(args, out) -> int:
     doc = _read_kb(args.kb, "prob")
     seq = probability.condition(doc.body, _conditions(args, doc))
     out.record(
-        "prob condition", {"kb": args.kb, "on": list(args.on)}, {"classes": len(seq.classes)}, [seq]
+        "prob condition", {"kb": args.kb, "on": list(args.on)}, {"classes": len(seq.masks)}, [seq]
     )
     _say_sequence(out, seq)
     return EXIT_OK
@@ -509,14 +510,8 @@ def _cmd_explain(args, out) -> int:
         },
         [seq],
     )
-    out.say(f"{seq.kind} sequence over {{{', '.join(seq.vocab.names)}}}")
-    for i, cls in enumerate(seq.classes):
-        origin = f"   (from {seq.provenance[i]})" if seq.provenance[i] else ""
-        mass = seq.table.mass(seq.masks[i])
-        mass_note = f"   weight {format_fraction(mass)}" if any(
-            w.weight != 1 for w in seq.all_worlds
-        ) else ""
-        out.say(f"  W{i} = {_class_text(cls)}{mass_note}{origin}")
+    head = f"{seq.kind} sequence over {{{', '.join(seq.vocab.names)}}}"
+    _say_sequence(out, seq, head, any(w.weight != 1 for w in seq.all_worlds))
     out.say("preference chain (most preferred last):")
     for i, m in enumerate(chain.models):
         out.say(f"  M{i} = {_class_text(m)}")

@@ -430,7 +430,10 @@ class TruthTable:
     def reweighted(self, shares: Iterable[tuple[int, Rational]]) -> TruthTable:
         """This dense table's worlds as a listed table in the same order,
         each built once with the weight of its mask in ``shares``. The masks
-        must cover every world; the masks compiled so far carry over."""
+        must cover every world; the atoms and the masks compiled so far
+        carry over, since bit i is world i in both."""
+        for name in self.vocab.names:
+            self.mask(Const(name))
         names, digits = self.vocab.names, f"0{len(self.vocab)}b"
         placed = {}
         for mask, share in shares:

@@ -128,7 +128,7 @@ def build_poss_sequence(
         "; ".join(sorted(format_formula(phi) for phi in formulas))
         for formulas, _ in kb.levels
     ) + ("",)
-    return PartitionSequence.from_masks(weighted, classes, "possibility", provenance)
+    return PartitionSequence(weighted, classes, "possibility", provenance)
 
 
 def check_poss_sequence(
@@ -149,11 +149,11 @@ def check_poss_sequence(
         return structural
 
     n = len(kb.levels)
-    if len(seq.classes) != n + 1:
+    if len(seq.masks) != n + 1:
         return [
             Violation(
                 "shape",
-                f"expected {n + 1} classes for {n} levels, found {len(seq.classes)}",
+                f"expected {n + 1} classes for {n} levels, found {len(seq.masks)}",
             )
         ]
 

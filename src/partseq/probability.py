@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate
 
 from .errors import (
     BelowThresholdError,
@@ -93,8 +92,7 @@ def _conditioned(space: SampleSpace, conds, kind: str) -> PartitionSequence:
     conds = tuple(conds)
     if not conds:
         raise ValueError("at least one condition formula is required")
-    whole = PartitionSequence.from_masks(space.table, (space.table.full,), kind)
-    return reduce(extend, conds, whole)
+    return reduce(extend, conds, PartitionSequence(space.table, (space.table.full,), kind))
 
 
 def extend(seq: PartitionSequence, phi: Formula) -> PartitionSequence:
@@ -108,7 +106,7 @@ def extend(seq: PartitionSequence, phi: Formula) -> PartitionSequence:
     last, models = seq.masks[-1], seq.table.mask(phi)
     masks = (*seq.masks[:-1], last & ~models, last & models)
     provenance = (*seq.provenance[:-1], format_formula(phi), "")
-    return PartitionSequence.from_masks(seq.table, masks, seq.kind, provenance)
+    return PartitionSequence(seq.table, masks, seq.kind, provenance)
 
 
 def cond_prob(seq: PartitionSequence, psi: Formula) -> Fraction:
@@ -118,7 +116,7 @@ def cond_prob(seq: PartitionSequence, psi: Formula) -> Fraction:
     the sequence was conditioned on. Undefined when the last class has no
     mass.
     """
-    return persistent_prob(seq, psi, len(seq.classes) - 1)
+    return persistent_prob(seq, psi, len(seq.masks) - 1)
 
 
 def persistent_prob(seq: PartitionSequence, psi: Formula, upto: int) -> Fraction:
@@ -129,7 +127,7 @@ def persistent_prob(seq: PartitionSequence, psi: Formula, upto: int) -> Fraction
     satisfying the first ``upto`` formulas, so earlier conditioning stages
     stay readable off one sequence.
     """
-    if not 0 <= upto < len(seq.classes):
+    if not 0 <= upto < len(seq.masks):
         raise ValueError(f"step {upto} outside the sequence")
     tail = reduce(int.__or__, seq.masks[upto:])
     total = seq.table.mass(tail)
@@ -138,6 +136,21 @@ def persistent_prob(seq: PartitionSequence, psi: Formula, upto: int) -> Fraction
             "the conditioned-on formulas have probability zero"
         )
     return seq.table.mass(tail & seq.table.mask(psi)) / total
+
+
+def _epsilon(eps: Rational) -> Fraction:
+    eps = as_fraction(eps)
+    if eps < 0:
+        raise ValueError("epsilon must be non-negative")
+    return eps
+
+
+def _step_ratio(seq: PartitionSequence, i: int, strict: bool) -> Fraction | None:
+    """Class i's mass over the mass of classes i onward, or of the whole
+    table with ``strict``; None when that mass is zero."""
+    table = seq.table
+    total = table.mass(table.full if strict else reduce(int.__or__, seq.masks[i:]))
+    return table.mass(seq.masks[i]) / total if total else None
 
 
 def threshold(
@@ -156,26 +169,17 @@ def threshold(
     rejected. ``strict=True`` divides by the whole space's mass instead,
     a laxer variant kept for comparison.
     """
-    eps = as_fraction(eps)
-    if eps < 0:
-        raise ValueError("epsilon must be non-negative")
+    eps = _epsilon(eps)
     seq = _conditioned(space, conds, "threshold")
-    masks = seq.masks
-    # tail_mass[i] is the mass of classes i onward, down to 0 past the last
-    tail_mass = list(accumulate(map(seq.table.mass, reversed(masks)), initial=Fraction(0)))
-    tail_mass.reverse()
-    for i in range(len(masks) - 1):
-        peeled = tail_mass[i] - tail_mass[i + 1]
-        denom = tail_mass[0] if strict else tail_mass[i]
-        name = seq.provenance[i]
-        if denom == 0:
+    for i, name in enumerate(seq.provenance[:-1]):
+        ratio = _step_ratio(seq, i, strict)
+        if ratio is None:
             raise BelowThresholdError(
                 f"step {i + 1}: conditional probability of {name} is undefined "
                 f"(no mass left)",
                 step=i + 1,
                 formula=name,
             )
-        ratio = peeled / denom
         if ratio > eps:
             raise BelowThresholdError(
                 f"step {i + 1}: {name} falls below threshold "
@@ -205,7 +209,8 @@ def enumerate_threshold_orders(
     thresholding accepts.
 
     A failed prefix can never be rescued by further formulas (each step's
-    ratio depends on the prefix alone), so the search prunes by prefix.
+    ratio depends on the prefix alone), so the search prunes by prefix and
+    tests only the new step of each prefix's sequence extended by one.
     """
     candidates = list(candidates)
     if len(candidates) > MAX_THRESHOLD_CANDIDATES:
@@ -213,24 +218,22 @@ def enumerate_threshold_orders(
             f"{len(candidates)} candidate formulas; ordering search is "
             f"capped at {MAX_THRESHOLD_CANDIDATES}"
         )
-    eps = as_fraction(eps)
+    eps = _epsilon(eps)
     accepted: list[tuple[Formula, ...]] = []
 
-    def grow(prefix: tuple[Formula, ...]):
+    def grow(seq: PartitionSequence, prefix: tuple[Formula, ...]):
         if len(prefix) >= maxlen:
             return
         for phi in candidates:
             if phi in prefix:
                 continue
-            order = prefix + (phi,)
-            try:
-                threshold(space, eps, order, strict)
-            except BelowThresholdError:
-                continue
-            accepted.append(order)
-            grow(order)
+            longer = extend(seq, phi)
+            ratio = _step_ratio(longer, len(prefix), strict)
+            if ratio is not None and ratio <= eps:
+                accepted.append(prefix + (phi,))
+                grow(longer, accepted[-1])
 
-    grow(())
+    grow(PartitionSequence(space.table, (space.table.full,), "threshold"), ())
     return accepted
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import SemanticError
 from .logic import TruthTable, Vocabulary, World, _from_bits, _set_bits
@@ -42,59 +42,64 @@ class Violation:
         return f"{self.clause}{where}{who}: {self.message}"
 
 
-@dataclass(frozen=True)
 class PartitionSequence:
     """An ordered tuple of world classes over one vocabulary.
 
-    ``provenance`` names the knowledge-base item that produced each class
-    ("" for classes fixed by the construction itself, such as the first
-    and last). It carries no semantics; checkers use it for reporting.
+    Class i is the worlds of ``masks[i]`` in ``table``; ``classes`` lists
+    them as ``World`` sets, built on first read. ``provenance`` names the
+    knowledge-base item that produced each class ("" for classes fixed by
+    the construction itself, such as the first and last). It carries no
+    semantics; checkers use it for reporting.
 
-    ``masks[i]`` is class i's bits in ``table``. A sequence made by
-    :meth:`from_masks` keeps the table it was cut from; any other lists
-    its own worlds class by class, weights included, on first use.
+    Sequences are equal when kind, vocabulary, provenance and classes are;
+    as for worlds, weights take no part.
     """
 
-    classes: tuple[frozenset[World], ...]
-    vocab: Vocabulary
-    kind: str
-    provenance: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
-        if not self.classes:
+    def __init__(self, table: TruthTable, masks: Sequence[int], kind: str, provenance=()):
+        if kind not in KINDS:
+            raise ValueError(f"unknown sequence kind {kind!r}")
+        if not masks:
             raise ValueError("a partition sequence needs at least one class")
-        if not self.provenance:
-            object.__setattr__(self, "provenance", ("",) * len(self.classes))
-        elif len(self.provenance) != len(self.classes):
+        self.table, self.masks, self.kind = table, tuple(masks), kind
+        self.provenance = tuple(provenance) or ("",) * len(self.masks)
+        if len(self.provenance) != len(self.masks):
             raise ValueError("provenance must name one item per class")
 
     @classmethod
-    def from_masks(
-        cls, table: TruthTable, masks: Sequence[int], kind: str, provenance=()
+    def of_classes(
+        cls, classes: Sequence[Collection[World]], vocab: Vocabulary, kind: str, provenance=()
     ) -> PartitionSequence:
-        """The sequence whose class i is the worlds of ``masks[i]`` in ``table``."""
-        seq = cls(tuple(map(table.worlds, masks)), table.vocab, kind, provenance)
-        seq.__dict__.update(table=table, masks=tuple(masks))
-        return seq
+        """The sequence of ``classes``, over a table of their own that
+        lists their worlds class by class, weights included."""
+        sizes = list(map(len, classes))
+        table = TruthTable(vocab, worlds=[w for c in classes for w in c])
+        masks = [((1 << n) - 1) << at for n, at in zip(sizes, accumulate(sizes, initial=0))]
+        return cls(table, masks, kind, provenance)
+
+    @property
+    def vocab(self) -> Vocabulary:
+        return self.table.vocab
 
     @cached_property
-    def table(self) -> TruthTable:
-        return TruthTable(self.vocab, worlds=[w for c in self.classes for w in c])
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        sizes = [len(c) for c in self.classes]
-        return tuple(((1 << n) - 1) << at for n, at in zip(sizes, accumulate(sizes, initial=0)))
+    def classes(self) -> tuple[frozenset[World], ...]:
+        return tuple(map(self.table.worlds, self.masks))
 
     @property
     def last_class(self) -> frozenset[World]:
-        return self.classes[-1]
+        return self.table.worlds(self.masks[-1])
 
     @property
     def all_worlds(self) -> frozenset[World]:
         return frozenset().union(*self.classes)
+
+    def _key(self) -> tuple:
+        return self.kind, self.vocab, self.provenance, self.classes
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PartitionSequence) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         body = ", ".join(repr(sorted(c, key=World.bits)) for c in self.classes)
@@ -117,13 +122,13 @@ def _partition(seq: PartitionSequence, table: TruthTable) -> tuple[list[int], li
     ``seq`` partitioning its worlds, by ``&`` and ``|`` on masks; a world
     outside the table gets a bit past it, and reports build worlds."""
     problems = []
-    if len(seq.classes) < 2:
+    if len(seq.masks) < 2:
         problems.append(Violation("length", "a partition sequence has at least two classes"))
     foreign: dict[World, int] = {}
     masks, union = [], 0
-    for i, cls in enumerate(seq.classes):
+    for i, own in enumerate(seq.masks):
         at = {}
-        for w in cls:
+        for w in seq.table.world_list(own):
             k = table.index(w)
             at[foreign.setdefault(w, table.size + len(foreign)) if k is None else k] = w
         mask = _from_bits(at, table.size + len(foreign))
@@ -172,12 +177,8 @@ def isomorphic(a: PartitionSequence, b: PartitionSequence) -> bool:
 
 def preference_view(seq: PartitionSequence) -> PreferenceChain:
     """Read ``seq`` as a chain of ever more preferred model sets."""
-    tails = []
-    tail: frozenset[World] = frozenset()
-    for cls in reversed(seq.classes):
-        tail = tail | cls
-        tails.append(tail)
-    return PreferenceChain(models=tuple(reversed(tails)))
+    tails = list(accumulate(reversed(seq.masks), int.__or__))
+    return PreferenceChain(models=tuple(map(seq.table.worlds, reversed(tails))))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +258,7 @@ def peel_sequences(
     def emit(classes, labels):
         if classes not in seen:
             seen.add(classes)
-            worlds = tuple(map(table.worlds, classes))
-            results.append(PartitionSequence(worlds, table.vocab, kind, labels))
+            results.append(PartitionSequence(table, classes, kind, labels))
 
     def explore(items, remaining, classes, labels):
         nonlocal budget
@@ -425,12 +425,11 @@ def sequence_from_obj(obj: dict) -> PartitionSequence:
     vocab = Vocabulary(obj["vocab"])
     classes = []
     for listed in obj["classes"]:
-        worlds = [world_from_obj(w, vocab) for w in listed]
-        classes.append(frozenset(worlds))
-        if len(classes[-1]) != len(worlds):
+        classes.append([world_from_obj(w, vocab) for w in listed])
+        if len(set(classes[-1])) != len(classes[-1]):
             raise ValueError("a world is listed twice in one class")
     provenance = tuple(obj.get("provenance") or ())
-    return PartitionSequence(tuple(classes), vocab, obj["kind"], provenance)
+    return PartitionSequence.of_classes(classes, vocab, obj["kind"], provenance)
 
 
 def sequence_from_json(text: str) -> PartitionSequence:

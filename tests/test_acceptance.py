@@ -93,7 +93,7 @@ def test_criterion_01_rival_defaults_reproduced(tmp_path, capsys):
     assert got == {models(Not(P), worlds), models(And(P, Q), worlds)}
 
     bb = world_map(doc.vocab)
-    published_first = PartitionSequence(
+    published_first = PartitionSequence.of_classes(
         (
             frozenset(),
             frozenset({bb[(1, 1)], bb[(1, 0)]}),
@@ -102,7 +102,7 @@ def test_criterion_01_rival_defaults_reproduced(tmp_path, capsys):
         doc.vocab,
         "default",
     )
-    published_second = PartitionSequence(
+    published_second = PartitionSequence.of_classes(
         (
             frozenset(),
             frozenset({bb[(0, 1)], bb[(0, 0)]}),
@@ -150,7 +150,7 @@ def test_criterion_03_introspective_premises_reproduced():
     assert got == {models(P, worlds), models(Q, worlds)}
 
     bb = world_map(doc.vocab)
-    toward_p = PartitionSequence(
+    toward_p = PartitionSequence.of_classes(
         (
             frozenset(),
             frozenset({bb[(0, 1)], bb[(0, 0)]}),
@@ -159,7 +159,7 @@ def test_criterion_03_introspective_premises_reproduced():
         doc.vocab,
         "autoepistemic",
     )
-    toward_q = PartitionSequence(
+    toward_q = PartitionSequence.of_classes(
         (
             frozenset(),
             frozenset({bb[(1, 0)], bb[(0, 0)]}),

@@ -144,7 +144,7 @@ class TestWorldCap:
     def test_twenty_one_constants_refused(self):
         premises = self.premises(self.NAMES + ["c20"])
         kernel = Kernel(frozenset({World(premises.vocab, [])}), premises.vocab)
-        seq = PartitionSequence((frozenset(), frozenset()), premises.vocab, "autoepistemic")
+        seq = PartitionSequence.of_classes((frozenset(), frozenset()), premises.vocab, "autoepistemic")
         for run in (
             lambda: stable_expansions(premises),
             lambda: omega_operator(premises, kernel),
@@ -214,7 +214,7 @@ class TestCheckSequence:
 
     def test_nonempty_first_class_fails_condition_one(self, introspective_premises, pq):
         bb = by_bits(pq)
-        seq = PartitionSequence(
+        seq = PartitionSequence.of_classes(
             (
                 frozenset({bb[(0, 0)]}),
                 frozenset({bb[(0, 1)], bb[(1, 0)]}),
@@ -230,7 +230,7 @@ class TestCheckSequence:
         # ending on the ~q worlds: q is licensed there (p not believed)
         # yet false throughout
         bb = by_bits(pq)
-        seq = PartitionSequence(
+        seq = PartitionSequence.of_classes(
             (
                 frozenset(),
                 frozenset({bb[(1, 1)], bb[(0, 1)]}),
@@ -244,7 +244,7 @@ class TestCheckSequence:
 
     def test_empty_last_class_rejected(self, introspective_premises, pq):
         worlds = enumerate_worlds(pq)
-        seq = PartitionSequence(
+        seq = PartitionSequence.of_classes(
             (frozenset(), frozenset(worlds), frozenset()), pq, "autoepistemic"
         )
         problems = check_ael_sequence(introspective_premises, seq)
@@ -278,7 +278,7 @@ class TestAgainstBruteForce:
             premises = random_premises(rng)
             ts, candidates = ael_candidates(premises, enumerate_worlds(premises.vocab))
             for classes in candidates:
-                seq = PartitionSequence(tuple(classes), premises.vocab, "autoepistemic")
+                seq = PartitionSequence.of_classes(tuple(classes), premises.vocab, "autoepistemic")
                 ok = _ael_sequence_ok(premises, classes, ts)
                 assert (check_ael_sequence(premises, seq) == []) == ok, seq
                 rejected += not ok

@@ -135,7 +135,7 @@ class TestWorldCap:
 
     def test_twenty_one_constants_refused(self):
         theory = self.chain(self.NAMES + ["c20"])
-        seq = PartitionSequence((frozenset(), frozenset()), theory.vocab, "default")
+        seq = PartitionSequence.of_classes((frozenset(), frozenset()), theory.vocab, "default")
         for run in (
             lambda: extensions(theory),
             lambda: gamma_operator(theory, frozenset()),
@@ -144,6 +144,16 @@ class TestWorldCap:
         ):
             with pytest.raises(ResourceLimitError, match="capped at 20"):
                 run()
+
+    def test_twenty_constants_sequences_stay_masks(self):
+        # no World is built: a first class of 2^20 - 64 worlds is never listed
+        theory = self.chain(self.NAMES)
+        seqs = build_default_sequences(theory, order_limit=5)
+        assert len(seqs) == 5
+        extension = 1 << seqs[0].table.index(World(theory.vocab, self.NAMES))
+        for seq in seqs:
+            assert "classes" not in seq.__dict__ and not seq.table._worlds
+            assert seq.masks[-1] == extension
 
 
 class TestBuildSequences:
@@ -206,7 +216,7 @@ class TestCheckSequence:
     def test_self_defeating_candidate_breaks_closure(self, self_defeating_theory):
         vocab = self_defeating_theory.vocab
         w_false, w_true = enumerate_worlds(vocab)
-        seq = PartitionSequence(
+        seq = PartitionSequence.of_classes(
             (frozenset(), frozenset({w_false}), frozenset({w_true})), vocab, "default"
         )
         problems = check_default_sequence(self_defeating_theory, seq)
@@ -217,7 +227,7 @@ class TestCheckSequence:
     ):
         vocab = self_defeating_theory.vocab
         w_false, w_true = enumerate_worlds(vocab)
-        seq = PartitionSequence(
+        seq = PartitionSequence.of_classes(
             (frozenset(), frozenset({w_true}), frozenset({w_false})), vocab, "default"
         )
         problems = check_default_sequence(self_defeating_theory, seq)
@@ -227,7 +237,7 @@ class TestCheckSequence:
         vocab = Vocabulary(["p"])
         theory = DefaultTheory(rules=(), facts=(P,), vocab=vocab)
         w_false, w_true = enumerate_worlds(vocab)
-        seq = PartitionSequence(
+        seq = PartitionSequence.of_classes(
             (frozenset({w_true}), frozenset({w_false})), vocab, "default"
         )
         problems = check_default_sequence(theory, seq)
@@ -242,7 +252,7 @@ class TestCheckSequence:
 
     def test_structural_violations_reported_first(self, rival_theory, pq):
         worlds = enumerate_worlds(pq)
-        seq = PartitionSequence(
+        seq = PartitionSequence.of_classes(
             (frozenset(), frozenset(list(worlds)[:2])), pq, "default"
         )
         problems = check_default_sequence(rival_theory, seq)
@@ -266,7 +276,7 @@ class TestAgainstBruteForce:
             theory = random_default_theory(rng)
             ts, candidates = default_candidates(theory, enumerate_worlds(theory.vocab))
             for classes in candidates:
-                seq = PartitionSequence(tuple(classes), theory.vocab, "default")
+                seq = PartitionSequence.of_classes(tuple(classes), theory.vocab, "default")
                 ok = _default_sequence_ok(theory, classes, ts)
                 assert (check_default_sequence(theory, seq) == []) == ok, seq
                 rejected += not ok

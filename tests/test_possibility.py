@@ -27,6 +27,7 @@ from partseq import (
     sequence_to_json,
     validate_structure,
 )
+from partseq.logic import TruthTable
 from genkit import (
     brute_force_poss_classes,
     per_world_possibility,
@@ -118,7 +119,7 @@ class TestCheck:
                 {World(pq, ["q"], k), World(pq, [], Fraction("0.3") - k)}
             ),
         )
-        seq = PartitionSequence(classes, pq, "possibility")
+        seq = PartitionSequence.of_classes(classes, pq, "possibility")
         assert check_poss_sequence(nested_kb, seq) == []
 
     def test_wrong_class_total_rejected(self, nested_kb, pq):
@@ -129,7 +130,7 @@ class TestCheck:
                 {World(pq, ["q"], Fraction("0.1")), World(pq, [], Fraction("0.1"))}
             ),
         )
-        seq = PartitionSequence(classes, pq, "possibility")
+        seq = PartitionSequence.of_classes(classes, pq, "possibility")
         problems = check_poss_sequence(nested_kb, seq)
         assert any(p.clause == "condition 2" for p in problems)
 
@@ -146,7 +147,7 @@ class TestCheck:
                 {World(pq, ["q"], Fraction("0.35")), World(pq, [], Fraction("0.35"))}
             ),
         )
-        seq = PartitionSequence(classes, pq, "possibility")
+        seq = PartitionSequence.of_classes(classes, pq, "possibility")
         problems = check_poss_sequence(contradictory_kb, seq)
         assert any(p.clause == "condition 1" for p in problems)
 
@@ -158,7 +159,7 @@ class TestCheck:
                 {World(pq, ["q"], Fraction("0.15")), World(pq, [], Fraction("0.15"))}
             ),
         )
-        seq = PartitionSequence(classes, pq, "possibility")
+        seq = PartitionSequence.of_classes(classes, pq, "possibility")
         problems = check_poss_sequence(nested_kb, seq)
         assert any(p.clause == "condition 1" for p in problems)
 
@@ -208,7 +209,7 @@ class TestMeasures:
         classes = [cuts[:24], cuts[24:37], [], cuts[37:]]
         gaps = [Fraction(1, 10), Fraction(3, 10), Fraction(0), Fraction(6, 10)]
         weighted = [frozenset(w.reweighted(gap / len(c)) for w in c) for c, gap in zip(classes, gaps)]
-        seq = PartitionSequence(tuple(weighted), vocab, "possibility")
+        seq = PartitionSequence.of_classes(tuple(weighted), vocab, "possibility")
         values = set()
         for _ in range(100):
             if rng.random() < 0.5:
@@ -222,13 +223,25 @@ class TestMeasures:
             values.add((pi, nec))
         assert len(values) >= 5
 
+    def test_builder_table_compiles_atoms_densely(self):
+        # the builder lists the dense table's worlds in index order, so every
+        # atom's mask is the dense one, at 14 constants as at 1
+        rng = random.Random(404040)
+        kbs = [kb for kb, _ in consistent_kbs(60, seed=414141)]
+        wide = Vocabulary(f"c{i}" for i in range(14))
+        kbs.append(PossibilisticKB(((frozenset({Const("c0")}), Fraction(1, 2)),), wide))
+        for kb in kbs:
+            table, dense = build_poss_sequence(kb).table, TruthTable(kb.vocab)
+            for name in rng.sample(kb.vocab.names, len(kb.vocab)):
+                assert table.mask(Const(name)) == dense.mask(Const(name))
+
     def test_builder_table_matches_fresh_table(self):
         # the builder's sequence keeps its truth table, reweighted; a JSON
         # round trip lists the same worlds in a table of their own
         rng = random.Random(383838)
         for kb, seq in consistent_kbs(150, seed=393939):
             fresh = sequence_from_json(sequence_to_json(seq))
-            assert "table" not in fresh.__dict__ and seq.table.size == 1 << len(kb.vocab)
+            assert fresh.table is not seq.table and seq.table.size == 1 << len(kb.vocab)
             assert fresh.classes == seq.classes and fresh.provenance == seq.provenance
             assert weighed(fresh) == weighed(seq)
             assert check_poss_sequence(kb, fresh) == check_poss_sequence(kb, seq) == []
@@ -286,7 +299,7 @@ class TestAgainstBruteForce:
             values = (Fraction(0),) + kb.values + (Fraction(1),)
             gaps = [high - low for low, high in zip(values, values[1:])]
             # the level walk, weighed uniformly within each class
-            walked = PartitionSequence(
+            walked = PartitionSequence.of_classes(
                 tuple(
                     frozenset(w.reweighted(gap / len(cls)) for w in cls)
                     for cls, gap in zip(classes, gaps)
@@ -332,7 +345,7 @@ class TestAgainstBruteForce:
             i, j = rng.choice(pairs)
             swapped = list(built.classes)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            seq = PartitionSequence(tuple(swapped), kb.vocab, "possibility")
+            seq = PartitionSequence.of_classes(tuple(swapped), kb.vocab, "possibility")
             expected = self.expected_violations(seq, classes, [], gaps)
             assert expected
             assert check_poss_sequence(kb, seq) == expected

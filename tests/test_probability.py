@@ -248,6 +248,58 @@ class TestEnumerateOrders:
         with pytest.raises(ResourceLimitError):
             enumerate_threshold_orders(weather_space, 0, cands, maxlen=1)
 
+    def test_negative_eps_refused(self, weather_space):
+        with pytest.raises(ValueError, match="non-negative"):
+            enumerate_threshold_orders(weather_space, Fraction(-1, 10), [P, Q], maxlen=2)
+
+    def assert_matches_oracle(self, space, cands, steps):
+        """The search's orders are those that ``threshold`` accepts from
+        scratch, in the same depth-first order, at eps 0, 1/(n - t + 1)
+        for n worlds and t steps, and 1/2, with both denominators."""
+        n = len(space.worlds)
+        for eps in (Fraction(0), Fraction(1, max(n - steps + 1, 1)), Fraction(1, 2)):
+            for strict in (False, True):
+                got = enumerate_threshold_orders(space, eps, cands, len(cands), strict)
+                assert got == per_order_threshold(space, eps, cands, len(cands), strict)
+
+    def test_matches_per_order_threshold_on_random_spaces(self):
+        rng = random.Random(404142)
+        for _ in range(80):
+            space = random_space(rng)
+            names = space.vocab.names
+            cands = [random_formula(rng, names, rng.randint(0, 2)) for _ in range(rng.randint(1, 4))]
+            self.assert_matches_oracle(space, cands, rng.randint(1, len(cands)))
+
+    def test_matches_per_order_threshold_on_lotteries(self):
+        rng = random.Random(434445)
+        for n in (1, 3, 8, 40):
+            space = lottery_space(n)
+            tickets = [Const(f"p{i}") for i in range(1, n + 1)]
+            cands = [Not(t) for t in rng.sample(tickets, min(n, 4))] + [rng.choice(tickets)]
+            for steps in (1, 2, len(cands)):
+                self.assert_matches_oracle(space, cands, steps)
+
+
+def per_order_threshold(space, eps, cands, maxlen, strict):
+    """Every order of distinct candidates up to ``maxlen`` that ``threshold``
+    accepts, each run from scratch, listed depth first without pruning."""
+    found = []
+
+    def walk(prefix):
+        if len(prefix) >= maxlen:
+            return
+        for phi in cands:
+            if phi not in prefix:
+                try:
+                    threshold(space, eps, prefix + (phi,), strict)
+                    found.append(prefix + (phi,))
+                except BelowThresholdError:
+                    pass
+                walk(prefix + (phi,))
+
+    walk(())
+    return found
+
 
 class TestQueryBundle:
     def test_answer_with_threshold(self):
@@ -334,7 +386,7 @@ def assert_same_as_fresh(seq, queries):
     """``seq`` agrees with its JSON round trip, which lists its worlds in a
     table of its own, on classes, provenance and every probability."""
     fresh = sequence_from_json(sequence_to_json(seq))
-    assert "table" not in fresh.__dict__
+    assert fresh.table is not seq.table
     assert fresh.classes == seq.classes and fresh.provenance == seq.provenance
     assert {w: w.weight for c in fresh.classes for w in c} == {
         w: w.weight for c in seq.classes for w in c

@@ -8,20 +8,34 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partseq import (
+    BelowThresholdError,
     PartitionSequence,
     SemanticError,
     Vocabulary,
     World,
+    build_ael_sequences,
+    build_default_sequences,
+    build_poss_sequence,
+    condition,
     enumerate_worlds,
+    extend,
     isomorphic,
     preference_view,
     sequence_from_json,
     sequence_to_json,
+    threshold,
     validate_structure,
 )
 from partseq.logic import TruthTable
 from partseq.sequences import class_masks, render_json
-from genkit import per_world_structure
+from genkit import (
+    per_world_structure,
+    random_default_theory,
+    random_formula,
+    random_possibilistic_kb,
+    random_premises,
+    random_space,
+)
 
 
 def world_of(vocab, trues, weight=1):
@@ -34,7 +48,7 @@ def worlds(pq):
 
 
 def seq_of(vocab, classes, kind="default"):
-    return PartitionSequence(
+    return PartitionSequence.of_classes(
         classes=tuple(frozenset(c) for c in classes), vocab=vocab, kind=kind
     )
 
@@ -106,7 +120,7 @@ def corrupted(rng, vocab, worlds):
         classes = [list(map(moved, cls)) for cls in classes]
     # a frozenset keeps the first of equal worlds, so the duplicates within a
     # class that the faults made drop out as a class becomes a set
-    return PartitionSequence(tuple(map(frozenset, classes)), vocab, "default")
+    return PartitionSequence.of_classes(tuple(map(frozenset, classes)), vocab, "default")
 
 
 class TestMaskStructure:
@@ -240,7 +254,7 @@ class TestSerialization:
                 }
             ),
         )
-        seq = PartitionSequence(classes, pq, "possibility", ("a", "b", ""))
+        seq = PartitionSequence.of_classes(classes, pq, "possibility", ("a", "b", ""))
         back = sequence_from_json(sequence_to_json(seq))
         assert back == seq
         weights = {
@@ -250,7 +264,7 @@ class TestSerialization:
         assert weights[frozenset({"q"})] == Fraction(1, 3)
 
     def test_decimal_weights_stay_numbers(self, pq):
-        seq = PartitionSequence(
+        seq = PartitionSequence.of_classes(
             (frozenset(), frozenset({world_of(pq, ["p"], Fraction("0.3"))}),),
             pq,
             "conditional",
@@ -258,7 +272,7 @@ class TestSerialization:
         text = sequence_to_json(seq)
         assert '"weight": 0.3' in text
         # only false assignments elsewhere; the odd rational becomes a string
-        seq2 = PartitionSequence(
+        seq2 = PartitionSequence.of_classes(
             (frozenset(), frozenset({world_of(pq, ["p"], Fraction(1, 3))}),),
             pq,
             "conditional",
@@ -267,7 +281,7 @@ class TestSerialization:
 
     def test_empty_classes_preserved(self, pq, worlds=None):
         worlds = enumerate_worlds(pq)
-        seq = PartitionSequence(
+        seq = PartitionSequence.of_classes(
             (frozenset(), frozenset(worlds), frozenset()), pq, "default", ("", "r1", "")
         )
         back = sequence_from_json(sequence_to_json(seq))
@@ -276,19 +290,81 @@ class TestSerialization:
 
     def test_deterministic_bytes(self, pq):
         worlds = enumerate_worlds(pq)
-        seq = PartitionSequence((frozenset(), frozenset(worlds)), pq, "default")
+        seq = PartitionSequence.of_classes((frozenset(), frozenset(worlds)), pq, "default")
         assert sequence_to_json(seq) == sequence_to_json(seq)
 
     def test_provenance_length_enforced(self, pq):
         with pytest.raises(ValueError):
-            PartitionSequence(
+            PartitionSequence.of_classes(
                 (frozenset(), frozenset()), pq, "default", provenance=("x",)
             )
 
     def test_unknown_kind_rejected(self, pq):
         with pytest.raises(ValueError):
-            PartitionSequence((frozenset(),), pq, "bogus")
+            PartitionSequence.of_classes((frozenset(),), pq, "bogus")
 
     def test_render_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             render_json(object())
+
+
+def built(rng) -> list[PartitionSequence]:
+    """Sequences from each builder, and from conditioning, extending and
+    thresholding, on random bases."""
+    space = random_space(rng)
+    conds = [random_formula(rng, space.vocab.names, 2) for _ in range(2)]
+    seqs = build_default_sequences(random_default_theory(rng))
+    seqs += build_ael_sequences(random_premises(rng))
+    poss = build_poss_sequence(random_possibilistic_kb(rng))
+    seqs += [poss] if isinstance(poss, PartitionSequence) else []
+    seqs += [condition(space, conds), extend(condition(space, conds), conds[0])]
+    try:
+        seqs.append(threshold(space, 1, conds))
+    except BelowThresholdError:  # no mass left at some step
+        pass
+    return seqs
+
+
+class TestClassView:
+    """A sequence is its table and class masks; its World classes are
+    built on first read."""
+
+    def test_classes_built_when_read(self):
+        rng = random.Random(454647)
+        for _ in range(60):
+            for seq in built(rng):
+                assert "classes" not in seq.__dict__
+                classes = seq.classes
+                assert seq.classes is classes
+                for i, mask in enumerate(seq.masks):
+                    assert classes[i] == seq.table.worlds(mask)
+
+
+class TestValueSemantics:
+    """Sequences compare by kind, vocabulary, provenance and classes."""
+
+    def test_round_trip_is_equal_with_equal_hash(self):
+        rng = random.Random(484950)
+        for _ in range(60):
+            seqs = built(rng)
+            back = [sequence_from_json(sequence_to_json(seq)) for seq in seqs]
+            for seq, again in zip(seqs, back):
+                assert seq == again and hash(seq) == hash(again)
+            assert set(seqs) == set(back)
+            assert len(set(seqs)) == len(set(map(sequence_to_json, seqs)))
+
+    def test_kind_provenance_or_one_class_tell_apart(self):
+        rng = random.Random(515253)
+        for _ in range(60):
+            for seq in built(rng):
+                table, masks, kind, labels = seq.table, seq.masks, seq.kind, seq.provenance
+                other = "default" if kind == "possibility" else "possibility"
+                assert seq != PartitionSequence(table, masks, other, labels)
+                relabelled = (*labels[:-1], labels[-1] + "x")
+                assert seq != PartitionSequence(table, masks, kind, relabelled)
+                classes = list(seq.classes)
+                i = next(i for i, cls in enumerate(classes) if cls)
+                classes[i] = classes[i] - {min(classes[i], key=World.bits)}
+                assert seq != PartitionSequence.of_classes(classes, seq.vocab, kind, labels)
+                reweighed = [[w.reweighted(2 * w.weight + 1) for w in c] for c in seq.classes]
+                assert seq == PartitionSequence.of_classes(reweighed, seq.vocab, kind, labels)
