@@ -14,7 +14,6 @@ from itertools import product
 
 from .errors import ResourceLimitError
 from .logic import (
-    DEFAULT_WORLD_CAP,
     Formula,
     Kernel,
     ModalFormula,
@@ -34,7 +33,8 @@ from .sequences import (
 )
 
 # The expansion search guesses belief values for the distinct formulas
-# appearing under L, so it is exponential in their number.
+# appearing under L, so it is exponential in their number and refuses
+# premises with more of them than this.
 DEFAULT_GUESS_CAP = 16
 
 
@@ -99,7 +99,6 @@ def _licensed(compiled: list[_Premise], believed: tuple[bool, ...]) -> list[Item
 def omega_operator(
     premises: AelPremises,
     kernel: Kernel,
-    max_names: int = DEFAULT_WORLD_CAP,
 ) -> Kernel:
     """The least kernel containing the conclusions the belief set licenses.
 
@@ -109,14 +108,14 @@ def omega_operator(
     """
     if not kernel.is_consistent:
         raise ValueError("the belief operator is defined for consistent kernels only")
-    table = TruthTable(premises.vocab, max_names)
+    table = TruthTable(premises.vocab)
     conditions, compiled = _compile(premises, _guess_formulas(premises), table)
     believed = _beliefs(conditions, table.mask_of(kernel.worlds))
     value = close(table.full, _licensed(compiled, believed))
     return Kernel(table.worlds(value), premises.vocab)
 
 
-def forced_inconsistency(premises: AelPremises, max_names: int = DEFAULT_WORLD_CAP) -> bool:
+def forced_inconsistency(premises: AelPremises) -> bool:
     """Whether the premises are contradictory regardless of beliefs.
 
     Premises without negative belief conditions fire under total belief,
@@ -125,12 +124,10 @@ def forced_inconsistency(premises: AelPremises, max_names: int = DEFAULT_WORLD_C
     consistent kernels only; this flag covers the remaining case.
     """
     hard = conjoin(pm.gamma for pm in premises.formulas if not pm.betas)
-    return TruthTable(premises.vocab, max_names).mask(hard) == 0
+    return TruthTable(premises.vocab).mask(hard) == 0
 
 
-def _search(
-    premises: AelPremises, max_names: int, max_guesses: int
-) -> tuple[TruthTable, list[int], list[_Premise], list[int]]:
+def _search(premises: AelPremises) -> tuple[TruthTable, list[int], list[_Premise], list[int]]:
     """The truth table, the guess formulas' masks, the compiled premises
     and the consistent expansions' model sets, in order.
 
@@ -140,12 +137,12 @@ def _search(
     is exactly the fixed-point property.
     """
     guesses = _guess_formulas(premises)
-    if len(guesses) > max_guesses:
+    if len(guesses) > DEFAULT_GUESS_CAP:
         raise ResourceLimitError(
             f"premises mention {len(guesses)} distinct belief conditions; "
-            f"expansion search is capped at {max_guesses}"
+            f"expansion search is capped at {DEFAULT_GUESS_CAP}"
         )
-    table = TruthTable(premises.vocab, max_names)
+    table = TruthTable(premises.vocab)
     conditions, compiled = _compile(premises, guesses, table)
     found = []
     seen: set[int] = set()
@@ -160,19 +157,15 @@ def _search(
 
 def stable_expansions(
     premises: AelPremises,
-    max_names: int = DEFAULT_WORLD_CAP,
-    max_guesses: int = DEFAULT_GUESS_CAP,
 ) -> list[Kernel]:
     """All consistent fixed points of the belief operator, deduplicated by
     model set and deterministically ordered."""
-    table, _, _, found = _search(premises, max_names, max_guesses)
+    table, _, _, found = _search(premises)
     return [Kernel(table.worlds(k), premises.vocab) for k in found]
 
 
 def build_ael_sequences(
     premises: AelPremises,
-    max_names: int = DEFAULT_WORLD_CAP,
-    max_guesses: int = DEFAULT_GUESS_CAP,
     order_limit: int = DEFAULT_ORDER_LIMIT,
 ) -> list[PartitionSequence]:
     """Sequences witnessing each consistent stable expansion.
@@ -183,7 +176,7 @@ def build_ael_sequences(
     Orders are explored under the shared ``order_limit`` budget of
     :func:`~partseq.sequences.peel_sequences`.
     """
-    table, conditions, compiled, found = _search(premises, max_names, max_guesses)
+    table, conditions, compiled, found = _search(premises)
     item_lists = [_licensed(compiled, _beliefs(conditions, k)) for k in found]
     return peel_sequences("autoepistemic", table, 0, table.full, item_lists, order_limit)
 
@@ -191,7 +184,6 @@ def build_ael_sequences(
 def check_ael_sequence(
     premises: AelPremises,
     seq: PartitionSequence,
-    max_names: int = DEFAULT_WORLD_CAP,
     strict: bool = False,
 ) -> list[Violation]:
     """Every violated clause of the belief-sequence conditions.
@@ -207,7 +199,7 @@ def check_ael_sequence(
     for comparison. A sequence of another kind, or one that is no
     partition of the worlds, gets only those violations.
     """
-    table = TruthTable(premises.vocab, max_names)
+    table = TruthTable(premises.vocab)
     masks, problems = class_masks(seq, "autoepistemic", table)
     if problems:
         return problems

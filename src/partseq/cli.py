@@ -21,9 +21,11 @@ by the whole space's mass rather than the mass still in play.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import autoepistemic as ael
 from . import defaults, probability
@@ -71,7 +73,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; each command names its handler as
+    ``run``."""
     parser = _Parser(prog="partseq", description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
@@ -85,22 +90,32 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--strict", action="store_true", default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="group", required=True)
 
-    for group, what, search in (
-        ("default", "default-rule theories (.dl)", "extensions"),
-        ("ael", "belief premises (.ael)", "expansions"),
+    def command(sub, name, run, *positionals, **kwargs) -> _Parser:
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(run=run)
+        for positional in positionals:
+            p.add_argument(positional)
+        return p
+
+    sub = parser.add_subparsers(dest="group", required=True)
+    for group, what, search, run in (
+        ("default", "default-rule theories (.dl)", "extensions", _cmd_default_extensions),
+        ("ael", "belief premises (.ael)", "expansions", _cmd_ael_expansions),
     ):
         g_sub = sub.add_parser(group, help=what).add_subparsers(dest="action", required=True)
-        g_sub.add_parser(search, parents=[common]).add_argument("kb")
-        g_sub.add_parser("sequences", parents=[common]).add_argument("kb")
-        _add_check(g_sub, common)
+        command(g_sub, search, run, "kb")
+        command(g_sub, "sequences", _cmd_sequences, "kb")
+        command(g_sub, "check", _cmd_check, "kb", "sequence")
 
     p_prob = sub.add_parser("prob", help="weighted sample spaces (.prob)")
     pr_sub = p_prob.add_subparsers(dest="action", required=True)
-    for name in ("condition", "threshold", "query"):
-        p = pr_sub.add_parser(name, parents=[common])
-        p.add_argument("kb")
+    for name, run in (
+        ("condition", _cmd_prob_condition),
+        ("threshold", _cmd_prob_threshold),
+        ("query", _cmd_prob_query),
+    ):
+        p = command(pr_sub, name, run, "kb")
         p.add_argument(
             "--on",
             action="append",
@@ -115,37 +130,27 @@ def _build_parser() -> _Parser:
 
     p_poss = sub.add_parser("poss", help="possibilistic bases (.poss)")
     po_sub = p_poss.add_subparsers(dest="action", required=True)
-    po_sub.add_parser("build", parents=[common]).add_argument("kb")
-    p = po_sub.add_parser("query", parents=[common])
-    p.add_argument("kb")
+    command(po_sub, "build", _cmd_poss_build, "kb")
+    p = command(po_sub, "query", _cmd_poss_query, "kb")
     p.add_argument("--query", required=True, metavar="FORMULA")
-    _add_check(po_sub, common)
+    command(po_sub, "check", _cmd_check, "kb", "sequence")
 
-    p = sub.add_parser("worlds", parents=[common], help="list a knowledge base's worlds")
-    p.add_argument("kb")
-    p = sub.add_parser("explain", parents=[common], help="pretty-print a sequence JSON file")
-    p.add_argument("sequence")
+    command(sub, "worlds", _cmd_worlds, "kb", help="list a knowledge base's worlds")
+    command(sub, "explain", _cmd_explain, "sequence", help="pretty-print a sequence JSON file")
     return parser
-
-
-def _add_check(group_sub, common):
-    p = group_sub.add_parser("check", parents=[common])
-    p.add_argument("kb")
-    p.add_argument("sequence")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the exit code instead of raising SystemExit."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     out = _Output(json_mode=args.json)
     try:
-        code = _dispatch(args, out)
+        code = args.run(args, out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -164,9 +169,14 @@ class _Output:
         self.lines: list[str] = []
         self.envelope: dict = {}
 
-    def say(self, text: str):
+    def say(self, *lines: str):
+        self.say_all(lines)
+
+    def say_all(self, lines: Iterable[str]):
+        """Keeps ``lines`` in text mode; in JSON mode they are never read,
+        so a generator of them formats nothing."""
         if not self.json_mode:
-            self.lines.append(text)
+            self.lines.extend(lines)
 
     def record(self, command: str, inputs: dict, result: dict, sequences=None):
         if self.json_mode:
@@ -219,41 +229,13 @@ def _kernel_text(kernel: Kernel) -> str:
     return ", ".join(_world_text(w) for w in sorted(kernel.worlds, key=World.bits))
 
 
-def _say_sequence(out: _Output, seq: PartitionSequence, head="sequence:", weighed=False):
+def _sequence_lines(seq: PartitionSequence, head="sequence:", weighed=False) -> Iterator[str]:
     """``head``, then a line per class; ``weighed`` adds each class's weight."""
-    out.say(head)
+    yield head
     for i, cls in enumerate(seq.classes):
         origin = f"   (from {seq.provenance[i]})" if seq.provenance[i] else ""
         mass = f"   weight {format_fraction(seq.table.mass(seq.masks[i]))}" if weighed else ""
-        out.say(f"  W{i} = {_class_text(cls)}{mass}{origin}")
-
-
-def _parse_cli_formula(text: str, doc: KbDocument) -> Formula:
-    return parse_formula(text, doc.vocab)
-
-
-def _dispatch(args, out: _Output) -> int:
-    group = args.group
-    if group == "worlds":
-        return _cmd_worlds(args, out)
-    if group == "explain":
-        return _cmd_explain(args, out)
-    action = args.action
-    handler = {
-        ("default", "extensions"): _cmd_default_extensions,
-        ("default", "sequences"): _cmd_sequences,
-        ("default", "check"): _cmd_check,
-        ("ael", "expansions"): _cmd_ael_expansions,
-        ("ael", "sequences"): _cmd_sequences,
-        ("ael", "check"): _cmd_check,
-        ("prob", "condition"): _cmd_prob_condition,
-        ("prob", "threshold"): _cmd_prob_threshold,
-        ("prob", "query"): _cmd_prob_query,
-        ("poss", "build"): _cmd_poss_build,
-        ("poss", "query"): _cmd_poss_query,
-        ("poss", "check"): _cmd_check,
-    }[(group, action)]
-    return handler(args, out)
+        yield f"  W{i} = {_class_text(cls)}{mass}{origin}"
 
 
 # -- default ----------------------------------------------------------------
@@ -275,16 +257,21 @@ def _cmd_default_extensions(args, out) -> int:
     if not kernels:
         out.say("no extension")
         return EXIT_NEGATIVE
-    for i, k in enumerate(kernels, 1):
-        out.say(f"extension {i}: {_kernel_text(k)}")
+    out.say_all(f"extension {i}: {_kernel_text(k)}" for i, k in enumerate(kernels, 1))
     return EXIT_OK
 
 
 # -- sequences and checks shared by several groups ----------------------------
 
 _BUILDERS = {
-    "default": (defaults.build_default_sequences, "the theory has no consistent extension"),
-    "ael": (ael.build_ael_sequences, "the premises have no consistent stable expansion"),
+    "default": (
+        defaults.build_default_sequences,
+        "no sequence: the theory has no consistent extension",
+    ),
+    "ael": (
+        ael.build_ael_sequences,
+        "no sequence: the premises have no consistent stable expansion",
+    ),
 }
 
 _CHECKERS = {
@@ -300,10 +287,11 @@ def _cmd_sequences(args, out) -> int:
     seqs = build(_read_kb(args.kb, args.group).body)
     out.record(f"{args.group} sequences", {"kb": args.kb}, {"count": len(seqs)}, seqs)
     if not seqs:
-        out.say(f"no sequence: {missing}")
+        out.say(missing)
         return EXIT_NEGATIVE
-    for i, seq in enumerate(seqs, 1):
-        _say_sequence(out, seq, f"sequence {i}:")
+    out.say_all(
+        line for i, seq in enumerate(seqs, 1) for line in _sequence_lines(seq, f"sequence {i}:")
+    )
     return EXIT_OK
 
 
@@ -314,8 +302,7 @@ def _cmd_check(args, out) -> int:
     result = {"ok": not problems, "violations": [str(p) for p in problems]}
     out.record(f"{args.group} check", {"kb": args.kb, "sequence": args.sequence}, result)
     if problems:
-        for p in problems:
-            out.say(f"violation: {p}")
+        out.say_all(f"violation: {p}" for p in problems)
         return EXIT_NEGATIVE
     out.say("ok")
     return EXIT_OK
@@ -341,8 +328,7 @@ def _cmd_ael_expansions(args, out) -> int:
         if forced:
             out.say("note: the premises are contradictory under any beliefs")
         return EXIT_NEGATIVE
-    for i, k in enumerate(kernels, 1):
-        out.say(f"expansion kernel {i}: {_kernel_text(k)}")
+    out.say_all(f"expansion kernel {i}: {_kernel_text(k)}" for i, k in enumerate(kernels, 1))
     return EXIT_OK
 
 
@@ -352,7 +338,7 @@ def _cmd_ael_expansions(args, out) -> int:
 def _conditions(args, doc) -> list[Formula]:
     if not args.on:
         raise _UsageError("at least one --on formula is required")
-    return [_parse_cli_formula(text, doc) for text in args.on]
+    return [parse_formula(text, doc.vocab) for text in args.on]
 
 
 def _cmd_prob_condition(args, out) -> int:
@@ -361,7 +347,7 @@ def _cmd_prob_condition(args, out) -> int:
     out.record(
         "prob condition", {"kb": args.kb, "on": list(args.on)}, {"classes": len(seq.masks)}, [seq]
     )
-    _say_sequence(out, seq)
+    out.say_all(_sequence_lines(seq))
     return EXIT_OK
 
 
@@ -391,14 +377,14 @@ def _cmd_prob_threshold(args, out) -> int:
         {"accepted": True},
         [seq],
     )
-    _say_sequence(out, seq)
+    out.say_all(_sequence_lines(seq))
     return EXIT_OK
 
 
 def _cmd_prob_query(args, out) -> int:
     doc = _read_kb(args.kb, "prob")
     conds = _conditions(args, doc)
-    psi = _parse_cli_formula(args.query, doc)
+    psi = parse_formula(args.query, doc.vocab)
     inputs = {"kb": args.kb, "on": list(args.on), "query": args.query}
     eps = None
     if args.eps is not None:
@@ -414,7 +400,7 @@ def _cmd_prob_query(args, out) -> int:
     out.record(
         "prob query", inputs, {"defined": True, "value": found.value}, [found.sequence]
     )
-    out.say(format_fraction(found.value))
+    out.say_all(map(format_fraction, [found.value]))
     return EXIT_OK
 
 
@@ -431,17 +417,16 @@ def _cmd_poss_build(args, out) -> int:
             {"consistent": False, "violations": [str(v) for v in built.violations]},
         )
         out.say("inconsistent possibilistic base:")
-        for v in built.violations:
-            out.say(f"  {v}")
+        out.say_all(f"  {v}" for v in built.violations)
         return EXIT_NEGATIVE
     out.record("poss build", {"kb": args.kb}, {"consistent": True}, [built])
-    _say_sequence(out, built)
+    out.say_all(_sequence_lines(built))
     return EXIT_OK
 
 
 def _cmd_poss_query(args, out) -> int:
     doc = _read_kb(args.kb, "poss")
-    phi = _parse_cli_formula(args.query, doc)
+    phi = parse_formula(args.query, doc.vocab)
     built = build_poss_sequence(doc.body)
     if isinstance(built, InconsistencyReport):
         out.record(
@@ -449,7 +434,7 @@ def _cmd_poss_query(args, out) -> int:
             {"kb": args.kb, "query": args.query},
             {"consistent": False, "violations": [str(v) for v in built.violations]},
         )
-        out.say(f"inconsistent possibilistic base: {built}")
+        out.say_all(map("inconsistent possibilistic base: {}".format, [built]))
         return EXIT_NEGATIVE
     pi = possibility_of(built, phi)
     nec = necessity(built, phi)
@@ -459,8 +444,10 @@ def _cmd_poss_query(args, out) -> int:
         {"consistent": True, "possibility": pi, "necessity": nec},
         [built],
     )
-    out.say(f"possibility: {format_fraction(pi)}")
-    out.say(f"necessity: {format_fraction(nec)}")
+    out.say_all(
+        f"{name}: {format_fraction(value)}"
+        for name, value in (("possibility", pi), ("necessity", nec))
+    )
     return EXIT_OK
 
 
@@ -490,8 +477,7 @@ def _cmd_worlds(args, out) -> int:
         {"kb": args.kb},
         {"vocab": list(doc.vocab.names), "worlds": [world_to_obj(w) for w in worlds]},
     )
-    for w in worlds:
-        out.say(_world_text(w))
+    out.say_all(map(_world_text, worlds))
     return EXIT_OK
 
 
@@ -510,12 +496,16 @@ def _cmd_explain(args, out) -> int:
         },
         [seq],
     )
-    head = f"{seq.kind} sequence over {{{', '.join(seq.vocab.names)}}}"
-    _say_sequence(out, seq, head, any(w.weight != 1 for w in seq.all_worlds))
-    out.say("preference chain (most preferred last):")
-    for i, m in enumerate(chain.models):
-        out.say(f"  M{i} = {_class_text(m)}")
+    out.say_all(_explain_lines(seq, chain))
     return EXIT_OK
+
+
+def _explain_lines(seq: PartitionSequence, chain) -> Iterator[str]:
+    head = f"{seq.kind} sequence over {{{', '.join(seq.vocab.names)}}}"
+    yield from _sequence_lines(seq, head, any(w.weight != 1 for w in seq.all_worlds))
+    yield "preference chain (most preferred last):"
+    for i, m in enumerate(chain.models):
+        yield f"  M{i} = {_class_text(m)}"
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from functools import partial
 
 from .errors import ResourceLimitError
 from .logic import (
-    DEFAULT_WORLD_CAP,
     Formula,
     Kernel,
     TruthTable,
@@ -35,7 +34,8 @@ from .sequences import (
     peel_sequences,
 )
 
-# Candidate extensions are searched over subsets of the rule set.
+# Candidate extensions are searched over subsets of the rule set, so the
+# search refuses a theory with more rules than this.
 DEFAULT_RULE_CAP = 16
 
 
@@ -101,21 +101,18 @@ def _licensed(rules: list[_Rule], pool: int) -> list[Item]:
 def gamma_operator(
     theory: DefaultTheory,
     candidate: frozenset[World],
-    max_names: int = DEFAULT_WORLD_CAP,
 ) -> frozenset[World]:
     """Model set of the operator value at ``candidate``: the closure of
     the facts' models under the rules whose justifications are each
     consistent with the candidate theory (no ~beta_i holds throughout
     ``candidate``), the least fixed point of applying them.
     """
-    table = TruthTable(theory.vocab, max_names)
+    table = TruthTable(theory.vocab)
     licensed = _licensed(_compile(theory, table), table.mask_of(candidate))
     return table.worlds(close(table.mask(theory.fact_formula), licensed))
 
 
-def _search(
-    theory: DefaultTheory, max_names: int, max_rules: int
-) -> tuple[TruthTable, list[_Rule], int, list[int]]:
+def _search(theory: DefaultTheory) -> tuple[TruthTable, list[_Rule], int, list[int]]:
     """The truth table, the compiled rules, the fact models and the
     extensions' model sets, in order.
 
@@ -124,12 +121,12 @@ def _search(
     models with rule conclusions and keeping each candidate equal to its
     operator value finds exactly the fixed points.
     """
-    if len(theory.rules) > max_rules:
+    if len(theory.rules) > DEFAULT_RULE_CAP:
         raise ResourceLimitError(
             f"theory has {len(theory.rules)} rules; extension search is "
-            f"capped at {max_rules}"
+            f"capped at {DEFAULT_RULE_CAP}"
         )
-    table = TruthTable(theory.vocab, max_names)
+    table = TruthTable(theory.vocab)
     rules = _compile(theory, table)
     facts = table.mask(theory.fact_formula)
     candidates = {facts}
@@ -142,22 +139,18 @@ def _search(
 
 def extensions(
     theory: DefaultTheory,
-    max_names: int = DEFAULT_WORLD_CAP,
-    max_rules: int = DEFAULT_RULE_CAP,
 ) -> list[Kernel]:
     """All fixed points of the operator, as kernels, deterministically ordered.
 
     The inconsistent extension (empty model set) appears alone when the
     facts themselves are unsatisfiable.
     """
-    table, _, _, found = _search(theory, max_names, max_rules)
+    table, _, _, found = _search(theory)
     return [Kernel(table.worlds(m), theory.vocab) for m in found]
 
 
 def build_default_sequences(
     theory: DefaultTheory,
-    max_names: int = DEFAULT_WORLD_CAP,
-    max_rules: int = DEFAULT_RULE_CAP,
     order_limit: int = DEFAULT_ORDER_LIMIT,
 ) -> list[PartitionSequence]:
     """Sequences witnessing each extension of ``theory``.
@@ -171,7 +164,7 @@ def build_default_sequences(
     :func:`~partseq.sequences.peel_sequences`. The inconsistent extension,
     having no worlds to end on, gets no sequence.
     """
-    table, rules, facts, found = _search(theory, max_names, max_rules)
+    table, rules, facts, found = _search(theory)
     item_lists = [_licensed(rules, e) for e in found if e]
     return peel_sequences(
         "default", table, table.full & ~facts, facts, item_lists, order_limit
@@ -181,7 +174,6 @@ def build_default_sequences(
 def check_default_sequence(
     theory: DefaultTheory,
     seq: PartitionSequence,
-    max_names: int = DEFAULT_WORLD_CAP,
     strict: bool = False,
 ) -> list[Violation]:
     """Every violated clause of the sequence conditions for ``theory``.
@@ -199,7 +191,7 @@ def check_default_sequence(
     sequence of another kind, or one that is no partition of the worlds,
     gets only those violations.
     """
-    table = TruthTable(theory.vocab, max_names)
+    table = TruthTable(theory.vocab)
     masks, problems = class_masks(seq, "default", table)
     if problems:
         return problems

@@ -28,7 +28,7 @@ class SemanticError(PartseqError):
 
 
 class ResourceLimitError(PartseqError):
-    """A configurable size cap was exceeded. The message names the cap."""
+    """A size cap was exceeded. The message names the cap."""
 
 
 class UndefinedConditionalError(PartseqError):

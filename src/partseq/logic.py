@@ -20,7 +20,8 @@ from .errors import ParseError, ResourceLimitError, SemanticError
 from .rationals import Rational, as_fraction
 
 # Exhaustive world enumeration is O(2^n); this is the practical desk-scale
-# ceiling. Every enumerating operation takes it as an overridable argument.
+# ceiling. The dense TruthTable, which every enumerating operation builds,
+# checks it before allocating anything.
 DEFAULT_WORLD_CAP = 20
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -126,22 +127,14 @@ class World:
         return inner
 
 
-def _check_cap(vocab: Vocabulary, max_names: int) -> None:
-    if len(vocab) > max_names:
-        raise ResourceLimitError(
-            f"vocabulary has {len(vocab)} constants; exhaustive world "
-            f"enumeration is capped at {max_names}"
-        )
-
-
-def enumerate_worlds(vocab: Vocabulary, max_names: int = DEFAULT_WORLD_CAP) -> list[World]:
+def enumerate_worlds(vocab: Vocabulary) -> list[World]:
     """All 2^n interpretations of ``vocab``, each with weight 1.
 
     These are the worlds of the vocabulary's truth table in index order:
     binary counting over the vocabulary order (first name most
     significant), so deterministic and duplicate-free.
     """
-    table = TruthTable(vocab, max_names)
+    table = TruthTable(vocab)
     return table.world_list(table.full)
 
 
@@ -275,14 +268,13 @@ def entails(
     premises: Iterable[Formula],
     phi: Formula,
     vocab: Vocabulary,
-    max_names: int = DEFAULT_WORLD_CAP,
 ) -> bool:
     """Semantic entailment by exhaustive model checking.
 
     Sound and complete over the finite vocabulary: true iff every world
     satisfying all premises satisfies ``phi``.
     """
-    table = TruthTable(vocab, max_names)
+    table = TruthTable(vocab)
     return table.mask(conjoin(premises)) & ~table.mask(phi) == 0
 
 
@@ -323,7 +315,8 @@ class TruthTable:
 
     The dense form, ``TruthTable(vocab)``, lists all 2^n worlds of the
     vocabulary in the order of :func:`enumerate_worlds`, each of weight 1
-    and built on first use. The listed form, ``TruthTable(vocab,
+    and built on first use; it refuses a vocabulary of more than
+    ``DEFAULT_WORLD_CAP`` constants. The listed form, ``TruthTable(vocab,
     worlds=...)``, lists the given worlds in the given order, weights
     included. Its atom masks are read off those worlds, so it has no cap:
     a lottery over 2000 constants has only 2000 worlds.
@@ -335,13 +328,16 @@ class TruthTable:
     def __init__(
         self,
         vocab: Vocabulary,
-        max_names: int = DEFAULT_WORLD_CAP,
         worlds: Iterable[World] | None = None,
     ):
         self.vocab = vocab
         self.dense = worlds is None
         if self.dense:
-            _check_cap(vocab, max_names)
+            if len(vocab) > DEFAULT_WORLD_CAP:
+                raise ResourceLimitError(
+                    f"vocabulary has {len(vocab)} constants; exhaustive world "
+                    f"enumeration is capped at {DEFAULT_WORLD_CAP}"
+                )
             self._worlds: dict[int, World] = {}
             self.size = 1 << len(vocab)
         else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .logic import DEFAULT_WORLD_CAP, Formula, Not, TruthTable, Vocabulary, format_formula
+from .logic import Formula, Not, TruthTable, Vocabulary, format_formula
 from .sequences import PartitionSequence, Violation, class_masks
 
 # Class weight totals are compared within this tolerance so that checked
@@ -96,9 +96,7 @@ def _gaps(kb: PossibilisticKB) -> list[Fraction]:
     return [high - low for low, high in zip(values, values[1:])]
 
 
-def build_poss_sequence(
-    kb: PossibilisticKB, max_names: int = DEFAULT_WORLD_CAP
-) -> PartitionSequence | InconsistencyReport:
+def build_poss_sequence(kb: PossibilisticKB) -> PartitionSequence | InconsistencyReport:
     """The possibility sequence of ``kb``, or why there is none.
 
     Classes are built per level in increasing possibility order, the final
@@ -106,7 +104,7 @@ def build_poss_sequence(
     uniformly over its worlds; any split meeting the totals would do, the
     uniform one keeps the builder deterministic.
     """
-    table = TruthTable(kb.vocab, max_names)
+    table = TruthTable(kb.vocab)
     classes, problems = _levels(kb, table)
     gaps = _gaps(kb)
     if not classes[-1] and gaps[-1] > 0:
@@ -134,7 +132,6 @@ def build_poss_sequence(
 def check_poss_sequence(
     kb: PossibilisticKB,
     seq: PartitionSequence,
-    max_names: int = DEFAULT_WORLD_CAP,
 ) -> list[Violation]:
     """Every violated clause of the possibility-sequence conditions.
 
@@ -143,7 +140,7 @@ def check_poss_sequence(
     level's gap (within a small tolerance). A sequence of another kind
     gets a single ``kind`` violation.
     """
-    table = TruthTable(kb.vocab, max_names)
+    table = TruthTable(kb.vocab)
     masks, structural = class_masks(seq, "possibility", table)
     if structural:
         return structural

@@ -120,18 +120,26 @@ class PreferenceChain:
 def _partition(seq: PartitionSequence, table: TruthTable) -> tuple[list[int], list[Violation]]:
     """The class masks of ``seq`` in ``table`` and every violated clause of
     ``seq`` partitioning its worlds, by ``&`` and ``|`` on masks; a world
-    outside the table gets a bit past it, and reports build worlds."""
+    outside the table gets a bit past it, and reports build worlds.
+
+    When both tables are the dense one of the same vocabulary, bit i is
+    world i in each, so the sequence's masks are used as they are."""
     problems = []
     if len(seq.masks) < 2:
         problems.append(Violation("length", "a partition sequence has at least two classes"))
+    same = seq.table.dense and table.dense and seq.vocab == table.vocab
     foreign: dict[World, int] = {}
     masks, union = [], 0
     for i, own in enumerate(seq.masks):
-        at = {}
-        for w in seq.table.world_list(own):
-            k = table.index(w)
-            at[foreign.setdefault(w, table.size + len(foreign)) if k is None else k] = w
-        mask = _from_bits(at, table.size + len(foreign))
+        if same:
+            mask = own
+            at = dict(zip(_set_bits(own & union), table.world_list(own & union)))
+        else:
+            at = {}
+            for w in seq.table.world_list(own):
+                k = table.index(w)
+                at[foreign.setdefault(w, table.size + len(foreign)) if k is None else k] = w
+            mask = _from_bits(at, table.size + len(foreign))
         for k in sorted(_set_bits(mask & union), key=lambda k: at[k].bits()):
             first = next(j for j, m in enumerate(masks) if m >> k & 1)
             message = f"world {at[k]!r} appears in classes {first} and {i}"
@@ -346,19 +354,24 @@ def check_peels(
 # truth values in vocabulary order, so output bytes are deterministic.
 
 
-def _render(value, indent: int) -> str:
+def _render(value, indent: int, keys: dict[str, str]) -> str:
+    """``value`` as JSON text; ``keys`` memoises the encoded dict keys,
+    which repeat once per world."""
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            f'{pad}  {json.dumps(k)}: {_render(v, indent + 2)}' for k, v in value.items()
-        ]
+        items = []
+        for k, v in value.items():
+            key = keys.get(k)
+            if key is None:
+                key = keys[k] = json.dumps(k)
+            items.append(f"{pad}  {key}: {_render(v, indent + 2, keys)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(value, list):
         if not value:
             return "[]"
-        items = [f"{pad}  {_render(v, indent + 2)}" for v in value]
+        items = [f"{pad}  {_render(v, indent + 2, keys)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -376,7 +389,7 @@ def _render(value, indent: int) -> str:
 
 def render_json(value) -> str:
     """Deterministic JSON text with exact rational weights."""
-    return _render(value, 0) + "\n"
+    return _render(value, 0, {}) + "\n"
 
 
 def world_to_obj(world: World) -> dict:

@@ -155,6 +155,14 @@ class TestWorldCap:
             with pytest.raises(ResourceLimitError, match="capped at 20"):
                 run()
 
+    def test_twenty_constants_sequences_check_clean_as_masks(self):
+        premises = self.premises(self.NAMES)
+        seqs = build_ael_sequences(premises, order_limit=5)
+        assert len(seqs) == 5
+        for seq in seqs:
+            assert check_ael_sequence(premises, seq) == []
+            assert "classes" not in seq.__dict__ and not seq.table._worlds
+
 
 class TestBuildSequences:
     def test_published_classes(self, introspective_premises, pq):

@@ -11,7 +11,7 @@ import pytest
 
 import partseq
 from partseq import lottery_space, sequence_from_json
-from partseq.cli import main
+from partseq.cli import _build_parser, main
 from partseq.kbformats import KbDocument, serialize_kb
 from partseq.logic import MAX_FORMULA_DEPTH
 from partseq.sequences import render_json
@@ -372,6 +372,55 @@ class TestExitCodes:
         big.write_text(f"vocab: {names}\nfact: x0\n")
         code, _, err = run(capsys, "default", "extensions", big)
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "vocab: " + " ".join(f"c{i}" for i in range(21)) + "\nfact: c0\n",
+            "vocab: p\n" + "".join(f"rule r{i}: true : M p / p\n" for i in range(17)),
+        ],
+        ids=["21 constants", "17 rules"],
+    )
+    def test_cap_is_one_error_line(self, capsys, tmp_path, text):
+        big = tmp_path / "big.dl"
+        big.write_text(text)
+        code, out, err = run(capsys, "default", "extensions", big)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "capped at " in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestSharedParser:
+    """One parser serves every call of ``main`` in a process, so no call
+    may leave anything behind for the next."""
+
+    def test_same_answers_forwards_and_backwards(self, kbdir, capsys):
+        rivals, weather = kbdir / "rivals.dl", kbdir / "weather.prob"
+        seq_file = kbdir / "seq.json"
+        _, out, _ = run(capsys, "--json", "default", "sequences", rivals)
+        seq_file.write_text(render_json(json.loads(out, parse_float=Fraction)["sequences"][0]))
+        argvs = [
+            ["--json", "default", "sequences", rivals],
+            ["default", "sequences", rivals, "--json"],
+            ["default", "sequences", rivals],
+            ["--strict", "default", "check", rivals, seq_file],
+            ["default", "check", rivals, seq_file],
+            ["default", "check", "--strict", rivals, seq_file, "--json"],
+            ["prob", "query", weather, "--on", "p", "--on", "q", "--query", "q"],
+            ["prob", "query", weather, "--on", "p", "--query", "~q", "--eps", "1/2"],
+            ["prob", "threshold", "--strict", weather, "--eps", "1/2", "--on", "p"],
+            ["prob", "threshold", weather, "--eps", "1/2", "--on", "p"],
+            ["prob", "condition", weather],
+            ["prob", "query", weather, "--on", "p &", "--query", "q"],
+            ["default", "bogus", rivals],
+            ["--json", "worlds", weather],
+        ]
+        forwards = [run(capsys, *argv) for argv in argvs]
+        backwards = [run(capsys, *argv) for argv in reversed(argvs)]
+        assert forwards == backwards[::-1]
+        codes = [code for code, _, _ in forwards]
+        assert codes == [0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 3, 2, 3, 0]
+        assert _build_parser.cache_info().misses == 1
 
 
 class TestSequenceDocument:

@@ -155,6 +155,15 @@ class TestWorldCap:
             assert "classes" not in seq.__dict__ and not seq.table._worlds
             assert seq.masks[-1] == extension
 
+    def test_twenty_constants_sequences_check_clean_as_masks(self):
+        # the checker reads the masks of a sequence over its own dense table
+        theory = self.chain(self.NAMES)
+        seqs = build_default_sequences(theory, order_limit=5)
+        assert len(seqs) == 5
+        for seq in seqs:
+            assert check_default_sequence(theory, seq) == []
+            assert "classes" not in seq.__dict__ and not seq.table._worlds
+
 
 class TestBuildSequences:
     def test_rival_theory_published_classes(self, rival_theory, pq):

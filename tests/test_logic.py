@@ -221,6 +221,11 @@ class TestTruthTable:
         with pytest.raises(SemanticError):
             TruthTable(pq).mask(Const("zz"))
 
+    def test_entails_refuses_twenty_one_constants(self):
+        vocab = Vocabulary([f"x{i}" for i in range(21)])
+        with pytest.raises(ResourceLimitError, match="capped at 20"):
+            entails([], Const("x0"), vocab)
+
 
 def per_world_mass(worlds, mask) -> Fraction:
     """The oracle: the weights of the worlds of ``mask`` added one by one."""

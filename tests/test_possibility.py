@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from partseq import (
     FALSE,
     TRUE,
@@ -13,6 +15,7 @@ from partseq import (
     Or,
     PartitionSequence,
     PossibilisticKB,
+    ResourceLimitError,
     Violation,
     Vocabulary,
     World,
@@ -256,6 +259,16 @@ class TestMeasures:
 def weighed(seq):
     """Each class as its set of (truth values, weight) pairs."""
     return [{(w.bits(), w.weight) for w in cls} for cls in seq.classes]
+
+
+class TestWorldCap:
+    def test_twenty_one_constants_refused(self):
+        vocab = Vocabulary([f"c{i}" for i in range(21)])
+        kb = PossibilisticKB(levels=((frozenset([Const("c0")]), Fraction(1, 2)),), vocab=vocab)
+        seq = PartitionSequence.of_classes((frozenset(), frozenset()), vocab, "possibility")
+        for run in (lambda: build_poss_sequence(kb), lambda: check_poss_sequence(kb, seq)):
+            with pytest.raises(ResourceLimitError, match="capped at 20"):
+                run()
 
 
 class TestAgainstBruteForce:

@@ -16,6 +16,8 @@ from partseq import (
     build_ael_sequences,
     build_default_sequences,
     build_poss_sequence,
+    check_ael_sequence,
+    check_default_sequence,
     condition,
     enumerate_worlds,
     extend,
@@ -26,7 +28,8 @@ from partseq import (
     threshold,
     validate_structure,
 )
-from partseq.logic import TruthTable
+from partseq.defaults import DefaultTheory
+from partseq.logic import Const, TruthTable
 from partseq.sequences import class_masks, render_json
 from genkit import (
     per_world_structure,
@@ -153,6 +156,41 @@ class TestMaskStructure:
             "disjointness [class 2]: world {~p, ~q} appears in classes 0 and 2",
         ]
         assert problems == per_world_structure(seq, worlds)
+
+    def test_dense_masks_match_their_json_round_trip(self):
+        # a built sequence keeps the dense table its checker compiles to, so
+        # its masks are read as they are; the round trip lists its worlds
+        rng = random.Random(8128)
+        found = set()
+        for _ in range(200):
+            theory, premises = random_default_theory(rng), random_premises(rng)
+            for kb, check, seqs in (
+                (theory, check_default_sequence, build_default_sequences(theory)),
+                (premises, check_ael_sequence, build_ael_sequences(premises)),
+            ):
+                for seq in seqs:
+                    masks = list(seq.masks)
+                    i, j = rng.randrange(len(masks)), rng.randrange(len(masks))
+                    masks[i] |= rng.getrandbits(seq.table.size)
+                    masks[j] &= rng.getrandbits(seq.table.size)
+                    faulty = PartitionSequence(seq.table, masks, seq.kind, seq.provenance)
+                    back = sequence_from_json(sequence_to_json(faulty))
+                    for strict in (False, True):
+                        problems = check(kb, faulty, strict=strict)
+                        assert problems == check(kb, back, strict=strict)
+                        found |= {p.clause for p in problems}
+        assert {"disjointness", "coverage", "condition 2"} <= found
+
+    def test_dense_masks_over_another_vocabulary_are_looked_up(self, pq):
+        # bit i of the dense table of (q, p) is not world i of (p, q)
+        qp = Vocabulary(["q", "p"])
+        theory = DefaultTheory(rules=(), facts=(Const("p"),), vocab=pq)
+        seq = build_default_sequences(DefaultTheory(rules=(), facts=(Const("p"),), vocab=qp))[0]
+        assert seq.table.dense
+        problems = check_default_sequence(theory, seq)
+        assert [p.clause for p in problems] == ["coverage"] * 8
+        back = sequence_from_json(sequence_to_json(seq))
+        assert problems == check_default_sequence(theory, back)
 
     def test_foreign_vocabulary(self, pq, worlds):
         other = Vocabulary(["q", "p"])
@@ -306,6 +344,67 @@ class TestSerialization:
     def test_render_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             render_json(object())
+
+    def test_render_json_bytes(self):
+        # read off the renderer before dict keys were encoded once per call
+        envelope = {
+            "command": "demo",
+            "inputs": {"kb": 'a"b\\c', "tab\tkey": ["p", "q & r"], "caf\u00e9": None},
+            "result": {
+                "ok": True,
+                "empty": {},
+                "none": [],
+                "weights": [Fraction(3, 10), Fraction(1, 3), 2, False],
+                "worlds": [
+                    {"assign": {"p": 1, "tab\tkey": 0}, "weight": Fraction(1, 8)},
+                    {"assign": {"p": 0, "tab\tkey": 1}, "weight": Fraction(7, 8)},
+                    [],
+                ],
+            },
+        }
+        assert render_json(envelope) == RENDERED
+
+
+RENDERED = r"""{
+  "command": "demo",
+  "inputs": {
+    "kb": "a\"b\\c",
+    "tab\tkey": [
+      "p",
+      "q & r"
+    ],
+    "caf\u00e9": null
+  },
+  "result": {
+    "ok": true,
+    "empty": {},
+    "none": [],
+    "weights": [
+      0.3,
+      "1/3",
+      2,
+      false
+    ],
+    "worlds": [
+      {
+        "assign": {
+          "p": 1,
+          "tab\tkey": 0
+        },
+        "weight": 0.125
+      },
+      {
+        "assign": {
+          "p": 0,
+          "tab\tkey": 1
+        },
+        "weight": 0.875
+      },
+      []
+    ]
+  }
+}
+"""
 
 
 def built(rng) -> list[PartitionSequence]:
