@@ -52,7 +52,6 @@ from .sequences import (
     preference_view,
     render_json,
     sequence_from_json,
-    sequence_to_obj,
     world_to_obj,
 )
 
@@ -178,13 +177,16 @@ class _Output:
         if not self.json_mode:
             self.lines.extend(lines)
 
-    def record(self, command: str, inputs: dict, result: dict, sequences=None):
+    def record(self, command: str, inputs: dict, result, sequences=()):
+        """The JSON envelope; ``result`` is its dict or a function that
+        makes it, called only in JSON mode. ``render_json`` writes the
+        sequences from their masks."""
         if self.json_mode:
             self.envelope = {
                 "command": command,
                 "inputs": inputs,
-                "result": result,
-                "sequences": [sequence_to_obj(s) for s in (sequences or [])],
+                "result": result() if callable(result) else result,
+                "sequences": list(sequences),
             }
 
     def flush(self):
@@ -208,6 +210,10 @@ def _read_sequence(path: str) -> PartitionSequence:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"bad sequence document: {exc}", 1, 1) from None
+
+
+def _worlds_obj(worlds) -> list[dict]:
+    return [world_to_obj(w) for w in sorted(worlds, key=World.bits)]
 
 
 def _world_text(w: World) -> str:
@@ -244,16 +250,16 @@ def _sequence_lines(seq: PartitionSequence, head="sequence:", weighed=False) -> 
 def _cmd_default_extensions(args, out) -> int:
     doc = _read_kb(args.kb, "default")
     kernels = defaults.extensions(doc.body)
-    result = {
-        "extensions": [
-            {
-                "inconsistent": not k.is_consistent,
-                "worlds": [world_to_obj(w) for w in sorted(k.worlds, key=World.bits)],
-            }
-            for k in kernels
-        ]
-    }
-    out.record("default extensions", {"kb": args.kb}, result)
+    out.record(
+        "default extensions",
+        {"kb": args.kb},
+        lambda: {
+            "extensions": [
+                {"inconsistent": not k.is_consistent, "worlds": _worlds_obj(k.worlds)}
+                for k in kernels
+            ]
+        },
+    )
     if not kernels:
         out.say("no extension")
         return EXIT_NEGATIVE
@@ -315,14 +321,14 @@ def _cmd_ael_expansions(args, out) -> int:
     doc = _read_kb(args.kb, "ael")
     kernels = ael.stable_expansions(doc.body)
     forced = ael.forced_inconsistency(doc.body)
-    result = {
-        "kernels": [
-            [world_to_obj(w) for w in sorted(k.worlds, key=World.bits)]
-            for k in kernels
-        ],
-        "premises_inconsistent": forced,
-    }
-    out.record("ael expansions", {"kb": args.kb}, result)
+    out.record(
+        "ael expansions",
+        {"kb": args.kb},
+        lambda: {
+            "kernels": [_worlds_obj(k.worlds) for k in kernels],
+            "premises_inconsistent": forced,
+        },
+    )
     if not kernels:
         out.say("no stable expansion")
         if forced:
@@ -475,7 +481,7 @@ def _cmd_worlds(args, out) -> int:
     out.record(
         "worlds",
         {"kb": args.kb},
-        {"vocab": list(doc.vocab.names), "worlds": [world_to_obj(w) for w in worlds]},
+        lambda: {"vocab": list(doc.vocab.names), "worlds": list(map(world_to_obj, worlds))},
     )
     out.say_all(map(_world_text, worlds))
     return EXIT_OK
@@ -487,13 +493,7 @@ def _cmd_explain(args, out) -> int:
     out.record(
         "explain",
         {"sequence": args.sequence},
-        {
-            "kind": seq.kind,
-            "preference_chain": [
-                [world_to_obj(w) for w in sorted(m, key=World.bits)]
-                for m in chain.models
-            ],
-        },
+        lambda: {"kind": seq.kind, "preference_chain": list(map(_worlds_obj, chain.models))},
         [seq],
     )
     out.say_all(_explain_lines(seq, chain))

@@ -455,27 +455,14 @@ def _parse_prob(text: str) -> KbDocument:
 
 def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) -> World:
     colon = _split_required(line, ":", indent + 5, lineno, ":")
-    lits_text = line[indent + 5 : colon]
-    assigned: dict[str, bool] = {}
-    offset = indent + 5
-    for piece in lits_text.split(","):
-        lead = len(piece) - len(piece.lstrip())
-        body = piece.strip()
-        col = offset + lead + 1
-        offset += len(piece) + 1
-        if not body:
-            raise ParseError("empty literal", lineno, col)
-        negated = body.startswith("~")
-        name = body[1:].strip() if negated else body
-        if not _ID_RE.match(name):
-            raise ParseError(f"bad literal {body!r}", lineno, col)
-        if name not in vocab:
-            raise ParseError(f"unknown constant {name!r}", lineno, col)
-        if name in assigned:
-            raise ParseError(f"constant {name!r} assigned twice", lineno, col)
-        assigned[name] = not negated
-    missing = [n for n in vocab.names if n not in assigned]
-    if missing:
+    pieces = line[indent + 5 : colon].split(",")
+    literals = [piece.strip() for piece in pieces]
+    names = [lit[1:].lstrip() if lit[:1] == "~" else lit for lit in literals]
+    assigned = set(names)
+    if len(assigned) != len(names) or not assigned <= vocab._name_set:  # type: ignore[attr-defined]
+        raise _literal_error(pieces, literals, names, lineno, indent + 5, vocab)
+    if len(assigned) != len(vocab):
+        missing = [n for n in vocab.names if n not in assigned]
         raise ParseError(
             f"world line must assign every constant; missing {', '.join(missing)}",
             lineno,
@@ -488,7 +475,28 @@ def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) ->
         raise ParseError(f"bad weight {weight_text!r}", lineno, colon + 2) from None
     if weight < 0:
         raise ParseError(f"negative weight {weight_text}", lineno, colon + 2)
-    return World(vocab, (n for n, v in assigned.items() if v), weight)
+    # a negated literal is no name, so the names among the literals are the true ones
+    return World(vocab, assigned.intersection(literals), weight)
+
+
+def _literal_error(pieces, literals, names, lineno, start, vocab) -> ParseError:
+    """The error of the first literal that is empty, malformed, unknown or
+    repeated; ``pieces`` are the literals as written, from column
+    ``start`` + 1 on."""
+    seen: set[str] = set()
+    for k, name in enumerate(names):
+        if name not in vocab or name in seen:
+            break
+        seen.add(name)
+    piece, literal = pieces[k], literals[k]
+    col = start + sum(map(len, pieces[:k])) + k + len(piece) - len(piece.lstrip()) + 1
+    if not literal:
+        return ParseError("empty literal", lineno, col)
+    if not _ID_RE.match(name):
+        return ParseError(f"bad literal {literal!r}", lineno, col)
+    if name not in vocab:
+        return ParseError(f"unknown constant {name!r}", lineno, col)
+    return ParseError(f"constant {name!r} assigned twice", lineno, col)
 
 
 def _write_prob(doc: KbDocument) -> str:

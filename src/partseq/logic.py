@@ -323,6 +323,8 @@ class TruthTable:
 
     Meant to live for one call: masks and worlds are memoised per table,
     so a search compiles each formula once and builds each world once.
+    ``indexed`` says that bit i is world i of the dense table, as in the
+    dense form and in a :meth:`reweighted` copy of it.
     """
 
     def __init__(
@@ -331,7 +333,7 @@ class TruthTable:
         worlds: Iterable[World] | None = None,
     ):
         self.vocab = vocab
-        self.dense = worlds is None
+        self.dense = self.indexed = worlds is None
         if self.dense:
             if len(vocab) > DEFAULT_WORLD_CAP:
                 raise ResourceLimitError(
@@ -437,6 +439,7 @@ class TruthTable:
                 trues = compress(names, format(i, digits).encode().translate(_BITS))
                 placed[i] = World(self.vocab, trues, share)
         table = TruthTable(self.vocab, worlds=map(placed.__getitem__, range(self.size)))
+        table.indexed = True
         table._masks.update(self._masks)
         return table
 

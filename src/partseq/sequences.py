@@ -17,7 +17,7 @@ from itertools import accumulate
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import SemanticError
-from .logic import TruthTable, Vocabulary, World, _from_bits, _set_bits
+from .logic import DEFAULT_WORLD_CAP, TruthTable, Vocabulary, World, _from_bits, _set_bits
 from .rationals import decimal_digits
 
 KINDS = ("default", "autoepistemic", "conditional", "threshold", "possibility")
@@ -122,18 +122,19 @@ def _partition(seq: PartitionSequence, table: TruthTable) -> tuple[list[int], li
     ``seq`` partitioning its worlds, by ``&`` and ``|`` on masks; a world
     outside the table gets a bit past it, and reports build worlds.
 
-    When both tables are the dense one of the same vocabulary, bit i is
-    world i in each, so the sequence's masks are used as they are."""
+    When ``table`` is the dense table of the sequence's vocabulary and
+    the sequence's table lists the same worlds in the same order, bit i
+    is world i in each, so the sequence's masks are used as they are."""
     problems = []
     if len(seq.masks) < 2:
         problems.append(Violation("length", "a partition sequence has at least two classes"))
-    same = seq.table.dense and table.dense and seq.vocab == table.vocab
+    same = seq.table.indexed and table.dense and seq.vocab == table.vocab
     foreign: dict[World, int] = {}
     masks, union = [], 0
     for i, own in enumerate(seq.masks):
         if same:
             mask = own
-            at = dict(zip(_set_bits(own & union), table.world_list(own & union)))
+            at = dict(zip(_set_bits(own & union), seq.table.world_list(own & union)))
         else:
             at = {}
             for w in seq.table.world_list(own):
@@ -373,6 +374,8 @@ def _render(value, indent: int, keys: dict[str, str]) -> str:
             return "[]"
         items = [f"{pad}  {_render(v, indent + 2, keys)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(value, PartitionSequence):
+        return _render_sequence(value, indent, keys)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -388,8 +391,77 @@ def _render(value, indent: int, keys: dict[str, str]) -> str:
 
 
 def render_json(value) -> str:
-    """Deterministic JSON text with exact rational weights."""
+    """Deterministic JSON text with exact rational weights. A
+    ``PartitionSequence`` inside ``value`` is written as
+    ``sequence_to_obj`` of it would be, straight from its masks."""
     return _render(value, 0, {}) + "\n"
+
+
+def _render_sequence(seq: PartitionSequence, indent: int, keys: dict[str, str]) -> str:
+    inner = indent + 2
+    fields = (
+        ("kind", _render(seq.kind, inner, keys)),
+        ("vocab", _render(list(seq.vocab.names), inner, keys)),
+        ("classes", _render_classes(seq, inner)),
+        ("provenance", _render(list(seq.provenance), inner, keys)),
+    )
+    pad = " " * inner
+    body = ",\n".join(f'{pad}"{name}": {text}' for name, text in fields)
+    return "{\n" + body + "\n" + " " * indent + "}"
+
+
+def _render_classes(seq: PartitionSequence, indent: int) -> str:
+    """The "classes" list of ``seq`` at ``indent``, one template fill per
+    world: the world's truth values, in vocabulary order, and its weight.
+
+    On the dense table bit i is the world whose truth values are the
+    binary digits of i, so index order is ``World.bits`` order and every
+    weight is 1. A listed table's worlds are sorted by their digits, and
+    each distinct weight is rendered once."""
+    table, names = seq.table, seq.vocab.names
+    pad, item = " " * (indent + 2), " " * (indent + 4)
+    if names:
+        lines = ",\n".join(f"{item}    {json.dumps(name)}: %s" for name in names)
+        assign = f"{{\n{lines}\n{item}  }}"
+    else:
+        assign = "{}"
+    world = f'{item}{{\n{item}  "assign": {assign},\n{item}  "weight": %s\n{item}}}'
+    if table.dense:
+        unit = world % (("%s",) * len(names) + ("1",))
+        top = 1 << len(names)
+
+        def texts(mask):
+            return [unit % tuple(bin(i | top)[3:]) for i in _set_bits(mask)]
+
+    else:
+        at = {name: k for k, name in enumerate(names)}
+        zeros = bytearray(b"0" * len(names))
+        rendered: dict[Fraction, str] = {}
+
+        def digits(w: World) -> str:
+            row = zeros.copy()
+            for name in w.true_names:
+                row[at[name]] = 49  # "1"
+            return row.decode()
+
+        def texts(mask):
+            # equal worlds listed twice keep the first, as a frozenset does
+            first: dict[str, Fraction] = {}
+            for w in table.world_list(mask):
+                first.setdefault(digits(w), w.weight)
+            out = []
+            for row, weight in sorted(first.items()):
+                text = rendered.get(weight)
+                if text is None:
+                    text = rendered[weight] = _render(weight, 0, {})
+                out.append(world % (*row, text))
+            return out
+
+    classes = [
+        f"{pad}[\n" + ",\n".join(texts(mask)) + f"\n{pad}]" if mask else f"{pad}[]"
+        for mask in seq.masks
+    ]
+    return "[\n" + ",\n".join(classes) + "\n" + " " * indent + "]"
 
 
 def world_to_obj(world: World) -> dict:
@@ -409,13 +481,16 @@ def sequence_to_obj(seq: PartitionSequence) -> dict:
 
 
 def sequence_to_json(seq: PartitionSequence) -> str:
-    return render_json(sequence_to_obj(seq))
+    return render_json(seq)
 
 
 def _parse_weight(raw) -> Fraction:
     # bool is an int too, but true is no weight
     if isinstance(raw, (Fraction, str)) or type(raw) is int:
-        return Fraction(raw)
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:  # "1/0"
+            pass
     raise ValueError(f"bad weight value: {raw!r}")
 
 
@@ -434,15 +509,53 @@ def world_from_obj(obj: dict, vocab: Vocabulary) -> World:
     return World(vocab, trues, _parse_weight(obj.get("weight", 1)))
 
 
+# the truth values 0 and 1 as bytes, to the digits of a world index
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _unit_masks(listed_classes, vocab: Vocabulary) -> list[int] | None:
+    """The class masks of the listed classes in the dense table of
+    ``vocab``, each world's bit read off its ``assign`` digits; None
+    unless every world is well formed with its weight absent or the
+    integer 1 and no class lists a world twice. A document that gets
+    None is read world by world, which raises the first error it holds."""
+    if len(vocab) > DEFAULT_WORLD_CAP:
+        return None
+    names, name_set = vocab.names, set(vocab.names)
+    masks = []
+    for listed in listed_classes:
+        found = []
+        for w in listed:
+            weight = w.get("weight", 1) if type(w) is dict else None
+            assign = w.get("assign") if type(weight) is int and weight == 1 else None
+            if type(assign) is not dict or assign.keys() != name_set:
+                return None
+            values = tuple(map(assign.__getitem__, names))
+            if not set(map(type, values)) <= {int} or not set(values) <= {0, 1}:
+                return None
+            found.append(int(bytes(values).translate(_DIGITS) or b"0", 2))
+        if len(set(found)) != len(found):
+            return None
+        masks.append(_from_bits(found, 1 << len(names)))
+    return masks
+
+
 def sequence_from_obj(obj: dict) -> PartitionSequence:
+    """The sequence of a JSON document. A unit-weight document over at
+    most ``DEFAULT_WORLD_CAP`` constants is read onto the dense table of
+    its vocabulary, any other onto a table that lists its worlds."""
     vocab = Vocabulary(obj["vocab"])
-    classes = []
-    for listed in obj["classes"]:
-        classes.append([world_from_obj(w, vocab) for w in listed])
-        if len(set(classes[-1])) != len(classes[-1]):
-            raise ValueError("a world is listed twice in one class")
+    masks = _unit_masks(obj["classes"], vocab)
+    if masks is None:
+        classes = []
+        for listed in obj["classes"]:
+            classes.append([world_from_obj(w, vocab) for w in listed])
+            if len(set(classes[-1])) != len(classes[-1]):
+                raise ValueError("a world is listed twice in one class")
     provenance = tuple(obj.get("provenance") or ())
-    return PartitionSequence.of_classes(classes, vocab, obj["kind"], provenance)
+    if masks is None:
+        return PartitionSequence.of_classes(classes, vocab, obj["kind"], provenance)
+    return PartitionSequence(TruthTable(vocab), masks, obj["kind"], provenance)
 
 
 def sequence_from_json(text: str) -> PartitionSequence:

@@ -25,6 +25,7 @@ from partseq import (
     ModalFormula,
     Not,
     Or,
+    ParseError,
     PossibilisticKB,
     SampleSpace,
     Violation,
@@ -155,6 +156,56 @@ def holds_throughout(phi, worlds) -> bool:
     """Whether ``phi`` holds in every world of the set: for the model set
     of a deductively closed theory, membership of ``phi`` in the theory."""
     return all(evaluate(phi, w) for w in worlds)
+
+
+# ---------------------------------------------------------------------------
+# Sample-space world lines
+# ---------------------------------------------------------------------------
+
+
+def per_literal_world_line(line: str, lineno: int, indent: int, vocab) -> World:
+    """A ``.prob`` world line read one literal at a time, each checked
+    for being empty, malformed, unknown or repeated where it stands, with
+    its column worked out as it goes."""
+    import re
+
+    ident = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+    colon = line.find(":", indent + 5)
+    if colon < 0:
+        raise ParseError(f"expected ':' in {line.strip()!r}", lineno, len(line) + 1)
+    assigned: dict[str, bool] = {}
+    offset = indent + 5
+    for piece in line[indent + 5 : colon].split(","):
+        lead = len(piece) - len(piece.lstrip())
+        body = piece.strip()
+        col = offset + lead + 1
+        offset += len(piece) + 1
+        if not body:
+            raise ParseError("empty literal", lineno, col)
+        negated = body.startswith("~")
+        name = body[1:].strip() if negated else body
+        if not ident.match(name):
+            raise ParseError(f"bad literal {body!r}", lineno, col)
+        if name not in vocab:
+            raise ParseError(f"unknown constant {name!r}", lineno, col)
+        if name in assigned:
+            raise ParseError(f"constant {name!r} assigned twice", lineno, col)
+        assigned[name] = not negated
+    missing = [n for n in vocab.names if n not in assigned]
+    if missing:
+        raise ParseError(
+            f"world line must assign every constant; missing {', '.join(missing)}",
+            lineno,
+            indent + 6,
+        )
+    weight_text = line[colon + 1 :].strip()
+    try:
+        weight = Fraction(weight_text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad weight {weight_text!r}", lineno, colon + 2) from None
+    if weight < 0:
+        raise ParseError(f"negative weight {weight_text}", lineno, colon + 2)
+    return World(vocab, (n for n, v in assigned.items() if v), weight)
 
 
 # ---------------------------------------------------------------------------

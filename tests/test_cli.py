@@ -446,6 +446,13 @@ class TestSequenceDocument:
         assert (code, out) == (2, "")
         assert "bad sequence document: assignment of 'p'" in err
 
+    def test_zero_denominator_weight_is_two(self, capsys, tmp_path):
+        classes = [[{"assign": {"p": 0}, "weight": "1/0"}], [{"assign": {"p": 1}}]]
+        code, out, err = run(capsys, "explain", self.write(tmp_path, classes))
+        assert (code, out) == (2, "")
+        assert err.endswith("bad sequence document: bad weight value: '1/0'\n")
+        assert err.startswith("parse error: line 1, column 1: ")
+
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_weight_is_two(self, capsys, tmp_path, value):
         classes = [[{"assign": {"p": 0}, "weight": value}], [{"assign": {"p": 1}, "weight": 1}]]

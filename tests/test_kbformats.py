@@ -1,5 +1,6 @@
 """The four text formats: grammar, locations, round trips, totality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from partseq import (
     parse_kb,
     serialize_kb,
 )
-from partseq import kbformats
+from partseq import Vocabulary, kbformats
 from partseq.kbformats import KB_KINDS
+
+from genkit import per_literal_world_line
 
 P, Q = Const("p"), Const("q")
 
@@ -218,6 +221,77 @@ class TestProbFormat:
         again = parse_kb(serialize_kb(doc), "prob")
         assert again.body == space
         assert again.vocab.names == ("p1", "p2", "p3")
+
+
+class TestWorldLines:
+    """World lines are checked in one pass over the line's literals; the
+    per-literal reader in genkit is the oracle for worlds and errors."""
+
+    NAMES = ("p", "q", "r", "s_1", "Tt")
+    BAD = ("", " ", "~", "~~p", "p q", "1p", "p-", "~ ~q", "zz", "~zz", "P")
+    WEIGHTS = ("0.3", "1/3", " 2 ", "0", "x", "1/0", "", "0.3.4", "-1/2", "-0", "1e-3")
+
+    def line(self, rng, vocab):
+        literals = [rng.choice(["", "~", "~ ", "~\t"]) + n for n in vocab.names]
+        rng.shuffle(literals)
+        fault = rng.randrange(7)
+        if fault == 1 and literals:
+            literals.pop(rng.randrange(len(literals)))  # missing
+        elif fault == 2:
+            literals.insert(rng.randrange(len(literals) + 1), rng.choice(self.BAD))
+        elif fault == 3 and literals:  # repeated, same sign or the other
+            again = rng.choice(["~", ""]) + literals[0].lstrip("~ \t")
+            literals.insert(rng.randrange(len(literals) + 1), again)
+        elif fault == 4 and literals:
+            literals[rng.randrange(len(literals))] = rng.choice(self.BAD)
+        pad = lambda: rng.choice(["", " ", "  ", "\t"])
+        body = ",".join(pad() + lit + pad() for lit in literals)
+        weight = rng.choice(self.WEIGHTS) if fault >= 5 else rng.choice(self.WEIGHTS[:4])
+        indent = rng.choice(["", "  "])
+        head = indent + "world" + rng.choice([" ", "  "])
+        return head + body + rng.choice([":", " : "]) + weight, len(indent)
+
+    def test_matches_per_literal_oracle(self):
+        rng = random.Random(1010)
+        outcomes = set()
+        for _ in range(4000):
+            vocab = Vocabulary(rng.sample(self.NAMES, rng.randint(1, len(self.NAMES))))
+            line, indent = self.line(rng, vocab)
+            lineno = rng.randint(1, 9)
+            try:
+                expected = per_literal_world_line(line, lineno, indent, vocab)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    kbformats._parse_world_line(line, lineno, indent, vocab)
+                assert (got.value.message, got.value.line, got.value.column) == (
+                    exc.message, exc.line, exc.column
+                ), line
+                outcomes.add(exc.message.split()[0])
+            else:
+                w = kbformats._parse_world_line(line, lineno, indent, vocab)
+                assert w == expected
+                assert (w.true_names, w.weight) == (expected.true_names, expected.weight)
+                outcomes.add("ok")
+        assert {"ok", "empty", "bad", "unknown", "constant", "world", "negative"} <= outcomes
+
+    def test_negation_may_be_spaced(self):
+        doc = parse_kb("vocab: p q\nworld ~ p , q : 1", "prob")
+        assert doc.body.worlds[0].true_names == frozenset({"q"})
+
+    @pytest.mark.parametrize(
+        "line, message, column",
+        [
+            ("world p,,q : 1", "empty literal", 9),
+            ("world p, ~~q : 1", "bad literal '~~q'", 10),
+            ("world q,  zz : 1", "unknown constant 'zz'", 11),
+            ("world p,q,~p : 1", "constant 'p' assigned twice", 11),
+            ("world zz, p, p : 1", "unknown constant 'zz'", 7),
+        ],
+    )
+    def test_first_failing_literal_located(self, line, message, column):
+        with pytest.raises(ParseError) as got:
+            parse_kb("vocab: p q\n" + line, "prob")
+        assert (got.value.message, got.value.line, got.value.column) == (message, 2, column)
 
 
 class TestPossFormat:

@@ -1,5 +1,6 @@
 """Sequence structure, isomorphism, preference chains, serialisation."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -18,19 +19,22 @@ from partseq import (
     build_poss_sequence,
     check_ael_sequence,
     check_default_sequence,
+    check_poss_sequence,
     condition,
     enumerate_worlds,
     extend,
     isomorphic,
+    lottery_space,
     preference_view,
     sequence_from_json,
     sequence_to_json,
     threshold,
     validate_structure,
 )
+from partseq.cli import main
 from partseq.defaults import DefaultTheory
-from partseq.logic import Const, TruthTable
-from partseq.sequences import class_masks, render_json
+from partseq.logic import Const, Not, TruthTable
+from partseq.sequences import KINDS, class_masks, render_json, sequence_from_obj, sequence_to_obj
 from genkit import (
     per_world_structure,
     random_default_theory,
@@ -180,6 +184,32 @@ class TestMaskStructure:
                         assert problems == check(kb, back, strict=strict)
                         found |= {p.clause for p in problems}
         assert {"disjointness", "coverage", "condition 2"} <= found
+
+    def test_possibility_masks_match_their_json_round_trip(self, monkeypatch):
+        # a built possibility sequence lists the dense worlds in index order,
+        # so its masks are read as they are too: no world is looked up
+        rng = random.Random(4096)
+        pairs, found = [], set()
+        while len(pairs) < 150:
+            kb = random_possibilistic_kb(rng)
+            seq = build_poss_sequence(kb)
+            if not isinstance(seq, PartitionSequence):
+                continue
+            assert seq.table.indexed and not seq.table.dense
+            masks = list(seq.masks)
+            i, j = rng.randrange(len(masks)), rng.randrange(len(masks))
+            masks[i] |= rng.getrandbits(seq.table.size)
+            masks[j] &= rng.getrandbits(seq.table.size)
+            faulty = PartitionSequence(seq.table, masks, seq.kind, seq.provenance)
+            back = sequence_from_json(sequence_to_json(faulty))
+            pairs.append((kb, seq, faulty, check_poss_sequence(kb, back)))
+        monkeypatch.setattr(TruthTable, "index", lambda self, w: pytest.fail("world looked up"))
+        for kb, seq, faulty, expected in pairs:
+            assert check_poss_sequence(kb, seq) == []
+            problems = check_poss_sequence(kb, faulty)
+            assert problems == expected
+            found |= {p.clause for p in problems}
+        assert {"disjointness", "coverage", "condition 1", "condition 2"} <= found
 
     def test_dense_masks_over_another_vocabulary_are_looked_up(self, pq):
         # bit i of the dense table of (q, p) is not world i of (p, q)
@@ -422,6 +452,149 @@ def built(rng) -> list[PartitionSequence]:
     except BelowThresholdError:  # no mass left at some step
         pass
     return seqs
+
+
+class TestMaskWriter:
+    """``render_json`` writes a sequence from its table and masks, and
+    the bytes are those of its dict view, ``sequence_to_obj``."""
+
+    def same(self, seq) -> str:
+        text = render_json(sequence_to_obj(seq))
+        assert render_json(seq) == text == sequence_to_json(seq)
+        envelope = {"result": {"ok": True}, "sequences": [seq, seq], "empty": []}
+        expected = dict(envelope, sequences=[sequence_to_obj(seq)] * 2)
+        assert render_json(envelope) == render_json(expected)
+        return text
+
+    def test_built_sequences_of_every_kind(self):
+        rng = random.Random(2718)
+        kinds = set()
+        for _ in range(150):
+            for seq in built(rng):
+                self.same(seq)
+                kinds.add(seq.kind)
+        assert kinds == set(KINDS)
+
+    @pytest.mark.parametrize("n", [3, 8, 300])
+    def test_lotteries_with_empty_classes(self, n):
+        space = lottery_space(n)
+        # the second ~p1 peels nothing, so class 1 is empty
+        conds = [Not(Const("p1")), Not(Const("p1")), Not(Const("p2"))]
+        for seq in (condition(space, conds), threshold(space, Fraction(1, 2), conds)):
+            assert not seq.masks[1]
+            text = self.same(seq)
+            assert {3: '"weight": "1/3"', 8: '"weight": 0.125', 300: '"weight": "1/300"'}[n] in text
+
+    def test_empty_vocabulary(self):
+        empty = Vocabulary([])
+        dense = PartitionSequence(TruthTable(empty), [0, 1], "default")
+        classes = [[], [World(empty, [], Fraction(1, 3))]]
+        listed = PartitionSequence.of_classes(classes, empty, "threshold")
+        for seq in (dense, listed):
+            assert '"assign": {}' in self.same(seq)
+
+    def test_equal_worlds_in_one_class_are_written_once(self, pq):
+        # as in the class's frozenset, the first listed is the one kept
+        first, again = World(pq, ["p"], Fraction(1, 4)), World(pq, ["p"], Fraction(3, 4))
+        seq = PartitionSequence.of_classes([[], [first, again]], pq, "conditional")
+        assert '"weight": 0.25' in self.same(seq)
+
+
+def unit_documents(rng):
+    """JSON documents of built default and belief sequences, with their
+    knowledge base and checker, copies in which one world is also in
+    another class (or twice in its own), dropped, or moved to another
+    class, and now and then a copy with every weight left out."""
+    for kb, check, seqs in (
+        (t := random_default_theory(rng), check_default_sequence, build_default_sequences(t)),
+        (b := random_premises(rng), check_ael_sequence, build_ael_sequences(b)),
+    ):
+        for seq in seqs:
+            doc = json.loads(sequence_to_json(seq), parse_float=Fraction)
+            classes = doc["classes"]
+            i = rng.choice([k for k, cls in enumerate(classes) if cls])
+            w = rng.choice(classes[i])
+            j = rng.randrange(len(classes))
+            dropped = [[v for v in cls if v is not w] for cls in classes]
+            yield kb, check, doc
+            def plus(base, at):
+                return dict(doc, classes=[c + [w] * (k == at) for k, c in enumerate(base)])
+
+            yield kb, check, plus(classes, j)
+            yield kb, check, plus(classes, i)
+            yield kb, check, dict(doc, classes=dropped)
+            yield kb, check, plus(dropped, j)
+            if rng.random() < 0.2:
+                unweighted = [[{"assign": v["assign"]} for v in cls] for cls in classes]
+                yield kb, check, dict(doc, classes=unweighted)
+
+
+class TestUnitReader:
+    """A document whose weights are all absent or the integer 1 is read
+    onto the dense table of its vocabulary; written as the string "1",
+    the same weights take the listed path, and the two readings agree."""
+
+    @staticmethod
+    def ones(doc):
+        classes = [[dict(w, weight="1") for w in cls] for cls in doc["classes"]]
+        return dict(doc, classes=classes)
+
+    def test_agrees_with_the_listed_reading(self, monkeypatch):
+        rng = random.Random(1618)
+        clauses, refused = set(), 0
+        for _ in range(120):
+            for kb, check, doc in unit_documents(rng):
+                try:
+                    dense = sequence_from_obj(doc)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        sequence_from_obj(self.ones(doc))
+                    refused += 1
+                    continue
+                listed = sequence_from_obj(self.ones(doc))
+                assert dense.table.dense and not listed.table.dense
+                assert dense == listed and hash(dense) == hash(listed)
+                for strict in (False, True):
+                    problems = check(kb, dense, strict=strict)
+                    assert problems == check(kb, listed, strict=strict)
+                    clauses |= {p.clause for p in problems}
+                assert render_json(dense) == render_json(listed)
+        assert refused and {"disjointness", "coverage", "condition 2", "condition 3"} <= clauses
+
+    def test_same_explain_text_and_json(self, capsys, tmp_path):
+        rng = random.Random(3141)
+        shown = 0
+        while shown < 60:
+            for _, _, doc in unit_documents(rng):
+                path = tmp_path / "seq.json"
+                for flags in ([], ["--json"]):
+                    said = []
+                    for text in (json.dumps(doc, default=str), json.dumps(self.ones(doc))):
+                        path.write_text(text)
+                        code = main([*flags, "explain", str(path)])
+                        said.append((code, *capsys.readouterr()))
+                    assert said[0] == said[1]
+                shown += 1
+
+    def test_clean_check_builds_no_world(self):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 40:
+            theory = random_default_theory(rng)
+            for seq in build_default_sequences(theory):
+                back = sequence_from_json(sequence_to_json(seq))
+                assert check_default_sequence(theory, back) == []
+                assert not back.table._worlds
+                checked += 1
+
+    @pytest.mark.parametrize("size, dense", [(20, True), (21, False)])
+    def test_dense_up_to_the_world_cap(self, size, dense):
+        names = [f"c{i}" for i in range(size)]
+        worlds = [{"assign": dict.fromkeys(names, bit)} for bit in (0, 1)]
+        doc = {"kind": "default", "vocab": names, "classes": [worlds[:1], worlds[1:]]}
+        seq = sequence_from_obj(doc)
+        assert seq.table.dense == dense
+        assert seq.last_class == {World(Vocabulary(names), names)}
 
 
 class TestClassView:
