@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -38,7 +39,7 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .kbformats import KbDocument, parse_kb
-from .logic import Formula, Kernel, World, enumerate_worlds, parse_formula
+from .logic import Formula, TruthTable, parse_formula
 from .possibility import (
     InconsistencyReport,
     build_poss_sequence,
@@ -52,7 +53,9 @@ from .sequences import (
     preference_view,
     render_json,
     sequence_from_json,
-    world_to_obj,
+    table_rows,
+    world_rows,
+    world_texts,
 )
 
 EXIT_OK = 0
@@ -156,7 +159,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, SemanticError, _UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out.flush()
+    try:
+        out.flush()
+    except BrokenPipeError:
+        # the reader has gone; with stdout on devnull the interpreter's
+        # own flush at exit stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 
@@ -177,15 +185,14 @@ class _Output:
         if not self.json_mode:
             self.lines.extend(lines)
 
-    def record(self, command: str, inputs: dict, result, sequences=()):
-        """The JSON envelope; ``result`` is its dict or a function that
-        makes it, called only in JSON mode. ``render_json`` writes the
-        sequences from their masks."""
+    def record(self, command: str, inputs: dict, result: dict, sequences=()):
+        """The JSON envelope; ``render_json`` writes the sequences and the
+        world rows in ``result`` from their masks."""
         if self.json_mode:
             self.envelope = {
                 "command": command,
                 "inputs": inputs,
-                "result": result() if callable(result) else result,
+                "result": result,
                 "sequences": list(sequences),
             }
 
@@ -212,36 +219,14 @@ def _read_sequence(path: str) -> PartitionSequence:
         raise ParseError(f"bad sequence document: {exc}", 1, 1) from None
 
 
-def _worlds_obj(worlds) -> list[dict]:
-    return [world_to_obj(w) for w in sorted(worlds, key=World.bits)]
-
-
-def _world_text(w: World) -> str:
-    lits = ", ".join(n if n in w.true_names else "~" + n for n in w.vocab.names)
-    if w.weight != 1:
-        return f"<{{{lits}}}, {format_fraction(w.weight)}>"
-    return "{" + lits + "}"
-
-
-def _class_text(cls) -> str:
-    if not cls:
-        return "{}"
-    return "{" + ", ".join(_world_text(w) for w in sorted(cls, key=World.bits)) + "}"
-
-
-def _kernel_text(kernel: Kernel) -> str:
-    if not kernel.worlds:
-        return "inconsistent (empty model set)"
-    return ", ".join(_world_text(w) for w in sorted(kernel.worlds, key=World.bits))
-
-
 def _sequence_lines(seq: PartitionSequence, head="sequence:", weighed=False) -> Iterator[str]:
     """``head``, then a line per class; ``weighed`` adds each class's weight."""
     yield head
-    for i, cls in enumerate(seq.classes):
+    for i, mask in enumerate(seq.masks):
         origin = f"   (from {seq.provenance[i]})" if seq.provenance[i] else ""
-        mass = f"   weight {format_fraction(seq.table.mass(seq.masks[i]))}" if weighed else ""
-        yield f"  W{i} = {_class_text(cls)}{mass}{origin}"
+        mass = f"   weight {format_fraction(seq.table.mass(mask))}" if weighed else ""
+        worlds = ", ".join(world_texts(world_rows(seq.table, mask)))
+        yield f"  W{i} = {{{worlds}}}{mass}{origin}"
 
 
 # -- default ----------------------------------------------------------------
@@ -249,21 +234,17 @@ def _sequence_lines(seq: PartitionSequence, head="sequence:", weighed=False) -> 
 
 def _cmd_default_extensions(args, out) -> int:
     doc = _read_kb(args.kb, "default")
-    kernels = defaults.extensions(doc.body)
-    out.record(
-        "default extensions",
-        {"kb": args.kb},
-        lambda: {
-            "extensions": [
-                {"inconsistent": not k.is_consistent, "worlds": _worlds_obj(k.worlds)}
-                for k in kernels
-            ]
-        },
-    )
+    table, _, _, found = defaults._search(doc.body)
+    kernels = [world_rows(table, mask) for mask in found]
+    extensions = [{"inconsistent": not mask, "worlds": k} for mask, k in zip(found, kernels)]
+    out.record("default extensions", {"kb": args.kb}, {"extensions": extensions})
     if not kernels:
         out.say("no extension")
         return EXIT_NEGATIVE
-    out.say_all(f"extension {i}: {_kernel_text(k)}" for i, k in enumerate(kernels, 1))
+    out.say_all(
+        f"extension {i}: {', '.join(world_texts(k)) or 'inconsistent (empty model set)'}"
+        for i, k in enumerate(kernels, 1)
+    )
     return EXIT_OK
 
 
@@ -319,22 +300,19 @@ def _cmd_check(args, out) -> int:
 
 def _cmd_ael_expansions(args, out) -> int:
     doc = _read_kb(args.kb, "ael")
-    kernels = ael.stable_expansions(doc.body)
+    table, _, _, found = ael._search(doc.body)
+    kernels = [world_rows(table, mask) for mask in found]
     forced = ael.forced_inconsistency(doc.body)
-    out.record(
-        "ael expansions",
-        {"kb": args.kb},
-        lambda: {
-            "kernels": [_worlds_obj(k.worlds) for k in kernels],
-            "premises_inconsistent": forced,
-        },
-    )
+    result = {"kernels": kernels, "premises_inconsistent": forced}
+    out.record("ael expansions", {"kb": args.kb}, result)
     if not kernels:
         out.say("no stable expansion")
         if forced:
             out.say("note: the premises are contradictory under any beliefs")
         return EXIT_NEGATIVE
-    out.say_all(f"expansion kernel {i}: {_kernel_text(k)}" for i, k in enumerate(kernels, 1))
+    out.say_all(
+        f"expansion kernel {i}: {', '.join(world_texts(k))}" for i, k in enumerate(kernels, 1)
+    )
     return EXIT_OK
 
 
@@ -474,38 +452,31 @@ def _kind_of(path: str) -> str:
 def _cmd_worlds(args, out) -> int:
     kind = _kind_of(args.kb)
     doc = _read_kb(args.kb, kind)
-    if kind == "prob":
-        worlds = list(doc.body.worlds)
-    else:
-        worlds = enumerate_worlds(doc.vocab)
-    out.record(
-        "worlds",
-        {"kb": args.kb},
-        lambda: {"vocab": list(doc.vocab.names), "worlds": list(map(world_to_obj, worlds))},
-    )
-    out.say_all(map(_world_text, worlds))
+    # a sample space's worlds are listed in the file's order
+    table = doc.body.table if kind == "prob" else TruthTable(doc.vocab)
+    rows = table_rows(table, table.full)
+    out.record("worlds", {"kb": args.kb}, {"vocab": list(doc.vocab.names), "worlds": rows})
+    out.say_all(world_texts(rows))
     return EXIT_OK
 
 
 def _cmd_explain(args, out) -> int:
     seq = _read_sequence(args.sequence)
-    chain = preference_view(seq)
-    out.record(
-        "explain",
-        {"sequence": args.sequence},
-        lambda: {"kind": seq.kind, "preference_chain": list(map(_worlds_obj, chain.models))},
-        [seq],
-    )
+    chain = [world_rows(seq.table, mask) for mask in preference_view(seq).masks]
+    result = {"kind": seq.kind, "preference_chain": chain}
+    out.record("explain", {"sequence": args.sequence}, result, [seq])
     out.say_all(_explain_lines(seq, chain))
     return EXIT_OK
 
 
 def _explain_lines(seq: PartitionSequence, chain) -> Iterator[str]:
+    # the first model set holds every world, each as first listed
+    weighed = any(weight != 1 for weight in chain[0].weights or ())
     head = f"{seq.kind} sequence over {{{', '.join(seq.vocab.names)}}}"
-    yield from _sequence_lines(seq, head, any(w.weight != 1 for w in seq.all_worlds))
+    yield from _sequence_lines(seq, head, weighed)
     yield "preference chain (most preferred last):"
-    for i, m in enumerate(chain.models):
-        yield f"  M{i} = {_class_text(m)}"
+    for i, rows in enumerate(chain):
+        yield f"  M{i} = {{{', '.join(world_texts(rows))}}}"
 
 
 if __name__ == "__main__":

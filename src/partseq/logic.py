@@ -410,16 +410,20 @@ class TruthTable:
     def mask_of(self, worlds: Iterable[World]) -> int:
         return _from_bits(map(self.index, worlds), self.size)
 
+    def _dense_worlds(self, found: list[int], weight: Rational = _ONE) -> dict[int, World]:
+        """The world at each dense index of ``found``, each of ``weight``."""
+        vocab, names, digits = self.vocab, self.vocab.names, f"0{len(self.vocab)}b"
+        return {
+            i: World(vocab, compress(names, format(i, digits).encode().translate(_BITS)), weight)
+            for i in found
+        }
+
     def world_list(self, mask: int) -> list[World]:
         """The worlds of ``mask`` in index order."""
         found = _set_bits(mask)
         built = self._worlds
         if self.dense:
-            names, digits = self.vocab.names, f"0{len(self.vocab)}b"
-            for i in found:
-                if i not in built:
-                    trues = compress(names, format(i, digits).encode().translate(_BITS))
-                    built[i] = World(self.vocab, trues)
+            built.update(self._dense_worlds([i for i in found if i not in built]))
         return list(map(built.__getitem__, found))
 
     def worlds(self, mask: int) -> frozenset[World]:
@@ -432,12 +436,9 @@ class TruthTable:
         carry over, since bit i is world i in both."""
         for name in self.vocab.names:
             self.mask(Const(name))
-        names, digits = self.vocab.names, f"0{len(self.vocab)}b"
         placed = {}
         for mask, share in shares:
-            for i in _set_bits(mask):
-                trues = compress(names, format(i, digits).encode().translate(_BITS))
-                placed[i] = World(self.vocab, trues, share)
+            placed.update(self._dense_worlds(_set_bits(mask), share))
         table = TruthTable(self.vocab, worlds=map(placed.__getitem__, range(self.size)))
         table.indexed = True
         table._masks.update(self._masks)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
-from typing import Callable, Collection, Iterable, Sequence
+from functools import cached_property, lru_cache
+from itertools import accumulate, compress
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SemanticError
 from .logic import DEFAULT_WORLD_CAP, TruthTable, Vocabulary, World, _from_bits, _set_bits
-from .rationals import decimal_digits
+from .rationals import decimal_digits, format_fraction
 
 KINDS = ("default", "autoepistemic", "conditional", "threshold", "possibility")
 
@@ -106,15 +106,21 @@ class PartitionSequence:
         return f"<{self.kind} sequence {body}>"
 
 
-@dataclass(frozen=True)
 class PreferenceChain:
     """Cumulative tail unions M_i of a sequence, most preferred last.
 
     M_0 is the full world set and each M_{i+1} is a subset of M_i; the
     chain reads a partition sequence as a preference relation over models.
+    M_i is the worlds of ``masks[i]`` in ``table``; ``models`` lists them
+    as ``World`` sets, built on first read.
     """
 
-    models: tuple[frozenset[World], ...]
+    def __init__(self, table: TruthTable, masks: Sequence[int]):
+        self.table, self.masks = table, tuple(masks)
+
+    @cached_property
+    def models(self) -> tuple[frozenset[World], ...]:
+        return tuple(map(self.table.worlds, self.masks))
 
 
 def _partition(seq: PartitionSequence, table: TruthTable) -> tuple[list[int], list[Violation]]:
@@ -187,7 +193,7 @@ def isomorphic(a: PartitionSequence, b: PartitionSequence) -> bool:
 def preference_view(seq: PartitionSequence) -> PreferenceChain:
     """Read ``seq`` as a chain of ever more preferred model sets."""
     tails = list(accumulate(reversed(seq.masks), int.__or__))
-    return PreferenceChain(models=tuple(map(seq.table.worlds, reversed(tails))))
+    return PreferenceChain(seq.table, reversed(tails))
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +352,100 @@ def check_peels(
 
 
 # ---------------------------------------------------------------------------
-# JSON serialisation
+# Writing and reading worlds
 # ---------------------------------------------------------------------------
 #
-# Weights are rendered as plain JSON numbers whenever they have a finite
-# decimal expansion (read back exactly via Fraction, no float detour) and
-# as "num/den" strings otherwise. Worlds inside a class are sorted by
-# truth values in vocabulary order, so output bytes are deterministic.
+# Every world set is written from its mask by one row walker, which gives
+# each world as the digits of its truth values in vocabulary order and
+# its weight; the rows fill a JSON template per world, or a text one.
+# Weights are rendered in JSON as plain numbers whenever they have a
+# finite decimal expansion (read back exactly via Fraction, no float
+# detour) and as "num/den" strings otherwise. Worlds inside a set are in
+# digit order, so output bytes are deterministic.
+
+
+# the truth values 0 and 1 as bytes, to their digits
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+class WorldRows(NamedTuple):
+    """Worlds as the digits of their truth values in vocabulary order,
+    and their weights; ``weights`` is None when every weight is 1.
+    ``render_json`` writes them as a list of world objects."""
+
+    vocab: Vocabulary
+    digits: list[str]
+    weights: list[Fraction] | None
+
+
+def table_rows(table: TruthTable, mask: int) -> WorldRows:
+    """The worlds of ``mask`` in ``table``, in index order. On the dense
+    table bit i is the world whose digits are those of i, so index order
+    is digit order and every weight is 1."""
+    if table.dense:
+        top = 1 << len(table.vocab)
+        return WorldRows(table.vocab, [bin(i | top)[3:] for i in _set_bits(mask)], None)
+    names, worlds = table.vocab.names, table.world_list(mask)
+    bits = (bytes(map(w.true_names.__contains__, names)) for w in worlds)
+    digits = [row.translate(_DIGITS).decode() for row in bits]
+    return WorldRows(table.vocab, digits, [w.weight for w in worlds])
+
+
+def world_rows(table: TruthTable, mask: int) -> WorldRows:
+    """The worlds of ``mask`` in ``table``, in digit order; of equal
+    worlds listed twice the first is kept, as a frozenset keeps it."""
+    rows = table_rows(table, mask)
+    if rows.weights is None:
+        return rows
+    first = dict(zip(reversed(rows.digits), reversed(rows.weights)))
+    digits = sorted(first)
+    return WorldRows(rows.vocab, digits, list(map(first.__getitem__, digits)))
+
+
+_SIGNS = {"0": "~", "1": ""}
+
+
+def world_texts(rows: WorldRows) -> Iterator[str]:
+    """Each world of ``rows`` as its literals, ``{p, ~q}``, or as
+    ``<{p, ~q}, 1/3>`` when its weight is not 1; made as they are read."""
+    lits = "{" + ", ".join(f"%s{name}" for name in rows.vocab.names) + "}"
+    texts = (lits % tuple(map(_SIGNS.__getitem__, row)) for row in rows.digits)
+    if rows.weights is None:
+        return texts
+    return (
+        text if weight == 1 else f"<{text}, {format_fraction(weight)}>"
+        for text, weight in zip(texts, rows.weights)
+    )
+
+
+@lru_cache(maxsize=64)
+def _world_template(names: tuple[str, ...], indent: int) -> tuple[str, str]:
+    """The JSON text of a world at ``indent`` with a slot for each truth
+    value and one for the weight, and the same with the weight 1 filled in."""
+    item = " " * indent
+    lines = ",".join(f"\n{item}    {json.dumps(name)}: %s" for name in names)
+    assign = f"{{{lines}\n{item}  }}" if names else "{}"
+    world = f'{item}{{\n{item}  "assign": {assign},\n{item}  "weight": %s\n{item}}}'
+    return world, world % (("%s",) * len(names) + ("1",))
+
+
+def _render_rows(rows: WorldRows, indent: int) -> str:
+    """``rows`` as a JSON list at ``indent``, one template fill a world;
+    each distinct weight is rendered once."""
+    if not rows.digits:
+        return "[]"
+    world, unit = _world_template(rows.vocab.names, indent + 2)
+    if rows.weights is None:
+        texts = [unit % tuple(row) for row in rows.digits]
+    else:
+        rendered: dict[Fraction, str] = {}
+        texts = []
+        for row, weight in zip(rows.digits, rows.weights):
+            text = rendered.get(weight)
+            if text is None:
+                text = rendered[weight] = _render(weight, 0, {})
+            texts.append(world % (*row, text))
+    return "[\n" + ",\n".join(texts) + "\n" + " " * indent + "]"
 
 
 def _render(value, indent: int, keys: dict[str, str]) -> str:
@@ -375,7 +468,10 @@ def _render(value, indent: int, keys: dict[str, str]) -> str:
         items = [f"{pad}  {_render(v, indent + 2, keys)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(value, PartitionSequence):
-        return _render_sequence(value, indent, keys)
+        view = {"kind": value.kind, "vocab": list(value.vocab.names)}
+        view["classes"] = [world_rows(value.table, mask) for mask in value.masks]
+        view["provenance"] = list(value.provenance)
+        return _render(view, indent, keys)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -387,81 +483,17 @@ def _render(value, indent: int, keys: dict[str, str]) -> str:
         return json.dumps(f"{value.numerator}/{value.denominator}")
     if isinstance(value, str) or value is None:
         return json.dumps(value)
+    if isinstance(value, WorldRows):
+        return _render_rows(value, indent)
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
 def render_json(value) -> str:
     """Deterministic JSON text with exact rational weights. A
     ``PartitionSequence`` inside ``value`` is written as
-    ``sequence_to_obj`` of it would be, straight from its masks."""
+    ``sequence_to_obj`` of it would be, and ``WorldRows`` as a list of
+    ``world_to_obj`` of each world, straight from the rows."""
     return _render(value, 0, {}) + "\n"
-
-
-def _render_sequence(seq: PartitionSequence, indent: int, keys: dict[str, str]) -> str:
-    inner = indent + 2
-    fields = (
-        ("kind", _render(seq.kind, inner, keys)),
-        ("vocab", _render(list(seq.vocab.names), inner, keys)),
-        ("classes", _render_classes(seq, inner)),
-        ("provenance", _render(list(seq.provenance), inner, keys)),
-    )
-    pad = " " * inner
-    body = ",\n".join(f'{pad}"{name}": {text}' for name, text in fields)
-    return "{\n" + body + "\n" + " " * indent + "}"
-
-
-def _render_classes(seq: PartitionSequence, indent: int) -> str:
-    """The "classes" list of ``seq`` at ``indent``, one template fill per
-    world: the world's truth values, in vocabulary order, and its weight.
-
-    On the dense table bit i is the world whose truth values are the
-    binary digits of i, so index order is ``World.bits`` order and every
-    weight is 1. A listed table's worlds are sorted by their digits, and
-    each distinct weight is rendered once."""
-    table, names = seq.table, seq.vocab.names
-    pad, item = " " * (indent + 2), " " * (indent + 4)
-    if names:
-        lines = ",\n".join(f"{item}    {json.dumps(name)}: %s" for name in names)
-        assign = f"{{\n{lines}\n{item}  }}"
-    else:
-        assign = "{}"
-    world = f'{item}{{\n{item}  "assign": {assign},\n{item}  "weight": %s\n{item}}}'
-    if table.dense:
-        unit = world % (("%s",) * len(names) + ("1",))
-        top = 1 << len(names)
-
-        def texts(mask):
-            return [unit % tuple(bin(i | top)[3:]) for i in _set_bits(mask)]
-
-    else:
-        at = {name: k for k, name in enumerate(names)}
-        zeros = bytearray(b"0" * len(names))
-        rendered: dict[Fraction, str] = {}
-
-        def digits(w: World) -> str:
-            row = zeros.copy()
-            for name in w.true_names:
-                row[at[name]] = 49  # "1"
-            return row.decode()
-
-        def texts(mask):
-            # equal worlds listed twice keep the first, as a frozenset does
-            first: dict[str, Fraction] = {}
-            for w in table.world_list(mask):
-                first.setdefault(digits(w), w.weight)
-            out = []
-            for row, weight in sorted(first.items()):
-                text = rendered.get(weight)
-                if text is None:
-                    text = rendered[weight] = _render(weight, 0, {})
-                out.append(world % (*row, text))
-            return out
-
-    classes = [
-        f"{pad}[\n" + ",\n".join(texts(mask)) + f"\n{pad}]" if mask else f"{pad}[]"
-        for mask in seq.masks
-    ]
-    return "[\n" + ",\n".join(classes) + "\n" + " " * indent + "]"
 
 
 def world_to_obj(world: World) -> dict:
@@ -488,74 +520,56 @@ def _parse_weight(raw) -> Fraction:
     # bool is an int too, but true is no weight
     if isinstance(raw, (Fraction, str)) or type(raw) is int:
         try:
-            return Fraction(raw)
+            weight = Fraction(raw)
         except ZeroDivisionError:  # "1/0"
             pass
+        else:
+            if weight.numerator < 0:
+                raise ValueError(f"negative world weight: {weight}")
+            return weight
     raise ValueError(f"bad weight value: {raw!r}")
 
 
-def world_from_obj(obj: dict, vocab: Vocabulary) -> World:
-    assign = obj["assign"]
-    if set(assign) != set(vocab.names):
-        raise ValueError("world assignment does not match the vocabulary")
-    trues = []
-    for name in vocab.names:
-        value = assign[name]
-        # bool is an int too, but not a truth value written as 0 or 1
-        if type(value) is not int or value not in (0, 1):
-            raise ValueError(f"assignment of {name!r} is {value!r}, not 0 or 1")
-        if value:
-            trues.append(name)
-    return World(vocab, trues, _parse_weight(obj.get("weight", 1)))
-
-
-# the truth values 0 and 1 as bytes, to the digits of a world index
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _unit_masks(listed_classes, vocab: Vocabulary) -> list[int] | None:
-    """The class masks of the listed classes in the dense table of
-    ``vocab``, each world's bit read off its ``assign`` digits; None
-    unless every world is well formed with its weight absent or the
-    integer 1 and no class lists a world twice. A document that gets
-    None is read world by world, which raises the first error it holds."""
-    if len(vocab) > DEFAULT_WORLD_CAP:
-        return None
-    names, name_set = vocab.names, set(vocab.names)
-    masks = []
-    for listed in listed_classes:
-        found = []
-        for w in listed:
-            weight = w.get("weight", 1) if type(w) is dict else None
-            assign = w.get("assign") if type(weight) is int and weight == 1 else None
-            if type(assign) is not dict or assign.keys() != name_set:
-                return None
-            values = tuple(map(assign.__getitem__, names))
-            if not set(map(type, values)) <= {int} or not set(values) <= {0, 1}:
-                return None
-            found.append(int(bytes(values).translate(_DIGITS) or b"0", 2))
-        if len(set(found)) != len(found):
-            return None
-        masks.append(_from_bits(found, 1 << len(names)))
-    return masks
-
-
 def sequence_from_obj(obj: dict) -> PartitionSequence:
-    """The sequence of a JSON document. A unit-weight document over at
-    most ``DEFAULT_WORLD_CAP`` constants is read onto the dense table of
-    its vocabulary, any other onto a table that lists its worlds."""
+    """The sequence of a JSON document, read in one pass that takes each
+    world to its truth values and weight and raises the first fault met.
+    A document whose weights are all absent or the integer 1, over at
+    most ``DEFAULT_WORLD_CAP`` constants, is read onto the dense table of
+    its vocabulary; any other onto a table that lists its worlds."""
     vocab = Vocabulary(obj["vocab"])
-    masks = _unit_masks(obj["classes"], vocab)
-    if masks is None:
-        classes = []
-        for listed in obj["classes"]:
-            classes.append([world_from_obj(w, vocab) for w in listed])
-            if len(set(classes[-1])) != len(classes[-1]):
-                raise ValueError("a world is listed twice in one class")
+    names, name_set = vocab.names, set(vocab.names)
+    classes, weights, unit = [], [], True
+    for listed in obj["classes"]:
+        rows = []
+        for w in listed:
+            assign = w["assign"]
+            if (assign.keys() if type(assign) is dict else set(assign)) != name_set:
+                raise ValueError("world assignment does not match the vocabulary")
+            values = tuple(map(assign.__getitem__, names))
+            # bool is an int too, but not a truth value written as 0 or 1
+            if not set(map(type, values)) <= {int} or not set(values) <= {0, 1}:
+                for name, value in zip(names, values):
+                    if type(value) is not int or value not in (0, 1):
+                        raise ValueError(f"assignment of {name!r} is {value!r}, not 0 or 1")
+            weight = w.get("weight", 1)
+            if type(weight) is not int or weight != 1:
+                weight, unit = _parse_weight(weight), False
+            rows.append(bytes(values))
+            weights.append(weight)
+        if len(set(rows)) != len(rows):
+            raise ValueError("a world is listed twice in one class")
+        classes.append(rows)
     provenance = tuple(obj.get("provenance") or ())
-    if masks is None:
-        return PartitionSequence.of_classes(classes, vocab, obj["kind"], provenance)
-    return PartitionSequence(TruthTable(vocab), masks, obj["kind"], provenance)
+    if unit and len(vocab) <= DEFAULT_WORLD_CAP:
+        size = 1 << len(vocab)
+        masks = [
+            _from_bits((int(row.translate(_DIGITS) or b"0", 2) for row in rows), size)
+            for rows in classes
+        ]
+        return PartitionSequence(TruthTable(vocab), masks, obj["kind"], provenance)
+    weight = iter(weights).__next__
+    worlds = [[World(vocab, compress(names, row), weight()) for row in rows] for rows in classes]
+    return PartitionSequence.of_classes(worlds, vocab, obj["kind"], provenance)
 
 
 def sequence_from_json(text: str) -> PartitionSequence:

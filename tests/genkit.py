@@ -36,6 +36,7 @@ from partseq import (
     evaluate,
     format_formula,
 )
+from partseq.rationals import format_fraction
 
 NAMES = ("p", "q", "r")
 
@@ -503,3 +504,49 @@ def stepwise_threshold_accepts(space: SampleSpace, eps: Fraction, conds) -> int 
         if pr is None or pr < 1 - eps:
             return i + 1
     return None
+
+
+# ---------------------------------------------------------------------------
+# Text oracle
+# ---------------------------------------------------------------------------
+#
+# The command line's text of world sets, written one ``World`` object at a
+# time, sorted by truth values; the CLI writes the same text from masks.
+
+
+def world_text(w: World) -> str:
+    lits = ", ".join(n if n in w.true_names else "~" + n for n in w.vocab.names)
+    if w.weight != 1:
+        return f"<{{{lits}}}, {format_fraction(w.weight)}>"
+    return "{" + lits + "}"
+
+
+def class_text(cls) -> str:
+    if not cls:
+        return "{}"
+    return "{" + ", ".join(world_text(w) for w in sorted(cls, key=World.bits)) + "}"
+
+
+def kernel_text(kernel) -> str:
+    if not kernel.worlds:
+        return "inconsistent (empty model set)"
+    return ", ".join(world_text(w) for w in sorted(kernel.worlds, key=World.bits))
+
+
+def sequence_lines(seq, head: str = "sequence:", weighed: bool = False) -> list[str]:
+    """``head``, then a line per class; ``weighed`` adds each class's weight."""
+    lines = [head]
+    for i, cls in enumerate(seq.classes):
+        origin = f"   (from {seq.provenance[i]})" if seq.provenance[i] else ""
+        mass = sum((w.weight for w in cls), Fraction(0))
+        weight = f"   weight {format_fraction(mass)}" if weighed else ""
+        lines.append(f"  W{i} = {class_text(cls)}{weight}{origin}")
+    return lines
+
+
+def explain_lines(seq) -> list[str]:
+    head = f"{seq.kind} sequence over {{{', '.join(seq.vocab.names)}}}"
+    lines = sequence_lines(seq, head, any(w.weight != 1 for w in seq.all_worlds))
+    lines.append("preference chain (most preferred last):")
+    models = [frozenset().union(*seq.classes[i:]) for i in range(len(seq.classes))]
+    return lines + [f"  M{i} = {class_text(m)}" for i, m in enumerate(models)]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,11 +11,40 @@ from pathlib import Path
 import pytest
 
 import partseq
-from partseq import lottery_space, sequence_from_json
+from partseq import (
+    BelowThresholdError,
+    PartitionSequence,
+    Vocabulary,
+    World,
+    build_ael_sequences,
+    build_default_sequences,
+    build_poss_sequence,
+    condition,
+    enumerate_worlds,
+    extensions,
+    format_formula,
+    lottery_space,
+    sequence_from_json,
+    sequence_to_json,
+    stable_expansions,
+    threshold,
+)
 from partseq.cli import _build_parser, main
 from partseq.kbformats import KbDocument, serialize_kb
 from partseq.logic import MAX_FORMULA_DEPTH
+from partseq.possibility import InconsistencyReport
 from partseq.sequences import render_json
+from genkit import (
+    explain_lines,
+    kernel_text,
+    random_default_theory,
+    random_formula,
+    random_possibilistic_kb,
+    random_premises,
+    random_space,
+    sequence_lines,
+    world_text,
+)
 
 RIVALS_DL = """vocab: p q
 rule r1: true : M p / p
@@ -263,6 +293,117 @@ class TestWorldsAndExplain:
         assert code == 0
         assert "preference chain" in out
         assert "M2" in out
+
+
+class TestTextOracle:
+    """The text of every world set the CLI prints, written from masks, is
+    the text ``genkit`` writes one ``World`` object at a time."""
+
+    @staticmethod
+    def said(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and not err
+        return out.splitlines()
+
+    def explained(self, capsys, tmp_path, seq):
+        path = tmp_path / "seq.json"
+        path.write_text(sequence_to_json(seq))
+        back = sequence_from_json(path.read_text())
+        assert self.said(capsys, "explain", path) == explain_lines(back)
+
+    @staticmethod
+    def kb(path, kind, body):
+        path.write_text(serialize_kb(KbDocument(kind, body.vocab, body)))
+        return path
+
+    @staticmethod
+    def sequences_text(seqs):
+        heads = [f"sequence {i}:" for i in range(1, len(seqs) + 1)]
+        return [line for seq, head in zip(seqs, heads) for line in sequence_lines(seq, head)]
+
+    def test_random_bases(self, capsys, tmp_path):
+        rng = random.Random(7071)
+        for _ in range(25):
+            theory = random_default_theory(rng)
+            path = self.kb(tmp_path / "kb.dl", "default", theory)
+            found = extensions(theory)
+            kernels = [f"extension {i}: {kernel_text(k)}" for i, k in enumerate(found, 1)]
+            said = self.said(capsys, "default", "extensions", path)
+            assert said == (kernels or ["no extension"])
+            seqs = build_default_sequences(theory)
+            lines = self.sequences_text(seqs)
+            missing = ["no sequence: the theory has no consistent extension"]
+            assert self.said(capsys, "default", "sequences", path) == (lines or missing)
+            worlds = enumerate_worlds(theory.vocab)
+            assert self.said(capsys, "worlds", path) == list(map(world_text, worlds))
+            for seq in seqs:
+                self.explained(capsys, tmp_path, seq)
+
+            premises = random_premises(rng)
+            path = self.kb(tmp_path / "kb.ael", "ael", premises)
+            found = stable_expansions(premises)
+            kernels = [f"expansion kernel {i}: {kernel_text(k)}" for i, k in enumerate(found, 1)]
+            said = self.said(capsys, "ael", "expansions", path)
+            assert said == kernels or not kernels and said[0] == "no stable expansion"
+            seqs = build_ael_sequences(premises)
+            lines = self.sequences_text(seqs)
+            missing = ["no sequence: the premises have no consistent stable expansion"]
+            assert self.said(capsys, "ael", "sequences", path) == (lines or missing)
+            for seq in seqs:
+                self.explained(capsys, tmp_path, seq)
+
+            space = random_space(rng)
+            path = self.kb(tmp_path / "kb.prob", "prob", space)
+            conds = [random_formula(rng, space.vocab.names, 2) for _ in range(rng.randint(1, 3))]
+            on = [arg for phi in conds for arg in ("--on", format_formula(phi))]
+            seq = condition(space, conds)
+            assert self.said(capsys, "prob", "condition", path, *on) == sequence_lines(seq)
+            try:
+                lines = sequence_lines(threshold(space, Fraction(1, 2), conds))
+            except BelowThresholdError as exc:
+                lines = [str(exc)]
+            assert self.said(capsys, "prob", "threshold", path, "--eps", "1/2", *on) == lines
+            assert self.said(capsys, "worlds", path) == list(map(world_text, space.worlds))
+            self.explained(capsys, tmp_path, seq)
+
+            base = random_possibilistic_kb(rng)
+            path = self.kb(tmp_path / "kb.poss", "poss", base)
+            built = build_poss_sequence(base)
+            if not isinstance(built, InconsistencyReport):
+                assert self.said(capsys, "poss", "build", path) == sequence_lines(built)
+                self.explained(capsys, tmp_path, built)
+
+    @pytest.mark.parametrize("weights", [None, Fraction(1, 2)])
+    def test_documents_over_the_world_cap(self, capsys, tmp_path, weights):
+        vocab = Vocabulary([f"c{i}" for i in range(21)])
+        low, high = World(vocab, []), World(vocab, vocab.names[::2])
+        if weights is not None:
+            low, high = low.reweighted(weights), high.reweighted(1 - weights)
+        seq = PartitionSequence.of_classes([[], [low], [high]], vocab, "conditional")
+        self.explained(capsys, tmp_path, seq)
+        space = lottery_space(21)
+        path = tmp_path / "lottery.prob"
+        path.write_text(serialize_kb(KbDocument("prob", space.vocab, space)))
+        assert self.said(capsys, "worlds", path) == list(map(world_text, space.worlds))
+
+
+class TestClosedPipe:
+    def test_reader_that_stops_early_gets_no_traceback(self, tmp_path):
+        names = [f"c{i}" for i in range(8)]
+        rules = "".join(f"rule r{i}: true : M {c} / {c}\n" for i, c in enumerate(names[:5]))
+        kb = tmp_path / "chain.dl"
+        kb.write_text(f"vocab: {' '.join(names)}\n{rules}")
+        env = dict(os.environ, PYTHONPATH=str(Path(partseq.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "partseq.cli", "default", "sequences", str(kb)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.read(10) == b"sequence 1"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 class TestKindCheck:

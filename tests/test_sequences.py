@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partseq import (
@@ -31,10 +31,22 @@ from partseq import (
     threshold,
     validate_structure,
 )
+from partseq import autoepistemic, cli, defaults
 from partseq.cli import main
 from partseq.defaults import DefaultTheory
+from partseq.kbformats import KbDocument, serialize_kb
 from partseq.logic import Const, Not, TruthTable
-from partseq.sequences import KINDS, class_masks, render_json, sequence_from_obj, sequence_to_obj
+from partseq.sequences import (
+    KINDS,
+    class_masks,
+    render_json,
+    sequence_from_obj,
+    sequence_to_obj,
+    table_rows,
+    world_rows,
+    world_texts,
+    world_to_obj,
+)
 from genkit import (
     per_world_structure,
     random_default_theory,
@@ -42,6 +54,8 @@ from genkit import (
     random_possibilistic_kb,
     random_premises,
     random_space,
+    random_vocab,
+    world_text,
 )
 
 
@@ -456,7 +470,10 @@ def built(rng) -> list[PartitionSequence]:
 
 class TestMaskWriter:
     """``render_json`` writes a sequence from its table and masks, and
-    the bytes are those of its dict view, ``sequence_to_obj``."""
+    the bytes are those of its dict view, ``sequence_to_obj``; so are
+    the world rows of its preference chain, of kernels and of world
+    lists those of ``world_to_obj`` of each world, and their text is the
+    text oracle's."""
 
     def same(self, seq) -> str:
         text = render_json(sequence_to_obj(seq))
@@ -464,7 +481,51 @@ class TestMaskWriter:
         envelope = {"result": {"ok": True}, "sequences": [seq, seq], "empty": []}
         expected = dict(envelope, sequences=[sequence_to_obj(seq)] * 2)
         assert render_json(envelope) == render_json(expected)
+        for mask in preference_view(seq).masks:
+            self.same_rows(seq.table, mask)
         return text
+
+    @staticmethod
+    def same_rows(table, mask, worlds=None):
+        """The rows of ``mask`` in ``table``, or of the whole table in its
+        order when ``worlds`` lists it, against ``world_to_obj``."""
+        if worlds is None:
+            rows = world_rows(table, mask)
+            worlds = sorted(table.worlds(mask), key=World.bits)
+        else:
+            rows = table_rows(table, mask)
+        objs = [world_to_obj(w) for w in worlds]
+        assert render_json({"result": [rows]}) == render_json({"result": [objs]})
+        assert list(world_texts(rows)) == list(map(world_text, worlds))
+
+    def test_kernels_and_world_lists(self):
+        rng = random.Random(1414)
+        for _ in range(80):
+            for search, make in (
+                (defaults._search, random_default_theory),
+                (autoepistemic._search, random_premises),
+            ):
+                base = make(rng)
+                table, _, _, found = search(base)
+                for mask in found:
+                    self.same_rows(table, mask)
+                self.same_rows(table, table.full, enumerate_worlds(base.vocab))
+            space = random_space(rng)
+            self.same_rows(space.table, space.table.full, space.worlds)
+        space = lottery_space(30)
+        self.same_rows(space.table, space.table.full, space.worlds)
+
+    def test_corrupted_listed_tables(self):
+        # equal worlds listed twice in a class, worlds in several classes
+        rng = random.Random(1732)
+        written = 0
+        while written < 150:
+            vocab = random_vocab(rng)
+            seq = corrupted(rng, vocab, enumerate_worlds(vocab))
+            # worlds of another vocabulary have no row in this one
+            if all(w.vocab == seq.vocab for w in seq.table.world_list(seq.table.full)):
+                self.same(seq)
+                written += 1
 
     def test_built_sequences_of_every_kind(self):
         rng = random.Random(2718)
@@ -576,16 +637,35 @@ class TestUnitReader:
                     assert said[0] == said[1]
                 shown += 1
 
-    def test_clean_check_builds_no_world(self):
+    def test_clean_check_builds_no_world(self, monkeypatch, tmp_path, capsys):
+        """Nor does the CLI's text of the sequences it builds, nor its
+        explanation of a dense sequence, in text or JSON."""
+
+        def kept(function, into):
+            return lambda *args: into.append(function(*args)) or into[-1]
+
+        read, made = [], []
+        monkeypatch.setattr(cli, "sequence_from_json", kept(sequence_from_json, read))
+        build = kept(build_default_sequences, made)
+        monkeypatch.setitem(cli._BUILDERS, "default", (build, cli._BUILDERS["default"][1]))
+        kb, path = tmp_path / "kb.dl", tmp_path / "seq.json"
         rng = random.Random(2024)
         checked = 0
         while checked < 40:
             theory = random_default_theory(rng)
+            kb.write_text(serialize_kb(KbDocument("default", theory.vocab, theory)))
+            main(["default", "sequences", str(kb)])
+            assert not any(seq.table._worlds for seq in made[-1])
             for seq in build_default_sequences(theory):
                 back = sequence_from_json(sequence_to_json(seq))
                 assert check_default_sequence(theory, back) == []
                 assert not back.table._worlds
+                path.write_text(sequence_to_json(seq))
+                for flags in ([], ["--json"]):
+                    assert main([*flags, "explain", str(path)]) == 0
+                    assert read[-1].table.dense and not read[-1].table._worlds
                 checked += 1
+        capsys.readouterr()
 
     @pytest.mark.parametrize("size, dense", [(20, True), (21, False)])
     def test_dense_up_to_the_world_cap(self, size, dense):
@@ -624,6 +704,47 @@ class TestValueSemantics:
                 assert seq == again and hash(seq) == hash(again)
             assert set(seqs) == set(back)
             assert len(set(seqs)) == len(set(map(sequence_to_json, seqs)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 20),
+        st.lists(st.sets(st.integers(0, 2**20 - 1), max_size=6), min_size=1, max_size=5),
+        st.sampled_from(KINDS),
+    )
+    def test_dense_round_trip_up_to_the_world_cap(self, n, classes, kind):
+        table = TruthTable(Vocabulary([f"c{i}" for i in range(n)]))
+        masks = [sum(1 << bit for bit in {k % table.size for k in cls}) for cls in classes]
+        seq = PartitionSequence(table, masks, kind, [f"r{i}" for i in range(len(masks))])
+        back = sequence_from_json(sequence_to_json(seq))
+        assert back.table.dense and back == seq and hash(back) == hash(seq)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(21, 40),
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 2**40 - 1),
+                    st.fractions(min_value=0, max_value=3, max_denominator=12),
+                ),
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_weighted_round_trip_over_the_world_cap(self, n, classes):
+        vocab = Vocabulary([f"c{i}" for i in range(n)])
+
+        def world(bits, weight):
+            return World(vocab, [c for k, c in enumerate(vocab.names) if bits >> k & 1], weight)
+
+        classes = [[world(*drawn) for drawn in cls] for cls in classes]
+        seq = PartitionSequence.of_classes(classes, vocab, "threshold")
+        text = sequence_to_json(seq)
+        back = sequence_from_json(text)
+        assert not back.table.dense and back == seq and hash(back) == hash(seq)
+        assert sequence_to_json(back) == text
 
     def test_kind_provenance_or_one_class_tell_apart(self):
         rng = random.Random(515253)
