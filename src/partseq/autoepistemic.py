@@ -10,6 +10,7 @@ part), so kernels stand in for whole belief sets here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import product
 
 from .errors import ResourceLimitError
@@ -19,7 +20,6 @@ from .logic import (
     ModalFormula,
     TruthTable,
     Vocabulary,
-    conjoin,
 )
 from .sequences import (
     DEFAULT_ORDER_LIMIT,
@@ -38,55 +38,55 @@ from .sequences import (
 DEFAULT_GUESS_CAP = 16
 
 
-@dataclass(frozen=True)
-class AelPremises:
-    formulas: tuple[ModalFormula, ...]
-    vocab: Vocabulary
-
-
-def _guess_formulas(premises: AelPremises) -> list[Formula]:
-    """Distinct formulas whose belief status decides which premises fire."""
-    seen: list[Formula] = []
-    for pm in premises.formulas:
-        for phi in ((pm.alpha,) if pm.alpha is not None else ()) + pm.betas:
-            if phi not in seen:
-                seen.append(phi)
-    return seen
-
-
-# A premise compiled against one truth table: the index of its positive
-# condition among the guess formulas (None when absent), the indices of
-# its negative ones, and the item it peels by once licensed.
+# A premise compiled against the dense truth table: the index of its
+# positive condition among the guess formulas (None when absent), the
+# indices of its negative ones, and the item it peels by once licensed.
 _Premise = tuple[int | None, tuple[int, ...], Item]
 
 
-def _compile(
-    premises: AelPremises, guesses: list[Formula], table: TruthTable
-) -> tuple[list[int], list[_Premise]]:
-    """The guess formulas' model masks, and the compiled premises.
+@dataclass(frozen=True)
+class AelPremises:
+    """Belief premises in normal form. :attr:`guesses` and :attr:`compiled`
+    are built on first use and kept for the premises' life; they hold
+    formulas, ints, strings and tuples, never a ``World`` or a
+    ``TruthTable``, so they keep no worlds alive."""
 
-    Labels are formatted here, once per call. A premise peels with no
-    prerequisite.
-    """
-    at = {phi: i for i, phi in enumerate(guesses)}
-    compiled = [
-        (
-            None if pm.alpha is None else at[pm.alpha],
-            tuple(at[b] for b in pm.betas),
-            (str(pm), table.full, table.mask(pm.gamma)),
+    formulas: tuple[ModalFormula, ...]
+    vocab: Vocabulary
+
+    @cached_property
+    def guesses(self) -> tuple[Formula, ...]:
+        """Distinct formulas whose belief status decides which premises fire."""
+        seen: dict[Formula, None] = {}
+        for pm in self.formulas:
+            seen.update(dict.fromkeys(((pm.alpha,) if pm.alpha is not None else ()) + pm.betas))
+        return tuple(seen)  # in order of first appearance
+
+    @cached_property
+    def compiled(self) -> tuple[tuple[int, ...], tuple[_Premise, ...]]:
+        """The guess formulas' model masks over the dense truth table of
+        the vocabulary, and the compiled premises, labels formatted. A
+        premise peels with no prerequisite."""
+        table = TruthTable(self.vocab)
+        at = {phi: i for i, phi in enumerate(self.guesses)}
+        premises = tuple(
+            (
+                None if pm.alpha is None else at[pm.alpha],
+                tuple(at[b] for b in pm.betas),
+                (str(pm), table.full, table.mask(pm.gamma)),
+            )
+            for pm in self.formulas
         )
-        for pm in premises.formulas
-    ]
-    return [table.mask(g) for g in guesses], compiled
+        return tuple(map(table.mask, self.guesses)), premises
 
 
-def _beliefs(conditions: list[int], pool: int) -> tuple[bool, ...]:
+def _beliefs(conditions: tuple[int, ...], pool: int) -> tuple[bool, ...]:
     """Which guess formulas, given by their model masks, hold throughout
     ``pool``: the belief set whose kernel has that model set."""
     return tuple(pool & ~m == 0 for m in conditions)
 
 
-def _licensed(compiled: list[_Premise], believed: tuple[bool, ...]) -> list[Item]:
+def _licensed(compiled: tuple[_Premise, ...], believed: tuple[bool, ...]) -> list[Item]:
     """Premises whose belief conditions ``believed`` vouches for: it holds
     the positive condition and none of the negative ones."""
     return [
@@ -109,7 +109,7 @@ def omega_operator(
     if not kernel.is_consistent:
         raise ValueError("the belief operator is defined for consistent kernels only")
     table = TruthTable(premises.vocab)
-    conditions, compiled = _compile(premises, _guess_formulas(premises), table)
+    conditions, compiled = premises.compiled
     believed = _beliefs(conditions, table.mask_of(kernel.worlds))
     value = close(table.full, _licensed(compiled, believed))
     return Kernel(table.worlds(value), premises.vocab)
@@ -123,36 +123,35 @@ def forced_inconsistency(premises: AelPremises) -> bool:
     belief set is the inconsistent one. The expansion enumeration reports
     consistent kernels only; this flag covers the remaining case.
     """
-    hard = conjoin(pm.gamma for pm in premises.formulas if not pm.betas)
-    return TruthTable(premises.vocab).mask(hard) == 0
+    hard = (gamma for _, betas, (_, _, gamma) in premises.compiled[1] if not betas)
+    return reduce(int.__and__, hard, -1) == 0
 
 
-def _search(premises: AelPremises) -> tuple[TruthTable, list[int], list[_Premise], list[int]]:
-    """The truth table, the guess formulas' masks, the compiled premises
-    and the consistent expansions' model sets, in order.
+def _search(premises: AelPremises) -> tuple[TruthTable, list[int]]:
+    """The truth table and the consistent expansions' model sets, in order.
 
     For every assignment of believed/not-believed to the distinct
     condition formulas, the firing premises induce a kernel; the guess is
     kept when the kernel agrees with it on every condition formula, which
     is exactly the fixed-point property.
     """
-    guesses = _guess_formulas(premises)
-    if len(guesses) > DEFAULT_GUESS_CAP:
+    count = len(premises.guesses)
+    if count > DEFAULT_GUESS_CAP:
         raise ResourceLimitError(
-            f"premises mention {len(guesses)} distinct belief conditions; "
+            f"premises mention {count} distinct belief conditions; "
             f"expansion search is capped at {DEFAULT_GUESS_CAP}"
         )
     table = TruthTable(premises.vocab)
-    conditions, compiled = _compile(premises, guesses, table)
+    conditions, compiled = premises.compiled
     found = []
     seen: set[int] = set()
-    for bits in product((False, True), repeat=len(guesses)):
+    for bits in product((False, True), repeat=count):
         kernel = close(table.full, _licensed(compiled, bits))
         if kernel and kernel not in seen and _beliefs(conditions, kernel) == bits:
             seen.add(kernel)
             found.append(kernel)
     found.sort(key=table.sort_key)
-    return table, conditions, compiled, found
+    return table, found
 
 
 def stable_expansions(
@@ -160,7 +159,7 @@ def stable_expansions(
 ) -> list[Kernel]:
     """All consistent fixed points of the belief operator, deduplicated by
     model set and deterministically ordered."""
-    table, _, _, found = _search(premises)
+    table, found = _search(premises)
     return [Kernel(table.worlds(k), premises.vocab) for k in found]
 
 
@@ -176,7 +175,8 @@ def build_ael_sequences(
     Orders are explored under the shared ``order_limit`` budget of
     :func:`~partseq.sequences.peel_sequences`.
     """
-    table, conditions, compiled, found = _search(premises)
+    table, found = _search(premises)
+    conditions, compiled = premises.compiled
     item_lists = [_licensed(compiled, _beliefs(conditions, k)) for k in found]
     return peel_sequences("autoepistemic", table, 0, table.full, item_lists, order_limit)
 
@@ -215,7 +215,7 @@ def check_ael_sequence(
                 class_index=len(seq.masks) - 1,
             )
         )
-    conditions, compiled = _compile(premises, _guess_formulas(premises), table)
+    conditions, compiled = premises.compiled
     return problems + check_peels(
         masks,
         lambda pool: _licensed(compiled, _beliefs(conditions, pool)),

@@ -215,7 +215,9 @@ def _read_sequence(path: str) -> PartitionSequence:
         return sequence_from_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-    except (ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"bad sequence document: missing key {exc}", 1, 1) from None
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"bad sequence document: {exc}", 1, 1) from None
 
 
@@ -234,7 +236,7 @@ def _sequence_lines(seq: PartitionSequence, head="sequence:", weighed=False) -> 
 
 def _cmd_default_extensions(args, out) -> int:
     doc = _read_kb(args.kb, "default")
-    table, _, _, found = defaults._search(doc.body)
+    table, found = defaults._search(doc.body)
     kernels = [world_rows(table, mask) for mask in found]
     extensions = [{"inconsistent": not mask, "worlds": k} for mask, k in zip(found, kernels)]
     out.record("default extensions", {"kb": args.kb}, {"extensions": extensions})
@@ -300,7 +302,7 @@ def _cmd_check(args, out) -> int:
 
 def _cmd_ael_expansions(args, out) -> int:
     doc = _read_kb(args.kb, "ael")
-    table, _, _, found = ael._search(doc.body)
+    table, found = ael._search(doc.body)
     kernels = [world_rows(table, mask) for mask in found]
     forced = ael.forced_inconsistency(doc.body)
     result = {"kernels": kernels, "premises_inconsistent": forced}

@@ -12,7 +12,7 @@ extension is witnessed by at least one sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import ResourceLimitError
 from .logic import (
@@ -37,6 +37,10 @@ from .sequences import (
 # Candidate extensions are searched over subsets of the rule set, so the
 # search refuses a theory with more rules than this.
 DEFAULT_RULE_CAP = 16
+# The search holds up to 2^k candidate masks of 2^n bits for k rules over n
+# constants, so it refuses a theory whose k + n exceeds this: 2^32 bits is
+# 512 MiB.
+DEFAULT_SWEEP_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,17 @@ class DefaultRule:
         return f"{self.alpha} : {justs} / {self.gamma}"
 
 
+# A rule compiled against the dense truth table: (rule_id, prerequisite
+# mask, justification masks, conclusion mask).
+_Rule = tuple[str, int, tuple[int, ...], int]
+
+
 @dataclass(frozen=True)
 class DefaultTheory:
+    """Default rules over facts. :attr:`compiled` is built on first use
+    and kept for the theory's life; it holds ints, strings and tuples,
+    never a ``World`` or a ``TruthTable``, so it keeps no worlds alive."""
+
     rules: tuple[DefaultRule, ...]
     facts: tuple[Formula, ...]
     vocab: Vocabulary
@@ -67,25 +80,17 @@ class DefaultTheory:
     def fact_formula(self) -> Formula:
         return conjoin(self.facts)
 
-
-# A rule compiled against one truth table: (rule_id, prerequisite mask,
-# justification masks, conclusion mask).
-_Rule = tuple[str, int, tuple[int, ...], int]
-
-
-def _compile(theory: DefaultTheory, table: TruthTable) -> list[_Rule]:
-    return [
-        (
-            rule.rule_id,
-            table.mask(rule.alpha),
-            tuple(map(table.mask, rule.betas)),
-            table.mask(rule.gamma),
+    @cached_property
+    def compiled(self) -> tuple[tuple[_Rule, ...], int]:
+        """The rules and the facts' models, as masks over the dense table."""
+        mask = TruthTable(self.vocab).mask
+        rules = tuple(
+            (r.rule_id, mask(r.alpha), tuple(map(mask, r.betas)), mask(r.gamma)) for r in self.rules
         )
-        for rule in theory.rules
-    ]
+        return rules, mask(self.fact_formula)
 
 
-def _licensed(rules: list[_Rule], pool: int) -> list[Item]:
+def _licensed(rules: tuple[_Rule, ...], pool: int) -> list[Item]:
     """Rules whose justifications are each satisfiable in ``pool``.
 
     A licensed rule peels only while its prerequisite holds throughout the
@@ -108,33 +113,38 @@ def gamma_operator(
     ``candidate``), the least fixed point of applying them.
     """
     table = TruthTable(theory.vocab)
-    licensed = _licensed(_compile(theory, table), table.mask_of(candidate))
-    return table.worlds(close(table.mask(theory.fact_formula), licensed))
+    rules, facts = theory.compiled
+    return table.worlds(close(facts, _licensed(rules, table.mask_of(candidate))))
 
 
-def _search(theory: DefaultTheory) -> tuple[TruthTable, list[_Rule], int, list[int]]:
-    """The truth table, the compiled rules, the fact models and the
-    extensions' model sets, in order.
+def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
+    """The truth table and the extensions' model sets, in order.
 
     Every extension is generated by the facts plus the conclusions of the
     rules that fire in it, so sweeping the intersections of the fact
     models with rule conclusions and keeping each candidate equal to its
-    operator value finds exactly the fixed points.
+    operator value finds exactly the fixed points. The caps are checked in
+    order before the sweep allocates: rules, constants, then both at once.
     """
-    if len(theory.rules) > DEFAULT_RULE_CAP:
+    k, n = len(theory.rules), len(theory.vocab)
+    if k > DEFAULT_RULE_CAP:
         raise ResourceLimitError(
-            f"theory has {len(theory.rules)} rules; extension search is "
-            f"capped at {DEFAULT_RULE_CAP}"
+            f"theory has {k} rules; extension search is capped at {DEFAULT_RULE_CAP}"
         )
     table = TruthTable(theory.vocab)
-    rules = _compile(theory, table)
-    facts = table.mask(theory.fact_formula)
+    if k + n > DEFAULT_SWEEP_BITS:
+        raise ResourceLimitError(
+            f"theory has {k} rules over {n} constants; extension search would "
+            f"hold up to 2^{k} candidate masks of 2^{n} bits, and is capped at "
+            f"2^{DEFAULT_SWEEP_BITS} bits (rules + constants <= {DEFAULT_SWEEP_BITS})"
+        )
+    rules, facts = theory.compiled
     candidates = {facts}
     for _, _, _, gamma in rules:
         candidates |= {c & gamma for c in candidates}
     found = [c for c in candidates if close(facts, _licensed(rules, c)) == c]
     found.sort(key=table.sort_key)
-    return table, rules, facts, found
+    return table, found
 
 
 def extensions(
@@ -145,7 +155,7 @@ def extensions(
     The inconsistent extension (empty model set) appears alone when the
     facts themselves are unsatisfiable.
     """
-    table, _, _, found = _search(theory)
+    table, found = _search(theory)
     return [Kernel(table.worlds(m), theory.vocab) for m in found]
 
 
@@ -164,7 +174,8 @@ def build_default_sequences(
     :func:`~partseq.sequences.peel_sequences`. The inconsistent extension,
     having no worlds to end on, gets no sequence.
     """
-    table, rules, facts, found = _search(theory)
+    table, found = _search(theory)
+    rules, facts = theory.compiled
     item_lists = [_licensed(rules, e) for e in found if e]
     return peel_sequences(
         "default", table, table.full & ~facts, facts, item_lists, order_limit
@@ -195,7 +206,8 @@ def check_default_sequence(
     masks, problems = class_masks(seq, "default", table)
     if problems:
         return problems
-    if masks[0] != table.full & ~table.mask(theory.fact_formula):
+    rules, facts = theory.compiled
+    if masks[0] != table.full & ~facts:
         problems.append(
             Violation(
                 "condition 1",
@@ -203,5 +215,4 @@ def check_default_sequence(
                 class_index=0,
             )
         )
-    licensed = partial(_licensed, _compile(theory, table))
-    return problems + check_peels(masks, licensed, strict, "rule")
+    return problems + check_peels(masks, partial(_licensed, rules), strict, "rule")

@@ -97,6 +97,15 @@ class World:
             raise ValueError(f"negative world weight: {self.weight}")
         self._hash = hash((vocab, self.true_names))
 
+    @classmethod
+    def _trusted(cls, vocab: Vocabulary, true_names: frozenset[str], weight: Fraction) -> World:
+        """A world from parts already checked: names within ``vocab`` and
+        a non-negative ``Fraction`` weight."""
+        world = object.__new__(cls)
+        world.vocab, world.true_names, world.weight = vocab, true_names, weight
+        world._hash = hash((vocab, true_names))
+        return world
+
     def truth(self, name: str) -> bool:
         if name not in self.vocab:
             raise SemanticError(f"unknown constant: {name!r}")
@@ -321,10 +330,11 @@ class TruthTable:
     included. Its atom masks are read off those worlds, so it has no cap:
     a lottery over 2000 constants has only 2000 worlds.
 
-    Meant to live for one call: masks and worlds are memoised per table,
-    so a search compiles each formula once and builds each world once.
-    ``indexed`` says that bit i is world i of the dense table, as in the
-    dense form and in a :meth:`reweighted` copy of it.
+    Meant to live for one call, for which it memoises the masks it
+    compiles and the worlds it builds. A knowledge base keeps masks only
+    (``DefaultTheory.compiled``), never a table, so a call's worlds go
+    when it returns. ``indexed`` says that bit i is world i of the dense
+    table, as in the dense form and in a :meth:`reweighted` copy of it.
     """
 
     def __init__(
@@ -411,12 +421,18 @@ class TruthTable:
         return _from_bits(map(self.index, worlds), self.size)
 
     def _dense_worlds(self, found: list[int], weight: Rational = _ONE) -> dict[int, World]:
-        """The world at each dense index of ``found``, each of ``weight``."""
+        """The world at each dense index of ``found``, each of ``weight``.
+
+        An index names constants of the vocabulary only, and the weight is
+        checked once on an empty world, so no world repeats the checks of
+        ``World.__init__``."""
         vocab, names, digits = self.vocab, self.vocab.names, f"0{len(self.vocab)}b"
-        return {
-            i: World(vocab, compress(names, format(i, digits).encode().translate(_BITS)), weight)
-            for i in found
-        }
+        weight, trusted = World(vocab, (), weight).weight, World._trusted
+        built = {}
+        for i in found:
+            true_names = frozenset(compress(names, format(i, digits).encode().translate(_BITS)))
+            built[i] = trusted(vocab, true_names, weight)
+        return built
 
     def world_list(self, mask: int) -> list[World]:
         """The worlds of ``mask`` in index order."""

@@ -9,6 +9,7 @@ evaluator with the engines under test.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -425,6 +426,19 @@ def belief_operator(premises, kernel_worlds, ts: _TruthSets) -> frozenset:
         ):
             result &= ts.sat(pm.gamma)
     return result
+
+
+def cached(obj) -> set[str]:
+    """The names a dataclass instance holds beyond its fields."""
+    return set(vars(obj)) - {f.name for f in dataclasses.fields(obj)}
+
+
+def plain(value, leaves=(int, str, type(None))) -> bool:
+    """Whether ``value`` is built of tuples over ``leaves`` only: no
+    ``World``, ``TruthTable`` or other object that could hold worlds."""
+    if type(value) is tuple:
+        return all(plain(v, leaves) for v in value)
+    return isinstance(value, leaves)
 
 
 def random_nonempty_subset(rng: random.Random, worlds) -> frozenset:

@@ -1,5 +1,6 @@
 """Belief-premise engine: the operator, expansions, sequences."""
 
+import dataclasses
 import random
 
 import pytest
@@ -24,13 +25,16 @@ from partseq import (
     stable_expansions,
     validate_structure,
 )
+from partseq.logic import Formula
 from genkit import (
     _ael_sequence_ok,
     _TruthSets,
     ael_candidates,
     belief_operator,
     brute_force_ael_last_classes,
+    cached,
     holds_throughout,
+    plain,
     random_nonempty_subset,
     random_premises,
 )
@@ -71,6 +75,26 @@ class TestOmegaOperator:
                 assert got == belief_operator(premises, kernel.worlds, ts), (premises, kernel)
                 moved += got != kernel.worlds
         assert moved > 0
+
+    def test_shared_compiled_form(self):
+        # one premise object serves the search and then the operator; the
+        # form it keeps is formulas and masks only, and equal fresh
+        # premises agree
+        rng = random.Random(6262)
+        for _ in range(200):
+            premises = random_premises(rng)
+            stable_expansions(premises)
+            compiled = premises.compiled
+            assert plain(compiled) and plain(premises.guesses, Formula)
+            assert cached(premises) == {"guesses", "compiled"}
+            fresh = dataclasses.replace(premises)
+            ts = _TruthSets(enumerate_worlds(premises.vocab))
+            for _ in range(4):
+                kernel = Kernel(random_nonempty_subset(rng, ts.worlds), premises.vocab)
+                got = omega_operator(premises, kernel).worlds
+                assert got == belief_operator(premises, kernel.worlds, ts), (premises, kernel)
+                assert got == omega_operator(fresh, kernel).worlds
+            assert premises.compiled is compiled and fresh.compiled == compiled
 
 
 class TestStableExpansions:

@@ -519,8 +519,10 @@ class TestExitCodes:
         [
             "vocab: " + " ".join(f"c{i}" for i in range(21)) + "\nfact: c0\n",
             "vocab: p\n" + "".join(f"rule r{i}: true : M p / p\n" for i in range(17)),
+            "vocab: " + " ".join(f"c{i}" for i in range(20)) + "\n"
+            + "".join(f"rule r{i}: true : M c{i} / c{i}\n" for i in range(16)),
         ],
-        ids=["21 constants", "17 rules"],
+        ids=["21 constants", "17 rules", "20 constants and 16 rules"],
     )
     def test_cap_is_one_error_line(self, capsys, tmp_path, text):
         big = tmp_path / "big.dl"
@@ -593,6 +595,16 @@ class TestSequenceDocument:
         assert (code, out) == (2, "")
         assert err.endswith("bad sequence document: bad weight value: '1/0'\n")
         assert err.startswith("parse error: line 1, column 1: ")
+
+    @pytest.mark.parametrize("key", ["kind", "vocab", "classes", "assign"])
+    def test_missing_key_is_named(self, capsys, tmp_path, key):
+        path = self.write(tmp_path, [[{"assign": {"p": 0}}], [{"assign": {"p": 1}}]])
+        doc = json.loads(path.read_text())
+        del (doc["classes"][0][0] if key == "assign" else doc)[key]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "explain", path)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: line 1, column 1: bad sequence document: missing key '{key}'\n"
 
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_weight_is_two(self, capsys, tmp_path, value):

@@ -1,5 +1,6 @@
 """Default-rule engine: fixed-point operator, extensions, sequences."""
 
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from partseq import (
     World,
     build_default_sequences,
     check_default_sequence,
+    defaults,
     enumerate_worlds,
     extensions,
     gamma_operator,
@@ -27,8 +29,10 @@ from genkit import (
     _default_sequence_ok,
     _TruthSets,
     brute_force_default_last_classes,
+    cached,
     default_candidates,
     default_operator,
+    plain,
     random_default_theory,
     random_nonempty_subset,
 )
@@ -81,6 +85,24 @@ class TestGammaOperator:
                 moved += got != candidate
         assert moved > 0
 
+    def test_shared_compiled_form(self):
+        # one theory object serves the search and then the operator; the
+        # form it keeps is masks only, and an equal fresh theory agrees
+        rng = random.Random(6161)
+        for _ in range(200):
+            theory = random_default_theory(rng)
+            extensions(theory)
+            compiled = theory.compiled
+            assert plain(compiled) and cached(theory) == {"compiled"}
+            fresh = dataclasses.replace(theory)
+            ts = _TruthSets(enumerate_worlds(theory.vocab))
+            for _ in range(4):
+                candidate = random_nonempty_subset(rng, ts.worlds)
+                got = gamma_operator(theory, candidate)
+                assert got == default_operator(theory, candidate, ts), (theory, candidate)
+                assert got == gamma_operator(fresh, candidate)
+            assert theory.compiled is compiled and fresh.compiled == compiled
+
 
 class TestExtensions:
     def test_rival_theory_has_two(self, rival_theory, pq):
@@ -114,16 +136,16 @@ class TestExtensions:
 class TestWorldCap:
     NAMES = [f"c{i}" for i in range(20)]
 
-    def chain(self, names):
-        """Facts pin all but the last six constants; six rules
+    def chain(self, names, k=6):
+        """Facts pin all but the last ``k`` constants; ``k`` rules
         ``true : M c / c`` set the rest, so all constants end up true."""
         vocab = Vocabulary(names)
         return DefaultTheory(
             rules=tuple(
                 DefaultRule(f"r{i}", TRUE, (Const(n),), Const(n))
-                for i, n in enumerate(names[-6:])
+                for i, n in enumerate(names[-k:])
             ),
-            facts=tuple(Const(n) for n in names[:-6]),
+            facts=tuple(Const(n) for n in names[:-k]),
             vocab=vocab,
         )
 
@@ -144,6 +166,30 @@ class TestWorldCap:
         ):
             with pytest.raises(ResourceLimitError, match="capped at 20"):
                 run()
+
+    def test_sweep_bound_refuses_twenty_constants_sixteen_rules(self):
+        # 2^16 candidate masks of 2^20 bits: refused before anything is compiled
+        theory = self.chain(self.NAMES, k=16)
+        for run in (lambda: extensions(theory), lambda: build_default_sequences(theory)):
+            with pytest.raises(ResourceLimitError, match=r"capped at 2\^32 bits"):
+                run()
+        assert not cached(theory)
+
+    def test_caps_checked_rules_then_constants_then_sweep(self):
+        for names, k, message in (
+            (self.NAMES + ["c20"], 17, "capped at 16"),
+            (self.NAMES + ["c20"], 16, "capped at 20"),
+            (self.NAMES, 13, r"capped at 2\^32 bits \(rules \+ constants <= 32\)"),
+        ):
+            with pytest.raises(ResourceLimitError, match=message):
+                extensions(self.chain(names, k))
+
+    def test_sweep_bound_is_rules_plus_constants(self, monkeypatch):
+        monkeypatch.setattr(defaults, "DEFAULT_SWEEP_BITS", 8)
+        names = ["a", "b", "c", "d", "e"]
+        assert len(extensions(self.chain(names[:4], k=4))) == 1
+        with pytest.raises(ResourceLimitError, match=r"2\^8 bits"):
+            extensions(self.chain(names, k=4))
 
     def test_twenty_constants_sequences_stay_masks(self):
         # no World is built: a first class of 2^20 - 64 worlds is never listed

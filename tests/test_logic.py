@@ -221,6 +221,24 @@ class TestTruthTable:
         with pytest.raises(SemanticError):
             TruthTable(pq).mask(Const("zz"))
 
+    @pytest.mark.parametrize("weight", [1, "1/3", Fraction(0), 2])
+    def test_dense_worlds_match_checked_worlds(self, weight):
+        # built from their indices without World.__init__'s checks
+        vocab = Vocabulary(["a", "b", "c"])
+        table = TruthTable(vocab)
+        for i, w in table._dense_worlds(list(range(8)), weight).items():
+            names = [n for n, bit in zip(vocab.names, format(i, "03b")) if bit == "1"]
+            checked = World(vocab, names, weight)
+            assert w == checked and hash(w) == hash(checked)
+            assert w.true_names == checked.true_names and w.vocab is vocab
+            assert type(w.weight) is Fraction and w.weight == checked.weight
+            assert repr(w) == repr(checked)
+
+    def test_reweighted_refuses_a_negative_share(self, pq):
+        table = TruthTable(pq)
+        with pytest.raises(ValueError, match="negative world weight: -1/2"):
+            table.reweighted([(0b0011, Fraction(1, 2)), (0b1100, Fraction(-1, 2))])
+
     def test_entails_refuses_twenty_one_constants(self):
         vocab = Vocabulary([f"x{i}" for i in range(21)])
         with pytest.raises(ResourceLimitError, match="capped at 20"):

@@ -506,7 +506,7 @@ class TestMaskWriter:
                 (autoepistemic._search, random_premises),
             ):
                 base = make(rng)
-                table, _, _, found = search(base)
+                table, found = search(base)
                 for mask in found:
                     self.same_rows(table, mask)
                 self.same_rows(table, table.full, enumerate_worlds(base.vocab))
