@@ -71,13 +71,11 @@ from .possibility import (
     possibility,
 )
 from .probability import (
-    ConditioningQuery,
     SampleSpace,
     cond_prob,
     condition,
     enumerate_threshold_orders,
     extend,
-    answer,
     lottery_space,
     persistent_prob,
     rejects,
@@ -102,7 +100,6 @@ __all__ = [
     "And",
     "BelowThresholdError",
     "Bottom",
-    "ConditioningQuery",
     "Const",
     "DEFAULT_WORLD_CAP",
     "DefaultRule",
@@ -130,7 +127,6 @@ __all__ = [
     "Violation",
     "Vocabulary",
     "World",
-    "answer",
     "as_fraction",
     "atoms",
     "build_ael_sequences",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
 
+from . import defaults
 from .errors import ResourceLimitError
 from .logic import (
     Formula,
@@ -22,7 +23,6 @@ from .logic import (
     Vocabulary,
 )
 from .sequences import (
-    DEFAULT_ORDER_LIMIT,
     Item,
     PartitionSequence,
     Violation,
@@ -133,15 +133,24 @@ def _search(premises: AelPremises) -> tuple[TruthTable, list[int]]:
     For every assignment of believed/not-believed to the distinct
     condition formulas, the firing premises induce a kernel; the guess is
     kept when the kernel agrees with it on every condition formula, which
-    is exactly the fixed-point property.
+    is exactly the fixed-point property. The caps are checked in order
+    before the sweep allocates: conditions, constants, then both at once,
+    under the default sweep's bound.
     """
-    count = len(premises.guesses)
+    count, n = len(premises.guesses), len(premises.vocab)
     if count > DEFAULT_GUESS_CAP:
         raise ResourceLimitError(
             f"premises mention {count} distinct belief conditions; "
             f"expansion search is capped at {DEFAULT_GUESS_CAP}"
         )
     table = TruthTable(premises.vocab)
+    bits = defaults.DEFAULT_SWEEP_BITS
+    if count + n > bits:
+        raise ResourceLimitError(
+            f"premises mention {count} distinct belief conditions over {n} constants; "
+            f"expansion search would hold up to 2^{count} kernels of 2^{n} bits, and is "
+            f"capped at 2^{bits} bits (conditions + constants <= {bits})"
+        )
     conditions, compiled = premises.compiled
     found = []
     seen: set[int] = set()
@@ -163,22 +172,19 @@ def stable_expansions(
     return [Kernel(table.worlds(k), premises.vocab) for k in found]
 
 
-def build_ael_sequences(
-    premises: AelPremises,
-    order_limit: int = DEFAULT_ORDER_LIMIT,
-) -> list[PartitionSequence]:
+def build_ael_sequences(premises: AelPremises) -> list[PartitionSequence]:
     """Sequences witnessing each consistent stable expansion.
 
     The first class is empty by definition; afterwards the firing premises
     split off the worlds falsifying their conclusions, in any order, until
     nothing is left to split, which lands exactly on the expansion kernel.
-    Orders are explored under the shared ``order_limit`` budget of
+    Orders are explored under the shared order budget of
     :func:`~partseq.sequences.peel_sequences`.
     """
     table, found = _search(premises)
     conditions, compiled = premises.compiled
     item_lists = [_licensed(compiled, _beliefs(conditions, k)) for k in found]
-    return peel_sequences("autoepistemic", table, 0, table.full, item_lists, order_limit)
+    return peel_sequences("autoepistemic", table, 0, table.full, item_lists)
 
 
 def check_ael_sequence(

@@ -30,7 +30,6 @@ from typing import Iterable, Iterator
 
 from . import autoepistemic as ael
 from . import defaults, probability
-from .probability import ConditioningQuery
 from .errors import (
     BelowThresholdError,
     ParseError,
@@ -38,7 +37,7 @@ from .errors import (
     SemanticError,
     UndefinedConditionalError,
 )
-from .kbformats import KbDocument, parse_kb
+from .kbformats import _FORMATS, KbDocument, parse_kb
 from .logic import Formula, TruthTable, parse_formula
 from .possibility import (
     InconsistencyReport,
@@ -62,8 +61,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
-
-_EXTENSIONS = {"default": ".dl", "ael": ".ael", "prob": ".prob", "poss": ".poss"}
 
 
 class _UsageError(Exception):
@@ -372,21 +369,19 @@ def _cmd_prob_query(args, out) -> int:
     conds = _conditions(args, doc)
     psi = parse_formula(args.query, doc.vocab)
     inputs = {"kb": args.kb, "on": list(args.on), "query": args.query}
-    eps = None
-    if args.eps is not None:
-        eps = as_fraction(args.eps)
-        inputs["eps"] = eps
-    query = ConditioningQuery(conditions=tuple(conds), query=psi, epsilon=eps)
     try:
-        found = probability.answer(doc.body, query, strict=args.strict)
+        if args.eps is None:
+            seq = probability.condition(doc.body, conds)
+        else:
+            inputs["eps"] = eps = as_fraction(args.eps)
+            seq = probability.threshold(doc.body, eps, conds, strict=args.strict)
+        value = probability.cond_prob(seq, psi)
     except (BelowThresholdError, UndefinedConditionalError) as exc:
         out.record("prob query", inputs, {"defined": False, "reason": str(exc)})
         out.say(str(exc))
         return EXIT_NEGATIVE
-    out.record(
-        "prob query", inputs, {"defined": True, "value": found.value}, [found.sequence]
-    )
-    out.say_all(map(format_fraction, [found.value]))
+    out.record("prob query", inputs, {"defined": True, "value": value}, [seq])
+    out.say_all(map(format_fraction, [value]))
     return EXIT_OK
 
 
@@ -442,12 +437,12 @@ def _cmd_poss_query(args, out) -> int:
 
 def _kind_of(path: str) -> str:
     suffix = Path(path).suffix
-    for kind, ext in _EXTENSIONS.items():
+    for kind, (ext, *_) in _FORMATS.items():
         if suffix == ext:
             return kind
     raise _UsageError(
         f"cannot tell the KB kind from {path!r}; expected one of "
-        + ", ".join(_EXTENSIONS.values())
+        + ", ".join(ext for ext, *_ in _FORMATS.values())
     )
 
 

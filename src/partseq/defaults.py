@@ -24,7 +24,6 @@ from .logic import (
     conjoin,
 )
 from .sequences import (
-    DEFAULT_ORDER_LIMIT,
     Item,
     PartitionSequence,
     Violation,
@@ -39,7 +38,7 @@ from .sequences import (
 DEFAULT_RULE_CAP = 16
 # The search holds up to 2^k candidate masks of 2^n bits for k rules over n
 # constants, so it refuses a theory whose k + n exceeds this: 2^32 bits is
-# 512 MiB.
+# 512 MiB. The belief-condition sweep of autoepistemic reads it too.
 DEFAULT_SWEEP_BITS = 32
 
 
@@ -159,10 +158,7 @@ def extensions(
     return [Kernel(table.worlds(m), theory.vocab) for m in found]
 
 
-def build_default_sequences(
-    theory: DefaultTheory,
-    order_limit: int = DEFAULT_ORDER_LIMIT,
-) -> list[PartitionSequence]:
+def build_default_sequences(theory: DefaultTheory) -> list[PartitionSequence]:
     """Sequences witnessing each extension of ``theory``.
 
     The first class collects the worlds falsifying the facts; then an
@@ -170,16 +166,14 @@ def build_default_sequences(
     split off, until no rule applies. Any maximal application order lands
     exactly on the extension's model set, so alternative orders yield
     further valid sequences differing in their intermediate classes only.
-    Orders are explored under the shared ``order_limit`` budget of
+    Orders are explored under the shared order budget of
     :func:`~partseq.sequences.peel_sequences`. The inconsistent extension,
     having no worlds to end on, gets no sequence.
     """
     table, found = _search(theory)
     rules, facts = theory.compiled
     item_lists = [_licensed(rules, e) for e in found if e]
-    return peel_sequences(
-        "default", table, table.full & ~facts, facts, item_lists, order_limit
-    )
+    return peel_sequences("default", table, table.full & ~facts, facts, item_lists)
 
 
 def check_default_sequence(

@@ -39,8 +39,6 @@ from .possibility import PossibilisticKB
 from .probability import SampleSpace
 from .rationals import format_fraction
 
-KB_KINDS = ("default", "ael", "prob", "poss")
-
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -57,24 +55,13 @@ def parse_kb(text: str, kind: str) -> KbDocument:
     """Parse KB text of the given kind ("default", "ael", "prob", "poss")."""
     if kind not in KB_KINDS:
         raise ValueError(f"unknown KB kind {kind!r}")
-    parser = {
-        "default": _parse_default,
-        "ael": _parse_ael,
-        "prob": _parse_prob,
-        "poss": _parse_poss,
-    }[kind]
-    return parser(text)
+    return _FORMATS[kind][1](text)
 
 
 def serialize_kb(doc: KbDocument) -> str:
     """Render ``doc`` back to text; parsing the result reproduces it."""
-    writer = {
-        "default": _write_default,
-        "ael": _write_ael,
-        "prob": _write_prob,
-        "poss": _write_poss,
-    }[doc.kind]
-    return writer(doc)
+    lines = ["vocab: " + " ".join(doc.vocab.names), *_FORMATS[doc.kind][2](doc.body)]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +209,10 @@ def _split_rule(line: str, lineno: int):
     stripped = line.lstrip()
     indent = len(line) - len(stripped)
     head_end = _split_required(line, ":", indent + 4, lineno, ":")
-    rule_id = line[indent + 4 : head_end].strip()
+    head = line[indent + 4 : head_end]
+    rule_id = head.strip()
     if not _ID_RE.match(rule_id):
-        raise ParseError(f"bad rule id {rule_id!r}", lineno, indent + 5)
+        raise ParseError(f"bad rule id {rule_id!r}", lineno, head_end - len(head.lstrip()) + 1)
     alpha_end = _split_required(line, ":", head_end + 1, lineno, ":")
     slash = _split_required(line, "/", alpha_end + 1, lineno, "/")
     just_spans = []
@@ -249,18 +237,9 @@ def _justification(line: str, lineno: int, span, vocab) -> Formula:
     )
 
 
-def _write_default(doc: KbDocument) -> str:
-    theory = doc.body
-    lines = ["vocab: " + " ".join(doc.vocab.names)]
-    for phi in theory.facts:
-        lines.append(f"fact: {format_formula(phi)}")
-    for rule in theory.rules:
-        justs = ", ".join(f"M {format_formula(b)}" for b in rule.betas)
-        lines.append(
-            f"rule {rule.rule_id}: {format_formula(rule.alpha)} : {justs} / "
-            f"{format_formula(rule.gamma)}"
-        )
-    return "\n".join(lines) + "\n"
+def _write_default(theory: DefaultTheory) -> list[str]:
+    facts = [f"fact: {phi}" for phi in theory.facts]
+    return facts + [f"rule {rule.rule_id}: {rule}" for rule in theory.rules]
 
 
 # ---------------------------------------------------------------------------
@@ -304,33 +283,28 @@ def _parse_ael(text: str) -> KbDocument:
             everything.extend(pm.betas)
             everything.append(pm.gamma)
         vocab = _infer_vocab(everything, raw[0][0] if raw else 1)
-        if "L" in vocab:
-            raise ParseError(
-                "'L' is reserved in belief premises", raw[0][0] if raw else 1, 1
-            )
     return KbDocument("ael", vocab, AelPremises(tuple(premises), vocab))
 
 
-def _terminate(tokens: list[Token]) -> list[Token]:
-    if tokens:
-        last = tokens[-1]
-        eof = Token("eof", "", last.line, last.column + len(last.text))
-    else:
-        eof = Token("eof", "", 1, 1)
-    return tokens + [eof]
+def _terminate(tokens: list[Token], after: Token) -> list[Token]:
+    """``tokens`` closed by an end of input just past the last of them, or
+    just past ``after`` when there are none."""
+    last = tokens[-1] if tokens else after
+    return [*tokens, Token("eof", "", last.line, last.column + len(last.text))]
 
 
 def _modal_piece(tokens: list[Token]):
-    """Match [~] L <formula tokens>; None when the piece is not modal."""
+    """Match [~] L <formula tokens>: the sign, the L marker and the formula
+    tokens; None when the piece is not modal."""
     if tokens and tokens[0].kind == "name" and tokens[0].text == "L":
-        return ("pos", tokens[1:])
+        return ("pos", tokens[0], tokens[1:])
     if (
         len(tokens) >= 2
         and tokens[0].kind == "not"
         and tokens[1].kind == "name"
         and tokens[1].text == "L"
     ):
-        return ("neg", tokens[2:])
+        return ("neg", tokens[1], tokens[2:])
     return None
 
 
@@ -365,53 +339,48 @@ def _split_premise(line: str, lineno: int):
     pieces.append(current)
 
     matches = [_modal_piece(p) for p in pieces]
-    if all(m is not None and m[1] for m in matches):
-        alpha_toks = None
-        beta_toks = []
-        for piece, match in zip(pieces, matches):
-            sign, inner = match
-            if sign == "pos":
-                if alpha_toks is not None:
-                    raise ParseError(
-                        "at most one positive belief condition per premise",
-                        piece[0].line,
-                        piece[0].column,
-                    )
-                alpha_toks = _terminate(inner)
-            else:
-                beta_toks.append(_terminate(inner))
-        if tail is None:
-            # bare L f  /  ~L f: the belief assertion itself, rewritten to
-            # conditional form (believing f is refusing to not-believe it)
-            if alpha_toks is not None and not beta_toks:
-                return (None, (alpha_toks,), _terminate([_false_token(lineno)]))
-            if alpha_toks is None and len(beta_toks) == 1:
-                return (beta_toks[0], (), _terminate([_false_token(lineno)]))
-            raise ParseError(
-                "belief conditions need a '->' conclusion", lineno, len(line) + 1
-            )
-        return (alpha_toks, tuple(beta_toks), _terminate(tail))
-
-    # plain non-modal premise; a stray L means a malformed conditional
+    modal = all(m is not None and m[2] for m in matches)
+    # every L but the markers of a belief conditional is a misplaced one
+    markers = {marker for _, marker, _ in matches} if modal else ()
     for tok in tokens:
-        if tok.kind == "name" and tok.text == "L":
+        if tok.kind == "name" and tok.text == "L" and tok not in markers:
             raise ParseError(
                 "'L' is reserved in belief premises; parenthesise or fix the "
                 "belief conditions",
                 tok.line,
                 tok.column,
             )
-    return (None, (), _terminate(tokens))
+    if modal:
+        alpha_toks = None
+        beta_toks = []
+        for sign, marker, inner in matches:
+            if sign == "pos":
+                if alpha_toks is not None:
+                    raise ParseError(
+                        "at most one positive belief condition per premise",
+                        marker.line,
+                        marker.column,
+                    )
+                alpha_toks = _terminate(inner, marker)
+            else:
+                beta_toks.append(_terminate(inner, marker))
+        if tail is None:
+            # bare L f  /  ~L f: the belief assertion itself, rewritten to
+            # conditional form (believing f is refusing to not-believe it)
+            false = _terminate([Token("name", "false", lineno, 1)], tokens[0])
+            if alpha_toks is not None and not beta_toks:
+                return (None, (alpha_toks,), false)
+            if alpha_toks is None and len(beta_toks) == 1:
+                return (beta_toks[0], (), false)
+            raise ParseError(
+                "belief conditions need a '->' conclusion", lineno, len(line) + 1
+            )
+        return (alpha_toks, tuple(beta_toks), _terminate(tail, tokens[arrow]))
+    return (None, (), _terminate(tokens, tokens[0]))
 
 
-def _false_token(lineno: int) -> Token:
-    return Token("name", "false", lineno, 1)
-
-
-def _write_ael(doc: KbDocument) -> str:
-    lines = ["vocab: " + " ".join(doc.vocab.names)]
-    lines.extend(str(pm) for pm in doc.body.formulas)
-    return "\n".join(lines) + "\n"
+def _write_ael(premises: AelPremises) -> list[str]:
+    return [str(pm) for pm in premises.formulas]
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +468,13 @@ def _literal_error(pieces, literals, names, lineno, start, vocab) -> ParseError:
     return ParseError(f"constant {name!r} assigned twice", lineno, col)
 
 
-def _write_prob(doc: KbDocument) -> str:
-    space = doc.body
-    lines = ["vocab: " + " ".join(doc.vocab.names)]
-    for w in space.worlds:
-        lits = ",".join(
-            n if n in w.true_names else "~" + n for n in doc.vocab.names
-        )
-        lines.append(f"world {lits} : {format_fraction(w.weight)}")
-    return "\n".join(lines) + "\n"
+def _write_prob(space: SampleSpace) -> list[str]:
+    names = space.vocab.names
+    return [
+        f"world {','.join(n if n in w.true_names else '~' + n for n in names)} : "
+        f"{format_fraction(w.weight)}"
+        for w in space.worlds
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +536,21 @@ def _parse_poss(text: str) -> KbDocument:
     return KbDocument("poss", vocab, kb)
 
 
-def _write_poss(doc: KbDocument) -> str:
-    lines = ["vocab: " + " ".join(doc.vocab.names)]
-    for formulas, value in doc.body.levels:
-        for phi in sorted(formulas, key=format_formula):
-            lines.append(f"poss {format_fraction(value)} : {format_formula(phi)}")
-    return "\n".join(lines) + "\n"
+def _write_poss(kb: PossibilisticKB) -> list[str]:
+    return [
+        f"poss {format_fraction(value)} : {phi}"
+        for formulas, value in kb.levels
+        for phi in sorted(formulas, key=format_formula)
+    ]
+
+
+# Each KB kind's file suffix, parser and writer; a writer gives the lines
+# after the vocab: header.
+_FORMATS = {
+    "default": (".dl", _parse_default, _write_default),
+    "ael": (".ael", _parse_ael, _write_ael),
+    "prob": (".prob", _parse_prob, _write_prob),
+    "poss": (".poss", _parse_poss, _write_poss),
+}
+
+KB_KINDS = tuple(_FORMATS)

@@ -56,29 +56,6 @@ class SampleSpace:
         return TruthTable(self.vocab, worlds=self.worlds)
 
 
-@dataclass(frozen=True)
-class ConditioningQuery:
-    """A query bundle: condition formulas in order, optional threshold."""
-
-    conditions: tuple[Formula, ...]
-    query: Formula
-    epsilon: Fraction | None = None
-
-    def __post_init__(self):
-        if not self.conditions:
-            raise ValueError("at least one condition formula is required")
-        if self.epsilon is not None and not 0 <= self.epsilon < 1:
-            raise ValueError("threshold epsilon must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    """A probability value together with the sequence that witnesses it."""
-
-    value: Fraction
-    sequence: PartitionSequence
-
-
 def condition(space: SampleSpace, conds) -> PartitionSequence:
     """The conditioning sequence of ``space`` for the ordered formulas.
 
@@ -235,17 +212,6 @@ def enumerate_threshold_orders(
 
     grow(PartitionSequence(space.table, (space.table.full,), "threshold"), ())
     return accepted
-
-
-def answer(space: SampleSpace, query: ConditioningQuery, strict: bool = False) -> QueryResult:
-    """Evaluate a bundled query: threshold when it carries an epsilon,
-    plain conditioning otherwise. Returns the value with its witnessing
-    sequence."""
-    if query.epsilon is not None:
-        seq = threshold(space, query.epsilon, query.conditions, strict)
-    else:
-        seq = condition(space, query.conditions)
-    return QueryResult(value=cond_prob(seq, query.query), sequence=seq)
 
 
 def rejects(seq: PartitionSequence, phi: Formula, eps: Rational) -> bool:

@@ -210,7 +210,8 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 
 Item = tuple[str, int, int]
 
-# Bound on how many peel orders the sequence builders explore per call.
+# Bound on how many peel orders the sequence builders explore per call;
+# read at each call.
 DEFAULT_ORDER_LIMIT = 1000
 
 
@@ -254,21 +255,20 @@ def peel_sequences(
     first: int,
     rest: int,
     item_lists: Iterable[list[Item]],
-    order_limit: int,
 ) -> list[PartitionSequence]:
     """Sequences peeled by each list of items, one per peel order.
 
     Every sequence opens with the class ``first``; the worlds of ``rest``
     are then peeled by the items of one list, in any order, until none
     splits off anything, and what remains closes the sequence. The order
-    budget is shared per call: at most ``order_limit`` finished orders are
-    explored over all lists together, and once it is spent each list
-    still without a sequence gets one greedy order, always peeling by the
-    first ready item. Exact duplicates are dropped.
+    budget is shared per call: at most :data:`DEFAULT_ORDER_LIMIT`
+    finished orders are explored over all lists together, and once it is
+    spent each list still without a sequence gets one greedy order, always
+    peeling by the first ready item. Exact duplicates are dropped.
     """
     results: list[PartitionSequence] = []
     seen: set[tuple] = set()
-    budget = order_limit
+    budget = DEFAULT_ORDER_LIMIT
 
     def emit(classes, labels):
         if classes not in seen:

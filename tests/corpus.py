@@ -77,7 +77,7 @@ class Corpus:
         self.root = root
         self.digests: dict = {}
         self.records = records
-        self.files = 0
+        self.index = self.files = 0
 
     def call(self, family: str, argv: list[str]) -> tuple[int, str]:
         out, err = io.StringIO(), io.StringIO()
@@ -96,7 +96,7 @@ class Corpus:
 
     def write(self, name: str, text: str) -> str:
         self.files += 1
-        path = self.root / f"{self.files:05d}.{name}"
+        path = self.root / f"{self.index:03d}.{self.files:04d}.{name}"
         path.write_text(text)
         return str(path)
 
@@ -109,7 +109,14 @@ class Corpus:
                 answer = text
         return answer
 
-    def base(self, group: str, kb: str, rng: random.Random, vocab) -> None:
+    def base(self, index: int, group: str, name: str, text: str) -> None:
+        """Every command on one base. Each base draws from a random stream
+        of its own and numbers its own files, so a changed answer changes
+        no other base's records."""
+        self.index, self.files = index, 0
+        rng = random.Random(f"{SEED}/{index}")
+        vocab = parse_kb(text, group).vocab
+        kb = self.write(name, text)
         self.commands("worlds", ["worlds", kb])
         if group in SEARCH:
             self.commands(f"{group} {SEARCH[group]}", [group, SEARCH[group], kb])
@@ -189,8 +196,7 @@ def _corruptions(seq: dict, rng: random.Random) -> list[dict]:
 def _bases(per_kind: int):
     """(group, file name, text) of every base, in order."""
     for path in sorted(DEMOS.iterdir()):
-        group = {".dl": "default", ".ael": "ael", ".prob": "prob", ".poss": "poss"}[path.suffix]
-        yield group, path.name, path.read_text()
+        yield cli._kind_of(path.name), path.name, path.read_text()
     makers = (
         ("default", "dl", genkit.random_default_theory),
         ("ael", "ael", genkit.random_premises),
@@ -213,10 +219,8 @@ def run(size: str, records=None) -> dict[str, str]:
     """The hex digest of each command family of the corpus of ``size``."""
     with tempfile.TemporaryDirectory(prefix="corpus") as tmp:
         corpus = Corpus(Path(tmp).resolve(), records)
-        rng = random.Random(SEED)
-        for group, name, text in _bases(SIZES[size]):
-            vocab = parse_kb(text, group).vocab
-            corpus.base(group, corpus.write(name, text), rng, vocab)
+        for index, (group, name, text) in enumerate(_bases(SIZES[size])):
+            corpus.base(index, group, name, text)
     return {family: h.hexdigest() for family, h in sorted(corpus.digests.items())}
 
 

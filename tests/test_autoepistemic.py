@@ -18,10 +18,12 @@ from partseq import (
     build_ael_sequences,
     check_ael_sequence,
     conjoin,
+    defaults,
     enumerate_worlds,
     forced_inconsistency,
     models,
     omega_operator,
+    sequences,
     stable_expansions,
     validate_structure,
 )
@@ -179,9 +181,48 @@ class TestWorldCap:
             with pytest.raises(ResourceLimitError, match="capped at 20"):
                 run()
 
-    def test_twenty_constants_sequences_check_clean_as_masks(self):
+    def chain(self, n, g):
+        """``~L ~c -> c`` for the first ``g`` of ``n`` constants: ``g``
+        belief conditions, and one expansion, where those ``g`` hold."""
+        names = [f"c{i}" for i in range(n)]
+        return AelPremises(
+            tuple(ModalFormula(gamma=Const(c), betas=(Not(Const(c)),)) for c in names[:g]),
+            Vocabulary(names),
+        )
+
+    def test_sweep_bound_refuses_twenty_constants_sixteen_conditions(self):
+        # up to 2^16 kernels of 2^20 bits: refused before anything is compiled
+        premises = self.chain(20, 16)
+        for run in (lambda: stable_expansions(premises), lambda: build_ael_sequences(premises)):
+            with pytest.raises(ResourceLimitError, match=r"capped at 2\^32 bits"):
+                run()
+        assert "compiled" not in premises.__dict__
+
+    def test_caps_checked_conditions_then_constants_then_sweep(self):
+        for n, g, message in (
+            (20, 17, "capped at 16"),
+            (21, 16, "capped at 20"),
+            (20, 13, r"capped at 2\^32 bits \(conditions \+ constants <= 32\)"),
+        ):
+            with pytest.raises(ResourceLimitError, match=message):
+                stable_expansions(self.chain(n, g))
+
+    def test_sweep_bound_is_conditions_plus_constants(self, monkeypatch):
+        monkeypatch.setattr(defaults, "DEFAULT_SWEEP_BITS", 8)
+        assert len(stable_expansions(self.chain(4, 4))) == 1
+        with pytest.raises(ResourceLimitError, match=r"2\^8 bits"):
+            stable_expansions(self.chain(5, 4))
+
+    def test_twelve_conditions_over_sixteen_constants_run(self):
+        premises = self.chain(16, 12)
+        (kernel,) = stable_expansions(premises)
+        assert len(kernel.worlds) == 2**4
+        assert all(w.true_names >= {f"c{i}" for i in range(12)} for w in kernel.worlds)
+
+    def test_twenty_constants_sequences_check_clean_as_masks(self, monkeypatch):
+        monkeypatch.setattr(sequences, "DEFAULT_ORDER_LIMIT", 5)
         premises = self.premises(self.NAMES)
-        seqs = build_ael_sequences(premises, order_limit=5)
+        seqs = build_ael_sequences(premises)
         assert len(seqs) == 5
         for seq in seqs:
             assert check_ael_sequence(premises, seq) == []
@@ -220,20 +261,22 @@ class TestBuildSequences:
         )
 
     def test_exhausted_order_budget_still_covers_every_expansion(
-        self, introspective_premises
+        self, introspective_premises, monkeypatch
     ):
-        seqs = build_ael_sequences(introspective_premises, order_limit=1)
+        monkeypatch.setattr(sequences, "DEFAULT_ORDER_LIMIT", 1)
+        seqs = build_ael_sequences(introspective_premises)
         last_classes = {s.last_class for s in seqs}
         assert last_classes == {
             k.worlds for k in stable_expansions(introspective_premises)
         }
 
-    def test_first_class_always_empty_and_checker_agrees(self):
+    def test_first_class_always_empty_and_checker_agrees(self, monkeypatch):
+        monkeypatch.setattr(sequences, "DEFAULT_ORDER_LIMIT", 20)
         rng = random.Random(717171)
         for _ in range(60):
             premises = random_premises(rng)
             worlds = enumerate_worlds(premises.vocab)
-            for seq in build_ael_sequences(premises, order_limit=20):
+            for seq in build_ael_sequences(premises):
                 assert seq.classes[0] == frozenset()
                 assert validate_structure(seq, worlds) == []
                 assert check_ael_sequence(premises, seq) == []

@@ -232,6 +232,21 @@ class TestProbCommands:
         assert code == 0
         assert out.strip() == "1/98"
 
+    def test_query_takes_threshold_epsilon_contract(self, kbdir, capsys):
+        # epsilon 1 accepts every step whose mass in play is not 0
+        kb, on = kbdir / "weather.prob", ["--on", "p", "--on", "q"]
+        code, out, _ = run(capsys, "--json", "prob", "threshold", kb, "--eps", "1", *on)
+        assert code == 0
+        (expected,) = json.loads(out)["sequences"]
+        code, out, _ = run(capsys, "--json", "prob", "query", kb, "--eps", "1", *on, "--query", "q")
+        assert code == 0
+        answer = json.loads(out)
+        assert answer["sequences"] == [expected]
+        assert answer["result"] == {"defined": True, "value": 1}
+        for command in (["threshold"], ["query", "--query", "q"]):
+            code, _, err = run(capsys, "prob", *command, kb, "--eps", "-1", *on)
+            assert code == 3 and err == "error: epsilon must be non-negative\n"
+
     def test_threshold_rejection_exit_one(self, kbdir, capsys):
         code, out, _ = run(
             capsys,
@@ -491,6 +506,16 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "premise, column", [("L p ->", 7), ("L (L) -> p", 4), ("L p -> L", 8), ("~L p -> q & L", 13)]
+    )
+    def test_belief_premise_fault_located_on_its_line(self, capsys, tmp_path, premise, column):
+        kb = tmp_path / "bad.ael"
+        kb.write_text(f"p\nL q -> p\n{premise}\n")
+        code, out, err = run(capsys, "ael", "expansions", kb)
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: line 3, column {column}: ")
+
     def test_unknown_subcommand_is_three(self, capsys):
         code, _, err = run(capsys, "default", "bogus", "x.dl")
         assert code == 3
@@ -530,6 +555,27 @@ class TestExitCodes:
         code, out, err = run(capsys, "default", "extensions", big)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "capped at " in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "g, n, message",
+        [
+            (16, 20, r"capped at 2^32 bits (conditions + constants <= 32)"),
+            (17, 20, "expansion search is capped at 16"),
+        ],
+        ids=["20 constants and 16 conditions", "17 conditions"],
+    )
+    @pytest.mark.parametrize("action", ["expansions", "sequences"])
+    def test_belief_cap_is_one_error_line(self, capsys, tmp_path, action, g, n, message):
+        # ~L ~ci -> ci: one belief condition per premise
+        big = tmp_path / "big.ael"
+        big.write_text(
+            "vocab: " + " ".join(f"c{i}" for i in range(n)) + "\n"
+            + "".join(f"~L ~c{i} -> c{i}\n" for i in range(g))
+        )
+        code, out, err = run(capsys, "ael", action, big)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -23,6 +23,7 @@ from partseq import (
     extensions,
     gamma_operator,
     models,
+    sequences,
     validate_structure,
 )
 from genkit import (
@@ -191,20 +192,22 @@ class TestWorldCap:
         with pytest.raises(ResourceLimitError, match=r"2\^8 bits"):
             extensions(self.chain(names, k=4))
 
-    def test_twenty_constants_sequences_stay_masks(self):
+    def test_twenty_constants_sequences_stay_masks(self, monkeypatch):
+        monkeypatch.setattr(sequences, "DEFAULT_ORDER_LIMIT", 5)
         # no World is built: a first class of 2^20 - 64 worlds is never listed
         theory = self.chain(self.NAMES)
-        seqs = build_default_sequences(theory, order_limit=5)
+        seqs = build_default_sequences(theory)
         assert len(seqs) == 5
         extension = 1 << seqs[0].table.index(World(theory.vocab, self.NAMES))
         for seq in seqs:
             assert "classes" not in seq.__dict__ and not seq.table._worlds
             assert seq.masks[-1] == extension
 
-    def test_twenty_constants_sequences_check_clean_as_masks(self):
+    def test_twenty_constants_sequences_check_clean_as_masks(self, monkeypatch):
+        monkeypatch.setattr(sequences, "DEFAULT_ORDER_LIMIT", 5)
         # the checker reads the masks of a sequence over its own dense table
         theory = self.chain(self.NAMES)
-        seqs = build_default_sequences(theory, order_limit=5)
+        seqs = build_default_sequences(theory)
         assert len(seqs) == 5
         for seq in seqs:
             assert check_default_sequence(theory, seq) == []
@@ -243,12 +246,13 @@ class TestBuildSequences:
         theory = DefaultTheory(rules=(), facts=(FALSE,), vocab=pq)
         assert build_default_sequences(theory) == []
 
-    def test_builder_output_passes_checker_and_structure(self):
+    def test_builder_output_passes_checker_and_structure(self, monkeypatch):
+        monkeypatch.setattr(sequences, "DEFAULT_ORDER_LIMIT", 20)
         rng = random.Random(515151)
         for _ in range(60):
             theory = random_default_theory(rng)
             worlds = enumerate_worlds(theory.vocab)
-            for seq in build_default_sequences(theory, order_limit=20):
+            for seq in build_default_sequences(theory):
                 assert validate_structure(seq, worlds) == []
                 assert check_default_sequence(theory, seq) == []
 
@@ -257,8 +261,11 @@ class TestBuildSequences:
         losing_first = next(s for s in seqs if len(s.classes) == 4)
         assert losing_first.provenance == ("", "r1", "r3", "")
 
-    def test_exhausted_order_budget_still_covers_every_extension(self, rival_theory):
-        seqs = build_default_sequences(rival_theory, order_limit=1)
+    def test_exhausted_order_budget_still_covers_every_extension(
+        self, rival_theory, monkeypatch
+    ):
+        monkeypatch.setattr(sequences, "DEFAULT_ORDER_LIMIT", 1)
+        seqs = build_default_sequences(rival_theory)
         last_classes = {s.last_class for s in seqs}
         assert last_classes == {k.worlds for k in extensions(rival_theory)}
 

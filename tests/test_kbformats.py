@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partseq import (
@@ -163,6 +163,24 @@ class TestAelFormat:
     def test_stray_belief_marker_rejected(self):
         with pytest.raises(ParseError, match="reserved"):
             parse_kb("p & L q", "ael")
+
+    @pytest.mark.parametrize("header", ["", "vocab: p q\n"])
+    @pytest.mark.parametrize(
+        "premise, column, message",
+        [
+            ("L p ->", 7, "expected a formula, found 'end of input'"),
+            ("~L p ->", 8, "expected a formula, found 'end of input'"),
+            ("L (L) -> p", 4, "'L' is reserved"),
+            ("L p -> L", 8, "'L' is reserved"),
+            ("~L p -> q & L", 13, "'L' is reserved"),
+        ],
+    )
+    def test_error_located_on_its_own_line(self, header, premise, column, message):
+        line = 3 + header.count("\n")
+        with pytest.raises(ParseError) as got:
+            parse_kb(f"{header}p\nL q -> p\n{premise}\n", "ael")
+        assert (got.value.line, got.value.column) == (line, column)
+        assert got.value.message.startswith(message)
 
     def test_round_trip(self):
         doc = parse_kb(INTROSPECTIVE_AEL, "ael")
@@ -349,7 +367,58 @@ class TestPossFormat:
         assert (info.value.line, info.value.column) == (line, column)
 
 
+class TestUnreachedErrors:
+    """Rejections that no other test reaches, each at its line and column."""
+
+    @pytest.mark.parametrize(
+        "kind, text, line, column, message",
+        [
+            ("default", "vocab:\nfact: p", 1, 7, "vocab header lists no constants"),
+            ("poss", "vocab: p 1q\nposs 1 : p", 1, 7, "bad constant name: '1q'"),
+            ("default", "fact: p\nrule 1x: true : M p / p", 2, 6, "bad rule id '1x'"),
+            ("default", "fact: p\nrule r1: true : p / p", 2, 17, "justification must start with 'M'"),
+            ("ael", "p\nvocab: L p", 2, 1, "'L' is reserved in belief premises"),
+            ("default", "fact: p q", 1, 9, "unexpected 'q' after formula"),
+            ("ael", "p\np q", 2, 3, "unexpected 'q' after formula"),
+        ],
+    )
+    def test_located(self, kind, text, line, column, message):
+        with pytest.raises(ParseError) as got:
+            parse_kb(text, kind)
+        assert (got.value.message, got.value.line, got.value.column) == (message, line, column)
+
+
+# a valid first line of each kind, and the tokens that lines of that kind
+# are made of, for the line-locality property below
+FIRST_LINES = {"default": "fact: p", "ael": "L p -> q", "prob": "vocab: p q", "poss": "poss 1/2 : p"}
+LINE_TOKENS = {
+    "default": ["fact:", "rule", "r1", ":", "M", "/", ",", "p", "L", "~", "&", "(", ")", "true"],
+    "ael": ["L", "~", "p", "q", "&", "|", "->", "(", ")", "M"],
+    "prob": ["world", "p", "~p", "q", "~q", "r", ",", ":", "1/2", "1", "x"],
+    "poss": ["poss", "1/2", "1", "2", ":", "p", "q", "&", "(", "L"],
+}
+# rejections of the file as a whole, reported where the file ends or starts
+WHOLE_FILE = ("sample space weights total", "sample space worlds must", "possibilistic base has no")
+
+
 class TestTotality:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.sampled_from(KB_KINDS).flatmap(
+            lambda kind: st.tuples(
+                st.just(kind), st.lists(st.sampled_from(LINE_TOKENS[kind]), max_size=8)
+            )
+        ),
+        st.sampled_from([" ", ""]),
+    )
+    def test_fault_in_second_line_is_reported_there(self, kind_tokens, sep):
+        # a vocab: header applies to the whole file, so none is drawn
+        kind, tokens = kind_tokens
+        try:
+            parse_kb(f"{FIRST_LINES[kind]}\n{sep.join(tokens)}", kind)
+        except ParseError as exc:
+            assert exc.line == 2 or exc.message.startswith(WHOLE_FILE), str(exc)
+
     @given(st.sampled_from(KB_KINDS), st.text(max_size=120))
     def test_never_crashes(self, kind, text):
         try:

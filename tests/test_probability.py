@@ -9,7 +9,6 @@ from partseq import (
     FALSE,
     TRUE,
     BelowThresholdError,
-    ConditioningQuery,
     Const,
     Not,
     ResourceLimitError,
@@ -55,10 +54,6 @@ class TestSampleSpace:
             World(pq, [], 1 - (0.1 + 0.2)),
         )
         SampleSpace(worlds, pq)  # no complaint
-
-    def test_query_epsilon_range(self):
-        with pytest.raises(ValueError):
-            ConditioningQuery(conditions=(P,), query=Q, epsilon=Fraction(1))
 
 
 class TestConditioning:
@@ -302,29 +297,20 @@ def per_order_threshold(space, eps, cands, maxlen, strict):
 
 
 class TestQueryBundle:
-    def test_answer_with_threshold(self):
-        from partseq import answer
+    """Conditions, a query formula and an optional epsilon, answered with
+    the library's own steps, as ``prob query`` answers them."""
 
+    def test_answer_with_threshold(self):
         space = lottery_space(100)
-        query = ConditioningQuery(
-            conditions=(parse_formula("~p1", space.vocab),),
-            query=Const("p2"),
-            epsilon=Fraction(1, 99),
-        )
-        result = answer(space, query)
-        assert result.value == Fraction(1, 99)
-        assert result.sequence.kind == "threshold"
+        conds = (parse_formula("~p1", space.vocab),)
+        eps = Fraction(1, 99)
+        assert threshold_prob(space, eps, conds, Const("p2")) == Fraction(1, 99)
+        assert threshold(space, eps, conds).kind == "threshold"
 
     def test_answer_plain(self, weather_space, pq):
-        from partseq import answer
-
-        query = ConditioningQuery(
-            conditions=(parse_formula("p -> q", pq), parse_formula("p | q", pq)),
-            query=P,
-        )
-        result = answer(weather_space, query)
-        assert result.value == Fraction(2, 3)
-        assert result.sequence.kind == "conditional"
+        seq = condition(weather_space, (parse_formula("p -> q", pq), parse_formula("p | q", pq)))
+        assert cond_prob(seq, P) == Fraction(2, 3)
+        assert seq.kind == "conditional"
 
     def test_rejects_predicate(self):
         from partseq import rejects
