@@ -1,12 +1,12 @@
-"""Text formats for the four knowledge-base kinds, and their parsers.
+"""Text formats for the four knowledge-base kinds, and their one reader.
 
-All four formats are line based. ``#`` starts a comment, blank lines are
-ignored, and an optional ``vocab:`` header fixes the constant names and
-their order (required for sample spaces, whose world lines must assign
-every constant). Without a header the vocabulary is inferred from the
-formulas in order of first appearance. Parsers never throw anything but
-:class:`~partseq.errors.ParseError`, and every rejection carries the
-offending line and column.
+Every format is line based: ``#`` starts a comment, blank lines are
+ignored, at most one ``vocab:`` header fixes the constants and their order
+(without it they are inferred in order of first appearance), and a line's
+keyword ends at ``:`` or at a character that cannot continue a name. The
+reader rejects the first fault with :class:`~partseq.errors.ParseError` at
+its line and column: faults of line shape first, then faults in formulas,
+then the kind's own checks, each in file order.
 """
 
 from __future__ import annotations
@@ -14,24 +14,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .autoepistemic import AelPremises
 from .defaults import DefaultRule, DefaultTheory
 from .errors import ParseError
 from .logic import (
-    And,
-    Const,
     Formula,
-    Iff,
-    Implies,
     ModalFormula,
-    Not,
-    Or,
     Token,
     Vocabulary,
     World,
     format_formula,
-    parse_formula,
     parse_tokens,
     tokenize,
 )
@@ -40,6 +34,9 @@ from .probability import SampleSpace
 from .rationals import format_fraction
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME_CHAR = re.compile(r"[A-Za-z0-9_]")
+_HEADER_NAME = re.compile(r"[^,\s]+")
+_LITERALS = ("true", "false")
 
 
 @dataclass(frozen=True)
@@ -55,13 +52,58 @@ def parse_kb(text: str, kind: str) -> KbDocument:
     """Parse KB text of the given kind ("default", "ael", "prob", "poss")."""
     if kind not in KB_KINDS:
         raise ValueError(f"unknown KB kind {kind!r}")
-    return _FORMATS[kind][1](text)
+    fmt = _FORMATS[kind]
+
+    # pass 1: the header, and each line's shape and formula tokens
+    header: Vocabulary | None = None
+    lines: list[tuple[int, object, list[list[Token]]]] = []
+    last = 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        stripped = line.lstrip()
+        if not stripped:
+            continue
+        indent = len(line) - len(stripped)
+        last = lineno
+        keyword = _keyword(stripped, fmt.keywords)
+        if keyword == "vocab:":
+            if header is not None:
+                raise ParseError("more than one vocab: header", lineno, indent + 1)
+            header = _parse_vocab_header(line, lineno)
+            if kind == "ael" and "L" in header:
+                raise ParseError("'L' is reserved in belief premises", lineno, 1)
+        elif keyword is None and len(fmt.keywords) > 1:
+            *most, final = fmt.keywords
+            listed = ", ".join(most) + ("," if len(most) > 1 else "")
+            raise ParseError(f"expected a {listed} or {final} line", lineno, indent + 1)
+        else:
+            lines.append((lineno, *fmt.shape(line, lineno, indent, keyword, header)))
+
+    # pass 2: every formula, against the header or the constants the
+    # tokens name in order of first appearance
+    vocab = header if header is not None else Vocabulary(
+        dict.fromkeys(
+            tok.text
+            for _, _, formulas in lines
+            for tokens in formulas
+            for tok in tokens
+            if tok.kind == "name" and tok.text not in _LITERALS
+        )
+    )
+    parsed = [
+        (lineno, shape, [parse_tokens(tokens, vocab) for tokens in formulas])
+        for lineno, shape, formulas in lines
+    ]
+
+    # pass 3: the kind's own checks, and its body
+    return KbDocument(kind, vocab, fmt.build(vocab, parsed, last))
 
 
 def serialize_kb(doc: KbDocument) -> str:
-    """Render ``doc`` back to text; parsing the result reproduces it."""
-    lines = ["vocab: " + " ".join(doc.vocab.names), *_FORMATS[doc.kind][2](doc.body)]
-    return "\n".join(lines) + "\n"
+    """Render ``doc`` back to text; parsing the result reproduces it. An
+    empty vocabulary gets no header, which inference gives back."""
+    header = ["vocab: " + " ".join(doc.vocab.names)] if doc.vocab.names else []
+    return "\n".join([*header, *_FORMATS[doc.kind].write(doc.body)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -69,56 +111,38 @@ def serialize_kb(doc: KbDocument) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
-            yield lineno, line
+def _keyword(stripped: str, keywords: tuple[str, ...]) -> str | None:
+    """The keyword that starts a line; one ends at ':' or at a character
+    that cannot continue a name."""
+    for kw in keywords:
+        if stripped.startswith(kw) and (
+            kw.endswith(":") or not _NAME_CHAR.match(stripped, len(kw))
+        ):
+            return kw
+    return None
 
 
 def _parse_vocab_header(line: str, lineno: int) -> Vocabulary:
-    body = line.split(":", 1)[1]
-    names = [n for n in re.split(r"[,\s]+", body.strip()) if n]
-    if not names:
-        raise ParseError("vocab header lists no constants", lineno, line.find(":") + 2)
+    colon = line.find(":")
+    found = list(_HEADER_NAME.finditer(line, colon + 1))
+    if not found:
+        raise ParseError("vocab header lists no constants", lineno, colon + 2)
     try:
-        return Vocabulary(names)
+        return Vocabulary(m.group() for m in found)
     except ValueError as exc:
-        raise ParseError(str(exc), lineno, line.find(":") + 2) from None
+        # Vocabulary refuses the first name that is malformed, reserved or
+        # repeated; point at that name
+        seen: set[str] = set()
+        for m in found:
+            if m.group() in seen or not _ID_RE.match(m.group()) or m.group() in _LITERALS:
+                break
+            seen.add(m.group())
+        raise ParseError(str(exc), lineno, m.start() + 1) from None
 
 
-def _ordered_atoms(phi: Formula, out: list[str]):
-    match phi:
-        case Const(name):
-            if name not in out:
-                out.append(name)
-        case Not(sub):
-            _ordered_atoms(sub, out)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            _ordered_atoms(l, out)
-            _ordered_atoms(r, out)
-
-
-def _infer_vocab(formulas, lineno_of_first: int) -> Vocabulary:
-    names: list[str] = []
-    for phi in formulas:
-        _ordered_atoms(phi, names)
-    try:
-        return Vocabulary(names)
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno_of_first, 1) from None
-
-
-def _formula_at(
-    line: str,
-    lineno: int,
-    start: int,
-    vocab: Vocabulary | None,
-    end: int | None = None,
-) -> Formula:
-    """Parse the formula in ``line[start:end]`` (0-based offsets)."""
-    segment = line[start:end] if end is not None else line[start:]
-    return parse_formula(segment, vocab, line=lineno, column=start + 1)
+def _tokens(line: str, lineno: int, start: int, end: int | None = None) -> list[Token]:
+    """The formula tokens of ``line[start:end]`` (0-based offsets)."""
+    return tokenize(line[start:end], lineno, start + 1)
 
 
 def _split_required(line: str, sep: str, start: int, lineno: int, what: str) -> int:
@@ -138,76 +162,15 @@ def _split_required(line: str, sep: str, start: int, lineno: int, what: str) -> 
 # An absent prerequisite is written "true".
 
 
-def _parse_default(text: str) -> KbDocument:
-    vocab: Vocabulary | None = None
-    fact_lines: list[tuple[int, str, int]] = []
-    rule_lines: list[tuple[int, str]] = []
-    first_line: int | None = None
-
-    for lineno, line in _content_lines(text):
-        stripped = line.lstrip()
-        indent = len(line) - len(stripped)
-        if first_line is None:
-            first_line = lineno
-        if stripped.startswith("vocab:"):
-            vocab = _parse_vocab_header(line, lineno)
-        elif stripped.startswith("fact:"):
-            fact_lines.append((lineno, line, indent + len("fact:")))
-        elif stripped.startswith("rule"):
-            rule_lines.append((lineno, line))
-        else:
-            raise ParseError(
-                "expected a vocab:, fact:, or rule line", lineno, indent + 1
-            )
-
-    rule_spans = [(lineno, line, *_split_rule(line, lineno)) for lineno, line in rule_lines]
-
-    # without a header the formulas are parsed free and the vocabulary is
-    # inferred from the constants they carry
-    fact_formulas = [
-        _formula_at(line, lineno, start, vocab) for lineno, line, start in fact_lines
-    ]
-    rule_parts = []
-    for lineno, line, rule_id, alpha_span, just_spans, gamma_start in rule_spans:
-        alpha = _formula_at(line, lineno, alpha_span[0], vocab, alpha_span[1])
-        betas = tuple(_justification(line, lineno, span, vocab) for span in just_spans)
-        gamma = _formula_at(line, lineno, gamma_start, vocab)
-        rule_parts.append((rule_id, alpha, betas, gamma, lineno))
-
-    if vocab is None:
-        # constants are taken in order of first appearance in the file
-        by_line = [
-            (lineno, (phi,))
-            for (lineno, _, _), phi in zip(fact_lines, fact_formulas)
-        ] + [
-            (lineno, (alpha, *betas, gamma))
-            for _, alpha, betas, gamma, lineno in rule_parts
-        ]
-        everything = [
-            phi for _, group in sorted(by_line, key=lambda t: t[0]) for phi in group
-        ]
-        vocab = _infer_vocab(everything, first_line or 1)
-
-    rules = []
-    seen_ids = set()
-    for rule_id, alpha, betas, gamma, lineno in rule_parts:
-        if rule_id in seen_ids:
-            raise ParseError(f"duplicate rule id {rule_id!r}", lineno, 1)
-        seen_ids.add(rule_id)
-        rules.append(DefaultRule(rule_id, alpha, betas, gamma))
-
-    theory = DefaultTheory(rules=tuple(rules), facts=tuple(fact_formulas), vocab=vocab)
-    return KbDocument("default", vocab, theory)
-
-
-def _split_rule(line: str, lineno: int):
-    """Spans of the rule id, prerequisite, justifications, and conclusion.
+def _default_shape(line: str, lineno: int, indent: int, keyword: str, header):
+    """None and a fact's tokens, or a rule's id and the tokens of its
+    prerequisite, justifications and conclusion.
 
     Formula syntax contains no ':', ',', or '/', so plain scanning splits
-    the line unambiguously.
+    a rule line unambiguously.
     """
-    stripped = line.lstrip()
-    indent = len(line) - len(stripped)
+    if keyword == "fact:":
+        return None, [_tokens(line, lineno, indent + 5)]
     head_end = _split_required(line, ":", indent + 4, lineno, ":")
     head = line[indent + 4 : head_end]
     rule_id = head.strip()
@@ -215,26 +178,31 @@ def _split_rule(line: str, lineno: int):
         raise ParseError(f"bad rule id {rule_id!r}", lineno, head_end - len(head.lstrip()) + 1)
     alpha_end = _split_required(line, ":", head_end + 1, lineno, ":")
     slash = _split_required(line, "/", alpha_end + 1, lineno, "/")
-    just_spans = []
-    piece_start = alpha_end + 1
-    for m in re.finditer(",", line[alpha_end + 1 : slash]):
-        just_spans.append((piece_start, alpha_end + 1 + m.start()))
-        piece_start = alpha_end + 1 + m.end()
-    just_spans.append((piece_start, slash))
-    return rule_id, (head_end + 1, alpha_end), tuple(just_spans), slash + 1
+    formulas = [_tokens(line, lineno, head_end + 1, alpha_end)]
+    start = alpha_end + 1
+    for piece in line[start:slash].split(","):
+        body = piece.lstrip()
+        marker = start + len(piece) - len(body)
+        if body[:1] != "M" or body[1:2] not in ("", " ", "\t", "("):
+            raise ParseError("justification must start with 'M'", lineno, marker + 1)
+        formulas.append(_tokens(line, lineno, marker + 1, start + len(piece)))
+        start += len(piece) + 1
+    formulas.append(_tokens(line, lineno, slash + 1))
+    return rule_id, formulas
 
 
-def _justification(line: str, lineno: int, span, vocab) -> Formula:
-    start, end = span
-    piece = line[start:end]
-    lead = len(piece) - len(piece.lstrip())
-    body = piece.lstrip()
-    if not body.startswith("M") or (len(body) > 1 and body[1] not in " \t("):
-        raise ParseError("justification must start with 'M'", lineno, start + lead + 1)
-    inner_start = start + lead + 1
-    return parse_formula(
-        line[inner_start:end], vocab, line=lineno, column=inner_start + 1
-    )
+def _build_default(vocab: Vocabulary, lines, last: int) -> DefaultTheory:
+    facts: list[Formula] = []
+    rules: dict[str, DefaultRule] = {}
+    for lineno, rule_id, formulas in lines:
+        if rule_id is None:
+            facts.extend(formulas)
+        elif rule_id in rules:
+            raise ParseError(f"duplicate rule id {rule_id!r}", lineno, 1)
+        else:
+            alpha, *betas, gamma = formulas
+            rules[rule_id] = DefaultRule(rule_id, alpha, tuple(betas), gamma)
+    return DefaultTheory(rules=tuple(rules.values()), facts=tuple(facts), vocab=vocab)
 
 
 def _write_default(theory: DefaultTheory) -> list[str]:
@@ -252,38 +220,6 @@ def _write_default(theory: DefaultTheory) -> list[str]:
 #
 # The formulas under L extend to the next top-level & or ->; parenthesise
 # them when they contain those operators. "L" is reserved here.
-
-
-def _parse_ael(text: str) -> KbDocument:
-    vocab: Vocabulary | None = None
-    raw: list[tuple[int, str]] = []
-    for lineno, line in _content_lines(text):
-        if line.lstrip().startswith("vocab:"):
-            vocab = _parse_vocab_header(line, lineno)
-            if "L" in vocab:
-                raise ParseError("'L' is reserved in belief premises", lineno, 1)
-        else:
-            raw.append((lineno, line))
-
-    shapes = [_split_premise(line, lineno) for lineno, line in raw]
-    # without a header the formulas are parsed free and the vocabulary is
-    # inferred from the constants they carry
-    premises = []
-    for alpha_toks, beta_toks, gamma_toks in shapes:
-        alpha = parse_tokens(alpha_toks, vocab) if alpha_toks is not None else None
-        betas = tuple(parse_tokens(ts, vocab) for ts in beta_toks)
-        gamma = parse_tokens(gamma_toks, vocab)
-        premises.append(ModalFormula(gamma=gamma, alpha=alpha, betas=betas))
-
-    if vocab is None:
-        everything = []
-        for pm in premises:
-            if pm.alpha is not None:
-                everything.append(pm.alpha)
-            everything.extend(pm.betas)
-            everything.append(pm.gamma)
-        vocab = _infer_vocab(everything, raw[0][0] if raw else 1)
-    return KbDocument("ael", vocab, AelPremises(tuple(premises), vocab))
 
 
 def _terminate(tokens: list[Token], after: Token) -> list[Token]:
@@ -308,8 +244,10 @@ def _modal_piece(tokens: list[Token]):
     return None
 
 
-def _split_premise(line: str, lineno: int):
-    """Token spans (alpha, betas, gamma) of one premise line."""
+def _split_premise(line: str, lineno: int, *_):
+    """Whether a premise line has a positive belief condition, and the
+    tokens of its formulas: that condition, the negative ones, the
+    conclusion."""
     tokens = tokenize(line, line=lineno, column=1)[:-1]
     depth = 0
     arrow = None
@@ -369,14 +307,23 @@ def _split_premise(line: str, lineno: int):
             # conditional form (believing f is refusing to not-believe it)
             false = _terminate([Token("name", "false", lineno, 1)], tokens[0])
             if alpha_toks is not None and not beta_toks:
-                return (None, (alpha_toks,), false)
+                return False, [alpha_toks, false]
             if alpha_toks is None and len(beta_toks) == 1:
-                return (beta_toks[0], (), false)
+                return True, [beta_toks[0], false]
             raise ParseError(
                 "belief conditions need a '->' conclusion", lineno, len(line) + 1
             )
-        return (alpha_toks, tuple(beta_toks), _terminate(tail, tokens[arrow]))
-    return (None, (), _terminate(tokens, tokens[0]))
+        conditions = [alpha_toks, *beta_toks] if alpha_toks else beta_toks
+        return bool(alpha_toks), [*conditions, _terminate(tail, tokens[arrow])]
+    return False, [_terminate(tokens, tokens[0])]
+
+
+def _build_ael(vocab: Vocabulary, lines, last: int) -> AelPremises:
+    premises = tuple(
+        ModalFormula(fs[-1], fs[0] if has_alpha else None, tuple(fs[has_alpha:-1]))
+        for _, has_alpha, fs in lines
+    )
+    return AelPremises(premises, vocab)
 
 
 def _write_ael(premises: AelPremises) -> list[str]:
@@ -387,39 +334,16 @@ def _write_ael(premises: AelPremises) -> list[str]:
 # Sample spaces (.prob)
 # ---------------------------------------------------------------------------
 #
-#   vocab: p q          (required: world lines must assign every constant)
+#   vocab: p q          (required, before the world lines)
 #   world p,~q : 0.3    (weights are decimals or a/b ratios)
 
 
-def _parse_prob(text: str) -> KbDocument:
-    vocab: Vocabulary | None = None
-    worlds: list[World] = []
-    last_line = 1
-
-    for lineno, line in _content_lines(text):
-        stripped = line.lstrip()
-        indent = len(line) - len(stripped)
-        last_line = lineno
-        if stripped.startswith("vocab:"):
-            vocab = _parse_vocab_header(line, lineno)
-        elif stripped.startswith("world"):
-            if vocab is None:
-                raise ParseError(
-                    "sample spaces need a vocab: header before world lines",
-                    lineno,
-                    indent + 1,
-                )
-            worlds.append(_parse_world_line(line, lineno, indent, vocab))
-        else:
-            raise ParseError("expected a vocab: or world line", lineno, indent + 1)
-
-    if vocab is None:
-        raise ParseError("sample space has no vocab: header", last_line, 1)
-    try:
-        space = SampleSpace(worlds=tuple(worlds), vocab=vocab)
-    except ValueError as exc:
-        raise ParseError(str(exc), last_line, 1) from None
-    return KbDocument("prob", vocab, space)
+def _world_shape(line: str, lineno: int, indent: int, keyword: str, header):
+    if header is None:
+        raise ParseError(
+            "sample spaces need a vocab: header before world lines", lineno, indent + 1
+        )
+    return _parse_world_line(line, lineno, indent, header), []
 
 
 def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) -> World:
@@ -468,6 +392,17 @@ def _literal_error(pieces, literals, names, lineno, start, vocab) -> ParseError:
     return ParseError(f"constant {name!r} assigned twice", lineno, col)
 
 
+def _build_prob(vocab: Vocabulary, lines, last: int) -> SampleSpace:
+    # a header lists some constant, and world lines have no formulas to
+    # infer one from
+    if not vocab.names:
+        raise ParseError("sample space has no vocab: header", last, 1)
+    try:
+        return SampleSpace(worlds=tuple(world for _, world, _ in lines), vocab=vocab)
+    except ValueError as exc:
+        raise ParseError(str(exc), last, 1) from None
+
+
 def _write_prob(space: SampleSpace) -> list[str]:
     names = space.vocab.names
     return [
@@ -486,54 +421,26 @@ def _write_prob(space: SampleSpace) -> list[str]:
 # Lines sharing a value form one level; levels are sorted on load.
 
 
-def _parse_poss(text: str) -> KbDocument:
-    vocab: Vocabulary | None = None
-    entries: list[tuple[Fraction, int, str, int]] = []
-    first_line = 1
+def _poss_shape(line: str, lineno: int, indent: int, keyword: str, header):
+    colon = _split_required(line, ":", indent + 4, lineno, ":")
+    value_text = line[indent + 4 : colon].strip()
+    try:
+        value = Fraction(value_text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad possibility value {value_text!r}", lineno, indent + 6) from None
+    if not 0 <= value <= 1:
+        raise ParseError(f"possibility value {value_text} outside [0, 1]", lineno, indent + 6)
+    return value, [_tokens(line, lineno, colon + 1)]
 
-    for lineno, line in _content_lines(text):
-        stripped = line.lstrip()
-        indent = len(line) - len(stripped)
-        if stripped.startswith("vocab:"):
-            vocab = _parse_vocab_header(line, lineno)
-            continue
-        if not stripped.startswith("poss"):
-            raise ParseError("expected a vocab: or poss line", lineno, indent + 1)
-        colon = _split_required(line, ":", indent + 4, lineno, ":")
-        value_text = line[indent + 4 : colon].strip()
-        try:
-            value = Fraction(value_text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(
-                f"bad possibility value {value_text!r}", lineno, indent + 6
-            ) from None
-        if not 0 <= value <= 1:
-            raise ParseError(
-                f"possibility value {value_text} outside [0, 1]", lineno, indent + 6
-            )
-        entries.append((value, lineno, line, colon + 1))
-        if len(entries) == 1:
-            first_line = lineno
 
-    if not entries:
-        raise ParseError("possibilistic base has no poss lines", first_line, 1)
-
-    # without a header the formulas are parsed free and the vocabulary is
-    # inferred from the constants they carry
-    formulas = [
-        _formula_at(line, lineno, start, vocab) for _, lineno, line, start in entries
-    ]
-    if vocab is None:
-        vocab = _infer_vocab(formulas, first_line)
+def _build_poss(vocab: Vocabulary, lines, last: int) -> PossibilisticKB:
+    if not lines:
+        raise ParseError("possibilistic base has no poss lines", 1, 1)
     by_value: dict[Fraction, set[Formula]] = {}
-    for (value, *_), phi in zip(entries, formulas):
+    for _, value, (phi,) in lines:
         by_value.setdefault(value, set()).add(phi)
     levels = tuple((frozenset(by_value[value]), value) for value in sorted(by_value))
-    try:
-        kb = PossibilisticKB(levels=levels, vocab=vocab)
-    except ValueError as exc:
-        raise ParseError(str(exc), first_line, 1) from None
-    return KbDocument("poss", vocab, kb)
+    return PossibilisticKB(levels=levels, vocab=vocab)
 
 
 def _write_poss(kb: PossibilisticKB) -> list[str]:
@@ -544,13 +451,24 @@ def _write_poss(kb: PossibilisticKB) -> list[str]:
     ]
 
 
-# Each KB kind's file suffix, parser and writer; a writer gives the lines
-# after the vocab: header.
+class _Format(NamedTuple):
+    """A KB kind's suffix, its line keywords (``vocab:`` first, alone when
+    lines have none), and its line shape, body builder and line writer."""
+
+    suffix: str
+    keywords: tuple[str, ...]
+    shape: Callable
+    build: Callable
+    write: Callable
+
+
 _FORMATS = {
-    "default": (".dl", _parse_default, _write_default),
-    "ael": (".ael", _parse_ael, _write_ael),
-    "prob": (".prob", _parse_prob, _write_prob),
-    "poss": (".poss", _parse_poss, _write_poss),
+    "default": _Format(
+        ".dl", ("vocab:", "fact:", "rule"), _default_shape, _build_default, _write_default
+    ),
+    "ael": _Format(".ael", ("vocab:",), _split_premise, _build_ael, _write_ael),
+    "prob": _Format(".prob", ("vocab:", "world"), _world_shape, _build_prob, _write_prob),
+    "poss": _Format(".poss", ("vocab:", "poss"), _poss_shape, _build_poss, _write_poss),
 }
 
 KB_KINDS = tuple(_FORMATS)

@@ -20,6 +20,7 @@ from partseq import (
 )
 from partseq import Vocabulary, kbformats
 from partseq.kbformats import KB_KINDS
+from partseq.logic import parse_tokens
 
 from genkit import per_literal_world_line
 
@@ -97,6 +98,13 @@ class TestDefaultFormat:
             parse_kb(text, "default")
         assert "duplicate" not in str(info.value)
         assert info.value.line == text.count("\n")
+
+    def test_faults_reported_in_file_order(self):
+        # formulas are parsed in file order, facts and rules alike, so the
+        # rule's fault on line 1 is reported before the fact's on line 2
+        with pytest.raises(ParseError) as info:
+            parse_kb("rule r1: p : M (q / q\nfact: (p", "default")
+        assert (info.value.line, info.value.column) == (1, 19)
 
     def test_round_trip(self):
         doc = parse_kb(RIVALS_DL, "default")
@@ -346,9 +354,9 @@ class TestPossFormat:
 
         def counting(*args, **kwargs):
             calls.append(args[0])
-            return parse_formula(*args, **kwargs)
+            return parse_tokens(*args, **kwargs)
 
-        monkeypatch.setattr(kbformats, "parse_formula", counting)
+        monkeypatch.setattr(kbformats, "parse_tokens", counting)
         doc = parse_kb(header + NESTED_POSS.split("\n", 1)[1], "poss")
         assert len(calls) == 2
         assert doc.vocab.names == ("p", "q")
@@ -374,7 +382,8 @@ class TestUnreachedErrors:
         "kind, text, line, column, message",
         [
             ("default", "vocab:\nfact: p", 1, 7, "vocab header lists no constants"),
-            ("poss", "vocab: p 1q\nposs 1 : p", 1, 7, "bad constant name: '1q'"),
+            ("poss", "vocab: p 1q\nposs 1 : p", 1, 10, "bad constant name: '1q'"),
+            ("default", "vocab: p, p\nfact: p", 1, 11, "duplicate constant name: 'p'"),
             ("default", "fact: p\nrule 1x: true : M p / p", 2, 6, "bad rule id '1x'"),
             ("default", "fact: p\nrule r1: true : p / p", 2, 17, "justification must start with 'M'"),
             ("ael", "p\nvocab: L p", 2, 1, "'L' is reserved in belief premises"),
@@ -432,3 +441,80 @@ class TestTotality:
             parse_kb(text, kind)
         except ParseError as exc:
             assert exc.line >= 1 and exc.column >= 1
+
+
+class TestLineGrammar:
+    """The rules every format shares: keywords and the one header."""
+
+    @pytest.mark.parametrize(
+        "kind, text, line, column, message",
+        [
+            ("default", "rulex: true : M p / p", 1, 1, "expected a vocab:, fact:, or rule line"),
+            ("default", "  factx: p", 1, 3, "expected a vocab:, fact:, or rule line"),
+            ("prob", "vocab: p\nworldp : 1", 2, 1, "expected a vocab: or world line"),
+            ("poss", "possx 1 : p", 1, 1, "expected a vocab: or poss line"),
+            ("poss", " poss1 : p", 1, 2, "expected a vocab: or poss line"),
+            ("default", "rule: true : M p / p", 1, 5, "bad rule id ''"),
+            ("prob", "vocab: p\n world: 1", 2, 7, "empty literal"),
+        ],
+    )
+    def test_keyword_must_end(self, kind, text, line, column, message):
+        with pytest.raises(ParseError) as got:
+            parse_kb(text, kind)
+        assert (got.value.message, got.value.line, got.value.column) == (message, line, column)
+
+    @pytest.mark.parametrize(
+        "kind, body",
+        [("default", "fact: p"), ("ael", "p"), ("prob", "world p : 1"), ("poss", "poss 1 : p")],
+    )
+    def test_second_header_refused(self, kind, body):
+        with pytest.raises(ParseError) as got:
+            parse_kb(f"vocab: p\n{body}\n  vocab: q\n", kind)
+        assert (got.value.message, got.value.line, got.value.column) == (
+            "more than one vocab: header", 3, 3
+        )
+
+
+# lines each kind accepts, mixed with lines of its tokens for the round trip
+ACCEPTED_LINES = {
+    "default": ["fact: p", "fact: true", "rule r1: true : M p / p", "rule r2: p : M q, M ~q / q"],
+    "ael": ["L p -> q", "~L q & L r -> p", "L p", "~L q", "true", "p | q"],
+    "prob": ["world p,q : 1/2", "world ~p,q : 1/2", "world p,~q : 1", "world ~p,~q : 0"],
+    "poss": ["poss 1/2 : p", "poss 1 : q | p", "poss 1 : true", "poss 0 : r & ~p"],
+}
+
+
+class TestRoundTrip:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.sampled_from(KB_KINDS).flatmap(
+            lambda kind: st.tuples(
+                st.just(kind),
+                st.sampled_from(["", "vocab: p q\n", "vocab: q p r L M r1 x\n"]),
+                st.lists(
+                    st.sampled_from(ACCEPTED_LINES[kind])
+                    | st.lists(st.sampled_from(LINE_TOKENS[kind]), max_size=8).map(" ".join),
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    def test_accepted_text_round_trips(self, drawn):
+        # World equality ignores weights, so the bytes are compared too
+        kind, header, lines = drawn
+        try:
+            doc = parse_kb(header + "\n".join(lines), kind)
+        except ParseError:
+            return
+        text = serialize_kb(doc)
+        again = parse_kb(text, kind)
+        assert (again.vocab, again.body) == (doc.vocab, doc.body)
+        assert serialize_kb(again) == text
+
+    @pytest.mark.parametrize(
+        "kind, text", [("default", "fact: true"), ("ael", ""), ("poss", "poss 1 : true")]
+    )
+    def test_empty_vocabulary_round_trips(self, kind, text):
+        doc = parse_kb(text, kind)
+        assert doc.vocab.names == ()
+        assert parse_kb(serialize_kb(doc), kind) == doc
