@@ -323,18 +323,19 @@ class TruthTable:
     """Formulas compiled to their model masks over one list of worlds.
 
     The dense form, ``TruthTable(vocab)``, lists all 2^n worlds of the
-    vocabulary in the order of :func:`enumerate_worlds`, each of weight 1
-    and built on first use; it refuses a vocabulary of more than
-    ``DEFAULT_WORLD_CAP`` constants. The listed form, ``TruthTable(vocab,
-    worlds=...)``, lists the given worlds in the given order, weights
-    included. Its atom masks are read off those worlds, so it has no cap:
-    a lottery over 2000 constants has only 2000 worlds.
+    vocabulary in the order of :func:`enumerate_worlds`, each built on
+    first use; it refuses a vocabulary of more than ``DEFAULT_WORLD_CAP``
+    constants. The listed form, ``TruthTable(vocab, worlds=...)``, lists
+    the given worlds in the given order. Its atom masks are read off those
+    worlds, so it has no cap: a lottery over 2000 constants has only 2000
+    worlds. ``weights[i]`` is the weight of world i: a listed table's
+    worlds give it, :meth:`reweighted` sets it on a dense table, and None
+    stands for every weight 1.
 
     Meant to live for one call, for which it memoises the masks it
     compiles and the worlds it builds. A knowledge base keeps masks only
     (``DefaultTheory.compiled``), never a table, so a call's worlds go
-    when it returns. ``indexed`` says that bit i is world i of the dense
-    table, as in the dense form and in a :meth:`reweighted` copy of it.
+    when it returns.
     """
 
     def __init__(
@@ -343,7 +344,7 @@ class TruthTable:
         worlds: Iterable[World] | None = None,
     ):
         self.vocab = vocab
-        self.dense = self.indexed = worlds is None
+        self.dense = worlds is None
         if self.dense:
             if len(vocab) > DEFAULT_WORLD_CAP:
                 raise ResourceLimitError(
@@ -355,6 +356,7 @@ class TruthTable:
         else:
             self._worlds = dict(enumerate(worlds))
             self.size = len(self._worlds)
+        self.weights = None if self.dense else [w.weight for w in self._worlds.values()]
         self.full = (1 << self.size) - 1
         self._masks: dict[Formula, int] = {}
 
@@ -420,18 +422,18 @@ class TruthTable:
     def mask_of(self, worlds: Iterable[World]) -> int:
         return _from_bits(map(self.index, worlds), self.size)
 
-    def _dense_worlds(self, found: list[int], weight: Rational = _ONE) -> dict[int, World]:
-        """The world at each dense index of ``found``, each of ``weight``.
+    def _dense_worlds(self, found: list[int]) -> dict[int, World]:
+        """The world at each dense index of ``found``, with its weight.
 
-        An index names constants of the vocabulary only, and the weight is
-        checked once on an empty world, so no world repeats the checks of
+        An index names constants of the vocabulary only, and the weights
+        were checked when they were set, so no world repeats the checks of
         ``World.__init__``."""
         vocab, names, digits = self.vocab, self.vocab.names, f"0{len(self.vocab)}b"
-        weight, trusted = World(vocab, (), weight).weight, World._trusted
+        weights, trusted = self.weights, World._trusted
         built = {}
         for i in found:
             true_names = frozenset(compress(names, format(i, digits).encode().translate(_BITS)))
-            built[i] = trusted(vocab, true_names, weight)
+            built[i] = trusted(vocab, true_names, _ONE if weights is None else weights[i])
         return built
 
     def world_list(self, mask: int) -> list[World]:
@@ -446,31 +448,30 @@ class TruthTable:
         return frozenset(self.world_list(mask))
 
     def reweighted(self, shares: Iterable[tuple[int, Rational]]) -> TruthTable:
-        """This dense table's worlds as a listed table in the same order,
-        each built once with the weight of its mask in ``shares``. The masks
-        must cover every world; the atoms and the masks compiled so far
-        carry over, since bit i is world i in both."""
-        for name in self.vocab.names:
-            self.mask(Const(name))
-        placed = {}
+        """This dense table with each world weighing the share of the mask
+        in ``shares`` that holds it, and 0 when no mask does; the masks
+        compiled so far carry over."""
+        weights = [Fraction(0)] * self.size
         for mask, share in shares:
-            placed.update(self._dense_worlds(_set_bits(mask), share))
-        table = TruthTable(self.vocab, worlds=map(placed.__getitem__, range(self.size)))
-        table.indexed = True
-        table._masks.update(self._masks)
+            share = as_fraction(share)
+            if share < 0:
+                raise ValueError(f"negative world weight: {share}")
+            for i in _set_bits(mask):
+                weights[i] = share
+        table = TruthTable(self.vocab)
+        table.weights, table._masks = weights, dict(self._masks)
         return table
 
     @cached_property
     def _numerators(self) -> tuple[list[int], int]:
-        """The listed weights as integers over their common denominator."""
-        weights = [w.weight for w in self._worlds.values()]
-        den = lcm(*(q.denominator for q in weights))
-        return [q.numerator * (den // q.denominator) for q in weights], den
+        """The weights as integers over their common denominator."""
+        den = lcm(*(q.denominator for q in self.weights))
+        return [q.numerator * (den // q.denominator) for q in self.weights], den
 
     def mass(self, mask: int) -> Fraction:
         """The total weight of the worlds of ``mask``, summed as integers."""
-        if self.dense:
-            return Fraction(mask.bit_count())  # every weight is 1
+        if self.weights is None:
+            return Fraction(mask.bit_count())
         nums, den = self._numerators
         return Fraction(sum(compress(nums, bin(mask)[:1:-1].encode().translate(_BITS))), den)
 
@@ -599,8 +600,10 @@ def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
 # so the bound keeps them well inside Python's recursion limit.
 MAX_FORMULA_DEPTH = 200
 
-# binary connectives by token kind: (precedence, node), tighter binds higher
-_BINARY = {"iff": (1, Iff), "imp": (2, Implies), "or": (3, Or), "and": (4, And)}
+# binary connectives by their text: (precedence, node), tighter binds higher;
+# -> chains to the right, the other connectives to the left
+_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+_SYMBOLS = {make: (text, prec) for text, (prec, make) in _BINARY.items()}
 
 
 class _FormulaParser:
@@ -642,10 +645,9 @@ class _FormulaParser:
         tighter, and its depth (precedence climbing)."""
         self.level = self.within_limit(self.level + 1, self.peek())
         phi, depth = self.unary()
-        while (op := _BINARY.get(self.peek().kind)) and op[0] >= min_prec:
+        while (op := _BINARY.get(self.peek().text)) and op[0] >= min_prec:
             prec, make = op
             tok = self.take()
-            # -> chains to the right, the other connectives to the left
             rhs, rhs_depth = self.expr(prec if make is Implies else prec + 1)
             phi, depth = make(phi, rhs), self.within_limit(1 + max(depth, rhs_depth), tok)
         self.level -= 1
@@ -707,8 +709,8 @@ def format_formula(phi: Formula) -> str:
 
 
 # min_prec is the lowest operator precedence printable without parens in
-# the current position; it encodes associativity (-> chains to the right,
-# & | <-> to the left).
+# the current position; the operand on the side a connective does not
+# chain to needs one level tighter.
 def _fmt(node: Formula, min_prec: int) -> str:
     match node:
         case Top():
@@ -719,14 +721,10 @@ def _fmt(node: Formula, min_prec: int) -> str:
             return name
         case Not(sub):
             text, prec = "~" + _fmt(sub, 5), 5
-        case And(l, r):
-            text, prec = f"{_fmt(l, 4)} & {_fmt(r, 5)}", 4
-        case Or(l, r):
-            text, prec = f"{_fmt(l, 3)} | {_fmt(r, 4)}", 3
-        case Implies(l, r):
-            text, prec = f"{_fmt(l, 3)} -> {_fmt(r, 2)}", 2
-        case Iff(l, r):
-            text, prec = f"{_fmt(l, 1)} <-> {_fmt(r, 2)}", 1
+        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            symbol, prec = _SYMBOLS[type(node)]
+            left, right = (prec + 1, prec) if type(node) is Implies else (prec, prec + 1)
+            text = f"{_fmt(l, left)} {symbol} {_fmt(r, right)}"
         case _:
             raise SemanticError(f"not a formula: {node!r}")
     return f"({text})" if prec < min_prec else text

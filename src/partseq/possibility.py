@@ -17,10 +17,6 @@ from fractions import Fraction
 from .logic import Formula, Not, TruthTable, Vocabulary, format_formula
 from .sequences import PartitionSequence, Violation, class_masks
 
-# Class weight totals are compared within this tolerance so that checked
-# sequences may carry float-derived weights.
-CLASS_WEIGHT_TOLERANCE = Fraction(1, 10**9)
-
 
 @dataclass(frozen=True)
 class PossibilisticKB:
@@ -137,8 +133,8 @@ def check_poss_sequence(
 
     Class memberships must match the level construction exactly; weights
     inside a class may be distributed any way whose total equals the
-    level's gap (within a small tolerance). A sequence of another kind
-    gets a single ``kind`` violation.
+    level's gap exactly. A sequence of another kind gets a single
+    ``kind`` violation.
     """
     table = TruthTable(kb.vocab)
     masks, structural = class_masks(seq, "possibility", table)
@@ -167,7 +163,7 @@ def check_poss_sequence(
 
     for i, (cls, gap) in enumerate(zip(seq.masks, _gaps(kb))):
         total = seq.table.mass(cls)
-        if abs(total - gap) > CLASS_WEIGHT_TOLERANCE:
+        if total != gap:
             problems.append(
                 Violation(
                     "condition 2",

@@ -24,10 +24,6 @@ from .logic import Formula, TruthTable, Vocabulary, World, format_formula
 from .rationals import Rational, as_fraction
 from .sequences import PartitionSequence
 
-# Sample-space weights must total 1; inputs that arrived through floats
-# may carry binary representation error up to this much.
-WEIGHT_TOLERANCE = Fraction(1, 10**9)
-
 MAX_THRESHOLD_CANDIDATES = 10
 
 MAX_LOTTERY_TICKETS = 10**6
@@ -48,7 +44,7 @@ class SampleSpace:
         if len(set(self.worlds)) != len(self.worlds):
             raise ValueError("sample space worlds must have distinct assignments")
         total = self.table.mass(self.table.full)
-        if abs(total - 1) > WEIGHT_TOLERANCE:
+        if total != 1:
             raise ValueError(f"sample space weights total {total}, not 1")
 
     @cached_property

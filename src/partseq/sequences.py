@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SemanticError
@@ -128,13 +128,12 @@ def _partition(seq: PartitionSequence, table: TruthTable) -> tuple[list[int], li
     ``seq`` partitioning its worlds, by ``&`` and ``|`` on masks; a world
     outside the table gets a bit past it, and reports build worlds.
 
-    When ``table`` is the dense table of the sequence's vocabulary and
-    the sequence's table lists the same worlds in the same order, bit i
-    is world i in each, so the sequence's masks are used as they are."""
+    When both tables are the dense table of one vocabulary, bit i is
+    world i in each, so the sequence's masks are used as they are."""
     problems = []
     if len(seq.masks) < 2:
         problems.append(Violation("length", "a partition sequence has at least two classes"))
-    same = seq.table.indexed and table.dense and seq.vocab == table.vocab
+    same = seq.table.dense and table.dense and seq.vocab == table.vocab
     foreign: dict[World, int] = {}
     masks, union = [], 0
     for i, own in enumerate(seq.masks):
@@ -381,21 +380,23 @@ class WorldRows(NamedTuple):
 def table_rows(table: TruthTable, mask: int) -> WorldRows:
     """The worlds of ``mask`` in ``table``, in index order. On the dense
     table bit i is the world whose digits are those of i, so index order
-    is digit order and every weight is 1."""
+    is digit order."""
+    found = _set_bits(mask)
+    weights = None if table.weights is None else list(map(table.weights.__getitem__, found))
     if table.dense:
         top = 1 << len(table.vocab)
-        return WorldRows(table.vocab, [bin(i | top)[3:] for i in _set_bits(mask)], None)
+        return WorldRows(table.vocab, [bin(i | top)[3:] for i in found], weights)
     names, worlds = table.vocab.names, table.world_list(mask)
     bits = (bytes(map(w.true_names.__contains__, names)) for w in worlds)
     digits = [row.translate(_DIGITS).decode() for row in bits]
-    return WorldRows(table.vocab, digits, [w.weight for w in worlds])
+    return WorldRows(table.vocab, digits, weights)
 
 
 def world_rows(table: TruthTable, mask: int) -> WorldRows:
     """The worlds of ``mask`` in ``table``, in digit order; of equal
     worlds listed twice the first is kept, as a frozenset keeps it."""
     rows = table_rows(table, mask)
-    if rows.weights is None:
+    if table.dense:
         return rows
     first = dict(zip(reversed(rows.digits), reversed(rows.weights)))
     digits = sorted(first)
@@ -520,7 +521,7 @@ def _parse_weight(raw) -> Fraction:
     # bool is an int too, but true is no weight
     if isinstance(raw, (Fraction, str)) or type(raw) is int:
         try:
-            weight = Fraction(raw)
+            weight = raw if type(raw) is Fraction else Fraction(raw)
         except ZeroDivisionError:  # "1/0"
             pass
         else:
@@ -533,9 +534,10 @@ def _parse_weight(raw) -> Fraction:
 def sequence_from_obj(obj: dict) -> PartitionSequence:
     """The sequence of a JSON document, read in one pass that takes each
     world to its truth values and weight and raises the first fault met.
-    A document whose weights are all absent or the integer 1, over at
-    most ``DEFAULT_WORLD_CAP`` constants, is read onto the dense table of
-    its vocabulary; any other onto a table that lists its worlds."""
+    A document over at most ``DEFAULT_WORLD_CAP`` constants that gives
+    each world one weight is read onto the dense table of its vocabulary,
+    reweighted unless every weight is absent or the integer 1; any other
+    onto a table that lists its worlds."""
     vocab = Vocabulary(obj["vocab"])
     names, name_set = vocab.names, set(vocab.names)
     classes, weights, unit = [], [], True
@@ -560,13 +562,20 @@ def sequence_from_obj(obj: dict) -> PartitionSequence:
             raise ValueError("a world is listed twice in one class")
         classes.append(rows)
     provenance = tuple(obj.get("provenance") or ())
-    if unit and len(vocab) <= DEFAULT_WORLD_CAP:
-        size = 1 << len(vocab)
-        masks = [
-            _from_bits((int(row.translate(_DIGITS) or b"0", 2) for row in rows), size)
-            for rows in classes
-        ]
-        return PartitionSequence(TruthTable(vocab), masks, obj["kind"], provenance)
+    if len(vocab) <= DEFAULT_WORLD_CAP:
+        size, table = 1 << len(vocab), TruthTable(vocab)
+        found = [[int(row.translate(_DIGITS) or b"0", 2) for row in rows] for rows in classes]
+        if not unit:
+            weight_of = dict(zip(chain.from_iterable(found), weights))
+            shares: dict[Fraction, list[int]] = {}
+            for i, weight in weight_of.items():
+                shares.setdefault(weight, []).append(i)
+            table = table.reweighted((_from_bits(at, size), q) for q, at in shares.items())
+            if [weight_of[i] for indices in found for i in indices] != weights:
+                table = None  # a world of two weights: read onto a listed table below
+        if table is not None:
+            masks = [_from_bits(indices, size) for indices in found]
+            return PartitionSequence(table, masks, obj["kind"], provenance)
     weight = iter(weights).__next__
     worlds = [[World(vocab, compress(names, row), weight()) for row in rows] for rows in classes]
     return PartitionSequence.of_classes(worlds, vocab, obj["kind"], provenance)

@@ -280,6 +280,21 @@ class TestPossCommands:
         assert "possibility: 0.7" in out
         assert "necessity: 0" in out
 
+    def test_check_compares_class_totals_exactly(self, kbdir, capsys, tmp_path):
+        code, out, _ = run(capsys, "--json", "poss", "build", kbdir / "nested.poss")
+        doc = json.loads(out, parse_float=Fraction)["sequences"][0]
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(render_json(doc))
+        assert run(capsys, "poss", "check", kbdir / "nested.poss", seq_file)[:2] == (0, "ok\n")
+        doc["classes"][1][0]["weight"] += Fraction(1, 10**10)
+        seq_file.write_text(render_json(doc))
+        code, out, _ = run(capsys, "poss", "check", kbdir / "nested.poss", seq_file)
+        assert code == 1
+        assert out == (
+            "violation: condition 2 [class 1]: "
+            "class weight totals 4000000001/10000000000, expected 2/5\n"
+        )
+
 
 class TestWorldsAndExplain:
     def test_worlds_enumerates_vocabulary(self, kbdir, capsys):
@@ -515,6 +530,13 @@ class TestExitCodes:
         code, out, err = run(capsys, "ael", "expansions", kb)
         assert code == 2 and out == ""
         assert err.startswith(f"parse error: line 3, column {column}: ")
+
+    def test_sample_space_weights_must_total_exactly_one(self, capsys, tmp_path):
+        kb = tmp_path / "short.prob"
+        kb.write_text("vocab: p\nworld p : 0.4999999999\nworld ~p : 0.5\n")
+        code, out, err = run(capsys, "prob", "condition", kb, "--on", "p")
+        assert code == 2 and out == ""
+        assert "sample space weights total 9999999999/10000000000, not 1" in err
 
     def test_unknown_subcommand_is_three(self, capsys):
         code, _, err = run(capsys, "default", "bogus", "x.dl")

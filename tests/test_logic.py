@@ -225,8 +225,8 @@ class TestTruthTable:
     def test_dense_worlds_match_checked_worlds(self, weight):
         # built from their indices without World.__init__'s checks
         vocab = Vocabulary(["a", "b", "c"])
-        table = TruthTable(vocab)
-        for i, w in table._dense_worlds(list(range(8)), weight).items():
+        table = TruthTable(vocab).reweighted([(0xFF, weight)])
+        for i, w in enumerate(table.world_list(table.full)):
             names = [n for n, bit in zip(vocab.names, format(i, "03b")) if bit == "1"]
             checked = World(vocab, names, weight)
             assert w == checked and hash(w) == hash(checked)

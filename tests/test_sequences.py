@@ -1,8 +1,12 @@
 """Sequence structure, isomorphism, preference chains, serialisation."""
 
+import contextlib
+import io
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from partseq import (
     BelowThresholdError,
     PartitionSequence,
+    PossibilisticKB,
     SemanticError,
     Vocabulary,
     World,
@@ -35,7 +40,7 @@ from partseq import autoepistemic, cli, defaults
 from partseq.cli import main
 from partseq.defaults import DefaultTheory
 from partseq.kbformats import KbDocument, serialize_kb
-from partseq.logic import Const, Not, TruthTable
+from partseq.logic import TRUE, Const, Not, TruthTable
 from partseq.sequences import (
     KINDS,
     class_masks,
@@ -200,8 +205,9 @@ class TestMaskStructure:
         assert {"disjointness", "coverage", "condition 2"} <= found
 
     def test_possibility_masks_match_their_json_round_trip(self, monkeypatch):
-        # a built possibility sequence lists the dense worlds in index order,
-        # so its masks are read as they are too: no world is looked up
+        # a built possibility sequence, and its JSON round trip, is on the
+        # dense table with weights, so its masks are read as they are: no
+        # world is looked up
         rng = random.Random(4096)
         pairs, found = [], set()
         while len(pairs) < 150:
@@ -209,19 +215,19 @@ class TestMaskStructure:
             seq = build_poss_sequence(kb)
             if not isinstance(seq, PartitionSequence):
                 continue
-            assert seq.table.indexed and not seq.table.dense
+            assert seq.table.dense and seq.table.weights is not None
             masks = list(seq.masks)
             i, j = rng.randrange(len(masks)), rng.randrange(len(masks))
             masks[i] |= rng.getrandbits(seq.table.size)
             masks[j] &= rng.getrandbits(seq.table.size)
             faulty = PartitionSequence(seq.table, masks, seq.kind, seq.provenance)
             back = sequence_from_json(sequence_to_json(faulty))
-            pairs.append((kb, seq, faulty, check_poss_sequence(kb, back)))
+            pairs.append((kb, seq, faulty, back))
         monkeypatch.setattr(TruthTable, "index", lambda self, w: pytest.fail("world looked up"))
-        for kb, seq, faulty, expected in pairs:
+        for kb, seq, faulty, back in pairs:
             assert check_poss_sequence(kb, seq) == []
             problems = check_poss_sequence(kb, faulty)
-            assert problems == expected
+            assert problems == check_poss_sequence(kb, back)
             found |= {p.clause for p in problems}
         assert {"disjointness", "coverage", "condition 1", "condition 2"} <= found
 
@@ -592,8 +598,9 @@ def unit_documents(rng):
 
 class TestUnitReader:
     """A document whose weights are all absent or the integer 1 is read
-    onto the dense table of its vocabulary; written as the string "1",
-    the same weights take the listed path, and the two readings agree."""
+    onto the dense table of its vocabulary, and so is one whose weights
+    are written as the string "1"; both readings agree with the listed
+    reading of the same worlds."""
 
     @staticmethod
     def ones(doc):
@@ -612,14 +619,23 @@ class TestUnitReader:
                         sequence_from_obj(self.ones(doc))
                     refused += 1
                     continue
-                listed = sequence_from_obj(self.ones(doc))
-                assert dense.table.dense and not listed.table.dense
-                assert dense == listed and hash(dense) == hash(listed)
+                ones = sequence_from_obj(self.ones(doc))
+                vocab = Vocabulary(doc["vocab"])
+                worlds = [
+                    [World(vocab, [n for n in vocab.names if w["assign"][n]]) for w in cls]
+                    for cls in doc["classes"]
+                ]
+                listed = PartitionSequence.of_classes(
+                    worlds, vocab, doc["kind"], doc["provenance"]
+                )
+                assert dense.table.dense and ones.table.dense and not listed.table.dense
+                assert dense == ones == listed and hash(dense) == hash(listed)
                 for strict in (False, True):
                     problems = check(kb, dense, strict=strict)
+                    assert problems == check(kb, ones, strict=strict)
                     assert problems == check(kb, listed, strict=strict)
                     clauses |= {p.clause for p in problems}
-                assert render_json(dense) == render_json(listed)
+                assert render_json(dense) == render_json(ones) == render_json(listed)
         assert refused and {"disjointness", "coverage", "condition 2", "condition 3"} <= clauses
 
     def test_same_explain_text_and_json(self, capsys, tmp_path):
@@ -675,6 +691,112 @@ class TestUnitReader:
         seq = sequence_from_obj(doc)
         assert seq.table.dense == dense
         assert seq.last_class == {World(Vocabulary(names), names)}
+
+
+@st.composite
+def weighted_sequences(draw):
+    """A sequence over 0 to 12 constants, listed class by class, whose
+    worlds are drawn from a small pool so that some repeat across
+    classes, now and then at another weight than before."""
+    n = draw(st.integers(0, 12))
+    vocab = Vocabulary([f"c{i}" for i in range(n)])
+    weights = st.fractions(0, 3, max_denominator=12)
+    pool = draw(
+        st.lists(
+            st.tuples(st.integers(0, (1 << n) - 1), weights),
+            min_size=1,
+            max_size=8,
+            unique_by=lambda drawn: drawn[0],
+        )
+    )
+    classes = []
+    for _ in range(draw(st.integers(1, 4))):
+        chosen = draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique_by=lambda d: d[0])
+        )
+        classes.append(
+            [
+                World(
+                    vocab,
+                    [c for k, c in enumerate(vocab.names) if i >> (n - 1 - k) & 1],
+                    draw(weights) if draw(st.integers(0, 7)) == 0 else weight,
+                )
+                for i, weight in chosen
+            ]
+        )
+    return PartitionSequence.of_classes(classes, vocab, draw(st.sampled_from(KINDS)))
+
+
+class TestWeightedReader:
+    """A document over at most 20 constants that gives each world it lists
+    one weight is read onto the dense table, with its weights; one that
+    gives a world two weights keeps a table that lists its worlds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(weighted_sequences())
+    def test_reads_what_the_listed_sequence_wrote(self, seq):
+        text = render_json(seq)
+        back = sequence_from_json(text)
+        assert back == seq and render_json(back) == text
+        for own, mask in zip(seq.masks, back.masks):
+            assert back.table.mass(mask) == seq.table.mass(own)
+        weight_of = {}
+        for w in seq.table.world_list(seq.table.full):
+            weight_of.setdefault(w, set()).add(w.weight)
+        assert back.table.dense == all(len(found) == 1 for found in weight_of.values())
+        level = Const(seq.vocab.names[0]) if seq.vocab.names else TRUE
+        kb = PossibilisticKB(((frozenset([level]), Fraction(1, 2)),), seq.vocab)
+        with tempfile.TemporaryDirectory() as tmp:
+            kb_file, seq_file = Path(tmp, "kb.poss"), Path(tmp, "seq.json")
+            kb_file.write_text(serialize_kb(KbDocument("poss", seq.vocab, kb)))
+            seq_file.write_text(text)
+            for argv in (["explain", seq_file], ["poss", "check", kb_file, seq_file]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(list(map(str, argv)))
+                assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+
+    def test_possibility_sequence_builds_no_world(self, monkeypatch, tmp_path, capsys):
+        """Nor does checking it, in process or through the CLI after a
+        JSON round trip."""
+        read = []
+        monkeypatch.setattr(
+            cli, "sequence_from_json", lambda text: read.append(sequence_from_json(text)) or read[-1]
+        )
+        wide = Vocabulary([f"c{i}" for i in range(12)])
+        levels = ((frozenset({Const("c0") & Const("c1")}), Fraction(3, 10)),)
+        levels += ((frozenset({Const("c2")}), Fraction(7, 10)),)
+        rng = random.Random(1212)
+        kbs = [PossibilisticKB(levels, wide)] + [random_possibilistic_kb(rng) for _ in range(80)]
+        kb_file, seq_file = tmp_path / "kb.poss", tmp_path / "seq.json"
+        checked = 0
+        for kb in kbs:
+            seq = build_poss_sequence(kb)
+            if not isinstance(seq, PartitionSequence):
+                continue
+            assert check_poss_sequence(kb, seq) == []
+            back = sequence_from_json(sequence_to_json(seq))
+            assert check_poss_sequence(kb, back) == []
+            kb_file.write_text(serialize_kb(KbDocument("poss", kb.vocab, kb)))
+            seq_file.write_text(sequence_to_json(seq))
+            assert main(["poss", "check", str(kb_file), str(seq_file)]) == 0
+            for built in (seq, back, read[-1]):
+                assert built.table.dense and not built.table._worlds
+            checked += 1
+        assert checked >= 20
+        capsys.readouterr()
+
+    def test_a_world_of_two_weights_stays_listed(self, tmp_path, capsys):
+        p, not_p = {"assign": {"p": 1}}, {"assign": {"p": 0}}
+        classes = [[dict(p, weight="1/4")], [dict(p, weight=Fraction(3, 4)), dict(not_p, weight=1)]]
+        doc = {"kind": "conditional", "vocab": ["p"], "classes": classes}
+        assert not sequence_from_obj(doc).table.dense
+        path = tmp_path / "seq.json"
+        path.write_text(render_json(doc))
+        assert main(["explain", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "W0 = {<{p}, 0.25>}   weight 0.25" in out
+        assert "W1 = {{~p}, <{p}, 0.75>}   weight 1.75" in out
 
 
 class TestClassView:
