@@ -216,6 +216,8 @@ def _read_sequence(path: str) -> PartitionSequence:
         raise ParseError(f"bad sequence document: missing key {exc}", 1, 1) from None
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad sequence document: {exc}", 1, 1) from None
+    except RecursionError:
+        raise ParseError("bad sequence document: nested too deeply", 1, 1) from None
 
 
 def _sequence_lines(seq: PartitionSequence, head="sequence:", weighed=False) -> Iterator[str]:

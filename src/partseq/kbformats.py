@@ -229,93 +229,57 @@ def _terminate(tokens: list[Token], after: Token) -> list[Token]:
     return [*tokens, Token("eof", "", last.line, last.column + len(last.text))]
 
 
-def _modal_piece(tokens: list[Token]):
-    """Match [~] L <formula tokens>: the sign, the L marker and the formula
-    tokens; None when the piece is not modal."""
-    if tokens and tokens[0].kind == "name" and tokens[0].text == "L":
-        return ("pos", tokens[0], tokens[1:])
-    if (
-        len(tokens) >= 2
-        and tokens[0].kind == "not"
-        and tokens[1].kind == "name"
-        and tokens[1].text == "L"
-    ):
-        return ("neg", tokens[1], tokens[2:])
-    return None
-
-
 def _split_premise(line: str, lineno: int, *_):
     """Whether a premise line has a positive belief condition, and the
     tokens of its formulas: that condition, the negative ones, the
-    conclusion."""
+    conclusion. One scan finds the first top-level '->' and the top-level
+    '&'s before it; the line is a belief conditional when each piece
+    between them is ``L`` or ``~ L`` followed by a formula."""
     tokens = tokenize(line, line=lineno, column=1)[:-1]
+    arrow = len(tokens)
+    cuts = [-1]
     depth = 0
-    arrow = None
     for i, tok in enumerate(tokens):
-        if tok.kind == "lp":
-            depth += 1
-        elif tok.kind == "rp":
-            depth -= 1
-        elif tok.kind == "imp" and depth == 0 and arrow is None:
+        depth += (tok.kind == "lp") - (tok.kind == "rp")
+        if depth == 0 and tok.kind == "imp":
             arrow = i
-    head = tokens[:arrow] if arrow is not None else tokens
-    tail = tokens[arrow + 1 :] if arrow is not None else None
-
-    pieces = []
-    depth = 0
-    current: list[Token] = []
-    for tok in head:
-        if tok.kind == "lp":
-            depth += 1
-        elif tok.kind == "rp":
-            depth -= 1
-        if tok.kind == "and" and depth == 0:
-            pieces.append(current)
-            current = []
-        else:
-            current.append(tok)
-    pieces.append(current)
-
-    matches = [_modal_piece(p) for p in pieces]
-    modal = all(m is not None and m[2] for m in matches)
+            break
+        if depth == 0 and tok.kind == "and":
+            cuts.append(i)
+    conditions = []  # (negative, L marker, formula tokens)
+    for start, end in zip(cuts, [*cuts[1:], arrow]):
+        negative = start + 1 < end and tokens[start + 1].kind == "not"
+        at = start + 1 + negative
+        if at + 1 >= end or (tokens[at].kind, tokens[at].text) != ("name", "L"):
+            conditions = []
+            break
+        conditions.append((negative, tokens[at], _terminate(tokens[at + 1 : end], tokens[at])))
     # every L but the markers of a belief conditional is a misplaced one
-    markers = {marker for _, marker, _ in matches} if modal else ()
+    markers = {marker for _, marker, _ in conditions}
     for tok in tokens:
-        if tok.kind == "name" and tok.text == "L" and tok not in markers:
+        if (tok.kind, tok.text) == ("name", "L") and tok not in markers:
             raise ParseError(
-                "'L' is reserved in belief premises; parenthesise or fix the "
-                "belief conditions",
+                "'L' is reserved in belief premises; parenthesise or fix the belief conditions",
                 tok.line,
                 tok.column,
             )
-    if modal:
-        alpha_toks = None
-        beta_toks = []
-        for sign, marker, inner in matches:
-            if sign == "pos":
-                if alpha_toks is not None:
-                    raise ParseError(
-                        "at most one positive belief condition per premise",
-                        marker.line,
-                        marker.column,
-                    )
-                alpha_toks = _terminate(inner, marker)
-            else:
-                beta_toks.append(_terminate(inner, marker))
-        if tail is None:
-            # bare L f  /  ~L f: the belief assertion itself, rewritten to
-            # conditional form (believing f is refusing to not-believe it)
-            false = _terminate([Token("name", "false", lineno, 1)], tokens[0])
-            if alpha_toks is not None and not beta_toks:
-                return False, [alpha_toks, false]
-            if alpha_toks is None and len(beta_toks) == 1:
-                return True, [beta_toks[0], false]
-            raise ParseError(
-                "belief conditions need a '->' conclusion", lineno, len(line) + 1
-            )
-        conditions = [alpha_toks, *beta_toks] if alpha_toks else beta_toks
-        return bool(alpha_toks), [*conditions, _terminate(tail, tokens[arrow])]
-    return False, [_terminate(tokens, tokens[0])]
+    if not conditions:
+        return False, [_terminate(tokens, tokens[0])]
+    conditions.sort(key=lambda c: c[0])  # the positive ones first, each kept in line order
+    if len(conditions) > 1 and not conditions[1][0]:
+        _, marker, _ = conditions[1]
+        raise ParseError(
+            "at most one positive belief condition per premise", marker.line, marker.column
+        )
+    if arrow == len(tokens):
+        if len(conditions) > 1:
+            raise ParseError("belief conditions need a '->' conclusion", lineno, len(line) + 1)
+        # bare L f  /  ~L f: the belief assertion itself, rewritten to
+        # conditional form (believing f is refusing to not-believe it)
+        false = _terminate([Token("name", "false", lineno, 1)], tokens[0])
+        return conditions[0][0], [conditions[0][2], false]
+    conclusion = _terminate(tokens[arrow + 1 :], tokens[arrow])
+    return not conditions[0][0], [*(toks for _, _, toks in conditions), conclusion]
 
 
 def _build_ael(vocab: Vocabulary, lines, last: int) -> AelPremises:

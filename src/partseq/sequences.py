@@ -262,8 +262,8 @@ def peel_sequences(
     splits off anything, and what remains closes the sequence. The order
     budget is shared per call: at most :data:`DEFAULT_ORDER_LIMIT`
     finished orders are explored over all lists together, and once it is
-    spent each list still without a sequence gets one greedy order, always
-    peeling by the first ready item. Exact duplicates are dropped.
+    spent each list still without a sequence gets its first order, which
+    always peels by the first ready item. Exact duplicates are dropped.
     """
     results: list[PartitionSequence] = []
     seen: set[tuple] = set()
@@ -276,7 +276,7 @@ def peel_sequences(
 
     def explore(items, remaining, classes, labels):
         nonlocal budget
-        if budget <= 0:
+        if budget <= 0 and len(results) > start:
             return
         steps = _ready(items, remaining)
         if not steps:
@@ -286,16 +286,8 @@ def peel_sequences(
             explore(items, remaining & ~peel, (*classes, peel), (*labels, label))
 
     for items in item_lists:
-        count_before = len(results)
+        start = len(results)
         explore(items, rest, (first,), ("",))
-        if len(results) == count_before:
-            remaining, classes, labels = rest, (first,), ("",)
-            while steps := _ready(items, remaining):
-                label, peel = steps[0]
-                remaining &= ~peel
-                classes += (peel,)
-                labels += (label,)
-            emit((*classes, remaining), (*labels, ""))
     return results
 
 
@@ -582,6 +574,11 @@ def sequence_from_obj(obj: dict) -> PartitionSequence:
 
 
 def sequence_from_json(text: str) -> PartitionSequence:
-    # parse_float hands the raw decimal text to Fraction, keeping 0.3 exact
-    obj = json.loads(text, parse_float=Fraction)
+    # parse_float hands the raw decimal text to Fraction, keeping 0.3 exact;
+    # NaN and Infinity are no JSON, and no writer could render them back
+    obj = json.loads(text, parse_float=Fraction, parse_constant=_refuse_constant)
     return sequence_from_obj(obj)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a number")

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import partseq
 from partseq import (
@@ -30,10 +32,11 @@ from partseq import (
     threshold,
 )
 from partseq.cli import _build_parser, main
-from partseq.kbformats import KbDocument, serialize_kb
+from partseq.kbformats import _FORMATS, KbDocument, serialize_kb
 from partseq.logic import MAX_FORMULA_DEPTH
 from partseq.possibility import InconsistencyReport
 from partseq.sequences import render_json
+from test_kbformats import ACCEPTED_LINES, LINE_TOKENS
 from genkit import (
     explain_lines,
     kernel_text,
@@ -504,6 +507,27 @@ class TestDeepInput:
             f"{MAX_FORMULA_DEPTH} levels\n"
         )
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "[" * 200000,
+            '{"kind": "default", "vocab": ["p"], "classes": '
+            + "[" * 3000
+            + '[[{"assign": {"p": 0}}], [{"assign": {"p": 1}}]]'
+            + "]" * 3000
+            + "}",
+        ],
+        ids=["brackets", "wrapped-classes"],
+    )
+    @pytest.mark.parametrize("command", [["explain"], ["default", "check"]], ids=["explain", "check"])
+    def test_too_deep_sequence_document_is_parse_error(self, capsys, tmp_path, document, command):
+        (tmp_path / "one.dl").write_text("fact: p\n")
+        (tmp_path / "deep.json").write_text(document)
+        kb = [tmp_path / "one.dl"] if command[0] == "default" else []
+        code, out, err = run(capsys, *command, *kb, tmp_path / "deep.json")
+        assert (code, out) == (2, "")
+        assert err == "parse error: line 1, column 1: bad sequence document: nested too deeply\n"
+
 
 class TestExitCodes:
     def test_parse_error_is_two(self, kbdir, capsys, tmp_path):
@@ -681,6 +705,14 @@ class TestSequenceDocument:
         assert (code, out) == (2, "")
         assert f"bad sequence document: bad weight value: {value}" in err
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_is_two(self, capsys, tmp_path, constant):
+        path = self.write(tmp_path, [[{"assign": {"p": 0}}], [{"assign": {"p": 1}}]])
+        path.write_text(path.read_text()[:-1] + f', "provenance": [{constant}, ""]}}')
+        code, out, err = run(capsys, "--json", "explain", path)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: line 1, column 1: bad sequence document: {constant} is not a number\n"
+
 
 class TestJson:
     def test_envelope_shape(self, kbdir, capsys):
@@ -708,3 +740,101 @@ class TestJson:
         for obj in doc["sequences"]:
             seq = sequence_from_json(render_json(obj))
             assert seq.kind == "autoepistemic"
+
+
+# each kind's commands; the KB path follows the first two words
+FUZZ_COMMANDS = {
+    "default": [["default", "extensions"], ["default", "sequences"], ["worlds"]],
+    "ael": [["ael", "expansions"], ["ael", "sequences"], ["worlds"]],
+    "prob": [
+        ["prob", "condition", "--on", "p"],
+        ["prob", "threshold", "--eps", "1/2", "--on", "p"],
+        ["prob", "query", "--on", "p", "--query", "q"],
+        ["worlds"],
+    ],
+    "poss": [["poss", "build"], ["poss", "query", "--query", "p"], ["worlds"]],
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.floats(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, path=()):
+    """The path of every value inside a JSON value, itself included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _paths(inner, (*path, key))
+
+
+class TestCliFuzz:
+    """Every command answers any knowledge base and any sequence document
+    with a documented exit code, and never with an exception."""
+
+    @staticmethod
+    def answer(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err
+        return code, out
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.sampled_from(list(FUZZ_COMMANDS)).flatmap(
+            lambda kind: st.tuples(
+                st.just(kind),
+                st.sampled_from(["", "vocab: p q\n", "vocab: p q r\n"]),
+                # texts of accepted lines alone emit sequences more often
+                st.lists(st.sampled_from(ACCEPTED_LINES[kind]), min_size=1, max_size=4, unique=True)
+                | st.lists(
+                    st.sampled_from(ACCEPTED_LINES[kind])
+                    | st.lists(st.sampled_from(LINE_TOKENS[kind]), max_size=8).map(" ".join),
+                    max_size=4,
+                ),
+            )
+        ),
+        st.sampled_from([[], ["--json"], ["--strict"]]),
+        st.data(),
+    )
+    def test_every_answer_has_a_documented_exit_code(self, capsys, tmp_path, drawn, flags, data):
+        kind, header, lines = drawn
+        kb = tmp_path / f"kb{_FORMATS[kind].suffix}"
+        kb.write_text(header + "\n".join(lines))
+        emitted = []
+        for words in FUZZ_COMMANDS[kind]:
+            self.answer(capsys, *words[:2], kb, *words[2:], *flags)
+            code, out = self.answer(capsys, "--json", *words[:2], kb, *words[2:])
+            if code in (0, 1):
+                emitted += json.loads(out)["sequences"]
+        if not emitted:
+            return
+
+        doc = data.draw(st.sampled_from(emitted))
+        mutation = data.draw(st.sampled_from(["drop", "replace", "wrap"]))
+        if mutation == "wrap":
+            # past the interpreter's recursion limit half the time
+            depth = data.draw(st.integers(1, 3000) | st.just(3000))
+            rest = json.dumps({k: v for k, v in doc.items() if k != "classes"})
+            text = f'{rest[:-1]}, "classes": {"[" * depth}{json.dumps(doc["classes"])}{"]" * depth}}}'
+        else:
+            path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if mutation == "drop" and isinstance(parent, dict):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(JSON_VALUES)
+            text = json.dumps(doc)
+        seq = tmp_path / "seq.json"
+        seq.write_text(text)
+        self.answer(capsys, "explain", seq, *flags)
+        if kind != "prob":
+            self.answer(capsys, kind, "check", kb, seq, *flags)
+

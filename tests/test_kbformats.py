@@ -181,6 +181,12 @@ class TestAelFormat:
             ("L (L) -> p", 4, "'L' is reserved"),
             ("L p -> L", 8, "'L' is reserved"),
             ("~L p -> q & L", 13, "'L' is reserved"),
+            ("L p & ~L q", 11, "belief conditions need a '->' conclusion"),
+            ("~L p & ~L q", 12, "belief conditions need a '->' conclusion"),
+            ("~~L p -> q", 3, "'L' is reserved"),
+            ("(L p) -> q", 2, "'L' is reserved"),
+            ("L -> p", 1, "'L' is reserved"),
+            ("~L p -> ~L q", 10, "'L' is reserved"),
         ],
     )
     def test_error_located_on_its_own_line(self, header, premise, column, message):
@@ -189,6 +195,20 @@ class TestAelFormat:
             parse_kb(f"{header}p\nL q -> p\n{premise}\n", "ael")
         assert (got.value.line, got.value.column) == (line, column)
         assert got.value.message.startswith(message)
+
+    @pytest.mark.parametrize(
+        "premise, expected",
+        [
+            # the positive condition comes first wherever it is written
+            ("~L p & L q -> r", ModalFormula(gamma=Const("r"), alpha=Q, betas=(P,))),
+            # a condition extends to the next top-level & or ->
+            ("L p | q -> r", ModalFormula(gamma=Const("r"), alpha=parse_formula("p | q"))),
+            ("L p <-> q", ModalFormula(gamma=FALSE, betas=(parse_formula("p <-> q"),))),
+        ],
+        ids=["positive-second", "disjunction", "equivalence"],
+    )
+    def test_condition_extent(self, premise, expected):
+        assert parse_kb(premise, "ael").body.formulas == (expected,)
 
     def test_round_trip(self):
         doc = parse_kb(INTROSPECTIVE_AEL, "ael")
