@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import product
 
 from . import defaults
 from .errors import ResourceLimitError
@@ -23,12 +22,14 @@ from .logic import (
     Vocabulary,
 )
 from .sequences import (
-    Item,
+    Guarded,
     PartitionSequence,
     Violation,
+    beliefs,
     check_peels,
     class_masks,
     close,
+    licensed,
     peel_sequences,
 )
 
@@ -36,12 +37,6 @@ from .sequences import (
 # appearing under L, so it is exponential in their number and refuses
 # premises with more of them than this.
 DEFAULT_GUESS_CAP = 16
-
-
-# A premise compiled against the dense truth table: the index of its
-# positive condition among the guess formulas (None when absent), the
-# indices of its negative ones, and the item it peels by once licensed.
-_Premise = tuple[int | None, tuple[int, ...], Item]
 
 
 @dataclass(frozen=True)
@@ -63,37 +58,22 @@ class AelPremises:
         return tuple(seen)  # in order of first appearance
 
     @cached_property
-    def compiled(self) -> tuple[tuple[int, ...], tuple[_Premise, ...]]:
-        """The guess formulas' model masks over the dense truth table of
-        the vocabulary, and the compiled premises, labels formatted. A
-        premise peels with no prerequisite."""
+    def compiled(self) -> tuple[tuple[int, ...], tuple[Guarded, ...]]:
+        """The premises in the peel section's form over the dense table:
+        the guess formulas' masks, and each premise as the item (label,
+        all worlds, g mask) needing the bit of its positive condition, if
+        any, and refusing the bits of its negative ones."""
         table = TruthTable(self.vocab)
-        at = {phi: i for i, phi in enumerate(self.guesses)}
-        premises = tuple(
+        bit = {phi: 1 << j for j, phi in enumerate(self.guesses)}
+        guarded = tuple(
             (
-                None if pm.alpha is None else at[pm.alpha],
-                tuple(at[b] for b in pm.betas),
+                0 if pm.alpha is None else bit[pm.alpha],
+                reduce(int.__or__, map(bit.__getitem__, pm.betas), 0),
                 (str(pm), table.full, table.mask(pm.gamma)),
             )
             for pm in self.formulas
         )
-        return tuple(map(table.mask, self.guesses)), premises
-
-
-def _beliefs(conditions: tuple[int, ...], pool: int) -> tuple[bool, ...]:
-    """Which guess formulas, given by their model masks, hold throughout
-    ``pool``: the belief set whose kernel has that model set."""
-    return tuple(pool & ~m == 0 for m in conditions)
-
-
-def _licensed(compiled: tuple[_Premise, ...], believed: tuple[bool, ...]) -> list[Item]:
-    """Premises whose belief conditions ``believed`` vouches for: it holds
-    the positive condition and none of the negative ones."""
-    return [
-        item
-        for alpha, betas, item in compiled
-        if (alpha is None or believed[alpha]) and not any(believed[b] for b in betas)
-    ]
+        return tuple(map(table.mask, self.guesses)), guarded
 
 
 def omega_operator(
@@ -109,9 +89,9 @@ def omega_operator(
     if not kernel.is_consistent:
         raise ValueError("the belief operator is defined for consistent kernels only")
     table = TruthTable(premises.vocab)
-    conditions, compiled = premises.compiled
-    believed = _beliefs(conditions, table.mask_of(kernel.worlds))
-    value = close(table.full, _licensed(compiled, believed))
+    conditions, guarded = premises.compiled
+    believed = beliefs(conditions, table.mask_of(kernel.worlds))
+    value = close(table.full, licensed(guarded, believed))
     return Kernel(table.worlds(value), premises.vocab)
 
 
@@ -123,7 +103,7 @@ def forced_inconsistency(premises: AelPremises) -> bool:
     belief set is the inconsistent one. The expansion enumeration reports
     consistent kernels only; this flag covers the remaining case.
     """
-    hard = (gamma for _, betas, (_, _, gamma) in premises.compiled[1] if not betas)
+    hard = (gamma for _, refuse, (_, _, gamma) in premises.compiled[1] if not refuse)
     return reduce(int.__and__, hard, -1) == 0
 
 
@@ -151,13 +131,11 @@ def _search(premises: AelPremises) -> tuple[TruthTable, list[int]]:
             f"expansion search would hold up to 2^{count} kernels of 2^{n} bits, and is "
             f"capped at 2^{bits} bits (conditions + constants <= {bits})"
         )
-    conditions, compiled = premises.compiled
-    found = []
-    seen: set[int] = set()
-    for bits in product((False, True), repeat=count):
-        kernel = close(table.full, _licensed(compiled, bits))
-        if kernel and kernel not in seen and _beliefs(conditions, kernel) == bits:
-            seen.add(kernel)
+    conditions, guarded = premises.compiled
+    found = []  # a kernel believes one guess only, so none is found twice
+    for bits in range(1 << count):
+        kernel = close(table.full, licensed(guarded, bits))
+        if kernel and beliefs(conditions, kernel) == bits:
             found.append(kernel)
     found.sort(key=table.sort_key)
     return table, found
@@ -182,8 +160,8 @@ def build_ael_sequences(premises: AelPremises) -> list[PartitionSequence]:
     :func:`~partseq.sequences.peel_sequences`.
     """
     table, found = _search(premises)
-    conditions, compiled = premises.compiled
-    item_lists = [_licensed(compiled, _beliefs(conditions, k)) for k in found]
+    conditions, guarded = premises.compiled
+    item_lists = [licensed(guarded, beliefs(conditions, k)) for k in found]
     return peel_sequences("autoepistemic", table, 0, table.full, item_lists)
 
 
@@ -221,10 +199,5 @@ def check_ael_sequence(
                 class_index=len(seq.masks) - 1,
             )
         )
-    conditions, compiled = premises.compiled
-    return problems + check_peels(
-        masks,
-        lambda pool: _licensed(compiled, _beliefs(conditions, pool)),
-        strict,
-        "premise",
-    )
+    conditions, guarded = premises.compiled
+    return problems + check_peels(masks, conditions, guarded, strict, "premise")

@@ -12,24 +12,27 @@ extension is witnessed by at least one sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import ResourceLimitError
 from .logic import (
     Formula,
     Kernel,
+    Not,
     TruthTable,
     Vocabulary,
     World,
     conjoin,
 )
 from .sequences import (
-    Item,
+    Guarded,
     PartitionSequence,
     Violation,
+    beliefs,
     check_peels,
     class_masks,
     close,
+    licensed,
     peel_sequences,
 )
 
@@ -60,11 +63,6 @@ class DefaultRule:
         return f"{self.alpha} : {justs} / {self.gamma}"
 
 
-# A rule compiled against the dense truth table: (rule_id, prerequisite
-# mask, justification masks, conclusion mask).
-_Rule = tuple[str, int, tuple[int, ...], int]
-
-
 @dataclass(frozen=True)
 class DefaultTheory:
     """Default rules over facts. :attr:`compiled` is built on first use
@@ -80,26 +78,21 @@ class DefaultTheory:
         return conjoin(self.facts)
 
     @cached_property
-    def compiled(self) -> tuple[tuple[_Rule, ...], int]:
-        """The rules and the facts' models, as masks over the dense table."""
+    def compiled(self) -> tuple[tuple[int, ...], tuple[Guarded, ...], int]:
+        """The theory in the peel section's form over the dense table: the
+        distinct masks of ~beta over the justifications, each rule as the
+        item (id, alpha mask, gamma mask) refusing the bits of its ~betas,
+        and the facts' mask. So a rule is licensed where each of its
+        justifications is satisfiable."""
         mask = TruthTable(self.vocab).mask
-        rules = tuple(
-            (r.rule_id, mask(r.alpha), tuple(map(mask, r.betas)), mask(r.gamma)) for r in self.rules
-        )
-        return rules, mask(self.fact_formula)
-
-
-def _licensed(rules: tuple[_Rule, ...], pool: int) -> list[Item]:
-    """Rules whose justifications are each satisfiable in ``pool``.
-
-    A licensed rule peels only while its prerequisite holds throughout the
-    remaining worlds.
-    """
-    return [
-        (rule_id, alpha, gamma)
-        for rule_id, alpha, betas, gamma in rules
-        if all(b & pool for b in betas)
-    ]
+        bit: dict[int, int] = {}  # each distinct ~beta mask, to its bit
+        guarded = []
+        for r in self.rules:
+            refuse = 0
+            for b in r.betas:
+                refuse |= 1 << bit.setdefault(mask(Not(b)), len(bit))
+            guarded.append((0, refuse, (r.rule_id, mask(r.alpha), mask(r.gamma))))
+        return tuple(bit), tuple(guarded), mask(self.fact_formula)
 
 
 def gamma_operator(
@@ -112,8 +105,9 @@ def gamma_operator(
     ``candidate``), the least fixed point of applying them.
     """
     table = TruthTable(theory.vocab)
-    rules, facts = theory.compiled
-    return table.worlds(close(facts, _licensed(rules, table.mask_of(candidate))))
+    conditions, guarded, facts = theory.compiled
+    pool = table.mask_of(candidate)
+    return table.worlds(close(facts, licensed(guarded, beliefs(conditions, pool))))
 
 
 def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
@@ -137,11 +131,11 @@ def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
             f"hold up to 2^{k} candidate masks of 2^{n} bits, and is capped at "
             f"2^{DEFAULT_SWEEP_BITS} bits (rules + constants <= {DEFAULT_SWEEP_BITS})"
         )
-    rules, facts = theory.compiled
+    conditions, guarded, facts = theory.compiled
     candidates = {facts}
-    for _, _, _, gamma in rules:
+    for _, _, (_, _, gamma) in guarded:
         candidates |= {c & gamma for c in candidates}
-    found = [c for c in candidates if close(facts, _licensed(rules, c)) == c]
+    found = [c for c in candidates if close(facts, licensed(guarded, beliefs(conditions, c))) == c]
     found.sort(key=table.sort_key)
     return table, found
 
@@ -171,8 +165,8 @@ def build_default_sequences(theory: DefaultTheory) -> list[PartitionSequence]:
     having no worlds to end on, gets no sequence.
     """
     table, found = _search(theory)
-    rules, facts = theory.compiled
-    item_lists = [_licensed(rules, e) for e in found if e]
+    conditions, guarded, facts = theory.compiled
+    item_lists = [licensed(guarded, beliefs(conditions, e)) for e in found if e]
     return peel_sequences("default", table, table.full & ~facts, facts, item_lists)
 
 
@@ -200,7 +194,7 @@ def check_default_sequence(
     masks, problems = class_masks(seq, "default", table)
     if problems:
         return problems
-    rules, facts = theory.compiled
+    conditions, guarded, facts = theory.compiled
     if masks[0] != table.full & ~facts:
         problems.append(
             Violation(
@@ -209,4 +203,4 @@ def check_default_sequence(
                 class_index=0,
             )
         )
-    return problems + check_peels(masks, partial(_licensed, rules), strict, "rule")
+    return problems + check_peels(masks, conditions, guarded, strict, "rule")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SemanticError
 from .logic import DEFAULT_WORLD_CAP, TruthTable, Vocabulary, World, _from_bits, _set_bits
@@ -201,17 +201,42 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 #
 # Default and belief sequences are both built by peeling: split off the
 # worlds still remaining that falsify the conclusion of a licensed item,
-# then repeat. A formalism states only which items a pool of worlds
-# licenses, as (label, prerequisite, conclusion) triples; an item peels
-# only while its prerequisite holds throughout the remaining worlds. World
-# sets here are truth-table masks (see logic.TruthTable), and so are the
-# prerequisite and conclusion of an item: their model masks.
+# then repeat. An item (label, prerequisite, conclusion) peels only while
+# its prerequisite holds throughout the remaining worlds. World sets here
+# are truth-table masks (see logic.TruthTable), and so are an item's
+# prerequisite and conclusion. Both formalisms compile to condition masks
+# and items guarded by bits over them, (need, refuse, item): a pool of
+# worlds believes condition j when it holds throughout the pool, and
+# licenses an item when it believes all the item needs and nothing it
+# refuses. A default rule alpha : M beta / gamma refuses the belief ~beta;
+# a premise L a & ~L b -> g needs a and refuses b, with no prerequisite.
 
 Item = tuple[str, int, int]
+Guarded = tuple[int, int, Item]
 
 # Bound on how many peel orders the sequence builders explore per call;
 # read at each call.
 DEFAULT_ORDER_LIMIT = 1000
+
+
+def beliefs(conditions: Sequence[int], pool: int) -> int:
+    """The conditions believed at ``pool``: bit j is set when the
+    condition of mask ``conditions[j]`` holds throughout ``pool``."""
+    believed = 0
+    for j, condition in enumerate(conditions):
+        if pool & ~condition == 0:
+            believed |= 1 << j
+    return believed
+
+
+def licensed(guarded: Iterable[Guarded], believed: int) -> list[Item]:
+    """The items whose guard ``believed`` passes: it holds every condition
+    the item needs and none it refuses."""
+    return [
+        item
+        for need, refuse, item in guarded
+        if believed & need == need and not believed & refuse
+    ]
 
 
 def close(worlds: int, items: Iterable[Item]) -> int:
@@ -293,12 +318,14 @@ def peel_sequences(
 
 def check_peels(
     classes: list[int],
-    licensed: Callable[[int], list[Item]],
+    conditions: Sequence[int],
+    guarded: Sequence[Guarded],
     strict: bool,
     noun: str,
 ) -> list[Violation]:
     """Violations of clauses 2 and 3 in a structurally valid sequence,
-    given as the masks of its ``classes``.
+    given as the masks of its ``classes``, against the compiled form
+    ``conditions`` and ``guarded``.
 
     Clause 2: each intermediate class is exactly the remaining worlds
     falsifying the conclusion of an item licensed by the witness pool
@@ -310,13 +337,13 @@ def check_peels(
     """
     problems = []
     last = classes[-1]
-    by_last = licensed(last)
+    by_last = licensed(guarded, beliefs(conditions, last))
     remaining = 0
     for cls in classes[1:]:
         remaining |= cls
     for i in range(1, len(classes) - 1):
         cls = classes[i]
-        items = licensed(cls) if strict else by_last
+        items = licensed(guarded, beliefs(conditions, cls)) if strict else by_last
         if not any(
             remaining & ~prerequisite == 0 and remaining & ~conclusion == cls
             for _, prerequisite, conclusion in items
@@ -329,16 +356,15 @@ def check_peels(
                 )
             )
         remaining &= ~cls
-    for label, prerequisite, conclusion in by_last:
-        if last & ~prerequisite == 0 and last & ~conclusion:
-            problems.append(
-                Violation(
-                    "condition 3",
-                    f"licensed {noun}'s conclusion fails somewhere in the last class",
-                    class_index=len(classes) - 1,
-                    item=label,
-                )
+    for label, _ in _ready(by_last, last):
+        problems.append(
+            Violation(
+                "condition 3",
+                f"licensed {noun}'s conclusion fails somewhere in the last class",
+                class_index=len(classes) - 1,
+                item=label,
             )
+        )
     return problems
 
 
@@ -553,7 +579,9 @@ def sequence_from_obj(obj: dict) -> PartitionSequence:
         if len(set(rows)) != len(rows):
             raise ValueError("a world is listed twice in one class")
         classes.append(rows)
-    provenance = tuple(obj.get("provenance") or ())
+    provenance = [] if obj.get("provenance") is None else obj["provenance"]
+    if type(provenance) is not list or not all(type(p) is str for p in provenance):
+        raise ValueError("provenance must be null or a list of strings")
     if len(vocab) <= DEFAULT_WORLD_CAP:
         size, table = 1 << len(vocab), TruthTable(vocab)
         found = [[int(row.translate(_DIGITS) or b"0", 2) for row in rows] for rows in classes]

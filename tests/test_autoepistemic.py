@@ -23,6 +23,7 @@ from partseq import (
     forced_inconsistency,
     models,
     omega_operator,
+    parse_kb,
     sequences,
     stable_expansions,
     validate_structure,
@@ -30,6 +31,7 @@ from partseq import (
 from partseq.logic import Formula
 from genkit import (
     _ael_sequence_ok,
+    _subsets,
     _TruthSets,
     ael_candidates,
     belief_operator,
@@ -345,6 +347,29 @@ class TestAgainstBruteForce:
             expected = brute_force_ael_last_classes(premises, worlds)
             got = {k.worlds for k in stable_expansions(premises)}
             assert got == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["~L p & ~L p -> q\n", "p\n~L p & ~L p -> q\n", "~L q -> p\n~L p & ~L p -> q\n"],
+        ids=["alone", "believed", "rivals"],
+    )
+    def test_condition_named_twice(self, text):
+        # the premise names one belief condition twice: its bit must be set
+        # once, by |, where + would carry into the next condition's bit
+        premises = parse_kb("vocab: p q\n" + text, "ael").body
+        worlds = enumerate_worlds(premises.vocab)
+        got = {k.worlds for k in stable_expansions(premises)}
+        assert got == brute_force_ael_last_classes(premises, worlds) != set()
+        ts, candidates = ael_candidates(premises, worlds)
+        for kernel in filter(None, _subsets(worlds)):
+            got = omega_operator(premises, Kernel(kernel, premises.vocab)).worlds
+            assert got == belief_operator(premises, kernel, ts)
+        for classes in candidates:
+            seq = PartitionSequence.of_classes(tuple(classes), premises.vocab, "autoepistemic")
+            ok = _ael_sequence_ok(premises, classes, ts)
+            assert (check_ael_sequence(premises, seq) == []) == ok, seq
+        for seq in build_ael_sequences(premises):
+            assert _ael_sequence_ok(premises, list(seq.classes), ts)
 
     def test_checker_agrees_with_oracle_on_every_candidate(self):
         rng = random.Random(4242)

@@ -562,6 +562,29 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "sample space weights total 9999999999/10000000000, not 1" in err
 
+    @pytest.mark.parametrize("argv", [["explain"], ["default", "check", "rivals.dl"]])
+    def test_truncated_sequence_document_is_two(self, kbdir, capsys, argv):
+        seq = kbdir / "truncated.json"
+        seq.write_text('{"kind":"default","vocab":["p"')
+        argv = [kbdir / a if a.endswith(".dl") else a for a in argv]
+        code, out, err = run(capsys, *argv, seq)
+        assert (code, out) == (2, "")
+        assert err == "parse error: line 1, column 31: Expecting ',' delimiter\n"
+
+    def test_threshold_without_eps_is_three(self, kbdir, capsys):
+        code, out, err = run(capsys, "prob", "threshold", kbdir / "weather.prob", "--on", "p")
+        assert (code, out, err) == (3, "", "error: threshold needs --eps\n")
+
+    def test_worlds_of_unknown_suffix_is_three(self, capsys, tmp_path):
+        kb = tmp_path / "kb.txt"
+        kb.write_text("vocab: p\n")
+        code, out, err = run(capsys, "worlds", kb)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: cannot tell the KB kind from {str(kb)!r}; "
+            "expected one of .dl, .ael, .prob, .poss\n"
+        )
+
     def test_unknown_subcommand_is_three(self, capsys):
         code, _, err = run(capsys, "default", "bogus", "x.dl")
         assert code == 3
@@ -712,6 +735,36 @@ class TestSequenceDocument:
         code, out, err = run(capsys, "--json", "explain", path)
         assert (code, out) == (2, "")
         assert err == f"parse error: line 1, column 1: bad sequence document: {constant} is not a number\n"
+
+
+    def with_provenance(self, path, provenance):
+        """``path`` holding a two-class default sequence over p and q
+        whose provenance is ``provenance``, or has none if it is absent."""
+        split = [[{"assign": {"p": p, "q": q}} for q in (0, 1)] for p in (0, 1)]
+        doc = {"kind": "default", "vocab": ["p", "q"], "classes": split}
+        if provenance != "absent":
+            doc["provenance"] = provenance
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("provenance", ["ab", [{"a": 1}, [2]], "", 7, ["a", 1]])
+    @pytest.mark.parametrize("argv", [["explain"], ["default", "check", "rivals.dl"]])
+    def test_provenance_other_than_strings_is_two(self, kbdir, capsys, argv, provenance):
+        seq = self.with_provenance(kbdir / "seq.json", provenance)
+        argv = [kbdir / a if a.endswith(".dl") else a for a in argv]
+        code, out, err = run(capsys, *argv, seq)
+        assert (code, out) == (2, "")
+        assert err == (
+            "parse error: line 1, column 1: "
+            "bad sequence document: provenance must be null or a list of strings\n"
+        )
+
+    @pytest.mark.parametrize("provenance", [None, [], ["", "r1"], "absent"])
+    def test_provenance_null_absent_or_strings_is_read(self, capsys, tmp_path, provenance):
+        seq = self.with_provenance(tmp_path / "seq.json", provenance)
+        code, out, err = run(capsys, "explain", seq)
+        assert (code, err) == (0, "")
+        assert ("(from r1)" in out) == (provenance == ["", "r1"])
 
 
 class TestJson:

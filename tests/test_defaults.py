@@ -23,11 +23,13 @@ from partseq import (
     extensions,
     gamma_operator,
     models,
+    parse_kb,
     sequences,
     validate_structure,
 )
 from genkit import (
     _default_sequence_ok,
+    _subsets,
     _TruthSets,
     brute_force_default_last_classes,
     cached,
@@ -43,6 +45,12 @@ P, Q = Const("p"), Const("q")
 
 def by_bits(vocab):
     return {w.bits(): w for w in enumerate_worlds(vocab)}
+
+
+def test_rule_needs_a_justification():
+    with pytest.raises(ValueError) as got:
+        DefaultRule("r1", TRUE, (), P)
+    assert str(got.value) == "rule r1: at least one justification required"
 
 
 class TestGammaOperator:
@@ -330,6 +338,27 @@ class TestAgainstBruteForce:
             expected = brute_force_default_last_classes(theory, worlds)
             got = {k.worlds for k in extensions(theory)}
             assert got == expected
+
+    def test_justification_named_twice(self):
+        # r names one belief condition twice: its bit must be set once, by
+        # |, where + would carry into the next condition's bit
+        theory = parse_kb(
+            "vocab: p q\nrule r: true : M p, M p / p\nrule s: true : M ~p / ~p\n"
+            "rule t: true : M q, M ~p, M q / q\n",
+            "default",
+        ).body
+        worlds = enumerate_worlds(theory.vocab)
+        got = {k.worlds for k in extensions(theory)}
+        assert got == brute_force_default_last_classes(theory, worlds) != set()
+        ts, candidates = default_candidates(theory, worlds)
+        for candidate in _subsets(worlds):
+            assert gamma_operator(theory, candidate) == default_operator(theory, candidate, ts)
+        for classes in candidates:
+            seq = PartitionSequence.of_classes(tuple(classes), theory.vocab, "default")
+            ok = _default_sequence_ok(theory, classes, ts)
+            assert (check_default_sequence(theory, seq) == []) == ok, seq
+        for seq in build_default_sequences(theory):
+            assert _default_sequence_ok(theory, list(seq.classes), ts)
 
     def test_checker_agrees_with_oracle_on_every_candidate(self):
         rng = random.Random(4242)

@@ -416,6 +416,12 @@ class TestUnreachedErrors:
             parse_kb(text, kind)
         assert (got.value.message, got.value.line, got.value.column) == (message, line, column)
 
+    def test_unknown_kind(self):
+        # a kind is named by its word, not by its file suffix
+        with pytest.raises(ValueError) as got:
+            parse_kb("vocab: p\nfact: p", "dl")
+        assert str(got.value) == "unknown KB kind 'dl'"
+
 
 # a valid first line of each kind, and the tokens that lines of that kind
 # are made of, for the line-locality property below

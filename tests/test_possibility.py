@@ -53,6 +53,28 @@ def consistent_kbs(count, seed):
         yield kb, seq
 
 
+class TestLevels:
+    """A base refuses levels that no possibility distribution has."""
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            ((), "a possibilistic base needs at least one level"),
+            (((frozenset(), Fraction(1)),), "empty formula set in a possibilistic level"),
+            (((frozenset([P]), Fraction(3, 2)),), "possibility value 3/2 outside [0, 1]"),
+            (
+                ((frozenset([P]), Fraction(1, 2)), (frozenset([Q]), Fraction(1, 2))),
+                "possibility values must increase strictly",
+            ),
+        ],
+        ids=["no level", "empty level", "value above 1", "equal values"],
+    )
+    def test_refused(self, pq, levels, message):
+        with pytest.raises(ValueError) as got:
+            PossibilisticKB(levels, pq)
+        assert str(got.value) == message
+
+
 class TestBuild:
     def test_nested_claims_published_weights(self, nested_kb, pq):
         seq = build_poss_sequence(nested_kb)

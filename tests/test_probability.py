@@ -13,8 +13,10 @@ from partseq import (
     Not,
     ResourceLimitError,
     SampleSpace,
+    SemanticError,
     UndefinedConditionalError,
     World,
+    build_poss_sequence,
     cond_prob,
     condition,
     enumerate_threshold_orders,
@@ -54,6 +56,27 @@ class TestSampleSpace:
             World(pq, [], 1 - (0.1 + 0.2)),
         )
         SampleSpace(worlds, pq)  # no complaint
+
+
+class TestArgumentErrors:
+    """Rejected arguments, each with the message it has always had."""
+
+    def test_condition_needs_a_formula(self, weather_space):
+        with pytest.raises(ValueError) as got:
+            condition(weather_space, [])
+        assert str(got.value) == "at least one condition formula is required"
+
+    def test_possibility_sequence_is_not_extended(self, nested_kb):
+        with pytest.raises(SemanticError) as got:
+            extend(build_poss_sequence(nested_kb), P)
+        assert str(got.value) == "cannot extend a possibility sequence by conditioning"
+
+    @pytest.mark.parametrize("step", [-1, 3])
+    def test_persistent_step_inside_the_sequence(self, weather_space, step):
+        seq = condition(weather_space, [P, Q])
+        with pytest.raises(ValueError) as got:
+            persistent_prob(seq, P, step)
+        assert str(got.value) == f"step {step} outside the sequence"
 
 
 class TestConditioning:
