@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .autoepistemic import AelPremises
@@ -327,13 +328,20 @@ def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) ->
         )
     weight_text = line[colon + 1 :].strip()
     try:
-        weight = Fraction(weight_text)
+        weight = _weight(weight_text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad weight {weight_text!r}", lineno, colon + 2) from None
     if weight < 0:
         raise ParseError(f"negative weight {weight_text}", lineno, colon + 2)
     # a negated literal is no name, so the names among the literals are the true ones
     return World(vocab, assigned.intersection(literals), weight)
+
+
+@lru_cache(maxsize=4096)
+def _weight(text: str) -> Fraction:
+    """The weight written ``text``, parsed once: the worlds of equal
+    weight lines share one ``Fraction``."""
+    return Fraction(text)
 
 
 def _literal_error(pieces, literals, names, lineno, start, vocab) -> ParseError:

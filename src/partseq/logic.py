@@ -9,10 +9,11 @@ satisfying it, which is exact over a finite vocabulary.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
 from typing import Iterable, Iterator
 
@@ -25,9 +26,13 @@ from .rationals import Rational, as_fraction
 DEFAULT_WORLD_CAP = 20
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = r"(?!(?:true|false)\b)[A-Za-z_][A-Za-z0-9_]*"  # a name, not a reserved literal
+_NAMES_RE = re.compile(rf"{_NAME}(?: {_NAME})*\Z")
 
-# the weight of a world left unweighted, shared: Fraction(1) is slow to make
+# the weight of a world left unweighted, and of one in no share, shared:
+# a Fraction is slow to make
 _ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -46,18 +51,25 @@ class Vocabulary:
     names: tuple[str, ...]
 
     def __init__(self, names: Iterable[str]):
-        object.__setattr__(self, "names", tuple(names))
-        seen = set()
-        for name in self.names:
-            if not _NAME_RE.match(name):
-                raise ValueError(f"bad constant name: {name!r}")
-            if name in ("true", "false"):
-                raise ValueError(f"{name!r} is a reserved literal")
-            if name in seen:
-                raise ValueError(f"duplicate constant name: {name!r}")
-            seen.add(name)
-        object.__setattr__(self, "_name_set", frozenset(self.names))
-        object.__setattr__(self, "_hash", hash(self.names))
+        names = tuple(names)
+        name_set, joined = frozenset(names), " ".join(names)
+        # one match over the names joined by spaces checks them all, a name
+        # with a space in it showing as one word too many; only a fault
+        # walks them one at a time, to name the first
+        words = joined.count(" ") + 1
+        if names and not (_NAMES_RE.match(joined) and words == len(names) == len(name_set)):
+            seen = set()
+            for name in names:
+                if not _NAME_RE.match(name):
+                    raise ValueError(f"bad constant name: {name!r}")
+                if name in ("true", "false"):
+                    raise ValueError(f"{name!r} is a reserved literal")
+                if name in seen:
+                    raise ValueError(f"duplicate constant name: {name!r}")
+                seen.add(name)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_name_set", name_set)
+        object.__setattr__(self, "_hash", hash(names))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -326,11 +338,12 @@ class TruthTable:
     vocabulary in the order of :func:`enumerate_worlds`, each built on
     first use; it refuses a vocabulary of more than ``DEFAULT_WORLD_CAP``
     constants. The listed form, ``TruthTable(vocab, worlds=...)``, lists
-    the given worlds in the given order. Its atom masks are read off those
-    worlds, so it has no cap: a lottery over 2000 constants has only 2000
-    worlds. ``weights[i]`` is the weight of world i: a listed table's
-    worlds give it, :meth:`reweighted` sets it on a dense table, and None
-    stands for every weight 1.
+    the given worlds in the given order, and :meth:`listed` lists worlds
+    that it builds only when one is read. A listed table is the mask of
+    each constant over its worlds, so it has no cap: a lottery over 2000
+    constants has only 2000 worlds. ``shares`` holds the weights:
+    disjoint ``(mask, weight)`` pairs, one per distinct weight, a world in
+    no mask weighing 0; None stands for every weight 1.
 
     Meant to live for one call, for which it memoises the masks it
     compiles and the worlds it builds. A knowledge base keeps masks only
@@ -338,13 +351,10 @@ class TruthTable:
     when it returns.
     """
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        worlds: Iterable[World] | None = None,
-    ):
+    def __init__(self, vocab: Vocabulary, worlds: Iterable[World] | None = None):
         self.vocab = vocab
         self.dense = worlds is None
+        self.shares: tuple[tuple[int, Fraction], ...] | None = None
         if self.dense:
             if len(vocab) > DEFAULT_WORLD_CAP:
                 raise ResourceLimitError(
@@ -356,16 +366,41 @@ class TruthTable:
         else:
             self._worlds = dict(enumerate(worlds))
             self.size = len(self._worlds)
-        self.weights = None if self.dense else [w.weight for w in self._worlds.values()]
+            self._read_worlds()
         self.full = (1 << self.size) - 1
         self._masks: dict[Formula, int] = {}
+
+    @classmethod
+    def listed(cls, vocab: Vocabulary, size: int, atom, true_names, shares) -> TruthTable:
+        """The listed table of ``size`` worlds where constant ``name``
+        holds at the worlds of the mask ``atom(name)``, and world i makes
+        the constants ``true_names(i)`` true, weighed by ``shares``."""
+        table = cls(vocab, worlds=())
+        table.size, table.full, table.shares = size, (1 << size) - 1, shares
+        table._atom_of, table._true_names = atom, true_names
+        return table
+
+    def _read_worlds(self) -> None:
+        """Each constant's worlds and each weight's, in one pass over the
+        listed worlds; weights are grouped by their integer ratio, which
+        hashes faster than a ``Fraction``."""
+        atoms, by_ratio = defaultdict(list), defaultdict(list)
+        for i, w in self._worlds.items():
+            by_ratio[w.weight.as_integer_ratio()].append(i)
+            for name in w.true_names:
+                atoms[name].append(i)
+        size, worlds = self.size, self._worlds
+        self._atom_of = lambda name: _from_bits(atoms.get(name, ()), size)
+        if by_ratio.keys() - {(1, 1)}:
+            self.shares = tuple(
+                (_from_bits(found, size), worlds[found[0]].weight) for found in by_ratio.values()
+            )
 
     def _atom(self, name: str) -> int:
         if name not in self.vocab:
             raise SemanticError(f"unknown constant: {name!r}")
         if not self.dense:
-            listed = reversed(self._worlds.values())
-            return int("0" + "".join("01"[name in w.true_names] for w in listed), 2)
+            return self._atom_of(name)
         # the name's bit in a world index has weight 2^b; the mask repeats
         # 2^b clear bits then 2^b set ones, doubled up to the full width
         half = 1 << (len(self.vocab) - 1 - self.vocab.names.index(name))
@@ -406,7 +441,7 @@ class TruthTable:
 
     @cached_property
     def _listed_at(self) -> dict[World, int]:
-        return {w: i for i, w in self._worlds.items()}
+        return {w: i for i, w in enumerate(self.world_list(self.full))}
 
     def index(self, world: World) -> int | None:
         """The bit of ``world`` in the table, or None if it is not listed."""
@@ -422,26 +457,45 @@ class TruthTable:
     def mask_of(self, worlds: Iterable[World]) -> int:
         return _from_bits(map(self.index, worlds), self.size)
 
-    def _dense_worlds(self, found: list[int]) -> dict[int, World]:
-        """The world at each dense index of ``found``, with its weight.
+    def weights_at(self, mask: int, found: list[int]) -> list[Fraction] | None:
+        """The weight of each world of ``found``, some set bits of
+        ``mask``, read from the share that holds it; None when every
+        weight is 1."""
+        if self.shares is None:
+            return None
+        weight_of: dict[int, Fraction] = {}
+        for held, q in self.shares:
+            if mask & ~held == 0:  # one share holds every world of mask
+                return [q] * len(found)
+            weight_of.update(dict.fromkeys(_set_bits(mask & held), q))
+        return list(map(weight_of.get, found, repeat(_ZERO)))
 
-        An index names constants of the vocabulary only, and the weights
-        were checked when they were set, so no world repeats the checks of
-        ``World.__init__``."""
-        vocab, names, digits = self.vocab, self.vocab.names, f"0{len(self.vocab)}b"
-        weights, trusted = self.weights, World._trusted
+    def _built(self, found: list[int], weights) -> dict[int, World]:
+        """The world at each index of ``found``, with its weight. A dense
+        index's digits are its truth values, and a listed table's worlds
+        name their constants; either way those lie in the vocabulary, and
+        the weights were checked when they were set, so no world repeats
+        the checks of ``World.__init__``."""
+        vocab, names, trusted = self.vocab, self.vocab.names, World._trusted
+        weights = repeat(_ONE) if weights is None else weights
         built = {}
-        for i in found:
-            true_names = frozenset(compress(names, format(i, digits).encode().translate(_BITS)))
-            built[i] = trusted(vocab, true_names, _ONE if weights is None else weights[i])
+        if self.dense:
+            digits = f"0{len(vocab)}b"
+            for i, q in zip(found, weights):
+                true_names = frozenset(compress(names, format(i, digits).encode().translate(_BITS)))
+                built[i] = trusted(vocab, true_names, q)
+        else:
+            for i, q in zip(found, weights):
+                built[i] = trusted(vocab, frozenset(self._true_names(i)), q)
         return built
 
     def world_list(self, mask: int) -> list[World]:
         """The worlds of ``mask`` in index order."""
         found = _set_bits(mask)
         built = self._worlds
-        if self.dense:
-            built.update(self._dense_worlds([i for i in found if i not in built]))
+        missing = [i for i in found if i not in built]
+        if missing:
+            built.update(self._built(missing, self.weights_at(mask, missing)))
         return list(map(built.__getitem__, found))
 
     def worlds(self, mask: int) -> frozenset[World]:
@@ -449,31 +503,38 @@ class TruthTable:
 
     def reweighted(self, shares: Iterable[tuple[int, Rational]]) -> TruthTable:
         """This dense table with each world weighing the share of the mask
-        in ``shares`` that holds it, and 0 when no mask does; the masks
-        compiled so far carry over."""
-        weights = [Fraction(0)] * self.size
+        in ``shares`` that holds it, and 0 when no mask does; masks of
+        equal weight are joined, and masks that overlap are refused, since
+        summed shares would count their worlds twice. The masks compiled
+        so far carry over."""
+        by_value: dict[Fraction, int] = {}
+        union = 0
         for mask, share in shares:
             share = as_fraction(share)
             if share < 0:
                 raise ValueError(f"negative world weight: {share}")
-            for i in _set_bits(mask):
-                weights[i] = share
+            if mask & union:
+                raise ValueError("reweighted masks overlap")
+            union |= mask
+            by_value[share] = by_value.get(share, 0) | mask
         table = TruthTable(self.vocab)
-        table.weights, table._masks = weights, dict(self._masks)
+        table.shares, table._masks = tuple((m, q) for q, m in by_value.items()), dict(self._masks)
         return table
 
     @cached_property
-    def _numerators(self) -> tuple[list[int], int]:
-        """The weights as integers over their common denominator."""
-        den = lcm(*(q.denominator for q in self.weights))
-        return [q.numerator * (den // q.denominator) for q in self.weights], den
+    def _numerators(self) -> tuple[list[tuple[int, int]], int]:
+        """Each share's mask, and its weight as an integer over the
+        shares' common denominator."""
+        den = lcm(*(q.denominator for _, q in self.shares))
+        return [(held, q.numerator * (den // q.denominator)) for held, q in self.shares], den
 
     def mass(self, mask: int) -> Fraction:
-        """The total weight of the worlds of ``mask``, summed as integers."""
-        if self.weights is None:
+        """The total weight of the worlds of ``mask``: each share's
+        numerator times the count of its worlds in ``mask``."""
+        if self.shares is None:
             return Fraction(mask.bit_count())
         nums, den = self._numerators
-        return Fraction(sum(compress(nums, bin(mask)[:1:-1].encode().translate(_BITS))), den)
+        return Fraction(sum(num * (mask & held).bit_count() for held, num in nums), den)
 
     def sort_key(self, mask: int) -> tuple[int, list[int]]:
         """Orders world sets by size, then by their worlds' truth values."""

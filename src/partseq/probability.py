@@ -10,9 +10,9 @@ exact rational, so acceptance at boundary ratios is decided exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from typing import Iterable
 
 from .errors import (
     BelowThresholdError,
@@ -29,27 +29,48 @@ MAX_THRESHOLD_CANDIDATES = 10
 MAX_LOTTERY_TICKETS = 10**6
 
 
-@dataclass(frozen=True)
 class SampleSpace:
     """Weighted worlds with pairwise distinct assignments, total mass 1.
 
     Worlds of weight zero may simply be left out; every operation treats
-    missing assignments as carrying no mass.
+    missing assignments as carrying no mass. The space is its ``table``,
+    which lists its worlds in their order; ``worlds`` is the tuple of them,
+    built on first read when the table was made without them. Two spaces
+    are equal when their worlds and vocabularies are.
     """
 
-    worlds: tuple[World, ...]
-    vocab: Vocabulary
-
-    def __post_init__(self):
+    def __init__(self, worlds: Iterable[World], vocab: Vocabulary):
+        self.worlds = tuple(worlds)
         if len(set(self.worlds)) != len(self.worlds):
             raise ValueError("sample space worlds must have distinct assignments")
-        total = self.table.mass(self.table.full)
+        self._set_table(TruthTable(vocab, worlds=self.worlds))
+
+    @classmethod
+    def of_table(cls, table: TruthTable) -> SampleSpace:
+        """The space of a listed table whose worlds are distinct."""
+        space = object.__new__(cls)
+        space._set_table(table)
+        return space
+
+    def _set_table(self, table: TruthTable) -> None:
+        self.table, self.vocab = table, table.vocab
+        total = table.mass(table.full)
         if total != 1:
             raise ValueError(f"sample space weights total {total}, not 1")
 
     @cached_property
-    def table(self) -> TruthTable:  # the space's worlds, listed in their order
-        return TruthTable(self.vocab, worlds=self.worlds)
+    def worlds(self) -> tuple[World, ...]:
+        return tuple(self.table.world_list(self.table.full))
+
+    def __eq__(self, other) -> bool:
+        same_vocab = isinstance(other, SampleSpace) and self.vocab == other.vocab
+        return same_vocab and self.worlds == other.worlds
+
+    def __hash__(self) -> int:
+        return hash((self.worlds, self.vocab))
+
+    def __repr__(self) -> str:
+        return f"SampleSpace(worlds={self.worlds!r}, vocab={self.vocab!r})"
 
 
 def condition(space: SampleSpace, conds) -> PartitionSequence:
@@ -225,12 +246,16 @@ def lottery_space(n: int) -> SampleSpace:
     """The n-ticket lottery: world i says exactly ticket i wins, mass 1/n.
 
     Worlds where no ticket or several tickets win carry no mass and are
-    left out of the representation.
+    left out of the representation. The table is made from its masks:
+    constant p_i holds at world i - 1 alone, the only constant that world
+    makes true, and one share of 1/n holds every world; no world is built
+    until one is read.
     """
     if not 1 <= n <= MAX_LOTTERY_TICKETS:
         raise ResourceLimitError(f"lottery size must be between 1 and {MAX_LOTTERY_TICKETS}")
     vocab = Vocabulary(f"p{i}" for i in range(1, n + 1))
-    share = Fraction(1, n)
-    worlds = tuple(World(vocab, (f"p{i}",), share) for i in range(1, n + 1))
-    return SampleSpace(worlds=worlds, vocab=vocab)
-
+    shares = (((1 << n) - 1, Fraction(1, n)),)
+    table = TruthTable.listed(
+        vocab, n, lambda name: 1 << int(name[1:]) - 1, lambda i: (f"p{i + 1}",), shares
+    )
+    return SampleSpace.of_table(table)

@@ -400,7 +400,7 @@ def table_rows(table: TruthTable, mask: int) -> WorldRows:
     table bit i is the world whose digits are those of i, so index order
     is digit order."""
     found = _set_bits(mask)
-    weights = None if table.weights is None else list(map(table.weights.__getitem__, found))
+    weights = table.weights_at(mask, found)
     if table.dense:
         top = 1 << len(table.vocab)
         return WorldRows(table.vocab, [bin(i | top)[3:] for i in found], weights)
@@ -416,6 +416,8 @@ def world_rows(table: TruthTable, mask: int) -> WorldRows:
     rows = table_rows(table, mask)
     if table.dense:
         return rows
+    if rows.weights is None:
+        return WorldRows(rows.vocab, sorted(set(rows.digits)), None)
     first = dict(zip(reversed(rows.digits), reversed(rows.weights)))
     digits = sorted(first)
     return WorldRows(rows.vocab, digits, list(map(first.__getitem__, digits)))

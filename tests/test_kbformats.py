@@ -232,6 +232,13 @@ class TestProbFormat:
         doc = parse_kb("vocab: p\nworld p : 1/3\nworld ~p : 2/3", "prob")
         assert doc.body.worlds[0].weight == Fraction(1, 3)
 
+    def test_equal_weight_texts_share_one_fraction(self):
+        text = "vocab: p q\nworld p,q : 1/4\nworld p,~q : 1/4\nworld ~p,q : 0.5\nworld ~p,~q : 0"
+        space = parse_kb(text, "prob").body
+        first, second = space.worlds[0].weight, space.worlds[1].weight
+        assert first is second and first == Fraction(1, 4)
+        assert space.table.shares == ((0b0011, Fraction(1, 4)), (0b0100, Fraction(1, 2)), (0b1000, 0))
+
     def test_header_required(self):
         with pytest.raises(ParseError, match="vocab"):
             parse_kb("world p : 1", "prob")

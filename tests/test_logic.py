@@ -1,11 +1,12 @@
 """Core language: world enumeration, valuation, entailment, syntax."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partseq import (
@@ -27,10 +28,12 @@ from partseq import (
     enumerate_worlds,
     evaluate,
     format_formula,
+    lottery_space,
     models,
     parse_formula,
 )
 from partseq.logic import TruthTable
+from partseq.sequences import table_rows
 from genkit import random_formula, truth_table_entails
 
 P, Q = Const("p"), Const("q")
@@ -51,6 +54,26 @@ class TestVocabulary:
 
     def test_order_preserved(self):
         assert Vocabulary(["b", "a"]).names == ("b", "a")
+
+    @given(st.lists(st.sampled_from(["p", "q", "_r2", "true", "false", "2p", "p q", "", "p-q", "p\n"])))
+    def test_first_fault_named_as_one_name_at_a_time(self, names):
+        expected, seen = None, set()
+        for name in names:
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+                expected = f"bad constant name: {name!r}"
+            elif name in ("true", "false"):
+                expected = f"{name!r} is a reserved literal"
+            elif name in seen:
+                expected = f"duplicate constant name: {name!r}"
+            if expected:
+                break
+            seen.add(name)
+        if expected is None:
+            assert Vocabulary(names).names == tuple(names)
+        else:
+            with pytest.raises(ValueError) as info:
+                Vocabulary(names)
+            assert str(info.value) == expected
 
 
 class TestWorlds:
@@ -239,6 +262,15 @@ class TestTruthTable:
         with pytest.raises(ValueError, match="negative world weight: -1/2"):
             table.reweighted([(0b0011, Fraction(1, 2)), (0b1100, Fraction(-1, 2))])
 
+    def test_reweighted_refuses_overlapping_masks(self, pq):
+        # summed shares would count world 1 twice
+        table = TruthTable(pq)
+        with pytest.raises(ValueError, match="overlap"):
+            table.reweighted([(0b0011, Fraction(1, 2)), (0b0110, Fraction(1, 4))])
+        # disjoint masks of one share are joined
+        joined = table.reweighted([(0b0001, Fraction(1, 2)), (0b0100, Fraction(1, 2))])
+        assert joined.shares == ((0b0101, Fraction(1, 2)),)
+
     def test_entails_refuses_twenty_one_constants(self):
         vocab = Vocabulary([f"x{i}" for i in range(21)])
         with pytest.raises(ResourceLimitError, match="capped at 20"):
@@ -321,6 +353,63 @@ class TestMass:
             return min(times)
 
         assert best(table.mass) <= best(lambda m: per_world_mass(listed, m))
+
+
+@st.composite
+def weighted_tables(draw):
+    """A weighted table and the oracle: its worlds in index order, each
+    carrying the weight the table should give it. The table is one of a
+    dense table reweighted by disjoint shares (a world in none weighs 0),
+    a listed table whose worlds share one weight object, one whose equal
+    weights are distinct objects, or a lottery."""
+    kind = draw(st.sampled_from(["dense", "one object", "distinct objects", "lottery"]))
+    weights = st.fractions(0, 3, max_denominator=12)
+    if kind == "lottery":
+        space = lottery_space(draw(st.integers(1, 40)))
+        n = len(space.vocab)
+        oracle = [World(space.vocab, [f"p{i}"], Fraction(1, n)) for i in range(1, n + 1)]
+        return space.table, oracle
+    vocab = Vocabulary(["a", "b", "c", "d", "e"][: draw(st.integers(0, 5))])
+    worlds = enumerate_worlds(vocab)
+    if kind == "dense":
+        values = draw(st.lists(weights, min_size=1, max_size=4))
+        held = draw(st.lists(st.integers(-1, len(values) - 1), min_size=len(worlds), max_size=len(worlds)))
+        shares = [
+            (sum(1 << i for i, k in enumerate(held) if k == j), q) for j, q in enumerate(values)
+        ]
+        oracle = [World(vocab, w.true_names, 0 if k < 0 else values[k]) for w, k in zip(worlds, held)]
+        return TruthTable(vocab).reweighted(draw(st.permutations(shares))), oracle
+    chosen = draw(st.lists(st.sampled_from(worlds), unique=True)) if worlds else []
+    if kind == "one object":
+        q = draw(weights)
+        oracle = [World(vocab, w.true_names, q) for w in chosen]
+        assert all(w.weight is q for w in oracle)
+    else:
+        values = draw(st.lists(weights, min_size=1, max_size=3))
+        picks = draw(st.lists(st.sampled_from(values), min_size=len(chosen), max_size=len(chosen)))
+        oracle = [
+            World(vocab, w.true_names, Fraction(q.numerator, q.denominator))
+            for w, q in zip(chosen, picks)
+        ]
+    return TruthTable(vocab, worlds=oracle), oracle
+
+
+class TestShares:
+    """Masses and world weights read off shares, against the worlds of the
+    oracle weighed one at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_tables(), st.randoms(use_true_random=False))
+    def test_against_per_world_weights(self, drawn, rng):
+        table, oracle = drawn
+        assert table.size == len(oracle)
+        for m in (0, table.full, *(rng.getrandbits(table.size) for _ in range(6))):
+            assert table.mass(m) == per_world_mass(oracle, m)
+            wanted = [w.weight for i, w in enumerate(oracle) if m >> i & 1]
+            rows = table_rows(table, m).weights
+            assert (rows if rows is not None else [1] * len(wanted)) == wanted
+            assert [w.weight for w in table.world_list(m)] == wanted
+            assert table.world_list(m) == [w for i, w in enumerate(oracle) if m >> i & 1]
 
 
 # hypothesis strategy for formulas over at most 4 constants, depth <= 6

@@ -15,6 +15,7 @@ from partseq import (
     SampleSpace,
     SemanticError,
     UndefinedConditionalError,
+    Vocabulary,
     World,
     build_poss_sequence,
     cond_prob,
@@ -30,6 +31,7 @@ from partseq import (
     threshold_prob,
     validate_structure,
 )
+from partseq.kbformats import KbDocument, serialize_kb
 from genkit import (
     direct_cond_prob,
     random_formula,
@@ -376,6 +378,39 @@ class TestLottery:
                 with pytest.raises(BelowThresholdError):
                     threshold(space, eps, conds)
             threshold(space, 1, conds)  # the degenerate bar lets it through
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_same_space_as_its_worlds(self, n):
+        space = lottery_space(n)
+        vocab = Vocabulary(f"p{i}" for i in range(1, n + 1))
+        listed = SampleSpace(tuple(World(vocab, [f"p{i}"], Fraction(1, n)) for i in range(1, n + 1)), vocab)
+        assert space == listed and hash(space) == hash(listed) and repr(space) == repr(listed)
+        assert space.worlds == listed.worlds and space.vocab == listed.vocab
+        assert [w.weight for w in space.worlds] == [w.weight for w in listed.worlds]
+        assert all(type(w.weight) is Fraction for w in space.worlds)
+        assert serialize_kb(KbDocument("prob", vocab, space)) == serialize_kb(
+            KbDocument("prob", vocab, listed)
+        )
+
+    def test_thresholding_a_lottery_builds_no_world(self, monkeypatch):
+        made = []
+        init, trusted = World.__init__, World._trusted.__func__
+
+        def counted_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        def counted_trusted(cls, *args):
+            made.append(1)
+            return trusted(cls, *args)
+
+        monkeypatch.setattr(World, "__init__", counted_init)
+        monkeypatch.setattr(World, "_trusted", classmethod(counted_trusted))
+        conds = [Not(Const(f"p{i}")) for i in (1, 2, 3)]
+        space = lottery_space(2000)
+        assert threshold_prob(space, Fraction(1, 1998), conds, Const("p9")) == Fraction(1, 1997)
+        assert made == []
+        assert len(space.worlds) == 2000 and len(made) == 2000  # the counting works
 
     def test_size_bounds(self):
         with pytest.raises(ResourceLimitError):

@@ -215,7 +215,7 @@ class TestMaskStructure:
             seq = build_poss_sequence(kb)
             if not isinstance(seq, PartitionSequence):
                 continue
-            assert seq.table.dense and seq.table.weights is not None
+            assert seq.table.dense and seq.table.shares is not None
             masks = list(seq.masks)
             i, j = rng.randrange(len(masks)), rng.randrange(len(masks))
             masks[i] |= rng.getrandbits(seq.table.size)
