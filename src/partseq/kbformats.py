@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .autoepistemic import AelPremises
@@ -32,7 +31,7 @@ from .logic import (
 )
 from .possibility import PossibilisticKB
 from .probability import SampleSpace
-from .rationals import format_fraction
+from .rationals import format_fraction, parse_fraction
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NAME_CHAR = re.compile(r"[A-Za-z0-9_]")
@@ -312,56 +311,55 @@ def _world_shape(line: str, lineno: int, indent: int, keyword: str, header):
 
 
 def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) -> World:
+    """The world of a world line. The common line, with no space inside a
+    literal and each ``~`` opening one, is read with whole-line string
+    operations and set tests; any other takes its literals one at a time,
+    which words the first fault with its column."""
     colon = _split_required(line, ":", indent + 5, lineno, ":")
-    pieces = line[indent + 5 : colon].split(",")
-    literals = [piece.strip() for piece in pieces]
-    names = [lit[1:].lstrip() if lit[:1] == "~" else lit for lit in literals]
-    assigned = set(names)
-    if len(assigned) != len(names) or not assigned <= vocab._name_set:  # type: ignore[attr-defined]
-        raise _literal_error(pieces, literals, names, lineno, indent + 5, vocab)
-    if len(assigned) != len(vocab):
-        missing = [n for n in vocab.names if n not in assigned]
-        raise ParseError(
-            f"world line must assign every constant; missing {', '.join(missing)}",
-            lineno,
-            indent + 6,
-        )
+    body = line[indent + 5 : colon]
+    words = body.replace(",", " ").split()
+    names = (" " + " ".join(words)).replace(" ~", " ").split()
+    name_set = vocab._name_set  # type: ignore[attr-defined]
+    # one word a literal, and a name with a "~" left in it is in no vocabulary
+    if not (len(words) == len(vocab) == body.count(",") + 1 and name_set == set(names)):
+        words = _literals(body, lineno, indent + 5, vocab)
     weight_text = line[colon + 1 :].strip()
     try:
-        weight = _weight(weight_text)
+        weight = parse_fraction(weight_text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad weight {weight_text!r}", lineno, colon + 2) from None
     if weight < 0:
         raise ParseError(f"negative weight {weight_text}", lineno, colon + 2)
     # a negated literal is no name, so the names among the literals are the true ones
-    return World(vocab, assigned.intersection(literals), weight)
+    return World._trusted(vocab, name_set.intersection(words), weight)
 
 
-@lru_cache(maxsize=4096)
-def _weight(text: str) -> Fraction:
-    """The weight written ``text``, parsed once: the worlds of equal
-    weight lines share one ``Fraction``."""
-    return Fraction(text)
-
-
-def _literal_error(pieces, literals, names, lineno, start, vocab) -> ParseError:
-    """The error of the first literal that is empty, malformed, unknown or
-    repeated; ``pieces`` are the literals as written, from column
-    ``start`` + 1 on."""
+def _literals(body: str, lineno: int, start: int, vocab: Vocabulary) -> list[str]:
+    """The literals of a world line's ``body``, written from column
+    ``start`` + 1 on, read one at a time: the first that is empty,
+    malformed, unknown or repeated is refused at its column, and then a
+    line that leaves some constant out."""
+    pieces = body.split(",")
     seen: set[str] = set()
-    for k, name in enumerate(names):
-        if name not in vocab or name in seen:
-            break
-        seen.add(name)
-    piece, literal = pieces[k], literals[k]
-    col = start + sum(map(len, pieces[:k])) + k + len(piece) - len(piece.lstrip()) + 1
-    if not literal:
-        return ParseError("empty literal", lineno, col)
-    if not _ID_RE.match(name):
-        return ParseError(f"bad literal {literal!r}", lineno, col)
-    if name not in vocab:
-        return ParseError(f"unknown constant {name!r}", lineno, col)
-    return ParseError(f"constant {name!r} assigned twice", lineno, col)
+    for k, piece in enumerate(pieces):
+        literal = piece.strip()
+        name = literal[1:].lstrip() if literal[:1] == "~" else literal
+        if name in vocab and name not in seen:
+            seen.add(name)
+            continue
+        col = start + sum(map(len, pieces[:k])) + k + len(piece) - len(piece.lstrip()) + 1
+        if not literal:
+            raise ParseError("empty literal", lineno, col)
+        if not _ID_RE.match(name):
+            raise ParseError(f"bad literal {literal!r}", lineno, col)
+        if name not in vocab:
+            raise ParseError(f"unknown constant {name!r}", lineno, col)
+        raise ParseError(f"constant {name!r} assigned twice", lineno, col)
+    if len(seen) != len(vocab):
+        missing = ", ".join(n for n in vocab.names if n not in seen)
+        message = f"world line must assign every constant; missing {missing}"
+        raise ParseError(message, lineno, start + 1)
+    return [piece.strip() for piece in pieces]
 
 
 def _build_prob(vocab: Vocabulary, lines, last: int) -> SampleSpace:

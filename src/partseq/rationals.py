@@ -9,6 +9,7 @@ without a detour through binary floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 Rational = Fraction | int | str | float
 
@@ -33,6 +34,13 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+@lru_cache(maxsize=4096)
+def parse_fraction(text: str) -> Fraction:
+    """The rational written ``text``, parsed once: the weights of equal
+    texts share one ``Fraction``."""
+    return Fraction(text)
 
 
 def decimal_digits(value: Fraction) -> str | None:

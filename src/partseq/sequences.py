@@ -13,12 +13,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SemanticError
-from .logic import DEFAULT_WORLD_CAP, TruthTable, Vocabulary, World, _from_bits, _set_bits
-from .rationals import decimal_digits, format_fraction
+from .logic import DEFAULT_WORLD_CAP, _ONE, TruthTable, Vocabulary, World, _from_bits, _set_bits
+from .rationals import format_fraction, parse_fraction
 
 KINDS = ("default", "autoepistemic", "conditional", "threshold", "possibility")
 
@@ -404,9 +405,12 @@ def table_rows(table: TruthTable, mask: int) -> WorldRows:
     if table.dense:
         top = 1 << len(table.vocab)
         return WorldRows(table.vocab, [bin(i | top)[3:] for i in found], weights)
-    names, worlds = table.vocab.names, table.world_list(mask)
-    bits = (bytes(map(w.true_names.__contains__, names)) for w in worlds)
-    digits = [row.translate(_DIGITS).decode() for row in bits]
+    at, digits = dict(zip(table.vocab.names, range(len(table.vocab)))), []
+    for w in table.world_list(mask):  # a row of zeros, the true names' places set
+        row = bytearray(b"0" * len(at))
+        for k in map(at.__getitem__, w.true_names):
+            row[k] = 49  # "1"
+        digits.append(row.decode())
     return WorldRows(table.vocab, digits, weights)
 
 
@@ -464,49 +468,62 @@ def _render_rows(rows: WorldRows, indent: int) -> str:
         for row, weight in zip(rows.digits, rows.weights):
             text = rendered.get(weight)
             if text is None:
-                text = rendered[weight] = _render(weight, 0, {})
+                text = rendered[weight] = render_json(weight)[:-1]
             texts.append(world % (*row, text))
-    return "[\n" + ",\n".join(texts) + "\n" + " " * indent + "]"
+    texts[0] = "[\n" + texts[0]  # the brackets go on the ends: one join makes the list
+    texts[-1] += f"\n{' ' * indent}]"
+    return ",\n".join(texts)
 
 
-def _render(value, indent: int, keys: dict[str, str]) -> str:
-    """``value`` as JSON text; ``keys`` memoises the encoded dict keys,
-    which repeat once per world."""
+def _emit(value, indent: int, out: list[str], memo: dict) -> None:
+    """Appends the JSON text of ``value`` at ``indent`` to ``out``, in
+    pieces. ``memo`` holds, for one document, each dict key, sequence head
+    (kind and vocabulary) and sequence class as text: each is rendered
+    once, and the piece appended again where it repeats."""
     pad = " " * indent
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
+        sep = "{\n"
         for k, v in value.items():
-            key = keys.get(k)
+            key = memo.get(k)
             if key is None:
-                key = keys[k] = json.dumps(k)
-            items.append(f"{pad}  {key}: {_render(v, indent + 2, keys)}")
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [f"{pad}  {_render(v, indent + 2, keys)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, PartitionSequence):
-        view = {"kind": value.kind, "vocab": list(value.vocab.names)}
-        view["classes"] = [world_rows(value.table, mask) for mask in value.masks]
-        view["provenance"] = list(value.provenance)
-        return _render(view, indent, keys)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        decimal = decimal_digits(value)
-        if decimal is not None:
-            return decimal
-        return json.dumps(f"{value.numerator}/{value.denominator}")
-    if isinstance(value, str) or value is None:
-        return json.dumps(value)
-    if isinstance(value, WorldRows):
-        return _render_rows(value, indent)
-    raise TypeError(f"cannot render {type(value).__name__} as JSON")
+                key = memo[k] = json.dumps(k)
+            out.append(f"{sep}{pad}  {key}: ")
+            _emit(v, indent + 2, out, memo)
+            sep = ",\n"
+        out.append(f"\n{pad}}}" if value else "{}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            out.append(f"{',' if i else '['}\n{pad}  ")
+            _emit(v, indent + 2, out, memo)
+        out.append(f"\n{pad}]" if value else "[]")
+    elif isinstance(value, PartitionSequence):
+        head = (value.kind, value.vocab, indent)
+        if head not in memo:
+            view: list[str] = []
+            _emit({"kind": value.kind, "vocab": list(value.vocab.names)}, indent, view, memo)
+            memo[head] = "".join(view[:-1])  # without the closing brace
+        out += (memo[head], f',\n{pad}  "classes": ')
+        for i, mask in enumerate(value.masks):
+            cls = (value.table, mask, indent + 4)
+            if cls not in memo:
+                memo[cls] = _render_rows(world_rows(value.table, mask), indent + 4)
+            out += (f"{',' if i else '['}\n{pad}    ", memo[cls])
+        out.append(f'\n{pad}  ],\n{pad}  "provenance": ')
+        _emit(list(value.provenance), indent + 2, out, memo)
+        out.append(f"\n{pad}}}")
+    elif isinstance(value, WorldRows):
+        out.append(_render_rows(value, indent))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, Fraction):
+        text = format_fraction(value)  # a decimal, or a ratio written as a string
+        out.append(json.dumps(text) if "/" in text else text)
+    elif isinstance(value, str) or value is None:
+        out.append(json.dumps(value))
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
 def render_json(value) -> str:
@@ -514,7 +531,10 @@ def render_json(value) -> str:
     ``PartitionSequence`` inside ``value`` is written as
     ``sequence_to_obj`` of it would be, and ``WorldRows`` as a list of
     ``world_to_obj`` of each world, straight from the rows."""
-    return _render(value, 0, {}) + "\n"
+    out: list[str] = []
+    _emit(value, 0, out, {})
+    out.append("\n")
+    return "".join(out)
 
 
 def world_to_obj(world: World) -> dict:
@@ -541,7 +561,7 @@ def _parse_weight(raw) -> Fraction:
     # bool is an int too, but true is no weight
     if isinstance(raw, (Fraction, str)) or type(raw) is int:
         try:
-            weight = raw if type(raw) is Fraction else Fraction(raw)
+            weight = raw if type(raw) is Fraction else parse_fraction(raw)
         except ZeroDivisionError:  # "1/0"
             pass
         else:
@@ -551,62 +571,100 @@ def _parse_weight(raw) -> Fraction:
     raise ValueError(f"bad weight value: {raw!r}")
 
 
+def _read_class(listed, vocab: Vocabulary, parsed: dict) -> tuple[list[bytes], list]:
+    """The rows and weights, as written, of one class of a document,
+    checked in bulk: each assignment has a key per name, the truth values
+    taken at once are the integers 0 and 1, and each distinct weight
+    (absent is 1) parses, once, into ``parsed``. Only a class that fails
+    a check is walked world by world, to raise the first fault met."""
+    names, name_set = vocab.names, vocab._name_set  # type: ignore[attr-defined]
+    # itemgetter of one name gives no tuple, and of none is refused
+    get = itemgetter(*names) if len(names) > 1 else lambda a: tuple(a[n] for n in names)
+    try:
+        assigns = list(map(itemgetter("assign"), listed))
+        weights = list(map(dict.get, listed, repeat("weight"), repeat(1)))
+        values = list(map(get, assigns))
+        rows = list(map(bytes, values))
+        # bool is an int too, but no truth value and no weight; a Fraction
+        # hashes slowly, so weights are told apart by identity first
+        if (
+            name_set.issuperset(chain.from_iterable(assigns))
+            and set(map(len, assigns)) <= {len(names)}
+            and set(map(type, chain.from_iterable(values))) <= {int}
+            and not b"".join(rows).translate(None, b"\0\1")
+            and set(map(type, weights)) <= {int, Fraction, str}
+        ):
+            for raw in set(dict(zip(map(id, weights), weights)).values()).difference(parsed):
+                parsed[raw] = _parse_weight(raw)
+            return rows, weights
+    except (KeyError, TypeError, ValueError):
+        pass
+    rows, weights = [], []
+    for w in listed:
+        assign = w["assign"]
+        if (assign.keys() if type(assign) is dict else set(assign)) != name_set:
+            raise ValueError("world assignment does not match the vocabulary")
+        values = tuple(map(assign.__getitem__, names))
+        for name, value in zip(names, values):
+            if type(value) is not int or value not in (0, 1):
+                raise ValueError(f"assignment of {name!r} is {value!r}, not 0 or 1")
+        weight = w.get("weight", 1)
+        if type(weight) is not int or weight != 1:
+            parsed[weight] = _parse_weight(weight)
+        rows.append(bytes(values))
+        weights.append(weight)
+    return rows, weights
+
+
 def sequence_from_obj(obj: dict) -> PartitionSequence:
-    """The sequence of a JSON document, read in one pass that takes each
-    world to its truth values and weight and raises the first fault met.
-    A document over at most ``DEFAULT_WORLD_CAP`` constants that gives
-    each world one weight is read onto the dense table of its vocabulary,
-    reweighted unless every weight is absent or the integer 1; any other
-    onto a table that lists its worlds."""
+    """The sequence of a JSON document, checked a class at a time in bulk
+    and raising the first fault in document order (``_read_class``). A
+    document over at most ``DEFAULT_WORLD_CAP`` constants that gives each
+    world one weight is read onto the dense table of its vocabulary,
+    reweighted unless every weight is absent or the integer 1, equal
+    weights written differently joining one share; any other onto a
+    table that lists its worlds."""
     vocab = Vocabulary(obj["vocab"])
-    names, name_set = vocab.names, set(vocab.names)
-    classes, weights, unit = [], [], True
+    classes, weights, parsed = [], [], {1: _ONE}
     for listed in obj["classes"]:
-        rows = []
-        for w in listed:
-            assign = w["assign"]
-            if (assign.keys() if type(assign) is dict else set(assign)) != name_set:
-                raise ValueError("world assignment does not match the vocabulary")
-            values = tuple(map(assign.__getitem__, names))
-            # bool is an int too, but not a truth value written as 0 or 1
-            if not set(map(type, values)) <= {int} or not set(values) <= {0, 1}:
-                for name, value in zip(names, values):
-                    if type(value) is not int or value not in (0, 1):
-                        raise ValueError(f"assignment of {name!r} is {value!r}, not 0 or 1")
-            weight = w.get("weight", 1)
-            if type(weight) is not int or weight != 1:
-                weight, unit = _parse_weight(weight), False
-            rows.append(bytes(values))
-            weights.append(weight)
+        rows, raw = _read_class(listed, vocab, parsed)
         if len(set(rows)) != len(rows):
             raise ValueError("a world is listed twice in one class")
         classes.append(rows)
+        weights += raw
     provenance = [] if obj.get("provenance") is None else obj["provenance"]
     if type(provenance) is not list or not all(type(p) is str for p in provenance):
         raise ValueError("provenance must be null or a list of strings")
     if len(vocab) <= DEFAULT_WORLD_CAP:
         size, table = 1 << len(vocab), TruthTable(vocab)
         found = [[int(row.translate(_DIGITS) or b"0", 2) for row in rows] for rows in classes]
-        if not unit:
-            weight_of = dict(zip(chain.from_iterable(found), weights))
-            shares: dict[Fraction, list[int]] = {}
-            for i, weight in weight_of.items():
-                shares.setdefault(weight, []).append(i)
-            table = table.reweighted((_from_bits(at, size), q) for q, at in shares.items())
-            if [weight_of[i] for indices in found for i in indices] != weights:
+        if not (set(map(type, weights)) <= {int} and set(weights) <= {1}):
+            # shares are grouped by integer ratio, which hashes faster than a Fraction
+            by_id = dict(zip(map(id, weights), weights))
+            ratio = {i: parsed[w].as_integer_ratio() for i, w in by_id.items()}
+            ratios = list(map(ratio.get, map(id, weights)))
+            ratio_at = dict(zip(chain.from_iterable(found), ratios))
+            if list(map(ratio_at.get, chain.from_iterable(found))) == ratios:
+                shares: dict[tuple[int, int], list[int]] = {}
+                for i, r in ratio_at.items():
+                    shares.setdefault(r, []).append(i)
+                weighed = ((_from_bits(at, size), Fraction(*r)) for r, at in shares.items())
+                table = table.reweighted(weighed)
+            else:
                 table = None  # a world of two weights: read onto a listed table below
         if table is not None:
             masks = [_from_bits(indices, size) for indices in found]
             return PartitionSequence(table, masks, obj["kind"], provenance)
-    weight = iter(weights).__next__
+    weight = iter(map(parsed.__getitem__, weights)).__next__
+    names = vocab.names
     worlds = [[World(vocab, compress(names, row), weight()) for row in rows] for rows in classes]
     return PartitionSequence.of_classes(worlds, vocab, obj["kind"], provenance)
 
 
 def sequence_from_json(text: str) -> PartitionSequence:
-    # parse_float hands the raw decimal text to Fraction, keeping 0.3 exact;
-    # NaN and Infinity are no JSON, and no writer could render them back
-    obj = json.loads(text, parse_float=Fraction, parse_constant=_refuse_constant)
+    # parse_float hands each distinct decimal text to Fraction once, keeping
+    # 0.3 exact; NaN and Infinity are no JSON, and no writer renders them
+    obj = json.loads(text, parse_float=parse_fraction, parse_constant=_refuse_constant)
     return sequence_from_obj(obj)
 
 

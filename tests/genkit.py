@@ -211,6 +211,84 @@ def per_literal_world_line(line: str, lineno: int, indent: int, vocab) -> World:
 
 
 # ---------------------------------------------------------------------------
+# Sequence documents
+# ---------------------------------------------------------------------------
+
+
+def _per_world_weight(raw) -> Fraction:
+    # bool is an int too, but true is no weight
+    if isinstance(raw, (Fraction, str)) or type(raw) is int:
+        try:
+            weight = raw if type(raw) is Fraction else Fraction(raw)
+        except ZeroDivisionError:  # "1/0"
+            pass
+        else:
+            if weight.numerator < 0:
+                raise ValueError(f"negative world weight: {weight}")
+            return weight
+    raise ValueError(f"bad weight value: {raw!r}")
+
+
+def per_world_sequence_from_obj(obj: dict):
+    """The sequence of a JSON document, read in one pass that takes each
+    world to its truth values and weight and raises the first fault met;
+    each weight is parsed where it stands, and shares are grouped by
+    ``Fraction``. A document over at most ``DEFAULT_WORLD_CAP`` constants
+    that gives each world one weight is read onto the dense table of its
+    vocabulary, reweighted unless every weight is absent or the integer 1;
+    any other onto a table that lists its worlds."""
+    from itertools import chain, compress
+
+    from partseq import PartitionSequence
+    from partseq.logic import DEFAULT_WORLD_CAP, TruthTable, _from_bits
+
+    digits = bytes.maketrans(b"\0\1", b"01")
+    vocab = Vocabulary(obj["vocab"])
+    names, name_set = vocab.names, set(vocab.names)
+    classes, weights, unit = [], [], True
+    for listed in obj["classes"]:
+        rows = []
+        for w in listed:
+            assign = w["assign"]
+            if (assign.keys() if type(assign) is dict else set(assign)) != name_set:
+                raise ValueError("world assignment does not match the vocabulary")
+            values = tuple(map(assign.__getitem__, names))
+            # bool is an int too, but not a truth value written as 0 or 1
+            if not set(map(type, values)) <= {int} or not set(values) <= {0, 1}:
+                for name, value in zip(names, values):
+                    if type(value) is not int or value not in (0, 1):
+                        raise ValueError(f"assignment of {name!r} is {value!r}, not 0 or 1")
+            weight = w.get("weight", 1)
+            if type(weight) is not int or weight != 1:
+                weight, unit = _per_world_weight(weight), False
+            rows.append(bytes(values))
+            weights.append(weight)
+        if len(set(rows)) != len(rows):
+            raise ValueError("a world is listed twice in one class")
+        classes.append(rows)
+    provenance = [] if obj.get("provenance") is None else obj["provenance"]
+    if type(provenance) is not list or not all(type(p) is str for p in provenance):
+        raise ValueError("provenance must be null or a list of strings")
+    if len(vocab) <= DEFAULT_WORLD_CAP:
+        size, table = 1 << len(vocab), TruthTable(vocab)
+        found = [[int(row.translate(digits) or b"0", 2) for row in rows] for rows in classes]
+        if not unit:
+            weight_of = dict(zip(chain.from_iterable(found), weights))
+            shares: dict[Fraction, list[int]] = {}
+            for i, weight in weight_of.items():
+                shares.setdefault(weight, []).append(i)
+            table = table.reweighted((_from_bits(at, size), q) for q, at in shares.items())
+            if [weight_of[i] for indices in found for i in indices] != weights:
+                table = None  # a world of two weights: read onto a listed table below
+        if table is not None:
+            masks = [_from_bits(indices, size) for indices in found]
+            return PartitionSequence(table, masks, obj["kind"], provenance)
+    weight = iter(weights).__next__
+    worlds = [[World(vocab, compress(names, row), weight()) for row in rows] for rows in classes]
+    return PartitionSequence.of_classes(worlds, vocab, obj["kind"], provenance)
+
+
+# ---------------------------------------------------------------------------
 # Structure oracle
 # ---------------------------------------------------------------------------
 

@@ -21,6 +21,7 @@ from partseq import (
 from partseq import Vocabulary, kbformats
 from partseq.kbformats import KB_KINDS
 from partseq.logic import parse_tokens
+from partseq.rationals import format_fraction
 
 from genkit import per_literal_world_line
 
@@ -347,6 +348,44 @@ class TestWorldLines:
         assert (got.value.message, got.value.line, got.value.column) == (message, 2, column)
 
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "p,~q",  # the common line, read whole
+            " p , ~q ",
+            "~ p,q",
+            "~\tp,\tq\t",
+            "\tp,~q",
+            "~~p,q",
+            "p~q,q",
+            "p,~q,",
+            "p,,~q",
+            ",p,q",
+            "p,~p",
+            "p,~q,p",
+            "p,zz",
+            "~zz,p,q",
+            "p",
+            "p q",
+            "~,p,q",
+            "p,~q~",
+        ],
+    )
+    @pytest.mark.parametrize("weight", ["1/2", "x"])
+    def test_odd_lines_match_per_literal_oracle(self, body, weight):
+        vocab = Vocabulary(["p", "q"])
+        line = f"  world {body} : {weight}"
+        try:
+            expected = per_literal_world_line(line, 3, 2, vocab)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                kbformats._parse_world_line(line, 3, 2, vocab)
+            assert (got.value.message, got.value.column) == (exc.message, exc.column)
+        else:
+            w = kbformats._parse_world_line(line, 3, 2, vocab)
+            assert (w, w.true_names, w.weight) == (expected, expected.true_names, expected.weight)
+
+
 class TestPossFormat:
     def test_levels_sorted_on_load(self, nested_kb):
         doc = parse_kb(NESTED_POSS, "poss")
@@ -517,6 +556,29 @@ ACCEPTED_LINES = {
 }
 
 
+@st.composite
+def prob_files(draw):
+    """A sample space file of 1 to 40 distinct worlds over 1 to 12
+    constants, with its literals shuffled, now and then padded with
+    spaces or tabs or with a spaced negation, and the text that
+    ``serialize_kb`` writes for it."""
+    n = draw(st.integers(1, 12))
+    names = [f"c{i}" for i in range(n)]
+    indices = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40, unique=True))
+    masses = draw(st.lists(st.integers(1, 9), min_size=len(indices), max_size=len(indices)))
+    pad = st.sampled_from(["", "", "", " ", "\t", "  "])
+    written, canonical = ["vocab: " + " ".join(names)], ["vocab: " + " ".join(names)]
+    for i, mass in zip(indices, masses):
+        lits = [c if i >> (n - 1 - k) & 1 else "~" + c for k, c in enumerate(names)]
+        weight = format_fraction(Fraction(mass, sum(masses)))
+        canonical.append(f"world {','.join(lits)} : {weight}")
+        shuffled = draw(st.permutations(lits))
+        spaced = [draw(st.sampled_from(["~", "~ "])) + lit[1:] if lit[0] == "~" else lit for lit in shuffled]
+        body = ",".join(draw(pad) + lit + draw(pad) for lit in spaced)
+        written.append(f"world {body}{draw(pad)}:{draw(pad)}{weight}")
+    return "\n".join(written) + "\n", "\n".join(canonical) + "\n"
+
+
 class TestRoundTrip:
     @settings(max_examples=500, deadline=None)
     @given(
@@ -543,6 +605,18 @@ class TestRoundTrip:
         again = parse_kb(text, kind)
         assert (again.vocab, again.body) == (doc.vocab, doc.body)
         assert serialize_kb(again) == text
+
+    @settings(max_examples=80, deadline=None)
+    @given(prob_files())
+    def test_prob_files_round_trip_at_larger_sizes(self, drawn):
+        """Up to 40 world lines over up to 12 constants, their literals
+        shuffled and padded, read back to the text the writer gives."""
+        written, canonical = drawn
+        doc = parse_kb(written, "prob")
+        assert serialize_kb(doc) == canonical
+        again = parse_kb(canonical, "prob")
+        assert again.body == doc.body
+        assert [w.weight for w in again.body.worlds] == [w.weight for w in doc.body.worlds]
 
     @pytest.mark.parametrize(
         "kind, text", [("default", "fact: true"), ("ael", ""), ("poss", "poss 1 : true")]

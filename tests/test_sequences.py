@@ -1,6 +1,7 @@
 """Sequence structure, isomorphism, preference chains, serialisation."""
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -38,7 +39,7 @@ from partseq import (
 )
 from partseq import autoepistemic, cli, defaults
 from partseq.cli import main
-from partseq.defaults import DefaultTheory
+from partseq.defaults import DefaultRule, DefaultTheory
 from partseq.kbformats import KbDocument, serialize_kb
 from partseq.logic import TRUE, Const, Not, TruthTable
 from partseq.sequences import (
@@ -53,6 +54,7 @@ from partseq.sequences import (
     world_to_obj,
 )
 from genkit import (
+    per_world_sequence_from_obj,
     per_world_structure,
     random_default_theory,
     random_formula,
@@ -560,6 +562,27 @@ class TestMaskWriter:
         for seq in (dense, listed):
             assert '"assign": {}' in self.same(seq)
 
+    def test_sequences_sharing_classes(self):
+        """Each class of a document is rendered once and appended where it
+        repeats; the bytes stay those of the dict views, at every indent,
+        and over two vocabularies that give the same masks."""
+        seqs = []
+        for prefix in ("c", "d"):
+            vocab = Vocabulary([f"{prefix}{i}" for i in range(5)])
+            rules = tuple(
+                DefaultRule(f"r{i}", TRUE, (Const(name),), Const(name))
+                for i, name in enumerate(vocab.names[:4])
+            )
+            seqs += build_default_sequences(DefaultTheory(rules=rules, facts=(), vocab=vocab))
+        space = lottery_space(6)
+        conds = [Not(Const("p1")), Not(Const("p2"))]
+        seqs += [condition(space, conds), condition(space, conds[:1])]
+        assert len(seqs) == 2 * 24 + 2
+        envelope = {"count": len(seqs), "sequences": seqs, "again": {"nested": [seqs[:3], seqs[-2:]]}}
+        views = [sequence_to_obj(seq) for seq in seqs]
+        expected = dict(envelope, sequences=views, again={"nested": [views[:3], views[-2:]]})
+        assert render_json(envelope) == render_json(expected)
+
     def test_equal_worlds_in_one_class_are_written_once(self, pq):
         # as in the class's frozenset, the first listed is the one kept
         first, again = World(pq, ["p"], Fraction(1, 4)), World(pq, ["p"], Fraction(3, 4))
@@ -797,6 +820,119 @@ class TestWeightedReader:
         out = capsys.readouterr().out
         assert "W0 = {<{p}, 0.25>}   weight 0.25" in out
         assert "W1 = {{~p}, <{p}, 0.75>}   weight 1.75" in out
+
+
+_ABSENT = object()  # a world written with no weight
+
+
+@st.composite
+def mutated_documents(draw):
+    """A sequence document over 0 to 4 constants, with now and then one of
+    the oddities that a reader must read or word as the per-world reader
+    does: assignment keys permuted, added or missing; a truth value
+    true, "1", 2 or None; a world listed twice in its class; a weight
+    written as an int, a float (as ``json.loads`` gives it), a string or
+    a bool, or absent."""
+    n = draw(st.integers(0, 4))
+    names = [f"c{i}" for i in range(n)]
+    rare = st.integers(0, 11).map(lambda roll: roll == 0)
+    weights = st.one_of(
+        st.just(_ABSENT),
+        st.sampled_from([1, 0, 2, -1, True, False, None, "1", "1/3", "3/10", "x", "1/0", " 2 "]),
+        st.fractions(-1, 2, max_denominator=10),
+        st.sampled_from([Fraction("0.3"), Fraction(1), [1], {}]),
+    )
+
+    def world():
+        bits = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+        assign = dict(zip(names, bits))
+        if names and draw(rare):
+            odd = draw(st.sampled_from([True, False, "1", 2, None, -1, Fraction(1), 1.5]))
+            assign[draw(st.sampled_from(names))] = odd
+        if draw(rare):
+            keys = draw(st.permutations(list(assign)))
+            assign = {k: assign[k] for k in keys}
+        if draw(rare):
+            assign["zz"] = 0
+        if names and draw(rare):
+            del assign[draw(st.sampled_from(names))]
+        w = {"assign": assign}
+        if draw(rare):
+            w = draw(st.sampled_from([{}, {"weight": 1}, {"assign": names}, {"assign": None}, "w", 3]))
+        weight = draw(weights)
+        if weight is not _ABSENT and isinstance(w, dict):
+            w["weight"] = weight
+        return w
+
+    classes = []
+    for _ in range(draw(st.integers(1, 4))):
+        cls = [world() for _ in range(draw(st.integers(0, 5)))]
+        if cls and draw(rare):
+            cls.insert(draw(st.integers(0, len(cls))), copy.deepcopy(draw(st.sampled_from(cls))))
+        classes.append(cls)
+    if draw(rare):
+        classes[draw(st.integers(0, len(classes) - 1))] = draw(st.sampled_from([{}, 3, None, "c"]))
+    provenance = draw(st.sampled_from([None, [""] * len(classes), ["r"] * len(classes), "r", [1]]))
+    kind = draw(st.sampled_from(KINDS + ("bogus",)))
+    return {"kind": kind, "vocab": names, "classes": classes, "provenance": provenance}
+
+
+class TestBulkReader:
+    """The reader checks each class in bulk and walks it world by world
+    only to word a fault; on any document it gives the sequence, weights
+    and table of the per-world reader in genkit, or its error."""
+
+    @staticmethod
+    def outcome(read, doc):
+        try:
+            seq = read(copy.deepcopy(doc))
+        except (KeyError, TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+        weighed = [sorted((w.bits(), w.weight) for w in cls) for cls in seq.classes]
+        masses = list(map(seq.table.mass, seq.masks))
+        return seq, weighed, masses, seq.table.dense, render_json(seq)
+
+    @settings(max_examples=250, deadline=None)
+    @given(mutated_documents())
+    def test_matches_the_per_world_reader(self, doc):
+        assert self.outcome(sequence_from_obj, doc) == self.outcome(per_world_sequence_from_obj, doc)
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ({"assign": {"q": 1, "p": 0}}, "assignment of 'q' is 2, not 0 or 1"),
+            ({"assign": {"p": 0}}, "world assignment does not match the vocabulary"),
+            ({"assign": {"p": 0, "q": True}}, "assignment of 'q' is True, not 0 or 1"),
+            ({"assign": {"p": 0, "q": 1}, "weight": True}, "bad weight value: True"),
+            ({"assign": {"p": 0, "q": 1}, "weight": "-1/2"}, "negative world weight: -1/2"),
+            ({"weight": 1}, "'assign'"),
+        ],
+    )
+    def test_first_fault_in_document_order(self, first, message):
+        """The fault raised is the first world's of the first class that
+        has one, whatever later worlds hold; a world listed twice in an
+        earlier class comes before it."""
+        later = [{"assign": {"p": 1, "q": 2}}, {"assign": {"p": 1, "q": 1}, "weight": "x"}]
+        ok = {"assign": {"p": 1, "q": 1}}
+        for head, expected in (([ok], message), ([ok, ok], "a world is listed twice in one class")):
+            doc = {"kind": "default", "vocab": ["p", "q"], "classes": [head, [first, *later]]}
+            with pytest.raises((KeyError, ValueError)) as got:
+                sequence_from_obj(doc)
+            assert str(got.value) == expected
+            assert self.outcome(sequence_from_obj, doc) == self.outcome(per_world_sequence_from_obj, doc)
+
+    def test_equal_weights_written_differently_join_one_share(self):
+        p, not_p = {"p": 1}, {"p": 0}
+        text = json.dumps(
+            {
+                "kind": "conditional",
+                "vocab": ["p"],
+                "classes": [[{"assign": p, "weight": 0.3}], [{"assign": not_p, "weight": "3/10"}]],
+            }
+        )
+        seq = sequence_from_json(text)
+        assert seq.table.dense
+        assert seq.table.shares == ((0b11, Fraction(3, 10)),)
 
 
 class TestClassView:
