@@ -318,10 +318,14 @@ def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) ->
     colon = _split_required(line, ":", indent + 5, lineno, ":")
     body = line[indent + 5 : colon]
     words = body.replace(",", " ").split()
-    names = (" " + " ".join(words)).replace(" ~", " ").split()
     name_set = vocab._name_set  # type: ignore[attr-defined]
-    # one word a literal, and a name with a "~" left in it is in no vocabulary
-    if not (len(words) == len(vocab) == body.count(",") + 1 and name_set == set(names)):
+    # the body without its blanks is the words between single commas, so
+    # each literal is one word; a name with a "~" left in it is in no vocabulary
+    if not (
+        len(words) == len(vocab)
+        and "".join(body.split()) == ",".join(words)
+        and name_set == set((" " + " ".join(words)).replace(" ~", " ").split())
+    ):
         words = _literals(body, lineno, indent + 5, vocab)
     weight_text = line[colon + 1 :].strip()
     try:

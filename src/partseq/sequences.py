@@ -477,9 +477,9 @@ def _render_rows(rows: WorldRows, indent: int) -> str:
 
 def _emit(value, indent: int, out: list[str], memo: dict) -> None:
     """Appends the JSON text of ``value`` at ``indent`` to ``out``, in
-    pieces. ``memo`` holds, for one document, each dict key, sequence head
-    (kind and vocabulary) and sequence class as text: each is rendered
-    once, and the piece appended again where it repeats."""
+    pieces. ``memo`` holds, for one document, each dict key and each class
+    of a sequence as text: each is rendered once, and the piece appended
+    again where it repeats."""
     pad = " " * indent
     if isinstance(value, dict):
         sep = "{\n"
@@ -497,12 +497,8 @@ def _emit(value, indent: int, out: list[str], memo: dict) -> None:
             _emit(v, indent + 2, out, memo)
         out.append(f"\n{pad}]" if value else "[]")
     elif isinstance(value, PartitionSequence):
-        head = (value.kind, value.vocab, indent)
-        if head not in memo:
-            view: list[str] = []
-            _emit({"kind": value.kind, "vocab": list(value.vocab.names)}, indent, view, memo)
-            memo[head] = "".join(view[:-1])  # without the closing brace
-        out += (memo[head], f',\n{pad}  "classes": ')
+        _emit({"kind": value.kind, "vocab": list(value.vocab.names)}, indent, out, memo)
+        out[-1] = f',\n{pad}  "classes": '  # in place of the closing brace
         for i, mask in enumerate(value.masks):
             cls = (value.table, mask, indent + 4)
             if cls not in memo:
@@ -573,10 +569,9 @@ def _parse_weight(raw) -> Fraction:
 
 def _read_class(listed, vocab: Vocabulary, parsed: dict) -> tuple[list[bytes], list]:
     """The rows and weights, as written, of one class of a document,
-    checked in bulk: each assignment has a key per name, the truth values
-    taken at once are the integers 0 and 1, and each distinct weight
-    (absent is 1) parses, once, into ``parsed``. Only a class that fails
-    a check is walked world by world, to raise the first fault met."""
+    checked in bulk, each distinct weight (absent is 1) parsed once into
+    ``parsed``; a class that fails a check is walked world by world, to
+    raise the first fault met."""
     names, name_set = vocab.names, vocab._name_set  # type: ignore[attr-defined]
     # itemgetter of one name gives no tuple, and of none is refused
     get = itemgetter(*names) if len(names) > 1 else lambda a: tuple(a[n] for n in names)
@@ -585,11 +580,11 @@ def _read_class(listed, vocab: Vocabulary, parsed: dict) -> tuple[list[bytes], l
         weights = list(map(dict.get, listed, repeat("weight"), repeat(1)))
         values = list(map(get, assigns))
         rows = list(map(bytes, values))
-        # bool is an int too, but no truth value and no weight; a Fraction
-        # hashes slowly, so weights are told apart by identity first
+        # each assignment holds every name, so one as long as the names has
+        # no other key; bool is an int too, but no truth value and no weight;
+        # a Fraction hashes slowly, so weights are told apart by identity first
         if (
-            name_set.issuperset(chain.from_iterable(assigns))
-            and set(map(len, assigns)) <= {len(names)}
+            set(map(len, assigns)) <= {len(names)}
             and set(map(type, chain.from_iterable(values))) <= {int}
             and not b"".join(rows).translate(None, b"\0\1")
             and set(map(type, weights)) <= {int, Fraction, str}
@@ -609,8 +604,7 @@ def _read_class(listed, vocab: Vocabulary, parsed: dict) -> tuple[list[bytes], l
             if type(value) is not int or value not in (0, 1):
                 raise ValueError(f"assignment of {name!r} is {value!r}, not 0 or 1")
         weight = w.get("weight", 1)
-        if type(weight) is not int or weight != 1:
-            parsed[weight] = _parse_weight(weight)
+        parsed[weight] = _parse_weight(weight)
         rows.append(bytes(values))
         weights.append(weight)
     return rows, weights

@@ -288,7 +288,7 @@ class TestWorldLines:
     def line(self, rng, vocab):
         literals = [rng.choice(["", "~", "~ ", "~\t"]) + n for n in vocab.names]
         rng.shuffle(literals)
-        fault = rng.randrange(7)
+        fault = rng.randrange(8)
         if fault == 1 and literals:
             literals.pop(rng.randrange(len(literals)))  # missing
         elif fault == 2:
@@ -298,6 +298,10 @@ class TestWorldLines:
             literals.insert(rng.randrange(len(literals) + 1), again)
         elif fault == 4 and literals:
             literals[rng.randrange(len(literals))] = rng.choice(self.BAD)
+        elif fault == 7 and len(literals) > 1:  # two in one piece, an empty piece elsewhere
+            k = rng.randrange(len(literals) - 1)
+            literals[k : k + 2] = [literals[k] + rng.choice([" ", "\t"]) + literals[k + 1]]
+            literals.insert(rng.randrange(len(literals) + 1), "")
         pad = lambda: rng.choice(["", " ", "  ", "\t"])
         body = ",".join(pad() + lit + pad() for lit in literals)
         weight = rng.choice(self.WEIGHTS) if fault >= 5 else rng.choice(self.WEIGHTS[:4])
@@ -369,6 +373,10 @@ class TestWorldLines:
             "p q",
             "~,p,q",
             "p,~q~",
+            "p q,",  # a piece of two words makes up for an empty one
+            ",p q",
+            "~p q,",
+            "p q,,",
         ],
     )
     @pytest.mark.parametrize("weight", ["1/2", "x"])
