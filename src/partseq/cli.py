@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import autoepistemic as ael
 from . import defaults, probability
@@ -140,16 +140,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns the exit code instead of raising SystemExit."""
+    """Entry point; returns the exit code instead of raising SystemExit.
+
+    A handler returns its exit code, the inputs and result of the JSON
+    envelope, its text lines and its sequences. ``main`` writes the one
+    envelope, named by the subcommand as typed, or else the lines; long
+    answers give them as generators, so JSON mode formats none of them."""
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    out = _Output(json_mode=args.json)
     try:
-        code = args.run(args, out)
+        code, inputs, result, lines, seqs = args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -157,7 +160,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        out.flush()
+        if args.json:
+            command = " ".join(filter(None, (args.group, vars(args).get("action"))))
+            envelope = {"command": command, "inputs": inputs, "result": result, "sequences": seqs}
+            sys.stdout.write(render_json(envelope))
+        else:
+            for line in lines:
+                print(line)
     except BrokenPipeError:
         # the reader has gone; with stdout on devnull the interpreter's
         # own flush at exit stays silent too
@@ -165,45 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-class _Output:
-    """Collects either human lines or one JSON envelope."""
-
-    def __init__(self, json_mode: bool):
-        self.json_mode = json_mode
-        self.lines: list[str] = []
-        self.envelope: dict = {}
-
-    def say(self, *lines: str):
-        self.say_all(lines)
-
-    def say_all(self, lines: Iterable[str]):
-        """Keeps ``lines`` in text mode; in JSON mode they are never read,
-        so a generator of them formats nothing."""
-        if not self.json_mode:
-            self.lines.extend(lines)
-
-    def record(self, command: str, inputs: dict, result: dict, sequences=()):
-        """The JSON envelope; ``render_json`` writes the sequences and the
-        world rows in ``result`` from their masks."""
-        if self.json_mode:
-            self.envelope = {
-                "command": command,
-                "inputs": inputs,
-                "result": result,
-                "sequences": list(sequences),
-            }
-
-    def flush(self):
-        if self.json_mode:
-            sys.stdout.write(render_json(self.envelope))
-        else:
-            for line in self.lines:
-                print(line)
-
-
 def _read_kb(path: str, kind: str) -> KbDocument:
-    text = Path(path).read_text()
-    return parse_kb(text, kind)
+    return parse_kb(Path(path).read_text(), kind)
 
 
 def _read_sequence(path: str) -> PartitionSequence:
@@ -216,8 +188,6 @@ def _read_sequence(path: str) -> PartitionSequence:
         raise ParseError(f"bad sequence document: missing key {exc}", 1, 1) from None
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad sequence document: {exc}", 1, 1) from None
-    except RecursionError:
-        raise ParseError("bad sequence document: nested too deeply", 1, 1) from None
 
 
 def _sequence_lines(seq: PartitionSequence, head="sequence:", weighed=False) -> Iterator[str]:
@@ -230,26 +200,34 @@ def _sequence_lines(seq: PartitionSequence, head="sequence:", weighed=False) -> 
         yield f"  W{i} = {{{worlds}}}{mass}{origin}"
 
 
-# -- default ----------------------------------------------------------------
+# -- searches, sequences and checks of default theories and belief premises --
 
 
-def _cmd_default_extensions(args, out) -> int:
-    doc = _read_kb(args.kb, "default")
-    table, found = defaults._search(doc.body)
+def _cmd_default_extensions(args):
+    table, found = defaults._search(_read_kb(args.kb, "default").body)
     kernels = [world_rows(table, mask) for mask in found]
-    extensions = [{"inconsistent": not mask, "worlds": k} for mask, k in zip(found, kernels)]
-    out.record("default extensions", {"kb": args.kb}, {"extensions": extensions})
+    result = {"extensions": [{"inconsistent": not m, "worlds": k} for m, k in zip(found, kernels)]}
     if not kernels:
-        out.say("no extension")
-        return EXIT_NEGATIVE
-    out.say_all(
+        return EXIT_NEGATIVE, {"kb": args.kb}, result, ["no extension"], []
+    lines = (
         f"extension {i}: {', '.join(world_texts(k)) or 'inconsistent (empty model set)'}"
         for i, k in enumerate(kernels, 1)
     )
-    return EXIT_OK
+    return EXIT_OK, {"kb": args.kb}, result, lines, []
 
 
-# -- sequences and checks shared by several groups ----------------------------
+def _cmd_ael_expansions(args):
+    premises = _read_kb(args.kb, "ael").body
+    table, found = ael._search(premises)
+    kernels = [world_rows(table, mask) for mask in found]
+    forced = ael.forced_inconsistency(premises)
+    result = {"kernels": kernels, "premises_inconsistent": forced}
+    if not kernels:
+        note = ["note: the premises are contradictory under any beliefs"] if forced else []
+        return EXIT_NEGATIVE, {"kb": args.kb}, result, ["no stable expansion", *note], []
+    lines = (f"expansion kernel {i}: {', '.join(world_texts(k))}" for i, k in enumerate(kernels, 1))
+    return EXIT_OK, {"kb": args.kb}, result, lines, []
+
 
 _BUILDERS = {
     "default": (
@@ -270,51 +248,24 @@ _CHECKERS = {
 }
 
 
-def _cmd_sequences(args, out) -> int:
+def _cmd_sequences(args):
     build, missing = _BUILDERS[args.group]
     seqs = build(_read_kb(args.kb, args.group).body)
-    out.record(f"{args.group} sequences", {"kb": args.kb}, {"count": len(seqs)}, seqs)
     if not seqs:
-        out.say(missing)
-        return EXIT_NEGATIVE
-    out.say_all(
-        line for i, seq in enumerate(seqs, 1) for line in _sequence_lines(seq, f"sequence {i}:")
-    )
-    return EXIT_OK
+        return EXIT_NEGATIVE, {"kb": args.kb}, {"count": 0}, [missing], []
+    lines = (line for i, s in enumerate(seqs, 1) for line in _sequence_lines(s, f"sequence {i}:"))
+    return EXIT_OK, {"kb": args.kb}, {"count": len(seqs)}, lines, seqs
 
 
-def _cmd_check(args, out) -> int:
+def _cmd_check(args):
     doc = _read_kb(args.kb, args.group)
     seq = _read_sequence(args.sequence)
     problems = _CHECKERS[args.group](doc.body, seq, strict=args.strict)
+    inputs = {"kb": args.kb, "sequence": args.sequence}
     result = {"ok": not problems, "violations": [str(p) for p in problems]}
-    out.record(f"{args.group} check", {"kb": args.kb, "sequence": args.sequence}, result)
     if problems:
-        out.say_all(f"violation: {p}" for p in problems)
-        return EXIT_NEGATIVE
-    out.say("ok")
-    return EXIT_OK
-
-
-# -- ael ---------------------------------------------------------------------
-
-
-def _cmd_ael_expansions(args, out) -> int:
-    doc = _read_kb(args.kb, "ael")
-    table, found = ael._search(doc.body)
-    kernels = [world_rows(table, mask) for mask in found]
-    forced = ael.forced_inconsistency(doc.body)
-    result = {"kernels": kernels, "premises_inconsistent": forced}
-    out.record("ael expansions", {"kb": args.kb}, result)
-    if not kernels:
-        out.say("no stable expansion")
-        if forced:
-            out.say("note: the premises are contradictory under any beliefs")
-        return EXIT_NEGATIVE
-    out.say_all(
-        f"expansion kernel {i}: {', '.join(world_texts(k))}" for i, k in enumerate(kernels, 1)
-    )
-    return EXIT_OK
+        return EXIT_NEGATIVE, inputs, result, (f"violation: {p}" for p in problems), []
+    return EXIT_OK, inputs, result, ["ok"], []
 
 
 # -- prob ---------------------------------------------------------------------
@@ -326,47 +277,28 @@ def _conditions(args, doc) -> list[Formula]:
     return [parse_formula(text, doc.vocab) for text in args.on]
 
 
-def _cmd_prob_condition(args, out) -> int:
+def _cmd_prob_condition(args):
     doc = _read_kb(args.kb, "prob")
     seq = probability.condition(doc.body, _conditions(args, doc))
-    out.record(
-        "prob condition", {"kb": args.kb, "on": list(args.on)}, {"classes": len(seq.masks)}, [seq]
-    )
-    out.say_all(_sequence_lines(seq))
-    return EXIT_OK
+    inputs = {"kb": args.kb, "on": list(args.on)}
+    return EXIT_OK, inputs, {"classes": len(seq.masks)}, _sequence_lines(seq), [seq]
 
 
-def _cmd_prob_threshold(args, out) -> int:
+def _cmd_prob_threshold(args):
     doc = _read_kb(args.kb, "prob")
     if args.eps is None:
         raise _UsageError("threshold needs --eps")
-    eps = as_fraction(args.eps)
+    inputs = {"kb": args.kb, "on": list(args.on), "eps": as_fraction(args.eps)}
     try:
-        seq = probability.threshold(doc.body, eps, _conditions(args, doc), strict=args.strict)
+        conds = _conditions(args, doc)
+        seq = probability.threshold(doc.body, inputs["eps"], conds, strict=args.strict)
     except BelowThresholdError as exc:
-        out.record(
-            "prob threshold",
-            {"kb": args.kb, "on": list(args.on), "eps": eps},
-            {
-                "accepted": False,
-                "step": exc.step,
-                "formula": exc.formula,
-                "ratio": exc.ratio,
-            },
-        )
-        out.say(str(exc))
-        return EXIT_NEGATIVE
-    out.record(
-        "prob threshold",
-        {"kb": args.kb, "on": list(args.on), "eps": eps},
-        {"accepted": True},
-        [seq],
-    )
-    out.say_all(_sequence_lines(seq))
-    return EXIT_OK
+        result = {"accepted": False, "step": exc.step, "formula": exc.formula, "ratio": exc.ratio}
+        return EXIT_NEGATIVE, inputs, result, [str(exc)], []
+    return EXIT_OK, inputs, {"accepted": True}, _sequence_lines(seq), [seq]
 
 
-def _cmd_prob_query(args, out) -> int:
+def _cmd_prob_query(args):
     doc = _read_kb(args.kb, "prob")
     conds = _conditions(args, doc)
     psi = parse_formula(args.query, doc.vocab)
@@ -379,59 +311,37 @@ def _cmd_prob_query(args, out) -> int:
             seq = probability.threshold(doc.body, eps, conds, strict=args.strict)
         value = probability.cond_prob(seq, psi)
     except (BelowThresholdError, UndefinedConditionalError) as exc:
-        out.record("prob query", inputs, {"defined": False, "reason": str(exc)})
-        out.say(str(exc))
-        return EXIT_NEGATIVE
-    out.record("prob query", inputs, {"defined": True, "value": value}, [seq])
-    out.say_all(map(format_fraction, [value]))
-    return EXIT_OK
+        return EXIT_NEGATIVE, inputs, {"defined": False, "reason": str(exc)}, [str(exc)], []
+    return EXIT_OK, inputs, {"defined": True, "value": value}, [format_fraction(value)], [seq]
 
 
 # -- poss ---------------------------------------------------------------------
 
 
-def _cmd_poss_build(args, out) -> int:
-    doc = _read_kb(args.kb, "poss")
-    built = build_poss_sequence(doc.body)
+def _inconsistent(report: InconsistencyReport) -> dict:
+    return {"consistent": False, "violations": [str(v) for v in report.violations]}
+
+
+def _cmd_poss_build(args):
+    built = build_poss_sequence(_read_kb(args.kb, "poss").body)
     if isinstance(built, InconsistencyReport):
-        out.record(
-            "poss build",
-            {"kb": args.kb},
-            {"consistent": False, "violations": [str(v) for v in built.violations]},
-        )
-        out.say("inconsistent possibilistic base:")
-        out.say_all(f"  {v}" for v in built.violations)
-        return EXIT_NEGATIVE
-    out.record("poss build", {"kb": args.kb}, {"consistent": True}, [built])
-    out.say_all(_sequence_lines(built))
-    return EXIT_OK
+        lines = ["inconsistent possibilistic base:", *(f"  {v}" for v in built.violations)]
+        return EXIT_NEGATIVE, {"kb": args.kb}, _inconsistent(built), lines, []
+    return EXIT_OK, {"kb": args.kb}, {"consistent": True}, _sequence_lines(built), [built]
 
 
-def _cmd_poss_query(args, out) -> int:
+def _cmd_poss_query(args):
     doc = _read_kb(args.kb, "poss")
     phi = parse_formula(args.query, doc.vocab)
     built = build_poss_sequence(doc.body)
+    inputs = {"kb": args.kb, "query": args.query}
     if isinstance(built, InconsistencyReport):
-        out.record(
-            "poss query",
-            {"kb": args.kb, "query": args.query},
-            {"consistent": False, "violations": [str(v) for v in built.violations]},
-        )
-        out.say_all(map("inconsistent possibilistic base: {}".format, [built]))
-        return EXIT_NEGATIVE
-    pi = possibility_of(built, phi)
-    nec = necessity(built, phi)
-    out.record(
-        "poss query",
-        {"kb": args.kb, "query": args.query},
-        {"consistent": True, "possibility": pi, "necessity": nec},
-        [built],
-    )
-    out.say_all(
-        f"{name}: {format_fraction(value)}"
-        for name, value in (("possibility", pi), ("necessity", nec))
-    )
-    return EXIT_OK
+        lines = [f"inconsistent possibilistic base: {built}"]
+        return EXIT_NEGATIVE, inputs, _inconsistent(built), lines, []
+    pi, nec = possibility_of(built, phi), necessity(built, phi)
+    result = {"consistent": True, "possibility": pi, "necessity": nec}
+    lines = (f"{name}: {format_fraction(result[name])}" for name in ("possibility", "necessity"))
+    return EXIT_OK, inputs, result, lines, [built]
 
 
 # -- worlds / explain ----------------------------------------------------------
@@ -448,24 +358,21 @@ def _kind_of(path: str) -> str:
     )
 
 
-def _cmd_worlds(args, out) -> int:
+def _cmd_worlds(args):
     kind = _kind_of(args.kb)
     doc = _read_kb(args.kb, kind)
     # a sample space's worlds are listed in the file's order
     table = doc.body.table if kind == "prob" else TruthTable(doc.vocab)
     rows = table_rows(table, table.full)
-    out.record("worlds", {"kb": args.kb}, {"vocab": list(doc.vocab.names), "worlds": rows})
-    out.say_all(world_texts(rows))
-    return EXIT_OK
+    result = {"vocab": list(doc.vocab.names), "worlds": rows}
+    return EXIT_OK, {"kb": args.kb}, result, world_texts(rows), []
 
 
-def _cmd_explain(args, out) -> int:
+def _cmd_explain(args):
     seq = _read_sequence(args.sequence)
     chain = [world_rows(seq.table, mask) for mask in preference_view(seq).masks]
     result = {"kind": seq.kind, "preference_chain": chain}
-    out.record("explain", {"sequence": args.sequence}, result, [seq])
-    out.say_all(_explain_lines(seq, chain))
-    return EXIT_OK
+    return EXIT_OK, {"sequence": args.sequence}, result, _explain_lines(seq, chain), [seq]
 
 
 def _explain_lines(seq: PartitionSequence, chain) -> Iterator[str]:

@@ -53,7 +53,8 @@ class PartitionSequence:
     semantics; checkers use it for reporting.
 
     Sequences are equal when kind, vocabulary, provenance and classes are;
-    as for worlds, weights take no part.
+    as for worlds, weights take no part. Classes are compared as the
+    digits of their worlds, so a dense table builds no ``World`` for it.
     """
 
     def __init__(self, table: TruthTable, masks: Sequence[int], kind: str, provenance=()):
@@ -93,14 +94,16 @@ class PartitionSequence:
     def all_worlds(self) -> frozenset[World]:
         return frozenset().union(*self.classes)
 
+    @cached_property
     def _key(self) -> tuple:
-        return self.kind, self.vocab, self.provenance, self.classes
+        digits = tuple(tuple(world_rows(self.table, mask).digits) for mask in self.masks)
+        return self.kind, self.vocab, self.provenance, digits
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PartitionSequence) and self._key() == other._key()
+        return isinstance(other, PartitionSequence) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         body = ", ".join(repr(sorted(c, key=World.bits)) for c in self.classes)
@@ -187,7 +190,7 @@ def isomorphic(a: PartitionSequence, b: PartitionSequence) -> bool:
         raise SemanticError(f"cannot compare a {a.kind} sequence with a {b.kind} one")
     if a.vocab.names != b.vocab.names:
         raise SemanticError("cannot compare sequences over different vocabularies")
-    return a.last_class == b.last_class
+    return world_rows(a.table, a.masks[-1]).digits == world_rows(b.table, b.masks[-1]).digits
 
 
 def preference_view(seq: PartitionSequence) -> PreferenceChain:
@@ -431,16 +434,15 @@ _SIGNS = {"0": "~", "1": ""}
 
 
 def world_texts(rows: WorldRows) -> Iterator[str]:
-    """Each world of ``rows`` as its literals, ``{p, ~q}``, or as
-    ``<{p, ~q}, 1/3>`` when its weight is not 1; made as they are read."""
+    """Each world of ``rows`` as its literals, ``{p, ~q}``, or as ``<{p, ~q}, 1/3>``
+    when its weight is not 1; made as they are read, each distinct weight rendered once."""
     lits = "{" + ", ".join(f"%s{name}" for name in rows.vocab.names) + "}"
     texts = (lits % tuple(map(_SIGNS.__getitem__, row)) for row in rows.digits)
     if rows.weights is None:
         return texts
-    return (
-        text if weight == 1 else f"<{text}, {format_fraction(weight)}>"
-        for text, weight in zip(texts, rows.weights)
-    )
+    distinct = {id(w): w for w in rows.weights}  # a Fraction hashes slowly; ids do not
+    rendered = {i: "%s" if w == 1 else f"<%s, {format_fraction(w)}>" for i, w in distinct.items()}
+    return (rendered[id(w)] % text for text, w in zip(texts, rows.weights))
 
 
 @lru_cache(maxsize=64)
@@ -656,10 +658,21 @@ def sequence_from_obj(obj: dict) -> PartitionSequence:
 
 
 def sequence_from_json(text: str) -> PartitionSequence:
-    # parse_float hands each distinct decimal text to Fraction once, keeping
-    # 0.3 exact; NaN and Infinity are no JSON, and no writer renders them
-    obj = json.loads(text, parse_float=parse_fraction, parse_constant=_refuse_constant)
-    return sequence_from_obj(obj)
+    """The sequence of a JSON document; too deep a one is refused alike on any interpreter."""
+    # parse_float makes one exact Fraction per distinct decimal text; NaN is no JSON
+    try:
+        obj = json.loads(text, parse_float=parse_fraction, parse_constant=_refuse_constant)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    try:
+        return sequence_from_obj(obj)
+    except (KeyError, TypeError, ValueError):
+        level, inner = [obj], lambda c: c.values() if type(c) is dict else c
+        for _ in range(5):  # the document, its class list, a class, a world, an assignment
+            level = [v for c in level if type(c) in (dict, list) for v in inner(c)]
+        if any(type(v) in (dict, list) for v in level):
+            raise ValueError("nested too deeply") from None
+        raise
 
 
 def _refuse_constant(name: str):

@@ -327,6 +327,23 @@ class TestWorldsAndExplain:
         assert "preference chain" in out
         assert "M2" in out
 
+    def test_explain_renders_each_distinct_weight_once(self, capsys, tmp_path, monkeypatch):
+        space = lottery_space(60)
+        kb = tmp_path / "lottery.prob"
+        kb.write_text(serialize_kb(KbDocument("prob", space.vocab, space)))
+        _, out, _ = run(capsys, "--json", "prob", "condition", kb, "--on", "~p1", "--on", "~p2")
+        seq = tmp_path / "seq.json"
+        seq.write_text(render_json(json.loads(out, parse_float=Fraction)["sequences"][0]))
+        calls = []
+        format_fraction = partseq.sequences.format_fraction
+        monkeypatch.setattr(
+            partseq.sequences, "format_fraction", lambda q: calls.append(q) or format_fraction(q)
+        )
+        code, out, _ = run(capsys, "explain", seq)
+        assert code == 0 and out.count("1/60>") == 2 * 60 + 59 + 58
+        # one world_texts call a class and one a preference-chain set
+        assert len(calls) <= 2 * 3
+
 
 class TestTextOracle:
     """The text of every world set the CLI prints, written from masks, is
@@ -437,6 +454,21 @@ class TestClosedPipe:
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (0, b"")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_closed_pipe_keeps_the_exit_code(self, tmp_path, flags):
+        names = [f"c{i}" for i in range(12)]
+        rules = "".join(f"rule r{i}: true : M {c} / {c}\n" for i, c in enumerate(names[:3]))
+        kb = tmp_path / "chain.dl"
+        kb.write_text(f"vocab: {' '.join(names)}\n{rules}")
+        env = dict(os.environ, PYTHONPATH=str(Path(partseq.__file__).parents[1]))
+        argv = [sys.executable, "-m", "partseq.cli", *flags, "default", "sequences", str(kb)]
+        code = subprocess.run(argv, stdout=subprocess.DEVNULL, env=env, timeout=60).returncode
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (code, b"")
 
 
 class TestKindCheck:

@@ -16,6 +16,7 @@ from partseq import (
     Const,
     Iff,
     Implies,
+    Kernel,
     Not,
     Or,
     ParseError,
@@ -23,6 +24,7 @@ from partseq import (
     SemanticError,
     Vocabulary,
     World,
+    as_fraction,
     atoms,
     entails,
     enumerate_worlds,
@@ -54,6 +56,7 @@ class TestVocabulary:
 
     def test_order_preserved(self):
         assert Vocabulary(["b", "a"]).names == ("b", "a")
+        assert list(Vocabulary(["b", "a"])) == ["b", "a"]
 
     @given(st.lists(st.sampled_from(["p", "q", "_r2", "true", "false", "2p", "p q", "", "p-q", "p\n"])))
     def test_first_fault_named_as_one_name_at_a_time(self, names):
@@ -490,3 +493,30 @@ class TestSyntax:
 
     def test_atoms(self):
         assert atoms(parse_formula("p & (q -> ~p)")) == {"p", "q"}
+        assert atoms(TRUE) == frozenset()
+
+    def test_operators_build_formulas(self):
+        assert P | Q == Or(P, Q) and ~P == Not(P)
+        assert format_formula(~(P | Q)) == "~(p | q)"
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [("p &\n& q", (2, 1)), ("p\n  q", (2, 3)), ("(p |\nq", (2, 2))],
+    )
+    def test_error_position_after_a_newline(self, pq, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_formula(text, pq)
+        assert (info.value.line, info.value.column) == position
+
+
+class TestPublicValues:
+    def test_kernel_repr(self, pq):
+        kernel = Kernel(frozenset([World(pq, ["p"]), World(pq, ["p", "q"], 3)]), pq)
+        assert repr(kernel) == "Kernel([{p, ~q}, <{p, q}, 3>])"
+        assert repr(Kernel(frozenset(), pq)) == "Kernel([])"
+
+    def test_as_fraction_refuses_what_is_no_rational(self):
+        with pytest.raises(ValueError, match="not a rational literal: 'x'"):
+            as_fraction("x")
+        with pytest.raises(TypeError, match="cannot interpret NoneType as a rational"):
+            as_fraction(None)

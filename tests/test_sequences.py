@@ -37,10 +37,10 @@ from partseq import (
     threshold,
     validate_structure,
 )
-from partseq import autoepistemic, cli, defaults
+from partseq import autoepistemic, cli, defaults, logic, sequences
 from partseq.cli import main
 from partseq.defaults import DefaultRule, DefaultTheory
-from partseq.kbformats import KbDocument, serialize_kb
+from partseq.kbformats import KbDocument, parse_kb, serialize_kb
 from partseq.logic import TRUE, Const, Not, TruthTable
 from partseq.sequences import (
     KINDS,
@@ -934,6 +934,31 @@ class TestBulkReader:
         assert seq.table.dense
         assert seq.table.shares == ((0b11, Fraction(3, 10)),)
 
+    @pytest.mark.parametrize("depth", [2, 10, 3000])
+    def test_too_deep_is_refused_alike_on_any_interpreter(self, depth):
+        """Whether the JSON parser reads a document of a given depth
+        depends on the interpreter; one nested deeper than a sequence
+        document can be is refused with one message either way."""
+        classes = "[" * depth + '[[{"assign": {"p": 0}}], [{"assign": {"p": 1}}]]' + "]" * depth
+        for text in (f'{{"kind": "default", "vocab": ["p"], "classes": {classes}}}', classes):
+            with pytest.raises(ValueError, match="^nested too deeply$"):
+                sequence_from_json(text)
+        with pytest.raises(ValueError, match="^nested too deeply$"):
+            sequence_from_json("[" * 200000)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("[]", TypeError, "list indices must be integers or slices, not str"),
+            ('{"kind": "default", "vocab": ["p"], "classes": [[[1]]]}', TypeError, "list indices"),
+            ('{"kind": "default", "vocab": ["p"], "classes": [[{"assign": {"p": 2}}]]}',
+             ValueError, "assignment of 'p' is 2, not 0 or 1"),
+        ],
+    )
+    def test_shallow_faults_keep_their_message(self, text, error, message):
+        with pytest.raises(error, match=message):
+            sequence_from_json(text)
+
 
 class TestClassView:
     """A sequence is its table and class masks; its World classes are
@@ -952,6 +977,36 @@ class TestClassView:
 
 class TestValueSemantics:
     """Sequences compare by kind, vocabulary, provenance and classes."""
+
+    def test_repr_and_empty_class_list(self, pq):
+        seq = PartitionSequence(TruthTable(pq), [1, 14], "default", ["", "r1"])
+        assert repr(seq) == "<default sequence [{~p, ~q}], [{~p, q}, {p, ~q}, {p, q}]>"
+        with pytest.raises(ValueError, match="a partition sequence needs at least one class"):
+            PartitionSequence(TruthTable(pq), [], "default")
+
+    def test_compared_without_building_worlds(self, monkeypatch):
+        names = [f"c{i}" for i in range(10)]
+        rules = "".join(f"rule r{i}: true : M c{i} / c{i}\n" for i in range(3))
+        text = f"vocab: {' '.join(names)}\n{rules}"
+        a, b = (build_default_sequences(parse_kb(text, "default").body) for _ in range(2))
+        built = []
+        trusted = logic.World._trusted.__func__
+        monkeypatch.setattr(World, "__init__", lambda *args: built.append(args))
+        monkeypatch.setattr(
+            World, "_trusted", classmethod(lambda *args: built.append(args) or trusted(*args))
+        )
+        assert a == b and list(map(hash, a)) == list(map(hash, b)) and a[0] != a[1]
+        assert all(isomorphic(x, y) for x in a for y in b)
+        assert built == []
+
+    def test_key_is_built_once(self, monkeypatch, pq):
+        """``==`` and ``hash`` read each class's digits on first use only."""
+        a, b = (PartitionSequence(TruthTable(pq), [1, 14], "default") for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        read = []
+        monkeypatch.setattr(sequences, "world_rows", lambda *args: read.append(args))
+        assert a == b and hash(a) == hash(b) and a in {b}
+        assert read == []
 
     def test_round_trip_is_equal_with_equal_hash(self):
         rng = random.Random(484950)
