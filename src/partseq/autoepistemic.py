@@ -22,12 +22,11 @@ from .logic import (
     Vocabulary,
 )
 from .sequences import (
-    Guarded,
+    Compiled,
     PartitionSequence,
     Violation,
     beliefs,
     check_peels,
-    class_masks,
     close,
     licensed,
     peel_sequences,
@@ -58,11 +57,12 @@ class AelPremises:
         return tuple(seen)  # in order of first appearance
 
     @cached_property
-    def compiled(self) -> tuple[tuple[int, ...], tuple[Guarded, ...]]:
+    def compiled(self) -> Compiled:
         """The premises in the peel section's form over the dense table:
-        the guess formulas' masks, and each premise as the item (label,
-        all worlds, g mask) needing the bit of its positive condition, if
-        any, and refusing the bits of its negative ones."""
+        the guess formulas' masks, each premise as the item (label, all
+        worlds, g mask) needing the bit of its positive condition, if any,
+        and refusing the bits of its negative ones, and all worlds, which
+        the empty first class leaves."""
         table = TruthTable(self.vocab)
         bit = {phi: 1 << j for j, phi in enumerate(self.guesses)}
         guarded = tuple(
@@ -73,7 +73,7 @@ class AelPremises:
             )
             for pm in self.formulas
         )
-        return tuple(map(table.mask, self.guesses)), guarded
+        return tuple(map(table.mask, self.guesses)), guarded, table.full
 
 
 def omega_operator(
@@ -89,9 +89,9 @@ def omega_operator(
     if not kernel.is_consistent:
         raise ValueError("the belief operator is defined for consistent kernels only")
     table = TruthTable(premises.vocab)
-    conditions, guarded = premises.compiled
+    conditions, guarded, rest = premises.compiled
     believed = beliefs(conditions, table.mask_of(kernel.worlds))
-    value = close(table.full, licensed(guarded, believed))
+    value = close(rest, licensed(guarded, believed))
     return Kernel(table.worlds(value), premises.vocab)
 
 
@@ -131,10 +131,10 @@ def _search(premises: AelPremises) -> tuple[TruthTable, list[int]]:
             f"expansion search would hold up to 2^{count} kernels of 2^{n} bits, and is "
             f"capped at 2^{bits} bits (conditions + constants <= {bits})"
         )
-    conditions, guarded = premises.compiled
+    conditions, guarded, rest = premises.compiled
     found = []  # a kernel believes one guess only, so none is found twice
     for bits in range(1 << count):
-        kernel = close(table.full, licensed(guarded, bits))
+        kernel = close(rest, licensed(guarded, bits))
         if kernel and beliefs(conditions, kernel) == bits:
             found.append(kernel)
     found.sort(key=table.sort_key)
@@ -160,9 +160,7 @@ def build_ael_sequences(premises: AelPremises) -> list[PartitionSequence]:
     :func:`~partseq.sequences.peel_sequences`.
     """
     table, found = _search(premises)
-    conditions, guarded = premises.compiled
-    item_lists = [licensed(guarded, beliefs(conditions, k)) for k in found]
-    return peel_sequences("autoepistemic", table, 0, table.full, item_lists)
+    return peel_sequences("autoepistemic", table, premises.compiled, found)
 
 
 def check_ael_sequence(
@@ -183,21 +181,4 @@ def check_ael_sequence(
     for comparison. A sequence of another kind, or one that is no
     partition of the worlds, gets only those violations.
     """
-    table = TruthTable(premises.vocab)
-    masks, problems = class_masks(seq, "autoepistemic", table)
-    if problems:
-        return problems
-    if masks[0]:
-        problems.append(
-            Violation("condition 1", "the first class must be empty", class_index=0)
-        )
-    if not masks[-1]:
-        problems.append(
-            Violation(
-                "condition 3",
-                "the last class is empty: no consistent belief set is characterised",
-                class_index=len(seq.masks) - 1,
-            )
-        )
-    conditions, guarded = premises.compiled
-    return problems + check_peels(masks, conditions, guarded, strict, "premise")
+    return check_peels("autoepistemic", TruthTable(premises.vocab), premises.compiled, seq, strict)

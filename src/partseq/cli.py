@@ -145,12 +145,15 @@ def main(argv: list[str] | None = None) -> int:
     A handler returns its exit code, the inputs and result of the JSON
     envelope, its text lines and its sequences. ``main`` writes the one
     envelope, named by the subcommand as typed, or else the lines; long
-    answers give them as generators, so JSON mode formats none of them."""
+    answers give them as generators, so JSON mode formats none of them.
+    Running out of memory, in the handler or in the writing, is a
+    resource error."""
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    command = " ".join(filter(None, (args.group, vars(args).get("action"))))
     try:
         code, inputs, result, lines, seqs = args.run(args)
     except ParseError as exc:
@@ -159,9 +162,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, SemanticError, _UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        return _out_of_memory(command)
     try:
         if args.json:
-            command = " ".join(filter(None, (args.group, vars(args).get("action"))))
             envelope = {"command": command, "inputs": inputs, "result": result, "sequences": seqs}
             sys.stdout.write(render_json(envelope))
         else:
@@ -171,7 +175,14 @@ def main(argv: list[str] | None = None) -> int:
         # the reader has gone; with stdout on devnull the interpreter's
         # own flush at exit stays silent too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except MemoryError:
+        return _out_of_memory(command)
     return code
+
+
+def _out_of_memory(command: str) -> int:
+    print(f"error: partseq {command} ran out of memory", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _read_kb(path: str, kind: str) -> KbDocument:

@@ -25,12 +25,11 @@ from .logic import (
     conjoin,
 )
 from .sequences import (
-    Guarded,
+    Compiled,
     PartitionSequence,
     Violation,
     beliefs,
     check_peels,
-    class_masks,
     close,
     licensed,
     peel_sequences,
@@ -78,12 +77,12 @@ class DefaultTheory:
         return conjoin(self.facts)
 
     @cached_property
-    def compiled(self) -> tuple[tuple[int, ...], tuple[Guarded, ...], int]:
+    def compiled(self) -> Compiled:
         """The theory in the peel section's form over the dense table: the
         distinct masks of ~beta over the justifications, each rule as the
         item (id, alpha mask, gamma mask) refusing the bits of its ~betas,
-        and the facts' mask. So a rule is licensed where each of its
-        justifications is satisfiable."""
+        and the facts' mask, the worlds the first class leaves. So a rule
+        is licensed where each of its justifications is satisfiable."""
         mask = TruthTable(self.vocab).mask
         bit: dict[int, int] = {}  # each distinct ~beta mask, to its bit
         guarded = []
@@ -105,9 +104,9 @@ def gamma_operator(
     ``candidate``), the least fixed point of applying them.
     """
     table = TruthTable(theory.vocab)
-    conditions, guarded, facts = theory.compiled
+    conditions, guarded, rest = theory.compiled
     pool = table.mask_of(candidate)
-    return table.worlds(close(facts, licensed(guarded, beliefs(conditions, pool))))
+    return table.worlds(close(rest, licensed(guarded, beliefs(conditions, pool))))
 
 
 def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
@@ -165,9 +164,7 @@ def build_default_sequences(theory: DefaultTheory) -> list[PartitionSequence]:
     having no worlds to end on, gets no sequence.
     """
     table, found = _search(theory)
-    conditions, guarded, facts = theory.compiled
-    item_lists = [licensed(guarded, beliefs(conditions, e)) for e in found if e]
-    return peel_sequences("default", table, table.full & ~facts, facts, item_lists)
+    return peel_sequences("default", table, theory.compiled, found)
 
 
 def check_default_sequence(
@@ -190,17 +187,4 @@ def check_default_sequence(
     sequence of another kind, or one that is no partition of the worlds,
     gets only those violations.
     """
-    table = TruthTable(theory.vocab)
-    masks, problems = class_masks(seq, "default", table)
-    if problems:
-        return problems
-    conditions, guarded, facts = theory.compiled
-    if masks[0] != table.full & ~facts:
-        problems.append(
-            Violation(
-                "condition 1",
-                "first class must hold exactly the worlds falsifying the facts",
-                class_index=0,
-            )
-        )
-    return problems + check_peels(masks, conditions, guarded, strict, "rule")
+    return check_peels("default", TruthTable(theory.vocab), theory.compiled, seq, strict)

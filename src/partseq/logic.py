@@ -381,9 +381,9 @@ class TruthTable:
         return table
 
     def _read_worlds(self) -> None:
-        """Each constant's worlds and each weight's, in one pass over the
-        listed worlds; weights are grouped by their integer ratio, which
-        hashes faster than a ``Fraction``."""
+        """Each constant's worlds, each weight's and each world's true
+        names, in one pass over the listed worlds; weights are grouped by
+        their integer ratio, which hashes faster than a ``Fraction``."""
         atoms, by_ratio = defaultdict(list), defaultdict(list)
         for i, w in self._worlds.items():
             by_ratio[w.weight.as_integer_ratio()].append(i)
@@ -391,6 +391,7 @@ class TruthTable:
                 atoms[name].append(i)
         size, worlds = self.size, self._worlds
         self._atom_of = lambda name: _from_bits(atoms.get(name, ()), size)
+        self._true_names = lambda i: worlds[i].true_names
         if by_ratio.keys() - {(1, 1)}:
             self.shares = tuple(
                 (_from_bits(found, size), worlds[found[0]].weight) for found in by_ratio.values()

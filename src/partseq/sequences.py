@@ -208,15 +208,19 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 # then repeat. An item (label, prerequisite, conclusion) peels only while
 # its prerequisite holds throughout the remaining worlds. World sets here
 # are truth-table masks (see logic.TruthTable), and so are an item's
-# prerequisite and conclusion. Both formalisms compile to condition masks
-# and items guarded by bits over them, (need, refuse, item): a pool of
-# worlds believes condition j when it holds throughout the pool, and
-# licenses an item when it believes all the item needs and nothing it
-# refuses. A default rule alpha : M beta / gamma refuses the belief ~beta;
-# a premise L a & ~L b -> g needs a and refuses b, with no prerequisite.
+# prerequisite and conclusion. Both formalisms compile to the form
+# (conditions, guarded, rest): condition masks, items guarded by bits over
+# them, (need, refuse, item), and the worlds left once the first class is
+# split off. A pool of worlds believes condition j when it holds
+# throughout the pool, and licenses an item when it believes all the item
+# needs and nothing it refuses. A default rule alpha : M beta / gamma
+# refuses the belief ~beta, and its theory leaves the facts' models; a
+# premise L a & ~L b -> g needs a and refuses b, with no prerequisite, and
+# its premises leave every world.
 
 Item = tuple[str, int, int]
 Guarded = tuple[int, int, Item]
+Compiled = tuple[tuple[int, ...], tuple[Guarded, ...], int]
 
 # Bound on how many peel orders the sequence builders explore per call;
 # read at each call.
@@ -278,22 +282,21 @@ def _ready(items: list[Item], remaining: int) -> list[tuple[str, int]]:
 
 
 def peel_sequences(
-    kind: str,
-    table: TruthTable,
-    first: int,
-    rest: int,
-    item_lists: Iterable[list[Item]],
+    kind: str, table: TruthTable, compiled: Compiled, fixed_points: Iterable[int]
 ) -> list[PartitionSequence]:
-    """Sequences peeled by each list of items, one per peel order.
+    """Sequences peeled for each non-empty fixed point of ``compiled``,
+    one per peel order.
 
-    Every sequence opens with the class ``first``; the worlds of ``rest``
-    are then peeled by the items of one list, in any order, until none
-    splits off anything, and what remains closes the sequence. The order
-    budget is shared per call: at most :data:`DEFAULT_ORDER_LIMIT`
-    finished orders are explored over all lists together, and once it is
-    spent each list still without a sequence gets its first order, which
-    always peels by the first ready item. Exact duplicates are dropped.
+    Every sequence opens with the worlds outside ``rest``; the worlds of
+    ``rest`` are then peeled by the items the fixed point licenses, in any
+    order, until none splits off anything, and what remains closes the
+    sequence. The order budget is shared per call: at most
+    :data:`DEFAULT_ORDER_LIMIT` finished orders are explored over all
+    fixed points together, and once it is spent each one still without a
+    sequence gets its first order, which always peels by the first ready
+    item. Exact duplicates are dropped.
     """
+    conditions, guarded, rest = compiled
     results: list[PartitionSequence] = []
     seen: set[tuple] = set()
     budget = DEFAULT_ORDER_LIMIT
@@ -314,38 +317,54 @@ def peel_sequences(
         for label, peel in steps:
             explore(items, remaining & ~peel, (*classes, peel), (*labels, label))
 
-    for items in item_lists:
+    for point in filter(None, fixed_points):
         start = len(results)
-        explore(items, rest, (first,), ("",))
+        explore(licensed(guarded, beliefs(conditions, point)), rest, (table.full & ~rest,), ("",))
     return results
 
 
-def check_peels(
-    classes: list[int],
-    conditions: Sequence[int],
-    guarded: Sequence[Guarded],
-    strict: bool,
-    noun: str,
-) -> list[Violation]:
-    """Violations of clauses 2 and 3 in a structurally valid sequence,
-    given as the masks of its ``classes``, against the compiled form
-    ``conditions`` and ``guarded``.
+# Per kind: the noun for its items, clause 1's message, and clause 3's
+# message for an empty last class, which only a belief sequence must avoid.
+_WORDING = {
+    "default": ("rule", "first class must hold exactly the worlds falsifying the facts", None),
+    "autoepistemic": (
+        "premise",
+        "the first class must be empty",
+        "the last class is empty: no consistent belief set is characterised",
+    ),
+}
 
+
+def check_peels(
+    kind: str, table: TruthTable, compiled: Compiled, seq: PartitionSequence, strict: bool
+) -> list[Violation]:
+    """Every violated clause of ``seq`` peeling ``compiled`` over ``table``.
+
+    A sequence of another kind, or one that is no partition of the
+    table's worlds, gets only those violations (:func:`class_masks`).
+    Clause 1: the first class is exactly the worlds outside ``rest``.
     Clause 2: each intermediate class is exactly the remaining worlds
     falsifying the conclusion of an item licensed by the witness pool
     whose prerequisite holds throughout those remaining worlds. The pool
     is the last class, or with ``strict=True`` the class being split off.
     Clause 3: every item the last class licenses whose prerequisite holds
-    throughout it has its conclusion hold throughout it as well. ``noun``
-    names the items in the messages.
+    throughout it has its conclusion hold throughout it as well.
     """
-    problems = []
-    last = classes[-1]
+    classes, problems = class_masks(seq, kind, table)
+    if problems:
+        return problems
+    conditions, guarded, rest = compiled
+    noun, first, empty = _WORDING[kind]
+    last, end = classes[-1], len(classes) - 1
+    if classes[0] != table.full & ~rest:
+        problems.append(Violation("condition 1", first, class_index=0))
+    if empty and not last:
+        problems.append(Violation("condition 3", empty, class_index=end))
     by_last = licensed(guarded, beliefs(conditions, last))
     remaining = 0
     for cls in classes[1:]:
         remaining |= cls
-    for i in range(1, len(classes) - 1):
+    for i in range(1, end):
         cls = classes[i]
         items = licensed(guarded, beliefs(conditions, cls)) if strict else by_last
         if not any(
@@ -365,7 +384,7 @@ def check_peels(
             Violation(
                 "condition 3",
                 f"licensed {noun}'s conclusion fails somewhere in the last class",
-                class_index=len(classes) - 1,
+                class_index=end,
                 item=label,
             )
         )
@@ -409,9 +428,9 @@ def table_rows(table: TruthTable, mask: int) -> WorldRows:
         top = 1 << len(table.vocab)
         return WorldRows(table.vocab, [bin(i | top)[3:] for i in found], weights)
     at, digits = dict(zip(table.vocab.names, range(len(table.vocab)))), []
-    for w in table.world_list(mask):  # a row of zeros, the true names' places set
+    for i in found:  # a row of zeros, the true names' places set
         row = bytearray(b"0" * len(at))
-        for k in map(at.__getitem__, w.true_names):
+        for k in map(at.__getitem__, table._true_names(i)):
             row[k] = 49  # "1"
         digits.append(row.decode())
     return WorldRows(table.vocab, digits, weights)

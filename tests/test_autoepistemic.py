@@ -28,7 +28,7 @@ from partseq import (
     stable_expansions,
     validate_structure,
 )
-from partseq.logic import Formula
+from partseq.logic import Formula, TruthTable
 from genkit import (
     _ael_sequence_ok,
     _subsets,
@@ -82,8 +82,8 @@ class TestOmegaOperator:
 
     def test_shared_compiled_form(self):
         # one premise object serves the search and then the operator; the
-        # form it keeps is formulas and masks only, and equal fresh
-        # premises agree
+        # form it keeps is formulas and masks only, all worlds left by the
+        # empty first class last, and equal fresh premises agree
         rng = random.Random(6262)
         for _ in range(200):
             premises = random_premises(rng)
@@ -91,6 +91,10 @@ class TestOmegaOperator:
             compiled = premises.compiled
             assert plain(compiled) and plain(premises.guesses, Formula)
             assert cached(premises) == {"guesses", "compiled"}
+            _, _, rest = compiled
+            table = TruthTable(premises.vocab)
+            assert rest == table.full
+            assert all(s.masks[0] == table.full & ~rest for s in build_ael_sequences(premises))
             fresh = dataclasses.replace(premises)
             ts = _TruthSets(enumerate_worlds(premises.vocab))
             for _ in range(4):

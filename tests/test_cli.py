@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -657,6 +658,38 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "capped at " in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["_read_kb", "render_json"])
+    def test_out_of_memory_is_one_error_line(self, kbdir, capsys, monkeypatch, where):
+        # the handler, then the writer, finds no memory left
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(f"partseq.cli.{where}", exhausted)
+        code, out, err = run(capsys, "--json", "default", "sequences", kbdir / "rivals.dl")
+        assert (code, out) == (3, "")
+        assert err == "error: partseq default sequences ran out of memory\n"
+
+    def test_out_of_memory_under_an_address_space_limit(self, tmp_path):
+        # the JSON answer of the 16-constant, 3-rule chain needs about
+        # 400 MB; the limit is set in the child alone
+        names = [f"c{i}" for i in range(16)]
+        rules = "".join(f"rule r{i}: true : M {c} / {c}\n" for i, c in enumerate(names[:3]))
+        kb = tmp_path / "chain.dl"
+        kb.write_text(f"vocab: {' '.join(names)}\n{rules}")
+        env = dict(os.environ, PYTHONPATH=str(Path(partseq.__file__).parents[1]))
+        limit = 256 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "partseq.cli", "--json", "default", "sequences", str(kb)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert err == "error: partseq default sequences ran out of memory\n"
 
     @pytest.mark.parametrize(
         "g, n, message",

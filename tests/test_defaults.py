@@ -27,6 +27,7 @@ from partseq import (
     sequences,
     validate_structure,
 )
+from partseq.logic import TruthTable
 from genkit import (
     _default_sequence_ok,
     _subsets,
@@ -96,13 +97,18 @@ class TestGammaOperator:
 
     def test_shared_compiled_form(self):
         # one theory object serves the search and then the operator; the
-        # form it keeps is masks only, and an equal fresh theory agrees
+        # form it keeps is masks only, the facts' models left by the first
+        # class last, and an equal fresh theory agrees
         rng = random.Random(6161)
         for _ in range(200):
             theory = random_default_theory(rng)
             extensions(theory)
             compiled = theory.compiled
             assert plain(compiled) and cached(theory) == {"compiled"}
+            _, _, rest = compiled
+            table = TruthTable(theory.vocab)
+            assert rest == table.mask(theory.fact_formula)
+            assert all(s.masks[0] == table.full & ~rest for s in build_default_sequences(theory))
             fresh = dataclasses.replace(theory)
             ts = _TruthSets(enumerate_worlds(theory.vocab))
             for _ in range(4):

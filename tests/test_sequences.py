@@ -988,15 +988,23 @@ class TestValueSemantics:
         names = [f"c{i}" for i in range(10)]
         rules = "".join(f"rule r{i}: true : M c{i} / c{i}\n" for i in range(3))
         text = f"vocab: {' '.join(names)}\n{rules}"
-        a, b = (build_default_sequences(parse_kb(text, "default").body) for _ in range(2))
+        chains = [build_default_sequences(parse_kb(text, "default").body) for _ in range(2)]
+        # on a listed table, the lottery's, worlds are built only when read
+        p1, p2 = Not(Const("p1")), Not(Const("p2"))
+        lotteries = [
+            [condition(space, [p1, p2]), condition(space, [p2, p1])]
+            for space in (lottery_space(200), lottery_space(200))
+        ]
         built = []
         trusted = logic.World._trusted.__func__
         monkeypatch.setattr(World, "__init__", lambda *args: built.append(args))
         monkeypatch.setattr(
             World, "_trusted", classmethod(lambda *args: built.append(args) or trusted(*args))
         )
-        assert a == b and list(map(hash, a)) == list(map(hash, b)) and a[0] != a[1]
-        assert all(isomorphic(x, y) for x in a for y in b)
+        for a, b in (chains, lotteries):
+            assert a == b and list(map(hash, a)) == list(map(hash, b)) and a[0] != a[1]
+            assert all(isomorphic(x, y) for x in a for y in b)
+            assert render_json(a) == render_json(b)
         assert built == []
 
     def test_key_is_built_once(self, monkeypatch, pq):
