@@ -399,7 +399,7 @@ def _poss_shape(line: str, lineno: int, indent: int, keyword: str, header):
     colon = _split_required(line, ":", indent + 4, lineno, ":")
     value_text = line[indent + 4 : colon].strip()
     try:
-        value = Fraction(value_text)
+        value = parse_fraction(value_text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad possibility value {value_text!r}", lineno, indent + 6) from None
     if not 0 <= value <= 1:

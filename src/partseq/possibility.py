@@ -1,21 +1,23 @@
 """Possibility theory: graded statement sets, their world sequences, and
 the possibility / necessity measures read off them.
 
-A base assigns possibility values to sets of formulas. Its sequence
-groups worlds by increasing possibility: class i collects the supporters
-of the level-(i+1) formulas not already placed, with total class weight
-equal to the gap between consecutive possibility values. The possibility
-of a formula is then the cumulative weight up to the highest class where
-it holds somewhere; necessity is the dual through negation.
+A base assigns possibility values to sets of formulas. Its sequence is
+one ordered peel by increasing possibility: class i collects the
+supporters of the level-(i+1) formulas not already placed, weighing the
+gap between consecutive possibility values. The possibility of a
+formula is then the cumulative weight up to the highest class where it
+holds somewhere; necessity is the dual through negation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .logic import Formula, Not, TruthTable, Vocabulary, format_formula
-from .sequences import PartitionSequence, Violation, class_masks
+from .rationals import ratio_text
+from .sequences import PartitionSequence, Violation, class_masks, peel_in_order
 
 
 @dataclass(frozen=True)
@@ -58,30 +60,23 @@ def _levels(kb: PossibilisticKB, table: TruthTable) -> tuple[list[int], list[Vio
     """The class masks of the level construction, the remaining worlds
     last, and the condition-1 violations met on the way.
 
-    Class i is the union of each level-(i+1) formula's still-unplaced
-    supporters. A formula with no supporters left is an axiom violation
-    unless its stated possibility is zero (an impossible formula may well
-    have possibility zero, but a positive value needs a witnessing world).
+    Class i peels off the still-unplaced supporters of the level-(i+1)
+    formulas. A formula with no supporter in its class is an axiom
+    violation unless its stated possibility is zero (an impossible formula
+    may well have possibility zero, but a positive value needs a witness).
     """
-    remaining = table.full
-    classes = []
-    problems = []
-    for formulas, value in kb.levels:
-        cls = 0
-        for phi in sorted(formulas, key=format_formula):
-            support = remaining & table.mask(phi)
-            if not support and value > 0:
-                problems.append(
-                    Violation(
-                        "condition 1",
-                        f"no world left can support it at possibility {value}",
-                        item=format_formula(phi),
-                    )
-                )
-            cls |= support
-        classes.append(cls)
-        remaining &= ~cls
-    classes.append(remaining)
+    supports = (reduce(int.__or__, map(table.mask, formulas)) for formulas, _ in kb.levels)
+    classes = peel_in_order(table.full, (table.full & ~support for support in supports))
+    problems = [
+        Violation(
+            "condition 1",
+            f"no world left can support it at possibility {ratio_text(value)}",
+            item=format_formula(phi),
+        )
+        for (formulas, value), cls in zip(kb.levels, classes)
+        for phi in sorted(formulas, key=format_formula)
+        if value > 0 and not cls & table.mask(phi)
+    ]
     return classes, problems
 
 
@@ -107,7 +102,7 @@ def build_poss_sequence(kb: PossibilisticKB) -> PartitionSequence | Inconsistenc
         problems.append(
             Violation(
                 "condition 2",
-                f"no worlds remain for the top class yet weight {gaps[-1]} "
+                f"no worlds remain for the top class yet weight {ratio_text(gaps[-1])} "
                 f"is left to place",
                 class_index=len(classes) - 1,
             )
@@ -167,7 +162,7 @@ def check_poss_sequence(
             problems.append(
                 Violation(
                     "condition 2",
-                    f"class weight totals {total}, expected {gap}",
+                    f"class weight totals {ratio_text(total)}, expected {ratio_text(gap)}",
                     class_index=i,
                 )
             )

@@ -1,11 +1,11 @@
 """Weighted sample spaces, conditioning sequences, and thresholding.
 
-Conditioning on <f1, ..., fn> peels off the falsifiers of each formula in
-turn; the last class is the effective sample space and conditional
+Conditioning on <f1, ..., fn> is one ordered peel by the formulas in turn;
+the last class is the effective sample space and conditional
 probabilities are weighted fractions inside it. Thresholding is the same
-construction plus an acceptance test per step: the mass peeled off must
-be a small enough share of what was still in play. All arithmetic is
-exact rational, so acceptance at boundary ratios is decided exactly.
+peel plus an acceptance test per step: the mass peeled off must be a
+small enough share of what was still in play. All arithmetic is exact
+rational, so acceptance at boundary ratios is decided exactly.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .logic import Formula, TruthTable, Vocabulary, World, format_formula
-from .rationals import Rational, as_fraction
-from .sequences import PartitionSequence
+from .rationals import Rational, as_fraction, ratio_text
+from .sequences import PartitionSequence, peel_in_order
 
 MAX_THRESHOLD_CANDIDATES = 10
 
@@ -56,7 +56,7 @@ class SampleSpace:
         self.table, self.vocab = table, table.vocab
         total = table.mass(table.full)
         if total != 1:
-            raise ValueError(f"sample space weights total {total}, not 1")
+            raise ValueError(f"sample space weights total {ratio_text(total)}, not 1")
 
     @cached_property
     def worlds(self) -> tuple[World, ...]:
@@ -83,10 +83,11 @@ def condition(space: SampleSpace, conds) -> PartitionSequence:
 
 
 def _conditioned(space: SampleSpace, conds, kind: str) -> PartitionSequence:
-    conds = tuple(conds)
+    conds, table = tuple(conds), space.table
     if not conds:
         raise ValueError("at least one condition formula is required")
-    return reduce(extend, conds, PartitionSequence(space.table, (space.table.full,), kind))
+    classes = peel_in_order(table.full, map(table.mask, conds))
+    return PartitionSequence(table, classes, kind, (*map(format_formula, conds), ""))
 
 
 def extend(seq: PartitionSequence, phi: Formula) -> PartitionSequence:
@@ -97,8 +98,7 @@ def extend(seq: PartitionSequence, phi: Formula) -> PartitionSequence:
     """
     if seq.kind not in ("conditional", "threshold"):
         raise SemanticError(f"cannot extend a {seq.kind} sequence by conditioning")
-    last, models = seq.masks[-1], seq.table.mask(phi)
-    masks = (*seq.masks[:-1], last & ~models, last & models)
+    masks = (*seq.masks[:-1], *peel_in_order(seq.masks[-1], (seq.table.mask(phi),)))
     provenance = (*seq.provenance[:-1], format_formula(phi), "")
     return PartitionSequence(seq.table, masks, seq.kind, provenance)
 
@@ -139,12 +139,11 @@ def _epsilon(eps: Rational) -> Fraction:
     return eps
 
 
-def _step_ratio(seq: PartitionSequence, i: int, strict: bool) -> Fraction | None:
-    """Class i's mass over the mass of classes i onward, or of the whole
-    table with ``strict``; None when that mass is zero."""
-    table = seq.table
-    total = table.mass(table.full if strict else reduce(int.__or__, seq.masks[i:]))
-    return table.mass(seq.masks[i]) / total if total else None
+def _step_ratio(table: TruthTable, peel: int, remaining: int, strict: bool) -> Fraction | None:
+    """The mass of ``peel`` over that of the ``remaining`` worlds it came
+    from, or of the whole table with ``strict``; None when that is zero."""
+    total = table.mass(table.full if strict else remaining)
+    return table.mass(peel) / total if total else None
 
 
 def threshold(
@@ -165,23 +164,16 @@ def threshold(
     """
     eps = _epsilon(eps)
     seq = _conditioned(space, conds, "threshold")
-    for i, name in enumerate(seq.provenance[:-1]):
-        ratio = _step_ratio(seq, i, strict)
-        if ratio is None:
-            raise BelowThresholdError(
-                f"step {i + 1}: conditional probability of {name} is undefined "
-                f"(no mass left)",
-                step=i + 1,
-                formula=name,
-            )
-        if ratio > eps:
-            raise BelowThresholdError(
-                f"step {i + 1}: {name} falls below threshold "
-                f"(rejected mass ratio {ratio} > {eps})",
-                step=i + 1,
-                formula=name,
-                ratio=ratio,
-            )
+    remaining = space.table.full
+    for i, (name, peel) in enumerate(zip(seq.provenance, seq.masks[:-1])):
+        ratio = _step_ratio(space.table, peel, remaining, strict)
+        if ratio is None or ratio > eps:
+            why = f"conditional probability of {name} is undefined (no mass left)"
+            if ratio is not None:
+                ratios = f"{ratio_text(ratio)} > {ratio_text(eps)}"
+                why = f"{name} falls below threshold (rejected mass ratio {ratios})"
+            raise BelowThresholdError(f"step {i + 1}: {why}", step=i + 1, formula=name, ratio=ratio)
+        remaining &= ~peel
     return seq
 
 
@@ -204,7 +196,7 @@ def enumerate_threshold_orders(
 
     A failed prefix can never be rescued by further formulas (each step's
     ratio depends on the prefix alone), so the search prunes by prefix and
-    tests only the new step of each prefix's sequence extended by one.
+    tests only the new step of each prefix's remaining worlds peeled by one.
     """
     candidates = list(candidates)
     if len(candidates) > MAX_THRESHOLD_CANDIDATES:
@@ -212,22 +204,23 @@ def enumerate_threshold_orders(
             f"{len(candidates)} candidate formulas; ordering search is "
             f"capped at {MAX_THRESHOLD_CANDIDATES}"
         )
-    eps = _epsilon(eps)
+    eps, table = _epsilon(eps), space.table
+    masks = [table.mask(phi) for phi in candidates]
     accepted: list[tuple[Formula, ...]] = []
 
-    def grow(seq: PartitionSequence, prefix: tuple[Formula, ...]):
+    def grow(remaining: int, prefix: tuple[Formula, ...]):
         if len(prefix) >= maxlen:
             return
-        for phi in candidates:
+        for phi, models in zip(candidates, masks):
             if phi in prefix:
                 continue
-            longer = extend(seq, phi)
-            ratio = _step_ratio(longer, len(prefix), strict)
+            peel, rest = peel_in_order(remaining, (models,))
+            ratio = _step_ratio(table, peel, remaining, strict)
             if ratio is not None and ratio <= eps:
                 accepted.append(prefix + (phi,))
-                grow(longer, accepted[-1])
+                grow(rest, accepted[-1])
 
-    grow(PartitionSequence(space.table, (space.table.full,), "threshold"), ())
+    grow(table.full, ())
     return accepted
 
 
@@ -239,7 +232,7 @@ def rejects(seq: PartitionSequence, phi: Formula, eps: Rational) -> bool:
     least 1 - eps to be thresholded, at most eps to be rejected, and
     middling ones are neither.)
     """
-    return cond_prob(seq, phi) <= as_fraction(eps)
+    return cond_prob(seq, phi) <= _epsilon(eps)
 
 
 def lottery_space(n: int) -> SampleSpace:

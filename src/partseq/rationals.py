@@ -3,15 +3,33 @@
 All weights, probabilities, and thresholds in this package are
 ``fractions.Fraction`` values so that boundary comparisons (1/99 versus
 1/100) are decided exactly. These helpers convert user-facing notations
-without a detour through binary floating point.
+without a detour through binary floating point, and write rationals of
+any size.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 Rational = Fraction | int | str | float
+
+# Bounds on a rational literal, checked before Fraction reads it: its
+# decimal exponent, since Fraction builds ten to that power (for 1e-10000000
+# that took 13 s), and its length, since digits take time quadratic in
+# their count to read and write.
+MAX_DECIMAL_EXPONENT = 10_000
+MAX_LITERAL_LENGTH = 100_000
+
+# Long integers are written in chunks of this many digits, fewer than the
+# least limit the interpreter may put on int-to-str conversion (640).
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+# A ratio, or a decimal with an optional exponent, in ASCII digits
+_LITERAL = re.compile(r"([-+]?)(?:([0-9]+)/([0-9]+)|([0-9]*)(?:\.([0-9]*))?(?:e([-+]?[0-9]+))?)")
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -26,9 +44,8 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
         try:
-            return Fraction(text)
+            return parse_fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     if isinstance(value, float):
@@ -39,29 +56,72 @@ def as_fraction(value: Rational) -> Fraction:
 @lru_cache(maxsize=4096)
 def parse_fraction(text: str) -> Fraction:
     """The rational written ``text``, parsed once: the weights of equal
-    texts share one ``Fraction``."""
-    return Fraction(text)
+    texts share one ``Fraction``. A text longer than
+    :data:`MAX_LITERAL_LENGTH`, or with a decimal exponent beyond
+    :data:`MAX_DECIMAL_EXPONENT`, is refused before it is read."""
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise ValueError(f"literal longer than {MAX_LITERAL_LENGTH} characters")
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if exponent.isdecimal() and (len(exponent) > 9 or int(exponent) > MAX_DECIMAL_EXPONENT):
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {text!r}")
+    try:
+        return Fraction(text)
+    except ValueError:
+        # digits past the interpreter's limit on str-to-int conversion
+        match = _LITERAL.fullmatch(text.strip().lower())
+        if not match or not any(match.group(2, 4, 5)):
+            raise
+    sign, num, den, whole, frac, exp = match.groups(default="")
+    if den:
+        value = Fraction(_integer(num), _integer(den))
+    else:
+        value = Fraction(_integer(whole + frac), 10 ** len(frac)) * Fraction(10) ** int(exp or 0)
+    return -value if sign == "-" else value
+
+
+def _integer(digits: str) -> int:
+    """The integer of ASCII ``digits`` of any length, read a chunk at a time."""
+    value = 0
+    for start in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[start : start + _CHUNK_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def integer_text(value: int) -> str:
+    """The decimal digits of ``value``, of any length: past the interpreter's
+    limit on int-to-str conversion, written a chunk at a time."""
+    if abs(value) < _CHUNK:
+        return str(value)
+    chunks, rest = [], abs(value)
+    while rest:
+        rest, chunk = divmod(rest, _CHUNK)
+        chunks.append(chunk)
+    head, *tail = reversed(chunks)
+    return "-" * (value < 0) + str(head) + "".join(str(c).zfill(_CHUNK_DIGITS) for c in tail)
+
+
+def ratio_text(value: Fraction) -> str:
+    """``str(value)`` for a rational of any size."""
+    num = integer_text(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{integer_text(value.denominator)}"
 
 
 def decimal_digits(value: Fraction) -> str | None:
     """Exact decimal expansion of ``value``, or None when it has none.
 
     A rational has a finite decimal form exactly when its reduced
-    denominator is of the shape 2^a * 5^b.
+    denominator is of the shape 2^a * 5^b. Then b is the bit length of
+    5^b over log2(5), rounded, since that ratio lies in (b, b + 0.44).
     """
     den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
+    twos = (den & -den).bit_length() - 1
+    fives = round((den >> twos).bit_length() / math.log2(5))
+    if den != 5**fives << twos:
         return None
     shift = max(twos, fives)
     scaled = abs(value.numerator) * 10**shift // value.denominator
-    digits = str(scaled).rjust(shift + 1, "0")
+    digits = integer_text(scaled).rjust(shift + 1, "0")
     sign = "-" if value < 0 else ""
     if shift == 0:
         return sign + digits
@@ -73,4 +133,4 @@ def decimal_digits(value: Fraction) -> str | None:
 def format_fraction(value: Fraction) -> str:
     """Human-readable exact form: decimal when finite, a/b otherwise."""
     decimal = decimal_digits(value)
-    return decimal if decimal is not None else f"{value.numerator}/{value.denominator}"
+    return decimal if decimal is not None else ratio_text(value)

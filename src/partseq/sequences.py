@@ -1,5 +1,5 @@
 """The ordered world-partition type shared by all four formalisms, and
-the peel construction that builds and checks default and belief sequences.
+the peels that build every sequence and check default and belief ones.
 
 A sequence is a tuple of world classes <W_0, ..., W_l>; later classes are
 the more suitable candidates for the real situation. Empty classes are
@@ -203,10 +203,11 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 # Peel construction
 # ---------------------------------------------------------------------------
 #
-# Default and belief sequences are both built by peeling: split off the
-# worlds still remaining that falsify the conclusion of a licensed item,
-# then repeat. An item (label, prerequisite, conclusion) peels only while
-# its prerequisite holds throughout the remaining worlds. World sets here
+# Every sequence is built by peeling: split off the worlds still remaining
+# that falsify a conclusion, then repeat. One ordered peel (peel_in_order)
+# builds conditioning, thresholding and the possibility levels; an item
+# (label, prerequisite, conclusion) of a default or belief sequence peels
+# only while its prerequisite holds throughout the remaining worlds. World sets here
 # are truth-table masks (see logic.TruthTable), and so are an item's
 # prerequisite and conclusion. Both formalisms compile to the form
 # (conditions, guarded, rest): condition masks, items guarded by bits over
@@ -268,6 +269,16 @@ def close(worlds: int, items: Iterable[Item]) -> int:
             break
         pending = waiting
     return worlds
+
+
+def peel_in_order(remaining: int, conclusions: Iterable[int]) -> list[int]:
+    """``remaining`` peeled by each conclusion mask in turn: class i is the worlds
+    still remaining that falsify conclusion i, kept even when empty; the rest is last."""
+    classes = []
+    for conclusion in conclusions:
+        classes.append(remaining & ~conclusion)
+        remaining &= conclusion
+    return [*classes, remaining]
 
 
 def _ready(items: list[Item], remaining: int) -> list[tuple[str, int]]:
@@ -578,7 +589,7 @@ def _parse_weight(raw) -> Fraction:
     # bool is an int too, but true is no weight
     if isinstance(raw, (Fraction, str)) or type(raw) is int:
         try:
-            weight = raw if type(raw) is Fraction else parse_fraction(raw)
+            weight = parse_fraction(raw) if type(raw) is str else Fraction(raw)
         except ZeroDivisionError:  # "1/0"
             pass
         else:

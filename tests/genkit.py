@@ -585,6 +585,32 @@ def direct_cond_prob(space: SampleSpace, conds, psi) -> Fraction | None:
     return num / denom
 
 
+def per_world_conditioning(space: SampleSpace, conds) -> list[frozenset]:
+    """The conditioning classes of ``space`` read one world at a time:
+    class i holds the worlds that satisfy ``conds[:i]`` and falsify
+    ``conds[i]``; the last class holds the worlds that satisfy them all."""
+
+    def satisfies(w, k):
+        return all(evaluate(c, w) for c in conds[:k])
+
+    classes = [
+        frozenset(w for w in space.worlds if satisfies(w, i) and not evaluate(phi, w))
+        for i, phi in enumerate(conds)
+    ]
+    return classes + [frozenset(w for w in space.worlds if satisfies(w, len(conds)))]
+
+
+def per_world_step_ratio(space: SampleSpace, conds, i: int, strict: bool = False):
+    """Step i's peeled mass, the worlds that satisfy ``conds[:i]`` and
+    falsify ``conds[i]``, over the mass still in play (the worlds that
+    satisfy ``conds[:i]``), or over the whole space with ``strict``, summed
+    one world at a time; None when that mass is zero."""
+    in_play = [w for w in space.worlds if all(evaluate(c, w) for c in conds[:i])]
+    peeled = sum((w.weight for w in in_play if not evaluate(conds[i], w)), Fraction(0))
+    total = sum((w.weight for w in (space.worlds if strict else in_play)), Fraction(0))
+    return peeled / total if total else None
+
+
 def stepwise_threshold_accepts(space: SampleSpace, eps: Fraction, conds) -> int | None:
     """First failing step of the stepwise acceptance test, or None.
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import partseq
 from partseq import (
     BelowThresholdError,
+    Const,
     PartitionSequence,
     Vocabulary,
     World,
@@ -27,6 +28,8 @@ from partseq import (
     extensions,
     format_formula,
     lottery_space,
+    necessity,
+    parse_kb,
     sequence_from_json,
     sequence_to_json,
     stable_expansions,
@@ -36,7 +39,9 @@ from partseq.cli import _build_parser, main
 from partseq.kbformats import _FORMATS, KbDocument, serialize_kb
 from partseq.logic import MAX_FORMULA_DEPTH
 from partseq.possibility import InconsistencyReport
-from partseq.sequences import render_json
+from partseq.possibility import possibility as possibility_of
+from partseq.rationals import format_fraction, parse_fraction
+from partseq.sequences import render_json, sequence_from_obj
 from test_kbformats import ACCEPTED_LINES, LINE_TOKENS
 from genkit import (
     explain_lines,
@@ -711,6 +716,78 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestNumberSizes:
+    """Literals past the exponent bound are refused at once, and answers
+    with numbers of any size are written and read back; each command runs
+    in its own process, with no traceback on stderr, within 10 s."""
+
+    BIG = 10**4000
+
+    @staticmethod
+    def cli(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(partseq.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "partseq.cli", *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert "Traceback" not in proc.stderr
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.mark.parametrize(
+        "name, text, command, where",
+        [
+            ("big.poss", "vocab: p\nposs 1e-10000000 : p\n", ["poss", "build"], "line 2, column 6"),
+            ("big.prob", "vocab: p\nworld p : 1e-10000000\nworld ~p : 1\n",
+             ["prob", "condition"], "line 2, column 10"),
+            ("big.json",
+             '{"kind": "conditional", "vocab": ["p"], "provenance": [""],'
+             ' "classes": [[{"assign": {"p": 1}, "weight": 1e-10000000}]]}',
+             ["explain"], "line 1, column 1"),
+        ],
+        ids=["poss value", "prob weight", "sequence weight"],
+    )
+    def test_exponent_beyond_the_bound_is_a_parse_error(self, tmp_path, name, text, command, where):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = self.cli(*command, path, *(["--on", "p"] if name.endswith("prob") else []))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: {where}: ")
+
+    def test_eps_beyond_the_bound_is_a_usage_error(self, kbdir):
+        code, out, err = self.cli("prob", "threshold", kbdir / "weather.prob", "--eps", "1e-10000000")
+        assert (code, out) == (3, "")
+        assert err == "error: not a rational literal: '1e-10000000'\n"
+
+    @pytest.mark.parametrize(
+        "levels",
+        [[("1e-5000", "p")], [(f"1/{BIG + 3}", "p"), (f"1/{BIG + 1}", "q")]],
+        ids=["decimal", "two long ratios"],
+    )
+    def test_long_numbers_are_written_and_read_back(self, tmp_path, levels):
+        kb = tmp_path / "long.poss"
+        kb.write_text("vocab: p q\n" + "".join(f"poss {v} : {phi}\n" for v, phi in levels))
+        built = build_poss_sequence(parse_kb(kb.read_text(), "poss").body)
+        code, out, _ = self.cli("poss", "build", kb)
+        assert code == 0 and out == "".join(f"{line}\n" for line in sequence_lines(built))
+        code, out, _ = self.cli("--json", "poss", "build", kb)
+        assert code == 0
+        seq = json.loads(out, parse_float=parse_fraction)["sequences"][0]
+        back = sequence_from_obj(seq)
+        assert back == built
+        assert [w.weight for w in sorted(back.all_worlds, key=World.bits)] == [
+            w.weight for w in sorted(built.all_worlds, key=World.bits)
+        ]
+        (tmp_path / "seq.json").write_text(render_json(seq))
+        assert self.cli("poss", "check", kb, tmp_path / "seq.json")[:2] == (0, "ok\n")
+        code, out, _ = self.cli("poss", "query", kb, "--query", "p")
+        assert code == 0
+        p = Const("p")
+        assert out == (
+            f"possibility: {format_fraction(possibility_of(built, p))}\n"
+            f"necessity: {format_fraction(necessity(built, p))}\n"
+        )
 
 
 class TestSharedParser:

@@ -10,10 +10,17 @@ from hypothesis import strategies as st
 from partseq import (
     FALSE,
     TRUE,
+    And,
     Const,
+    Iff,
+    Implies,
     ModalFormula,
     Not,
+    Or,
     ParseError,
+    PartitionSequence,
+    build_poss_sequence,
+    format_formula,
     parse_formula,
     parse_kb,
     serialize_kb,
@@ -22,6 +29,7 @@ from partseq import Vocabulary, kbformats
 from partseq.kbformats import KB_KINDS
 from partseq.logic import parse_tokens
 from partseq.rationals import format_fraction
+from partseq.sequences import render_json
 
 from genkit import per_literal_world_line
 
@@ -587,6 +595,48 @@ def prob_files(draw):
     return "\n".join(written) + "\n", "\n".join(canonical) + "\n"
 
 
+def formula_texts(names, depth: int):
+    """The text of a formula over ``names`` of depth at most ``depth``."""
+    leaf = st.sampled_from([*map(Const, names), TRUE, FALSE])
+
+    def deeper(sub):
+        binary = st.tuples(st.sampled_from([And, Or, Implies, Iff]), sub, sub)
+        return st.builds(Not, sub) | binary.map(lambda t: t[0](t[1], t[2]))
+
+    formulas = leaf
+    for _ in range(depth):
+        formulas = leaf | deeper(formulas)
+    return formulas.map(format_formula)
+
+
+@st.composite
+def base_files(draw, kind: str):
+    """A valid ``.dl``, ``.ael`` or ``.poss`` file of 1 to 30 lines over 1
+    to 8 constants, formulas of depth up to 3, and ``.poss`` values as
+    ratios in [0, 1]."""
+    names = [f"c{i}" for i in range(draw(st.integers(1, 8)))]
+    f = formula_texts(names, 3)
+    if kind == "default":
+        fact = f.map("fact: {}".format)
+        justs = st.lists(f, min_size=1, max_size=3).map(lambda bs: ", ".join(f"M {b}" for b in bs))
+        rule = st.tuples(f, justs, f).map(lambda t: "{} : {} / {}".format(*t))
+        lines = draw(st.lists(fact | rule, min_size=1, max_size=30))
+        lines = [ln if ln.startswith("fact") else f"rule r{i}: {ln}" for i, ln in enumerate(lines)]
+    elif kind == "ael":
+        # at most one positive condition; a bare one, with no conclusion
+        believed = st.lists(f.map("L ({})".format), max_size=1)
+        doubted = st.lists(f.map("~L ({})".format), max_size=2)
+        conditions = st.tuples(believed, doubted).map(lambda t: t[0] + t[1]).filter(bool)
+        modal = st.tuples(conditions, st.none() | f).filter(lambda t: t[1] or len(t[0]) == 1)
+        premise = modal.map(lambda t: " & ".join(t[0]) + (f" -> {t[1]}" if t[1] else ""))
+        lines = draw(st.lists(f | premise, min_size=1, max_size=30))
+    else:
+        value = st.integers(1, 40).flatmap(lambda den: st.integers(0, den).map(lambda n: f"{n}/{den}"))
+        line = st.tuples(value, f).map(lambda t: "poss {} : {}".format(*t))
+        lines = draw(st.lists(line, min_size=1, max_size=30))
+    return "vocab: " + " ".join(names) + "\n" + "\n".join(lines) + "\n"
+
+
 class TestRoundTrip:
     @settings(max_examples=500, deadline=None)
     @given(
@@ -625,6 +675,23 @@ class TestRoundTrip:
         again = parse_kb(canonical, "prob")
         assert again.body == doc.body
         assert [w.weight for w in again.body.worlds] == [w.weight for w in doc.body.worlds]
+
+    @pytest.mark.parametrize("kind", ["default", "ael", "poss"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bases_round_trip_at_larger_sizes(self, kind, data):
+        """Up to 30 lines over up to 8 constants read back to the same
+        base; a possibility base also builds the same sequence bytes."""
+        doc = parse_kb(data.draw(base_files(kind)), kind)
+        again = parse_kb(serialize_kb(doc), kind)
+        assert again == doc
+        if kind == "poss":
+            built, rebuilt = build_poss_sequence(doc.body), build_poss_sequence(again.body)
+            assert type(built) is type(rebuilt)
+            if isinstance(built, PartitionSequence):
+                assert render_json(rebuilt) == render_json(built)
+            else:
+                assert rebuilt == built
 
     @pytest.mark.parametrize(
         "kind, text", [("default", "fact: true"), ("ael", ""), ("poss", "poss 1 : true")]

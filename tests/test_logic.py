@@ -35,6 +35,14 @@ from partseq import (
     parse_formula,
 )
 from partseq.logic import TruthTable
+from partseq.rationals import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_LITERAL_LENGTH,
+    decimal_digits,
+    format_fraction,
+    parse_fraction,
+    ratio_text,
+)
 from partseq.sequences import table_rows
 from genkit import random_formula, truth_table_entails
 
@@ -520,3 +528,60 @@ class TestPublicValues:
             as_fraction("x")
         with pytest.raises(TypeError, match="cannot interpret NoneType as a rational"):
             as_fraction(None)
+
+
+class TestRationalSizes:
+    """Literals are bounded before they are read; rationals of any size
+    are written, and what is written reads back."""
+
+    @pytest.mark.parametrize(
+        "text", ["1e-10001", "1e10001", "1E-10000000", "2.5e+0000099999999999", "1e-1_0001"]
+    )
+    def test_exponent_beyond_the_bound_is_refused_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="decimal exponent beyond 10000"):
+            parse_fraction(text)
+        with pytest.raises(ValueError, match="not a rational literal"):
+            as_fraction(text)
+        assert time.perf_counter() - start < 1
+
+    def test_exponent_at_the_bound_is_read(self):
+        assert MAX_DECIMAL_EXPONENT == 10_000
+        assert parse_fraction("1e-10000") == Fraction(1, 10**10000)
+        assert parse_fraction("-3e+0010000") == -3 * 10**10000
+
+    def test_literal_beyond_the_length_bound_is_refused(self):
+        with pytest.raises(ValueError, match="longer than 100000"):
+            parse_fraction("1" * (MAX_LITERAL_LENGTH + 1))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(1, 10**5000),
+            Fraction(-(10**4000 + 1), 10**4300),
+            Fraction(1, 10**4000 + 1) - Fraction(1, 10**4000 + 3),
+            Fraction(-(7**9000)),
+        ],
+        ids=["decimal", "negative decimal", "gap of two primes", "integer"],
+    )
+    def test_any_size_is_written_and_read_back(self, value):
+        assert parse_fraction(format_fraction(value)) == value
+        assert parse_fraction(ratio_text(value)) == value
+        assert as_fraction(f"  {ratio_text(value)} ") == value
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.integers(0, 80),
+        st.integers(0, 80),
+        st.sampled_from([1, 3, 7, 21]),
+    )
+    def test_written_forms_agree_with_the_interpreter(self, num, twos, fives, odd):
+        value = Fraction(num, 2**twos * 5**fives * odd)
+        assert ratio_text(value) == str(value)
+        decimal = decimal_digits(value)
+        assert (decimal is None) == (value.denominator % 3 == 0 or value.denominator % 7 == 0)
+        if decimal is not None:
+            assert Fraction(decimal) == value
+            assert "." not in decimal or decimal[-1] != "0"
+            assert decimal == format_fraction(value)

@@ -34,6 +34,8 @@ from partseq import (
 from partseq.kbformats import KbDocument, serialize_kb
 from genkit import (
     direct_cond_prob,
+    per_world_conditioning,
+    per_world_step_ratio,
     random_formula,
     random_space,
     stepwise_threshold_accepts,
@@ -226,6 +228,42 @@ class TestThreshold:
                 assert info.value.step == failing
 
 
+def _random_lottery(rng: random.Random) -> SampleSpace:
+    return lottery_space(rng.choice([1, 2, 3, 5, 12, 40]))
+
+
+class TestPerWorldOracles:
+    """The ordered peel against the per-world readings of conditioning and
+    of each thresholding step, on random spaces and on lotteries."""
+
+    @pytest.mark.parametrize("draw", [random_space, _random_lottery], ids=["random", "lottery"])
+    def test_classes_and_rejected_steps_match(self, draw):
+        rng = random.Random(0x5EED)
+        for _ in range(150):
+            space = draw(rng)
+            names = space.vocab.names
+            conds = [
+                random_formula(rng, names, rng.randint(0, 3))
+                for _ in range(rng.randint(1, 4))
+            ]
+            assert list(condition(space, conds).classes) == per_world_conditioning(space, conds)
+            eps = Fraction(rng.randint(0, 8), rng.choice([8, 16, 40]))
+            for strict in (False, True):
+                failing = None
+                for i in range(len(conds)):
+                    ratio = per_world_step_ratio(space, conds, i, strict)
+                    if ratio is None or ratio > eps:
+                        failing = (i + 1, ratio)
+                        break
+                if failing is None:
+                    seq = threshold(space, eps, conds, strict=strict)
+                    assert list(seq.classes) == per_world_conditioning(space, conds)
+                else:
+                    with pytest.raises(BelowThresholdError) as info:
+                        threshold(space, eps, conds, strict=strict)
+                    assert (info.value.step, info.value.ratio) == failing
+
+
 class TestThresholdProb:
     def test_lottery_values(self):
         space = lottery_space(100)
@@ -348,6 +386,9 @@ class TestQueryBundle:
         )
         assert rejects(seq, Const("p3"), Fraction(1, 98))
         assert not rejects(seq, Not(Const("p3")), Fraction(1, 98))
+        # the same epsilon contract as threshold's
+        with pytest.raises(ValueError, match="epsilon must be non-negative"):
+            rejects(seq, Const("p3"), -1)
 
 
 class TestLottery:
