@@ -115,8 +115,10 @@ def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
     Every extension is generated by the facts plus the conclusions of the
     rules that fire in it, so sweeping the intersections of the fact
     models with rule conclusions and keeping each candidate equal to its
-    operator value finds exactly the fixed points. The caps are checked in
-    order before the sweep allocates: rules, constants, then both at once.
+    operator value finds exactly the fixed points. A candidate's operator
+    value depends only on which justification conditions it believes, so
+    each belief vector is closed once. The caps are checked in order
+    before the sweep allocates: rules, constants, then both at once.
     """
     k, n = len(theory.rules), len(theory.vocab)
     if k > DEFAULT_RULE_CAP:
@@ -134,7 +136,14 @@ def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
     candidates = {facts}
     for _, _, (_, _, gamma) in guarded:
         candidates |= {c & gamma for c in candidates}
-    found = [c for c in candidates if close(facts, licensed(guarded, beliefs(conditions, c))) == c]
+    closures: dict[int, int] = {}  # by the beliefs, all a candidate's closure depends on
+    found = []
+    for c in candidates:
+        believed = beliefs(conditions, c)
+        if believed not in closures:
+            closures[believed] = close(facts, licensed(guarded, believed))
+        if closures[believed] == c:
+            found.append(c)
     found.sort(key=table.sort_key)
     return table, found
 

@@ -31,7 +31,7 @@ from .logic import (
 )
 from .possibility import PossibilisticKB
 from .probability import SampleSpace
-from .rationals import format_fraction, parse_fraction
+from .rationals import LiteralBoundError, format_fraction, parse_fraction
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NAME_CHAR = re.compile(r"[A-Za-z0-9_]")
@@ -150,6 +150,21 @@ def _split_required(line: str, sep: str, start: int, lineno: int, what: str) -> 
     if pos < 0:
         raise ParseError(f"expected {what!r} in {line.strip()!r}", lineno, len(line) + 1)
     return pos
+
+
+# a literal is quoted in a message up to this many characters
+_QUOTED = 40
+
+
+def _clipped(text: str) -> str:
+    return text if len(text) <= _QUOTED else text[:_QUOTED] + "..."
+
+
+def _bad_literal(what: str, text: str, exc: Exception, lineno: int, column: int) -> ParseError:
+    """The error of a ``what`` literal ``text`` that the reader refused
+    with ``exc``, naming the bound that refused it, if one did."""
+    reason = f": {exc}" if isinstance(exc, LiteralBoundError) else ""
+    return ParseError(f"bad {what} {_clipped(text)!r}{reason}", lineno, column)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +345,10 @@ def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) ->
     weight_text = line[colon + 1 :].strip()
     try:
         weight = parse_fraction(weight_text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad weight {weight_text!r}", lineno, colon + 2) from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _bad_literal("weight", weight_text, exc, lineno, colon + 2) from None
     if weight < 0:
-        raise ParseError(f"negative weight {weight_text}", lineno, colon + 2)
+        raise ParseError(f"negative weight {_clipped(weight_text)}", lineno, colon + 2)
     # a negated literal is no name, so the names among the literals are the true ones
     return World._trusted(vocab, name_set.intersection(words), weight)
 
@@ -400,10 +415,11 @@ def _poss_shape(line: str, lineno: int, indent: int, keyword: str, header):
     value_text = line[indent + 4 : colon].strip()
     try:
         value = parse_fraction(value_text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad possibility value {value_text!r}", lineno, indent + 6) from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _bad_literal("possibility value", value_text, exc, lineno, indent + 6) from None
     if not 0 <= value <= 1:
-        raise ParseError(f"possibility value {value_text} outside [0, 1]", lineno, indent + 6)
+        message = f"possibility value {_clipped(value_text)} outside [0, 1]"
+        raise ParseError(message, lineno, indent + 6)
     return value, [_tokens(line, lineno, colon + 1)]
 
 

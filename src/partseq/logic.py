@@ -346,9 +346,11 @@ class TruthTable:
     no mask weighing 0; None stands for every weight 1.
 
     Meant to live for one call, for which it memoises the masks it
-    compiles and the worlds it builds. A knowledge base keeps masks only
-    (``DefaultTheory.compiled``), never a table, so a call's worlds go
-    when it returns.
+    compiles and the worlds it builds, and on a dense table with no
+    shares the weight-1 worlds handed to :meth:`mask_of`, so an operator
+    whose value is its argument builds no world. A knowledge base keeps
+    masks only (``DefaultTheory.compiled``), never a table, so a call's
+    worlds go when it returns.
     """
 
     def __init__(self, vocab: Vocabulary, worlds: Iterable[World] | None = None):
@@ -456,7 +458,19 @@ class TruthTable:
         return i
 
     def mask_of(self, worlds: Iterable[World]) -> int:
-        return _from_bits(map(self.index, worlds), self.size)
+        """The mask of ``worlds``, refusing one the table does not list.
+        On a dense table with no shares, each world of weight 1 joins the
+        memo, so :meth:`worlds` hands back the caller's own objects."""
+        keep = self._worlds.setdefault if self.dense and self.shares is None else None
+        found = []
+        for w in worlds:
+            i = self.index(w)
+            if i is None:
+                raise SemanticError(f"world {w!r} is not a world of {self.vocab!r}")
+            if keep is not None and w.weight == 1:
+                keep(i, w)
+            found.append(i)
+        return _from_bits(found, self.size)
 
     def weights_at(self, mask: int, found: list[int]) -> list[Fraction] | None:
         """The weight of each world of ``found``, some set bits of

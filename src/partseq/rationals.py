@@ -23,6 +23,12 @@ Rational = Fraction | int | str | float
 MAX_DECIMAL_EXPONENT = 10_000
 MAX_LITERAL_LENGTH = 100_000
 
+
+class LiteralBoundError(ValueError):
+    """A rational literal refused by one of the bounds above before it
+    was read; the message names the bound."""
+
+
 # Long integers are written in chunks of this many digits, fewer than the
 # least limit the interpreter may put on int-to-str conversion (640).
 _CHUNK_DIGITS = 600
@@ -60,10 +66,10 @@ def parse_fraction(text: str) -> Fraction:
     :data:`MAX_LITERAL_LENGTH`, or with a decimal exponent beyond
     :data:`MAX_DECIMAL_EXPONENT`, is refused before it is read."""
     if len(text) > MAX_LITERAL_LENGTH:
-        raise ValueError(f"literal longer than {MAX_LITERAL_LENGTH} characters")
+        raise LiteralBoundError(f"literal longer than {MAX_LITERAL_LENGTH} characters")
     exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
     if exponent.isdecimal() and (len(exponent) > 9 or int(exponent) > MAX_DECIMAL_EXPONENT):
-        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {text!r}")
+        raise LiteralBoundError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(text)
     except ValueError:

@@ -690,8 +690,18 @@ def sequence_from_obj(obj: dict) -> PartitionSequence:
 def sequence_from_json(text: str) -> PartitionSequence:
     """The sequence of a JSON document; too deep a one is refused alike on any interpreter."""
     # parse_float makes one exact Fraction per distinct decimal text; NaN is no JSON
+    hooks = {"parse_float": parse_fraction, "parse_constant": _refuse_constant}
     try:
-        obj = json.loads(text, parse_float=parse_fraction, parse_constant=_refuse_constant)
+        try:
+            obj = json.loads(text, **hooks)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # int() refuses an integer past the interpreter's digit limit: read
+            # again with each integer through the bounded reader, a call per
+            # integer that other documents are spared; a refused float or
+            # constant is refused again
+            obj = json.loads(text, parse_int=_parse_int, **hooks)
     except RecursionError:
         raise ValueError("nested too deeply") from None
     try:
@@ -703,6 +713,10 @@ def sequence_from_json(text: str) -> PartitionSequence:
         if any(type(v) in (dict, list) for v in level):
             raise ValueError("nested too deeply") from None
         raise
+
+
+def _parse_int(text: str) -> int:
+    return parse_fraction(text).numerator
 
 
 def _refuse_constant(name: str):

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partseq import (
     AelPremises,
@@ -13,6 +15,7 @@ from partseq import (
     Not,
     PartitionSequence,
     ResourceLimitError,
+    SemanticError,
     Vocabulary,
     World,
     build_ael_sequences,
@@ -103,6 +106,34 @@ class TestOmegaOperator:
                 assert got == belief_operator(premises, kernel.worlds, ts), (premises, kernel)
                 assert got == omega_operator(fresh, kernel).worlds
             assert premises.compiled is compiled and fresh.compiled == compiled
+
+
+class TestOperatorReuse:
+    """At a fixed point the operator hands back the caller's own worlds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_expansion_is_its_own_value(self, seed):
+        premises = random_premises(random.Random(seed))
+        kernels = stable_expansions(premises)
+        worlds = enumerate_worlds(premises.vocab)
+        assert {k.worlds for k in kernels} == brute_force_ael_last_classes(premises, worlds)
+        for k in kernels:
+            value = omega_operator(premises, k).worlds
+            assert value == k.worlds
+            assert set(map(id, value)) == set(map(id, k.worlds))
+
+    def test_weighted_kernel_gives_weight_one_worlds(self, introspective_premises, pq):
+        fixed = models(P, enumerate_worlds(pq))
+        kernel = Kernel(frozenset(w.reweighted(5) for w in fixed), pq)
+        value = omega_operator(introspective_premises, kernel).worlds
+        assert value == fixed and {w.weight for w in value} == {1}
+        assert not set(map(id, value)) & set(map(id, kernel.worlds))
+
+    def test_foreign_world_is_refused(self, introspective_premises, pq):
+        foreign = World(Vocabulary(["p", "r"]), ["p"])
+        with pytest.raises(SemanticError, match=r"world \{p, ~r\} is not a world of"):
+            omega_operator(introspective_premises, Kernel(frozenset({foreign}), pq))
 
 
 class TestStableExpansions:

@@ -755,6 +755,39 @@ class TestNumberSizes:
         assert (code, out) == (2, "")
         assert err.startswith(f"parse error: {where}: ")
 
+    def test_long_integer_weight_is_read(self, tmp_path):
+        # past the interpreter's 4300-digit limit on int(), within the literal bound
+        big = "1" + "0" * 4999
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"kind": "conditional", "vocab": ["p"], "provenance": ["", ""], "classes": '
+            f'[[{{"assign": {{"p": 1}}, "weight": {big}}}], [{{"assign": {{"p": 0}}}}]]}}'
+        )
+        code, out, err = self.cli("explain", path)
+        assert (code, err) == (0, "") and f"<{{p}}, {big}>" in out
+        path.write_text(path.read_text().replace(big, "1" * 100001))
+        code, out, err = self.cli("explain", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            "parse error: line 1, column 1: bad sequence document: "
+            "literal longer than 100000 characters\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["prob", "poss"])
+    def test_literal_past_the_bound_is_named_in_one_short_line(self, tmp_path, kind):
+        long = "0." + "1" * 100001
+        path = tmp_path / f"long.{kind}"
+        if kind == "prob":
+            path.write_text(f"vocab: p\nworld p : {long}\nworld ~p : 1\n")
+            code, out, err = self.cli("prob", "condition", path, "--on", "p")
+            head = "parse error: line 2, column 10: bad weight"
+        else:
+            path.write_text(f"vocab: p\nposs {long} : p\n")
+            code, out, err = self.cli("poss", "build", path)
+            head = "parse error: line 2, column 6: bad possibility value"
+        assert (code, out) == (2, "")
+        assert err == f"{head} '{long[:40]}...': literal longer than 100000 characters\n"
+
     def test_eps_beyond_the_bound_is_a_usage_error(self, kbdir):
         code, out, err = self.cli("prob", "threshold", kbdir / "weather.prob", "--eps", "1e-10000000")
         assert (code, out) == (3, "")

@@ -4,6 +4,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partseq import (
     FALSE,
@@ -14,6 +16,7 @@ from partseq import (
     Not,
     PartitionSequence,
     ResourceLimitError,
+    SemanticError,
     Vocabulary,
     World,
     build_default_sequences,
@@ -117,6 +120,65 @@ class TestGammaOperator:
                 assert got == default_operator(theory, candidate, ts), (theory, candidate)
                 assert got == gamma_operator(fresh, candidate)
             assert theory.compiled is compiled and fresh.compiled == compiled
+
+
+class TestOperatorReuse:
+    """At a fixed point the operator hands back the caller's own worlds,
+    and the sweep closes each belief vector once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_extension_is_its_own_value(self, seed):
+        theory = random_default_theory(random.Random(seed))
+        kernels = extensions(theory)
+        worlds = enumerate_worlds(theory.vocab)
+        assert {k.worlds for k in kernels} == brute_force_default_last_classes(theory, worlds)
+        for k in kernels:
+            value = gamma_operator(theory, k.worlds)
+            assert value == k.worlds
+            assert set(map(id, value)) == set(map(id, k.worlds))
+
+    def test_weighted_candidate_gives_weight_one_worlds(self, rival_theory, pq):
+        worlds = enumerate_worlds(pq)
+        fixed = models(P & Q, worlds)
+        for weight in (0, 3, "1/2"):
+            candidate = frozenset(w.reweighted(weight) for w in fixed)
+            value = gamma_operator(rival_theory, candidate)
+            assert value == fixed and {w.weight for w in value} == {1}
+            assert not set(map(id, value)) & set(map(id, candidate))
+        # of two worlds, the one of weight 1 is handed back and the other built
+        light, heavy = sorted(models(Not(P), worlds), key=World.bits)
+        mixed = frozenset({light, heavy.reweighted(2)})
+        value = gamma_operator(rival_theory, mixed)
+        assert value == mixed and {w.weight for w in value} == {1}
+        assert set(map(id, value)) & set(map(id, mixed)) == {id(light)}
+
+    def test_more_candidates_than_belief_vectors(self, monkeypatch):
+        # a five-rule chain beside a rule that defeats itself: 2^6 candidate
+        # masks, each refuting no justification or only the one of s
+        theory = parse_kb(
+            "vocab: a b c d e s\n"
+            + "".join(f"rule r{c}: true : M {c} / {c}\n" for c in "abcde")
+            + "rule s: true : M s / ~s\n",
+            "default",
+        ).body
+        closes = []
+        real_close = defaults.close
+        monkeypatch.setattr(
+            defaults, "close", lambda *args: closes.append(args) or real_close(*args)
+        )
+        worlds = enumerate_worlds(theory.vocab)
+        assert extensions(theory) == [] == list(brute_force_default_last_classes(theory, worlds))
+        assert len(closes) == 2
+        # with the self-defeating rule blocked by a fact, the chain's one extension
+        blocked = dataclasses.replace(theory, facts=(Not(Const("s")),))
+        got = {k.worlds for k in extensions(blocked)}
+        assert got == brute_force_default_last_classes(blocked, worlds) and len(got) == 1
+
+    def test_foreign_world_is_refused(self, rival_theory):
+        foreign = World(Vocabulary(["p", "r"]), ["p"])
+        with pytest.raises(SemanticError, match=r"world \{p, ~r\} is not a world of"):
+            gamma_operator(rival_theory, frozenset({foreign}))
 
 
 class TestExtensions:

@@ -402,6 +402,39 @@ class TestWorldLines:
             assert (w, w.true_names, w.weight) == (expected, expected.true_names, expected.weight)
 
 
+class TestBoundedLiterals:
+    """A literal refused by a bound is named with the bound, quoted only
+    up to a short prefix, at the column of a literal refused otherwise."""
+
+    LONG = "0." + "1" * 100001
+
+    @pytest.mark.parametrize(
+        "text, kind, where, message",
+        [
+            (f"vocab: p\nworld p : {LONG}\nworld ~p : 1\n", "prob", (2, 10),
+             f"bad weight '{LONG[:40]}...': literal longer than 100000 characters"),
+            (f"vocab: p\nposs {LONG} : p\n", "poss", (2, 6),
+             f"bad possibility value '{LONG[:40]}...': literal longer than 100000 characters"),
+            ("vocab: p\nworld p : 1e-10000000\nworld ~p : 1\n", "prob", (2, 10),
+             "bad weight '1e-10000000': decimal exponent beyond 10000"),
+            ("vocab: p\nposs 1e-10000000 : p\n", "poss", (2, 6),
+             "bad possibility value '1e-10000000': decimal exponent beyond 10000"),
+            ("vocab: p\nworld p : 1/0\nworld ~p : 1\n", "prob", (2, 10), "bad weight '1/0'"),
+            ("vocab: p\nposs x : p\n", "poss", (2, 6), "bad possibility value 'x'"),
+            (f"vocab: p\nworld p : -{LONG[:1000]}\nworld ~p : 1\n", "prob", (2, 10),
+             f"negative weight -{LONG[:39]}..."),
+            (f"vocab: p\nposs 1{LONG[1:1000]} : p\n", "poss", (2, 6),
+             f"possibility value 1{LONG[1:40]}... outside [0, 1]"),
+        ],
+        ids=["prob length", "poss length", "prob exponent", "poss exponent", "prob zero",
+             "poss word", "prob negative", "poss above one"],
+    )
+    def test_message_names_the_bound(self, text, kind, where, message):
+        with pytest.raises(ParseError) as got:
+            parse_kb(text, kind)
+        assert (got.value.line, got.value.column, got.value.message) == (*where, message)
+
+
 class TestPossFormat:
     def test_levels_sorted_on_load(self, nested_kb):
         doc = parse_kb(NESTED_POSS, "poss")

@@ -243,6 +243,21 @@ class TestTruthTable:
                 assert table.mask_of(table.worlds(m)) == m
                 assert table.mass(m) == sum(w.weight for w in subset)
 
+    def test_mask_of_keeps_weight_one_worlds_of_a_plain_dense_table(self, pq):
+        worlds = enumerate_worlds(pq)  # built by another table
+        plain = TruthTable(pq)
+        assert all(a is b for a, b in zip(plain.world_list(plain.mask_of(worlds)), worlds))
+        heavy = [w.reweighted(2) for w in worlds]
+        plain = TruthTable(pq)
+        got = plain.world_list(plain.mask_of(heavy))
+        assert got == heavy and {w.weight for w in got} == {1}
+        shared = TruthTable(pq).reweighted([(0b0011, "1/4"), (0b1100, "1/4")])
+        got = shared.world_list(shared.mask_of(worlds))
+        assert got == worlds and {w.weight for w in got} == {Fraction(1, 4)}
+        listed = TruthTable(pq, worlds=heavy)
+        with pytest.raises(SemanticError, match=r"world \{~p, ~r\} is not a world of"):
+            listed.mask_of([World(Vocabulary(["p", "r"]), [])])
+
     def test_cap_checked_before_allocating(self):
         vocab = Vocabulary([f"x{i}" for i in range(21)])
         with pytest.raises(ResourceLimitError) as info:

@@ -934,6 +934,26 @@ class TestBulkReader:
         assert seq.table.dense
         assert seq.table.shares == ((0b11, Fraction(3, 10)),)
 
+    @staticmethod
+    def weighed(weight: str) -> str:
+        return (
+            '{"kind": "conditional", "vocab": ["p"], "classes": '
+            f'[[{{"assign": {{"p": 1}}, "weight": {weight}}}], [{{"assign": {{"p": 0}}}}]]}}'
+        )
+
+    @pytest.mark.parametrize("digits", [1, 5000, 100000])
+    def test_integers_of_any_length_within_the_bound_are_read(self, digits):
+        # the interpreter's int() refuses more than 4300 digits by default
+        seq = sequence_from_json(self.weighed("1" + "0" * (digits - 1)))
+        weights = [sorted(w.weight for w in cls) for cls in seq.classes]
+        assert weights == [[10 ** (digits - 1)], [1]]
+
+    def test_integer_past_the_bound_and_true_are_refused(self):
+        with pytest.raises(ValueError, match="^literal longer than 100000 characters$"):
+            sequence_from_json(self.weighed("1" * 100001))
+        with pytest.raises(ValueError, match="^bad weight value: True$"):
+            sequence_from_json(self.weighed("true"))
+
     @pytest.mark.parametrize("depth", [2, 10, 3000])
     def test_too_deep_is_refused_alike_on_any_interpreter(self, depth):
         """Whether the JSON parser reads a document of a given depth
