@@ -31,7 +31,7 @@ from .logic import (
 )
 from .possibility import PossibilisticKB
 from .probability import SampleSpace
-from .rationals import LiteralBoundError, format_fraction, parse_fraction
+from .rationals import LiteralBoundError, clipped, format_fraction, parse_fraction
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NAME_CHAR = re.compile(r"[A-Za-z0-9_]")
@@ -152,19 +152,11 @@ def _split_required(line: str, sep: str, start: int, lineno: int, what: str) -> 
     return pos
 
 
-# a literal is quoted in a message up to this many characters
-_QUOTED = 40
-
-
-def _clipped(text: str) -> str:
-    return text if len(text) <= _QUOTED else text[:_QUOTED] + "..."
-
-
 def _bad_literal(what: str, text: str, exc: Exception, lineno: int, column: int) -> ParseError:
     """The error of a ``what`` literal ``text`` that the reader refused
     with ``exc``, naming the bound that refused it, if one did."""
     reason = f": {exc}" if isinstance(exc, LiteralBoundError) else ""
-    return ParseError(f"bad {what} {_clipped(text)!r}{reason}", lineno, column)
+    return ParseError(f"bad {what} {clipped(text)!r}{reason}", lineno, column)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +340,7 @@ def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) ->
     except (ValueError, ZeroDivisionError) as exc:
         raise _bad_literal("weight", weight_text, exc, lineno, colon + 2) from None
     if weight < 0:
-        raise ParseError(f"negative weight {_clipped(weight_text)}", lineno, colon + 2)
+        raise ParseError(f"negative weight {clipped(weight_text)}", lineno, colon + 2)
     # a negated literal is no name, so the names among the literals are the true ones
     return World._trusted(vocab, name_set.intersection(words), weight)
 
@@ -418,7 +410,7 @@ def _poss_shape(line: str, lineno: int, indent: int, keyword: str, header):
     except (ValueError, ZeroDivisionError) as exc:
         raise _bad_literal("possibility value", value_text, exc, lineno, indent + 6) from None
     if not 0 <= value <= 1:
-        message = f"possibility value {_clipped(value_text)} outside [0, 1]"
+        message = f"possibility value {clipped(value_text)} outside [0, 1]"
         raise ParseError(message, lineno, indent + 6)
     return value, [_tokens(line, lineno, colon + 1)]
 

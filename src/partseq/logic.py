@@ -331,6 +331,20 @@ def _from_bits(found: Iterable[int], size: int) -> int:
     return int.from_bytes(bits, "little")
 
 
+class WorldSet(frozenset):
+    """A ``frozenset`` of the worlds of ``mask`` in a dense table over
+    ``vocab``, which :meth:`TruthTable.mask_of` reads back by its mask.
+    Set operations, copies and pickles give a plain ``frozenset``."""
+
+    __slots__ = ("vocab", "mask")
+
+    def __reduce__(self):
+        return frozenset, (tuple(self),)
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
+
 class TruthTable:
     """Formulas compiled to their model masks over one list of worlds.
 
@@ -346,9 +360,11 @@ class TruthTable:
     no mask weighing 0; None stands for every weight 1.
 
     Meant to live for one call, for which it memoises the masks it
-    compiles and the worlds it builds, and on a dense table with no
-    shares the weight-1 worlds handed to :meth:`mask_of`, so an operator
-    whose value is its argument builds no world. A knowledge base keeps
+    compiles, the worlds it builds and, on a dense table with no shares
+    (every weight 1), each world set as a :class:`WorldSet`, which keeps
+    its mask; there :meth:`mask_of` keeps the sets and weight-1 worlds
+    handed to it, so an operator whose value is its argument hands back
+    the caller's own set and builds no world. A knowledge base keeps
     masks only (``DefaultTheory.compiled``), never a table, so a call's
     worlds go when it returns.
     """
@@ -371,6 +387,7 @@ class TruthTable:
             self._read_worlds()
         self.full = (1 << self.size) - 1
         self._masks: dict[Formula, int] = {}
+        self._sets: dict[int, WorldSet] = {}
 
     @classmethod
     def listed(cls, vocab: Vocabulary, size: int, atom, true_names, shares) -> TruthTable:
@@ -459,9 +476,15 @@ class TruthTable:
 
     def mask_of(self, worlds: Iterable[World]) -> int:
         """The mask of ``worlds``, refusing one the table does not list.
-        On a dense table with no shares, each world of weight 1 joins the
-        memo, so :meth:`worlds` hands back the caller's own objects."""
-        keep = self._worlds.setdefault if self.dense and self.shares is None else None
+        A dense table reads a :class:`WorldSet` of its vocabulary by its
+        mask. With no shares, it keeps that set, or else each world of
+        weight 1, so :meth:`worlds` hands back the caller's own objects."""
+        plain = self.dense and self.shares is None
+        if self.dense and isinstance(worlds, WorldSet) and worlds.vocab == self.vocab:
+            if plain:
+                self._sets.setdefault(worlds.mask, worlds)
+            return worlds.mask
+        keep = self._worlds.setdefault if plain else None
         found = []
         for w in worlds:
             i = self.index(w)
@@ -514,7 +537,15 @@ class TruthTable:
         return list(map(built.__getitem__, found))
 
     def worlds(self, mask: int) -> frozenset[World]:
-        return frozenset(self.world_list(mask))
+        """The worlds of ``mask``; on a dense table with no shares, its
+        :class:`WorldSet`, built once."""
+        if not self.dense or self.shares is not None:
+            return frozenset(self.world_list(mask))
+        found = self._sets.get(mask)
+        if found is None:
+            found = self._sets[mask] = WorldSet(self.world_list(mask))
+            found.vocab, found.mask = self.vocab, mask
+        return found
 
     def reweighted(self, shares: Iterable[tuple[int, Rational]]) -> TruthTable:
         """This dense table with each world weighing the share of the mask

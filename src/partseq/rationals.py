@@ -29,6 +29,15 @@ class LiteralBoundError(ValueError):
     was read; the message names the bound."""
 
 
+# a literal is quoted in a message up to this many characters
+QUOTED_LENGTH = 40
+
+
+def clipped(text: str) -> str:
+    """``text``, or its first ``QUOTED_LENGTH`` characters and "..."."""
+    return text if len(text) <= QUOTED_LENGTH else text[:QUOTED_LENGTH] + "..."
+
+
 # Long integers are written in chunks of this many digits, fewer than the
 # least limit the interpreter may put on int-to-str conversion (640).
 _CHUNK_DIGITS = 600
@@ -43,7 +52,8 @@ def as_fraction(value: Rational) -> Fraction:
 
     Strings may be decimals ("0.3") or ratios ("1/99"); both convert
     exactly. Floats are accepted but keep their binary value, so prefer
-    strings or Fractions where exactness matters.
+    strings or Fractions where exactness matters. A refused string is
+    quoted clipped, and when clipped, with the bound that refused it.
     """
     if isinstance(value, Fraction):
         return value
@@ -53,7 +63,9 @@ def as_fraction(value: Rational) -> Fraction:
         try:
             return parse_fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
+            quoted = clipped(value)
+            reason = f": {exc}" if quoted != value and isinstance(exc, LiteralBoundError) else ""
+            raise ValueError(f"not a rational literal: {quoted!r}{reason}") from exc
     if isinstance(value, float):
         return Fraction(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")

@@ -19,7 +19,7 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SemanticError
 from .logic import DEFAULT_WORLD_CAP, _ONE, TruthTable, Vocabulary, World, _from_bits, _set_bits
-from .rationals import format_fraction, parse_fraction
+from .rationals import clipped, format_fraction, integer_text, parse_fraction
 
 KINDS = ("default", "autoepistemic", "conditional", "threshold", "possibility")
 
@@ -634,7 +634,9 @@ def _read_class(listed, vocab: Vocabulary, parsed: dict) -> tuple[list[bytes], l
         values = tuple(map(assign.__getitem__, names))
         for name, value in zip(names, values):
             if type(value) is not int or value not in (0, 1):
-                raise ValueError(f"assignment of {name!r} is {value!r}, not 0 or 1")
+                # an int past the interpreter's digit limit has no repr
+                shown = integer_text(value) if type(value) is int else repr(value)
+                raise ValueError(f"assignment of {name!r} is {clipped(shown)}, not 0 or 1")
         weight = w.get("weight", 1)
         parsed[weight] = _parse_weight(weight)
         rows.append(bytes(values))

@@ -37,7 +37,7 @@ from partseq import (
     evaluate,
     format_formula,
 )
-from partseq.rationals import format_fraction
+from partseq.rationals import clipped, format_fraction, integer_text
 
 NAMES = ("p", "q", "r")
 
@@ -257,7 +257,8 @@ def per_world_sequence_from_obj(obj: dict):
             if not set(map(type, values)) <= {int} or not set(values) <= {0, 1}:
                 for name, value in zip(names, values):
                     if type(value) is not int or value not in (0, 1):
-                        raise ValueError(f"assignment of {name!r} is {value!r}, not 0 or 1")
+                        shown = integer_text(value) if type(value) is int else repr(value)
+                        raise ValueError(f"assignment of {name!r} is {clipped(shown)}, not 0 or 1")
             weight = w.get("weight", 1)
             if type(weight) is not int or weight != 1:
                 weight, unit = _per_world_weight(weight), False

@@ -123,6 +123,13 @@ class TestOperatorReuse:
             assert value == k.worlds
             assert set(map(id, value)) == set(map(id, k.worlds))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_expansion_is_handed_back_as_the_same_set(self, seed):
+        premises = random_premises(random.Random(seed))
+        for k in stable_expansions(premises):
+            assert omega_operator(premises, k).worlds is k.worlds
+
     def test_weighted_kernel_gives_weight_one_worlds(self, introspective_premises, pq):
         fixed = models(P, enumerate_worlds(pq))
         kernel = Kernel(frozenset(w.reweighted(5) for w in fixed), pq)

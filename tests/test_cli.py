@@ -793,6 +793,27 @@ class TestNumberSizes:
         assert (code, out) == (3, "")
         assert err == "error: not a rational literal: '1e-10000000'\n"
 
+    def test_long_eps_is_named_in_one_short_line(self, kbdir):
+        long = "0." + "1" * 100001
+        code, out, err = self.cli("prob", "threshold", kbdir / "weather.prob", "--eps", long, "--on", "p")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: not a rational literal: '{long[:40]}...': literal longer than 100000 characters\n"
+        )
+
+    def test_long_integer_assignment_is_quoted_clipped(self, kbdir, tmp_path):
+        # past the interpreter's 4300-digit limit on int-to-str conversion
+        big = "1" + "0" * 4999
+        path = tmp_path / "big.json"
+        path.write_text('{"kind": "default", "vocab": ["p"], "classes": [[{"assign": {"p": %s}}]]}' % big)
+        for command in (["explain"], ["default", "check", kbdir / "rivals.dl"]):
+            code, out, err = self.cli(*command, path)
+            assert (code, out) == (2, "")
+            assert err == (
+                "parse error: line 1, column 1: bad sequence document: "
+                f"assignment of 'p' is {big[:40]}..., not 0 or 1\n"
+            )
+
     @pytest.mark.parametrize(
         "levels",
         [[("1e-5000", "p")], [(f"1/{BIG + 3}", "p"), (f"1/{BIG + 1}", "q")]],

@@ -138,6 +138,13 @@ class TestOperatorReuse:
             assert value == k.worlds
             assert set(map(id, value)) == set(map(id, k.worlds))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_extension_is_handed_back_as_the_same_set(self, seed):
+        theory = random_default_theory(random.Random(seed))
+        for k in extensions(theory):
+            assert gamma_operator(theory, k.worlds) is k.worlds
+
     def test_weighted_candidate_gives_weight_one_worlds(self, rival_theory, pq):
         worlds = enumerate_worlds(pq)
         fixed = models(P & Q, worlds)

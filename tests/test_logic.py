@@ -1,5 +1,7 @@
 """Core language: world enumeration, valuation, entailment, syntax."""
 
+import copy
+import pickle
 import random
 import re
 import time
@@ -34,7 +36,7 @@ from partseq import (
     models,
     parse_formula,
 )
-from partseq.logic import TruthTable
+from partseq.logic import TruthTable, WorldSet
 from partseq.rationals import (
     MAX_DECIMAL_EXPONENT,
     MAX_LITERAL_LENGTH,
@@ -303,6 +305,63 @@ class TestTruthTable:
             entails([], Const("x0"), vocab)
 
 
+class TestWorldSet:
+    """A weight-1 dense table gives world sets that keep their mask, and
+    reads them back by it."""
+
+    def test_built_once_per_table_and_mask(self, pq):
+        table = TruthTable(pq)
+        got = table.worlds(0b0110)
+        assert isinstance(got, WorldSet) and got.vocab is pq and got.mask == 0b0110
+        assert table.worlds(0b0110) is got and TruthTable(pq).worlds(0b0110) is not got
+        assert got == frozenset(table.world_list(0b0110))
+
+    def test_read_by_its_mask_over_an_equal_vocabulary(self, pq, monkeypatch):
+        got = TruthTable(pq).worlds(0b1001)
+        other = TruthTable(Vocabulary(["p", "q"]))
+        assert other.vocab is not pq
+        monkeypatch.setattr(TruthTable, "index", lambda self, world: pytest.fail("indexed"))
+        assert other.mask_of(got) == 0b1001
+        assert other.worlds(0b1001) is got
+        shared = TruthTable(pq).reweighted([(0b1111, 3)])
+        assert shared.mask_of(got) == 0b1001
+        assert shared.worlds(0b1001) is not got and {w.weight for w in shared.worlds(0b1001)} == {3}
+
+    def test_another_vocabulary_is_refused(self, pq):
+        foreign = TruthTable(Vocabulary(["p", "r"])).worlds(0b0010)
+        with pytest.raises(SemanticError, match=r"world \{~p, r\} is not a world of"):
+            TruthTable(pq).mask_of(foreign)
+        listed = TruthTable(pq, worlds=enumerate_worlds(pq)[::-1])
+        assert listed.mask_of(TruthTable(pq).worlds(0b0001)) == 0b1000
+
+    def test_weighted_and_listed_tables_give_plain_sets(self, pq):
+        shared = TruthTable(pq).reweighted([(0b0011, "1/4"), (0b1100, "1/2")])
+        got = shared.worlds(0b0110)
+        assert type(got) is frozenset and {w.weight for w in got} == {Fraction(1, 4), Fraction(1, 2)}
+        heavy = [w.reweighted(2) for w in enumerate_worlds(pq)]
+        got = TruthTable(pq, worlds=heavy).worlds(0b0011)
+        assert type(got) is frozenset and got == frozenset(heavy[:2])
+        assert {w.weight for w in got} == {2}
+
+    def test_copies_pickles_and_set_operations_are_plain(self, pq):
+        got = TruthTable(pq).worlds(0b0111)
+        rest = TruthTable(pq).worlds(0b1000)
+        for made in (
+            copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got)), got.copy(),
+            got | frozenset(), got & got, got - rest, got ^ rest, got.union(),
+        ):
+            assert type(made) is frozenset
+        assert copy.copy(got) == got == pickle.loads(pickle.dumps(got)) == copy.deepcopy(got)
+        assert got | rest == frozenset(enumerate_worlds(pq)) and hash(got) == hash(frozenset(got))
+
+    def test_repr_is_the_frozensets(self, pq):
+        table = TruthTable(pq)
+        for mask in (0, 0b0001, 0b1010, table.full):
+            got = table.worlds(mask)
+            assert repr(got) == repr(frozenset(got))
+        assert repr(table.worlds(0)) == "frozenset()"
+
+
 def per_world_mass(worlds, mask) -> Fraction:
     """The oracle: the weights of the worlds of ``mask`` added one by one."""
     return sum((w.weight for i, w in enumerate(worlds) if mask >> i & 1), Fraction(0))
@@ -568,6 +627,21 @@ class TestRationalSizes:
     def test_literal_beyond_the_length_bound_is_refused(self):
         with pytest.raises(ValueError, match="longer than 100000"):
             parse_fraction("1" * (MAX_LITERAL_LENGTH + 1))
+
+    def test_refused_long_literal_is_clipped_and_names_its_bound(self):
+        long = "0." + "1" * MAX_LITERAL_LENGTH
+        with pytest.raises(ValueError) as info:
+            as_fraction(long)
+        assert str(info.value) == (
+            f"not a rational literal: '{long[:40]}...': literal longer than 100000 characters"
+        )
+        with pytest.raises(ValueError) as info:
+            as_fraction("x" * 41)
+        assert str(info.value) == f"not a rational literal: '{'x' * 40}...'"
+        # a short literal is quoted whole, as before
+        with pytest.raises(ValueError) as info:
+            as_fraction("1e-10000000")
+        assert str(info.value) == "not a rational literal: '1e-10000000'"
 
     @pytest.mark.parametrize(
         "value",
