@@ -178,7 +178,7 @@ def check_ael_sequence(
     licenses, and must be non-empty to characterise a consistent belief
     set. ``strict=True`` evaluates clause 2's conditions on the class
     being split off instead of the last class, a tighter variant kept
-    for comparison. A sequence of another kind, or one that is no
-    partition of the worlds, gets only those violations.
+    for comparison. A sequence of another kind or vocabulary, or one
+    that is no partition of the worlds, gets only those violations.
     """
     return check_peels("autoepistemic", TruthTable(premises.vocab), premises.compiled, seq, strict)

@@ -193,7 +193,7 @@ def check_default_sequence(
     them inside the class being split off, a tighter variant under which
     a rule whose conclusion equals its justification can never justify
     its own split (each split removes exactly those witnesses). A
-    sequence of another kind, or one that is no partition of the worlds,
-    gets only those violations.
+    sequence of another kind or vocabulary, or one that is no partition
+    of the worlds, gets only those violations.
     """
     return check_peels("default", TruthTable(theory.vocab), theory.compiled, seq, strict)

@@ -362,11 +362,11 @@ class TruthTable:
     Meant to live for one call, for which it memoises the masks it
     compiles, the worlds it builds and, on a dense table with no shares
     (every weight 1), each world set as a :class:`WorldSet`, which keeps
-    its mask; there :meth:`mask_of` keeps the sets and weight-1 worlds
-    handed to it, so an operator whose value is its argument hands back
-    the caller's own set and builds no world. A knowledge base keeps
-    masks only (``DefaultTheory.compiled``), never a table, so a call's
-    worlds go when it returns.
+    its mask; there :meth:`mask_of` keeps each ``WorldSet`` handed to it,
+    so an operator whose value is its argument hands back the caller's
+    own set and builds no world. A knowledge base keeps masks only
+    (``DefaultTheory.compiled``), never a table, so a call's worlds go
+    when it returns.
     """
 
     def __init__(self, vocab: Vocabulary, worlds: Iterable[World] | None = None):
@@ -477,21 +477,17 @@ class TruthTable:
     def mask_of(self, worlds: Iterable[World]) -> int:
         """The mask of ``worlds``, refusing one the table does not list.
         A dense table reads a :class:`WorldSet` of its vocabulary by its
-        mask. With no shares, it keeps that set, or else each world of
-        weight 1, so :meth:`worlds` hands back the caller's own objects."""
-        plain = self.dense and self.shares is None
+        mask and, with no shares, keeps it, so :meth:`worlds` hands the
+        caller's own set back; any other set is indexed world by world."""
         if self.dense and isinstance(worlds, WorldSet) and worlds.vocab == self.vocab:
-            if plain:
+            if self.shares is None:
                 self._sets.setdefault(worlds.mask, worlds)
             return worlds.mask
-        keep = self._worlds.setdefault if plain else None
         found = []
         for w in worlds:
             i = self.index(w)
             if i is None:
                 raise SemanticError(f"world {w!r} is not a world of {self.vocab!r}")
-            if keep is not None and w.weight == 1:
-                keep(i, w)
             found.append(i)
         return _from_bits(found, self.size)
 

@@ -128,8 +128,8 @@ def check_poss_sequence(
 
     Class memberships must match the level construction exactly; weights
     inside a class may be distributed any way whose total equals the
-    level's gap exactly. A sequence of another kind gets a single
-    ``kind`` violation.
+    level's gap exactly. A sequence of another kind or vocabulary gets a
+    single ``kind`` or ``vocab`` violation.
     """
     table = TruthTable(kb.vocab)
     masks, structural = class_masks(seq, "possibility", table)

@@ -175,11 +175,15 @@ def class_masks(
     """The masks of ``seq``'s classes in ``table``, which a checker of
     ``kind`` sequences compiled its knowledge base to.
 
-    A sequence of another kind, or one that is no partition of the
-    table's worlds, has no masks; it gets those violations instead.
+    A sequence of another kind or over another vocabulary, or one that
+    is no partition of the table's worlds, has no masks; it gets those
+    violations instead.
     """
     if seq.kind != kind:
         return [], [Violation("kind", f"the sequence is {seq.kind}, expected {kind}")]
+    if seq.vocab != table.vocab:
+        over, expected = (f"[{', '.join(v.names)}]" for v in (seq.vocab, table.vocab))
+        return [], [Violation("vocab", f"the sequence is over {over}, expected {expected}")]
     masks, problems = _partition(seq, table)
     return ([], problems) if problems else (masks, [])
 
@@ -351,8 +355,8 @@ def check_peels(
 ) -> list[Violation]:
     """Every violated clause of ``seq`` peeling ``compiled`` over ``table``.
 
-    A sequence of another kind, or one that is no partition of the
-    table's worlds, gets only those violations (:func:`class_masks`).
+    A sequence of another kind or vocabulary, or one that is no partition
+    of the table's worlds, gets only those violations (:func:`class_masks`).
     Clause 1: the first class is exactly the worlds outside ``rest``.
     Clause 2: each intermediate class is exactly the remaining worlds
     falsifying the conclusion of an item licensed by the witness pool
@@ -599,8 +603,8 @@ def _parse_weight(raw) -> Fraction:
     raise ValueError(f"bad weight value: {raw!r}")
 
 
-def _read_class(listed, vocab: Vocabulary, parsed: dict) -> tuple[list[bytes], list]:
-    """The rows and weights, as written, of one class of a document,
+def _read_class(listed, vocab: Vocabulary, parsed: dict, at: int) -> tuple[list[bytes], list]:
+    """The rows and weights, as written, of class ``at`` of a document,
     checked in bulk, each distinct weight (absent is 1) parsed once into
     ``parsed``; a class that fails a check is walked world by world, to
     raise the first fault met."""
@@ -627,9 +631,13 @@ def _read_class(listed, vocab: Vocabulary, parsed: dict) -> tuple[list[bytes], l
     except (KeyError, TypeError, ValueError):
         pass
     rows, weights = [], []
-    for w in listed:
+    for j, w in enumerate(listed):
+        if type(w) is not dict:
+            raise ValueError(f"classes[{at}][{j}] must be an object")
         assign = w["assign"]
-        if (assign.keys() if type(assign) is dict else set(assign)) != name_set:
+        if type(assign) is not dict:
+            raise ValueError(f"classes[{at}][{j}].assign must be an object")
+        if assign.keys() != name_set:
             raise ValueError("world assignment does not match the vocabulary")
         values = tuple(map(assign.__getitem__, names))
         for name, value in zip(names, values):
@@ -652,10 +660,18 @@ def sequence_from_obj(obj: dict) -> PartitionSequence:
     reweighted unless every weight is absent or the integer 1, equal
     weights written differently joining one share; any other onto a
     table that lists its worlds."""
+    if type(obj) is not dict:
+        raise ValueError("the document must be an object")
+    if type(obj["vocab"]) is not list or not set(map(type, obj["vocab"])) <= {str}:
+        raise ValueError("vocab must be a list of strings")
     vocab = Vocabulary(obj["vocab"])
+    if type(obj["classes"]) is not list:
+        raise ValueError("classes must be a list")
     classes, weights, parsed = [], [], {1: _ONE}
-    for listed in obj["classes"]:
-        rows, raw = _read_class(listed, vocab, parsed)
+    for i, listed in enumerate(obj["classes"]):
+        if type(listed) is not list:
+            raise ValueError(f"classes[{i}] must be a list")
+        rows, raw = _read_class(listed, vocab, parsed, i)
         if len(set(rows)) != len(rows):
             raise ValueError("a world is listed twice in one class")
         classes.append(rows)

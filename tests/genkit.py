@@ -243,14 +243,26 @@ def per_world_sequence_from_obj(obj: dict):
     from partseq.logic import DEFAULT_WORLD_CAP, TruthTable, _from_bits
 
     digits = bytes.maketrans(b"\0\1", b"01")
+    if type(obj) is not dict:
+        raise ValueError("the document must be an object")
+    if type(obj["vocab"]) is not list or any(type(name) is not str for name in obj["vocab"]):
+        raise ValueError("vocab must be a list of strings")
     vocab = Vocabulary(obj["vocab"])
     names, name_set = vocab.names, set(vocab.names)
+    if type(obj["classes"]) is not list:
+        raise ValueError("classes must be a list")
     classes, weights, unit = [], [], True
-    for listed in obj["classes"]:
+    for i, listed in enumerate(obj["classes"]):
+        if type(listed) is not list:
+            raise ValueError(f"classes[{i}] must be a list")
         rows = []
-        for w in listed:
+        for j, w in enumerate(listed):
+            if type(w) is not dict:
+                raise ValueError(f"classes[{i}][{j}] must be an object")
             assign = w["assign"]
-            if (assign.keys() if type(assign) is dict else set(assign)) != name_set:
+            if type(assign) is not dict:
+                raise ValueError(f"classes[{i}][{j}].assign must be an object")
+            if assign.keys() != name_set:
                 raise ValueError("world assignment does not match the vocabulary")
             values = tuple(map(assign.__getitem__, names))
             # bool is an int too, but not a truth value written as 0 or 1

@@ -130,6 +130,15 @@ class TestOperatorReuse:
         for k in stable_expansions(premises):
             assert omega_operator(premises, k).worlds is k.worlds
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_plain_set_at_a_fixed_point_gives_an_equal_set(self, seed):
+        premises = random_premises(random.Random(seed))
+        worlds = enumerate_worlds(premises.vocab)
+        for last in brute_force_ael_last_classes(premises, worlds):
+            value = omega_operator(premises, Kernel(frozenset(last), premises.vocab)).worlds
+            assert value == last and {w.weight for w in value} <= {1}
+
     def test_weighted_kernel_gives_weight_one_worlds(self, introspective_premises, pq):
         fixed = models(P, enumerate_worlds(pq))
         kernel = Kernel(frozenset(w.reweighted(5) for w in fixed), pq)

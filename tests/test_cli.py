@@ -508,6 +508,27 @@ class TestKindCheck:
         assert code == 1
         assert out == f"violation: kind: the sequence is {relabel}, expected {kind}\n"
 
+    @pytest.mark.parametrize(
+        "group, build, kb",
+        [
+            ("default", "sequences", "rivals.dl"),
+            ("ael", "sequences", "introspective.ael"),
+            ("poss", "build", "nested.poss"),
+        ],
+    )
+    def test_sequence_over_another_vocabulary_fails_once(
+        self, kbdir, capsys, tmp_path, group, build, kb
+    ):
+        # the same worlds over (q, p): one violation, not one per world
+        _, out, _ = run(capsys, "--json", group, build, kbdir / kb)
+        obj = json.loads(out, parse_float=Fraction)["sequences"][0]
+        obj["vocab"] = ["q", "p"]
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(render_json(obj))
+        code, out, _ = run(capsys, group, "check", kbdir / kb, seq_file)
+        assert code == 1
+        assert out == "violation: vocab: the sequence is over [q, p], expected [p, q]\n"
+
 
 class TestDeepInput:
     @pytest.mark.parametrize(
@@ -932,6 +953,30 @@ class TestSequenceDocument:
         assert (code, out) == (2, "")
         assert err == f"parse error: line 1, column 1: bad sequence document: {constant} is not a number\n"
 
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("vocab", "pq", "vocab must be a list of strings"),
+            ("vocab", {"p": 1}, "vocab must be a list of strings"),
+            ("vocab", ["p", 1], "vocab must be a list of strings"),
+            ("vocab", None, "vocab must be a list of strings"),
+            ("classes", {}, "classes must be a list"),
+            ("classes", None, "classes must be a list"),
+            ("classes", [{}], "classes[0] must be a list"),
+            ("classes", [[[]]], "classes[0][0] must be an object"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["explain"], ["default", "check", "rivals.dl"]])
+    def test_part_of_the_wrong_type_is_two(self, kbdir, capsys, argv, field, value, message):
+        path = self.write(kbdir, [[{"assign": {"p": 0}}], [{"assign": {"p": 1}}]])
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        argv = [kbdir / a if a.endswith(".dl") else a for a in argv]
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: line 1, column 1: bad sequence document: {message}\n"
 
     def with_provenance(self, path, provenance):
         """``path`` holding a two-class default sequence over p and q

@@ -145,6 +145,15 @@ class TestOperatorReuse:
         for k in extensions(theory):
             assert gamma_operator(theory, k.worlds) is k.worlds
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_plain_set_at_a_fixed_point_gives_an_equal_set(self, seed):
+        theory = random_default_theory(random.Random(seed))
+        worlds = enumerate_worlds(theory.vocab)
+        for last in brute_force_default_last_classes(theory, worlds):
+            value = gamma_operator(theory, frozenset(last))
+            assert value == last and {w.weight for w in value} <= {1}
+
     def test_weighted_candidate_gives_weight_one_worlds(self, rival_theory, pq):
         worlds = enumerate_worlds(pq)
         fixed = models(P & Q, worlds)
@@ -153,12 +162,11 @@ class TestOperatorReuse:
             value = gamma_operator(rival_theory, candidate)
             assert value == fixed and {w.weight for w in value} == {1}
             assert not set(map(id, value)) & set(map(id, candidate))
-        # of two worlds, the one of weight 1 is handed back and the other built
+        # of two worlds, one of weight 1 and one of weight 2
         light, heavy = sorted(models(Not(P), worlds), key=World.bits)
         mixed = frozenset({light, heavy.reweighted(2)})
         value = gamma_operator(rival_theory, mixed)
         assert value == mixed and {w.weight for w in value} == {1}
-        assert set(map(id, value)) & set(map(id, mixed)) == {id(light)}
 
     def test_more_candidates_than_belief_vectors(self, monkeypatch):
         # a five-rule chain beside a rule that defeats itself: 2^6 candidate

@@ -168,6 +168,9 @@ class TestMaskStructure:
                 assert validate_structure(seq, listed) == per_world_structure(seq, listed)
                 table = TruthTable(vocab)
                 masks, problems = class_masks(seq, "default", table)
+                if seq.vocab != vocab:  # over another vocabulary: one violation alone
+                    assert [p.clause for p in problems] == ["vocab"] and masks == []
+                    continue
                 assert problems == expected
                 if not expected:
                     assert masks == [table.mask_of(cls) for cls in seq.classes]
@@ -233,21 +236,28 @@ class TestMaskStructure:
             found |= {p.clause for p in problems}
         assert {"disjointness", "coverage", "condition 1", "condition 2"} <= found
 
-    def test_dense_masks_over_another_vocabulary_are_looked_up(self, pq):
-        # bit i of the dense table of (q, p) is not world i of (p, q)
+    def test_dense_masks_over_another_vocabulary_are_looked_up(self, pq, worlds):
+        # bit i of the dense table of (q, p) is not world i of (p, q): the
+        # structure check looks each world up, and a checker refuses the
+        # vocabulary with one violation
         qp = Vocabulary(["q", "p"])
         theory = DefaultTheory(rules=(), facts=(Const("p"),), vocab=pq)
         seq = build_default_sequences(DefaultTheory(rules=(), facts=(Const("p"),), vocab=qp))[0]
         assert seq.table.dense
+        assert [p.clause for p in validate_structure(seq, worlds)] == ["coverage"] * 8
         problems = check_default_sequence(theory, seq)
-        assert [p.clause for p in problems] == ["coverage"] * 8
+        assert [str(p) for p in problems] == ["vocab: the sequence is over [q, p], expected [p, q]"]
         back = sequence_from_json(sequence_to_json(seq))
         assert problems == check_default_sequence(theory, back)
 
     def test_foreign_vocabulary(self, pq, worlds):
         other = Vocabulary(["q", "p"])
         seq = seq_of(other, [set(), set(enumerate_worlds(other))])
-        problems = class_masks(seq, "default", TruthTable(pq))[1]
+        masks, problems = class_masks(seq, "default", TruthTable(pq))
+        assert masks == [] and [str(p) for p in problems] == [
+            "vocab: the sequence is over [q, p], expected [p, q]"
+        ]
+        problems = validate_structure(seq, worlds)
         assert [p.clause for p in problems] == ["coverage"] * 8
         assert problems == per_world_structure(seq, worlds)
 
@@ -832,7 +842,8 @@ def mutated_documents(draw):
     does: assignment keys permuted, added or missing; a truth value
     true, "1", 2 or None; a world listed twice in its class; a weight
     written as an int, a float (as ``json.loads`` gives it), a string or
-    a bool, or absent."""
+    a bool, or absent; a vocabulary, class list, class, world or whole
+    document of the wrong JSON type."""
     n = draw(st.integers(0, 4))
     names = [f"c{i}" for i in range(n)]
     rare = st.integers(0, 11).map(lambda roll: roll == 0)
@@ -874,7 +885,13 @@ def mutated_documents(draw):
         classes[draw(st.integers(0, len(classes) - 1))] = draw(st.sampled_from([{}, 3, None, "c"]))
     provenance = draw(st.sampled_from([None, [""] * len(classes), ["r"] * len(classes), "r", [1]]))
     kind = draw(st.sampled_from(KINDS + ("bogus",)))
-    return {"kind": kind, "vocab": names, "classes": classes, "provenance": provenance}
+    vocab = names
+    if draw(rare):
+        vocab = draw(st.sampled_from(["".join(names), dict.fromkeys(names, 1), [*names, 1], None]))
+    if draw(rare):
+        classes = draw(st.sampled_from([{}, None, "c"]))
+    doc = {"kind": kind, "vocab": vocab, "classes": classes, "provenance": provenance}
+    return draw(st.sampled_from([doc, [doc]])) if draw(rare) else doc
 
 
 class TestBulkReader:
@@ -969,8 +986,13 @@ class TestBulkReader:
     @pytest.mark.parametrize(
         "text, error, message",
         [
-            ("[]", TypeError, "list indices must be integers or slices, not str"),
-            ('{"kind": "default", "vocab": ["p"], "classes": [[[1]]]}', TypeError, "list indices"),
+            pytest.param("[]", ValueError, "^the document must be an object$", id="document"),
+            pytest.param(
+                '{"kind": "default", "vocab": ["p"], "classes": [[[1]]]}',
+                ValueError,
+                r"^classes\[0\]\[0\] must be an object$",
+                id="world",
+            ),
             ('{"kind": "default", "vocab": ["p"], "classes": [[{"assign": {"p": 2}}]]}',
              ValueError, "assignment of 'p' is 2, not 0 or 1"),
         ],
@@ -978,6 +1000,28 @@ class TestBulkReader:
     def test_shallow_faults_keep_their_message(self, text, error, message):
         with pytest.raises(error, match=message):
             sequence_from_json(text)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"vocab": "pq"}, "vocab must be a list of strings"),
+            ({"vocab": {"p": 1}}, "vocab must be a list of strings"),
+            ({"vocab": ["p", 1]}, "vocab must be a list of strings"),
+            ({"vocab": None}, "vocab must be a list of strings"),
+            ({"classes": None}, "classes must be a list"),
+            ({"classes": {}}, "classes must be a list"),
+            ({"classes": [[{"assign": {"p": 0}}], {}]}, "classes[1] must be a list"),
+            ({"classes": [[{"assign": {"p": 0}}, [1]]]}, "classes[0][1] must be an object"),
+            ({"classes": [[{"assign": {"p": 0}}, {"assign": ["p"]}]]},
+             "classes[0][1].assign must be an object"),
+        ],
+    )
+    def test_part_of_the_wrong_type_is_named(self, edit, message):
+        doc = {"kind": "default", "vocab": ["p"], "classes": [[{"assign": {"p": 0}}], []], **edit}
+        for read in (sequence_from_obj, per_world_sequence_from_obj):
+            with pytest.raises(ValueError) as got:
+                read(copy.deepcopy(doc))
+            assert str(got.value) == message
 
 
 class TestClassView:
