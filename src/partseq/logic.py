@@ -565,18 +565,25 @@ class TruthTable:
 
     @cached_property
     def _numerators(self) -> tuple[list[tuple[int, int]], int]:
-        """Each share's mask, and its weight as an integer over the
-        shares' common denominator."""
+        """Each share's mask and its weight as an integer over the shares'
+        common denominator, and that denominator: 1 with no shares."""
+        if self.shares is None:
+            return [], 1
         den = lcm(*(q.denominator for _, q in self.shares))
         return [(held, q.numerator * (den // q.denominator)) for held, q in self.shares], den
 
-    def mass(self, mask: int) -> Fraction:
-        """The total weight of the worlds of ``mask``: each share's
-        numerator times the count of its worlds in ``mask``."""
+    def weight(self, mask: int) -> int:
+        """The total weight of the worlds of ``mask`` as an integer over the
+        shares' common denominator: each share's numerator times the count
+        of its worlds in ``mask``, and with no shares the count itself."""
         if self.shares is None:
-            return Fraction(mask.bit_count())
-        nums, den = self._numerators
-        return Fraction(sum(num * (mask & held).bit_count() for held, num in nums), den)
+            return mask.bit_count()
+        return sum(num * (mask & held).bit_count() for held, num in self._numerators[0])
+
+    def mass(self, mask: int) -> Fraction:
+        """The total weight of the worlds of ``mask``, :meth:`weight` over
+        the shares' common denominator."""
+        return Fraction(self.weight(mask), self._numerators[1])
 
     def sort_key(self, mask: int) -> tuple[int, list[int]]:
         """Orders world sets by size, then by their worlds' truth values."""

@@ -124,12 +124,12 @@ def persistent_prob(seq: PartitionSequence, psi: Formula, upto: int) -> Fraction
     if not 0 <= upto < len(seq.masks):
         raise ValueError(f"step {upto} outside the sequence")
     tail = reduce(int.__or__, seq.masks[upto:])
-    total = seq.table.mass(tail)
+    total = seq.table.weight(tail)
     if total == 0:
         raise UndefinedConditionalError(
             "the conditioned-on formulas have probability zero"
         )
-    return seq.table.mass(tail & seq.table.mask(psi)) / total
+    return Fraction(seq.table.weight(tail & seq.table.mask(psi)), total)
 
 
 def _epsilon(eps: Rational) -> Fraction:
@@ -137,13 +137,6 @@ def _epsilon(eps: Rational) -> Fraction:
     if eps < 0:
         raise ValueError("epsilon must be non-negative")
     return eps
-
-
-def _step_ratio(table: TruthTable, peel: int, remaining: int, strict: bool) -> Fraction | None:
-    """The mass of ``peel`` over that of the ``remaining`` worlds it came
-    from, or of the whole table with ``strict``; None when that is zero."""
-    total = table.mass(table.full if strict else remaining)
-    return table.mass(peel) / total if total else None
 
 
 def threshold(
@@ -161,13 +154,18 @@ def threshold(
     still in play leaves that conditional undefined and the step is
     rejected. ``strict=True`` divides by the whole space's mass instead,
     a laxer variant kept for comparison.
+
+    Each step is decided in integer weights over the table's common
+    denominator, ``weight(peel) / total <= eps`` cross-multiplied; only a
+    rejected step builds its ratio.
     """
-    eps = _epsilon(eps)
+    eps, table = _epsilon(eps), space.table
     seq = _conditioned(space, conds, "threshold")
-    remaining = space.table.full
+    remaining = table.full
     for i, (name, peel) in enumerate(zip(seq.provenance, seq.masks[:-1])):
-        ratio = _step_ratio(space.table, peel, remaining, strict)
-        if ratio is None or ratio > eps:
+        total, peeled = table.weight(table.full if strict else remaining), table.weight(peel)
+        if not total or peeled * eps.denominator > eps.numerator * total:
+            ratio = Fraction(peeled, total) if total else None
             why = f"conditional probability of {name} is undefined (no mass left)"
             if ratio is not None:
                 ratios = f"{ratio_text(ratio)} > {ratio_text(eps)}"
@@ -196,7 +194,9 @@ def enumerate_threshold_orders(
 
     A failed prefix can never be rescued by further formulas (each step's
     ratio depends on the prefix alone), so the search prunes by prefix and
-    tests only the new step of each prefix's remaining worlds peeled by one.
+    tests only the new step of each prefix's remaining worlds peeled by one,
+    against a bound worked out once per prefix. Equal candidates share the
+    bit of the first of them in ``used``, so no order uses a formula twice.
     """
     candidates = list(candidates)
     if len(candidates) > MAX_THRESHOLD_CANDIDATES:
@@ -205,22 +205,28 @@ def enumerate_threshold_orders(
             f"capped at {MAX_THRESHOLD_CANDIDATES}"
         )
     eps, table = _epsilon(eps), space.table
-    masks = [table.mask(phi) for phi in candidates]
+    first: dict[Formula, int] = {}
+    steps = [
+        (phi, table.mask(phi), 1 << first.setdefault(phi, j)) for j, phi in enumerate(candidates)
+    ]
     accepted: list[tuple[Formula, ...]] = []
 
-    def grow(remaining: int, prefix: tuple[Formula, ...]):
+    def grow(remaining: int, used: int, prefix: tuple[Formula, ...]):
         if len(prefix) >= maxlen:
             return
-        for phi, models in zip(candidates, masks):
-            if phi in prefix:
+        total = table.weight(table.full if strict else remaining)
+        if not total:
+            return
+        bound = eps.numerator * total
+        for phi, models, bit in steps:
+            if used & bit:
                 continue
             peel, rest = peel_in_order(remaining, (models,))
-            ratio = _step_ratio(table, peel, remaining, strict)
-            if ratio is not None and ratio <= eps:
+            if table.weight(peel) * eps.denominator <= bound:
                 accepted.append(prefix + (phi,))
-                grow(rest, accepted[-1])
+                grow(rest, used | bit, accepted[-1])
 
-    grow(table.full, ())
+    grow(table.full, 0, ())
     return accepted
 
 

@@ -19,7 +19,14 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SemanticError
 from .logic import DEFAULT_WORLD_CAP, _ONE, TruthTable, Vocabulary, World, _from_bits, _set_bits
-from .rationals import clipped, format_fraction, integer_text, parse_fraction
+from .rationals import (
+    LiteralBoundError,
+    clipped,
+    format_fraction,
+    integer_text,
+    parse_fraction,
+    ratio_text,
+)
 
 KINDS = ("default", "autoepistemic", "conditional", "threshold", "possibility")
 
@@ -590,17 +597,22 @@ def sequence_to_json(seq: PartitionSequence) -> str:
 
 
 def _parse_weight(raw) -> Fraction:
+    """The weight ``raw`` names; a string that is no rational, such as "x"
+    or "1/0", is quoted clipped, and one refused by a bound names it."""
     # bool is an int too, but true is no weight
     if isinstance(raw, (Fraction, str)) or type(raw) is int:
         try:
             weight = parse_fraction(raw) if type(raw) is str else Fraction(raw)
-        except ZeroDivisionError:  # "1/0"
+        except LiteralBoundError:
+            raise
+        except (ValueError, ZeroDivisionError):
             pass
         else:
             if weight.numerator < 0:
-                raise ValueError(f"negative world weight: {weight}")
+                raise ValueError(f"negative world weight: {clipped(ratio_text(weight))}")
             return weight
-    raise ValueError(f"bad weight value: {raw!r}")
+    shown = repr(clipped(raw)) if type(raw) is str else clipped(repr(raw))
+    raise ValueError(f"bad weight value: {shown}")
 
 
 def _read_class(listed, vocab: Vocabulary, parsed: dict, at: int) -> tuple[list[bytes], list]:

@@ -37,7 +37,7 @@ from partseq import (
     evaluate,
     format_formula,
 )
-from partseq.rationals import clipped, format_fraction, integer_text
+from partseq.rationals import clipped, format_fraction, integer_text, ratio_text
 
 NAMES = ("p", "q", "r")
 
@@ -220,13 +220,14 @@ def _per_world_weight(raw) -> Fraction:
     if isinstance(raw, (Fraction, str)) or type(raw) is int:
         try:
             weight = raw if type(raw) is Fraction else Fraction(raw)
-        except ZeroDivisionError:  # "1/0"
+        except (ValueError, ZeroDivisionError):  # "x", "1/0"
             pass
         else:
             if weight.numerator < 0:
-                raise ValueError(f"negative world weight: {weight}")
+                raise ValueError(f"negative world weight: {clipped(ratio_text(weight))}")
             return weight
-    raise ValueError(f"bad weight value: {raw!r}")
+    shown = repr(clipped(raw)) if type(raw) is str else clipped(repr(raw))
+    raise ValueError(f"bad weight value: {shown}")
 
 
 def per_world_sequence_from_obj(obj: dict):

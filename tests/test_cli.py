@@ -928,6 +928,13 @@ class TestSequenceDocument:
         assert err.endswith("bad sequence document: bad weight value: '1/0'\n")
         assert err.startswith("parse error: line 1, column 1: ")
 
+    def test_weight_that_is_no_rational_is_quoted_clipped(self, capsys, tmp_path):
+        classes = [[{"assign": {"p": 0}, "weight": "x" * 200}], [{"assign": {"p": 1}}]]
+        code, out, err = run(capsys, "explain", self.write(tmp_path, classes))
+        assert (code, out) == (2, "")
+        quoted = "'" + "x" * 40 + "...'"
+        assert err == f"parse error: line 1, column 1: bad sequence document: bad weight value: {quoted}\n"
+
     @pytest.mark.parametrize("key", ["kind", "vocab", "classes", "assign"])
     def test_missing_key_is_named(self, capsys, tmp_path, key):
         path = self.write(tmp_path, [[{"assign": {"p": 0}}], [{"assign": {"p": 1}}]])

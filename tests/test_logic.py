@@ -6,6 +6,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -442,10 +443,11 @@ class TestMass:
 def weighted_tables(draw):
     """A weighted table and the oracle: its worlds in index order, each
     carrying the weight the table should give it. The table is one of a
-    dense table reweighted by disjoint shares (a world in none weighs 0),
-    a listed table whose worlds share one weight object, one whose equal
-    weights are distinct objects, or a lottery."""
-    kind = draw(st.sampled_from(["dense", "one object", "distinct objects", "lottery"]))
+    dense table with no shares (every weight 1), one reweighted by disjoint
+    shares (a world in none weighs 0), a listed table whose worlds share
+    one weight object, one whose equal weights are distinct objects, or a
+    lottery."""
+    kind = draw(st.sampled_from(["plain", "dense", "one object", "distinct objects", "lottery"]))
     weights = st.fractions(0, 3, max_denominator=12)
     if kind == "lottery":
         space = lottery_space(draw(st.integers(1, 40)))
@@ -454,6 +456,8 @@ def weighted_tables(draw):
         return space.table, oracle
     vocab = Vocabulary(["a", "b", "c", "d", "e"][: draw(st.integers(0, 5))])
     worlds = enumerate_worlds(vocab)
+    if kind == "plain":
+        return TruthTable(vocab), worlds
     if kind == "dense":
         values = draw(st.lists(weights, min_size=1, max_size=4))
         held = draw(st.lists(st.integers(-1, len(values) - 1), min_size=len(worlds), max_size=len(worlds)))
@@ -493,6 +497,17 @@ class TestShares:
             assert (rows if rows is not None else [1] * len(wanted)) == wanted
             assert [w.weight for w in table.world_list(m)] == wanted
             assert table.world_list(m) == [w for i, w in enumerate(oracle) if m >> i & 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_tables(), st.randoms(use_true_random=False))
+    def test_weight_is_the_mass_over_the_common_denominator(self, drawn, rng):
+        table, oracle = drawn
+        shares = table.shares or ()
+        den = lcm(*(q.denominator for _, q in shares))
+        for m in (0, table.full, *(rng.getrandbits(table.size) for _ in range(6))):
+            weight = table.weight(m)
+            assert type(weight) is int
+            assert Fraction(weight, den) == table.mass(m) == per_world_mass(oracle, m)
 
 
 # hypothesis strategy for formulas over at most 4 constants, depth <= 6

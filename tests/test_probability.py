@@ -32,6 +32,7 @@ from partseq import (
     validate_structure,
 )
 from partseq.kbformats import KbDocument, serialize_kb
+from partseq.logic import TruthTable
 from genkit import (
     direct_cond_prob,
     per_world_conditioning,
@@ -234,7 +235,10 @@ def _random_lottery(rng: random.Random) -> SampleSpace:
 
 class TestPerWorldOracles:
     """The ordered peel against the per-world readings of conditioning and
-    of each thresholding step, on random spaces and on lotteries."""
+    of each thresholding step, on random spaces and on lotteries. Beside a
+    random epsilon, each run takes the greatest defined step ratio before
+    any undefined one, which every such step meets exactly, and that ratio
+    less 10^-12, which the first step of that ratio fails."""
 
     @pytest.mark.parametrize("draw", [random_space, _random_lottery], ids=["random", "lottery"])
     def test_classes_and_rejected_steps_match(self, draw):
@@ -247,21 +251,25 @@ class TestPerWorldOracles:
                 for _ in range(rng.randint(1, 4))
             ]
             assert list(condition(space, conds).classes) == per_world_conditioning(space, conds)
-            eps = Fraction(rng.randint(0, 8), rng.choice([8, 16, 40]))
+            drawn = Fraction(rng.randint(0, 8), rng.choice([8, 16, 40]))
             for strict in (False, True):
-                failing = None
-                for i in range(len(conds)):
-                    ratio = per_world_step_ratio(space, conds, i, strict)
-                    if ratio is None or ratio > eps:
-                        failing = (i + 1, ratio)
-                        break
-                if failing is None:
-                    seq = threshold(space, eps, conds, strict=strict)
-                    assert list(seq.classes) == per_world_conditioning(space, conds)
-                else:
-                    with pytest.raises(BelowThresholdError) as info:
-                        threshold(space, eps, conds, strict=strict)
-                    assert (info.value.step, info.value.ratio) == failing
+                ratios = [per_world_step_ratio(space, conds, i, strict) for i in range(len(conds))]
+                defined = ratios[: ratios.index(None)] if None in ratios else ratios
+                edge = max(defined, default=Fraction(0))
+                below = edge - Fraction(1, 10**12)
+                for eps in (drawn, edge, below) if edge else (drawn, edge):
+                    failing = next(
+                        ((i + 1, r) for i, r in enumerate(ratios) if r is None or r > eps), None
+                    )
+                    if eps == below:
+                        assert failing == (ratios.index(edge) + 1, edge)
+                    if failing is None:
+                        seq = threshold(space, eps, conds, strict=strict)
+                        assert list(seq.classes) == per_world_conditioning(space, conds)
+                    else:
+                        with pytest.raises(BelowThresholdError) as info:
+                            threshold(space, eps, conds, strict=strict)
+                        assert (info.value.step, info.value.ratio) == failing
 
 
 class TestThresholdProb:
@@ -309,6 +317,30 @@ class TestEnumerateOrders:
     def test_negative_eps_refused(self, weather_space):
         with pytest.raises(ValueError, match="non-negative"):
             enumerate_threshold_orders(weather_space, Fraction(-1, 10), [P, Q], maxlen=2)
+
+    def test_accepted_steps_build_no_mass(self, monkeypatch):
+        """Threshold steps are decided in integer weights: neither an
+        accepted threshold nor the order search asks the table for a mass."""
+        space = lottery_space(40)
+        cands = [Not(Const(f"p{i}")) for i in (1, 2, 3)]
+        monkeypatch.setattr(TruthTable, "mass", lambda self, mask: pytest.fail("mass"))
+        for strict in (False, True):
+            assert len(threshold(space, Fraction(1, 38), cands, strict).classes) == 4
+            assert len(enumerate_threshold_orders(space, Fraction(1, 38), cands, 3, strict)) == 15
+
+    def test_equal_candidates_as_distinct_objects(self):
+        """Candidates equal but not identical count as one formula: no
+        order uses it twice, and the orders are the per-order oracle's,
+        repeats included."""
+        space = lottery_space(12)
+        cands = [Not(Const("p1")), Not(Const("p1")), Not(Const("p2"))]
+        assert cands[0] is not cands[1]
+        for eps in (Fraction(1, 11), Fraction(1, 2)):
+            for strict in (False, True):
+                got = enumerate_threshold_orders(space, eps, cands, 3, strict)
+                assert got == per_order_threshold(space, eps, cands, 3, strict)
+                assert all(len(set(order)) == len(order) for order in got)
+                assert (cands[0],) in got and (cands[0], cands[2]) in got
 
     def assert_matches_oracle(self, space, cands, steps):
         """The search's orders are those that ``threshold`` accepts from

@@ -841,8 +841,8 @@ def mutated_documents(draw):
     the oddities that a reader must read or word as the per-world reader
     does: assignment keys permuted, added or missing; a truth value
     true, "1", 2 or None; a world listed twice in its class; a weight
-    written as an int, a float (as ``json.loads`` gives it), a string or
-    a bool, or absent; a vocabulary, class list, class, world or whole
+    written as an int, a float (as ``json.loads`` gives it), a string, a
+    long string that is no rational, or a bool, or absent; a vocabulary, class list, class, world or whole
     document of the wrong JSON type."""
     n = draw(st.integers(0, 4))
     names = [f"c{i}" for i in range(n)]
@@ -850,6 +850,7 @@ def mutated_documents(draw):
     weights = st.one_of(
         st.just(_ABSENT),
         st.sampled_from([1, 0, 2, -1, True, False, None, "1", "1/3", "3/10", "x", "1/0", " 2 "]),
+        st.just("x" * 200),
         st.fractions(-1, 2, max_denominator=10),
         st.sampled_from([Fraction("0.3"), Fraction(1), [1], {}]),
     )
@@ -970,6 +971,40 @@ class TestBulkReader:
             sequence_from_json(self.weighed("1" * 100001))
         with pytest.raises(ValueError, match="^bad weight value: True$"):
             sequence_from_json(self.weighed("true"))
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            ("x", "bad weight value: 'x'"),
+            ("x" * 200, f"bad weight value: '{'x' * 40}...'"),
+            ("1/2/3", "bad weight value: '1/2/3'"),
+            ("1/0", "bad weight value: '1/0'"),
+            (-(10**5000), f"negative world weight: -1{'0' * 38}..."),
+            ([1] * 100, f"bad weight value: [{'1, ' * 13}..."),
+        ],
+        ids=["x", "long", "two-slashes", "zero-denominator", "long-negative", "long-list"],
+    )
+    def test_weight_that_is_no_rational_is_quoted_clipped(self, weight, message):
+        """A weight string that is no rational is quoted, clipped, as the
+        reader's other bad weights are, never in the interpreter's words; a
+        negative weight or a weight of another type is clipped too."""
+        classes = [[{"assign": {"p": 0}, "weight": weight}]]
+        doc = {"kind": "conditional", "vocab": ["p"], "classes": classes}
+        assert self.outcome(sequence_from_obj, doc) == (ValueError, message)
+        assert self.outcome(per_world_sequence_from_obj, doc) == (ValueError, message)
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            ("1" * 100001, "literal longer than 100000 characters"),
+            ("1e-10000000", "decimal exponent beyond 10000"),
+        ],
+        ids=["length", "exponent"],
+    )
+    def test_weight_string_past_a_bound_names_the_bound(self, weight, message):
+        with pytest.raises(ValueError) as got:
+            sequence_from_json(self.weighed(json.dumps(weight)))
+        assert str(got.value) == message
 
     @pytest.mark.parametrize("depth", [2, 10, 3000])
     def test_too_deep_is_refused_alike_on_any_interpreter(self, depth):
