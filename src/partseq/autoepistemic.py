@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from . import defaults
 from .errors import ResourceLimitError
 from .logic import (
     Formula,
@@ -28,6 +27,7 @@ from .sequences import (
     beliefs,
     check_peels,
     close,
+    fixed_points,
     licensed,
     peel_sequences,
 )
@@ -96,47 +96,30 @@ def omega_operator(
 
 
 def forced_inconsistency(premises: AelPremises) -> bool:
-    """Whether the premises are contradictory regardless of beliefs.
+    """Whether the inconsistent belief set is a stable expansion.
 
-    Premises without negative belief conditions fire under total belief,
-    so when their conclusions are jointly unsatisfiable the only candidate
-    belief set is the inconsistent one. The expansion enumeration reports
-    consistent kernels only; this flag covers the remaining case.
+    Once everything is believed, exactly the premises without a negative
+    belief condition fire; when their conclusions contradict each other,
+    the inconsistent set is its own value. The expansion enumeration
+    reports consistent kernels only, which may exist beside it.
     """
     hard = (gamma for _, refuse, (_, _, gamma) in premises.compiled[1] if not refuse)
     return reduce(int.__and__, hard, -1) == 0
 
 
 def _search(premises: AelPremises) -> tuple[TruthTable, list[int]]:
-    """The truth table and the consistent expansions' model sets, in order.
-
-    For every assignment of believed/not-believed to the distinct
-    condition formulas, the firing premises induce a kernel; the guess is
-    kept when the kernel agrees with it on every condition formula, which
-    is exactly the fixed-point property. The caps are checked in order
-    before the sweep allocates: conditions, constants, then both at once,
-    under the default sweep's bound.
-    """
-    count, n = len(premises.guesses), len(premises.vocab)
+    """The truth table and the consistent expansions' model sets, in order:
+    the non-empty :func:`~partseq.sequences.fixed_points` among all belief
+    vectors over the distinct condition formulas. The caps are checked in
+    order: conditions, then constants."""
+    count = len(premises.guesses)
     if count > DEFAULT_GUESS_CAP:
         raise ResourceLimitError(
             f"premises mention {count} distinct belief conditions; "
             f"expansion search is capped at {DEFAULT_GUESS_CAP}"
         )
     table = TruthTable(premises.vocab)
-    bits = defaults.DEFAULT_SWEEP_BITS
-    if count + n > bits:
-        raise ResourceLimitError(
-            f"premises mention {count} distinct belief conditions over {n} constants; "
-            f"expansion search would hold up to 2^{count} kernels of 2^{n} bits, and is "
-            f"capped at 2^{bits} bits (conditions + constants <= {bits})"
-        )
-    conditions, guarded, rest = premises.compiled
-    found = []  # a kernel believes one guess only, so none is found twice
-    for bits in range(1 << count):
-        kernel = close(rest, licensed(guarded, bits))
-        if kernel and beliefs(conditions, kernel) == bits:
-            found.append(kernel)
+    found = [k for k in fixed_points(premises.compiled, range(1 << count)) if k]
     found.sort(key=table.sort_key)
     return table, found
 

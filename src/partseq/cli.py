@@ -234,8 +234,9 @@ def _cmd_ael_expansions(args):
     forced = ael.forced_inconsistency(premises)
     result = {"kernels": kernels, "premises_inconsistent": forced}
     if not kernels:
-        note = ["note: the premises are contradictory under any beliefs"] if forced else []
-        return EXIT_NEGATIVE, {"kb": args.kb}, result, ["no stable expansion", *note], []
+        note = "note: once everything is believed, the premises contradict each other"
+        lines = ["no stable expansion", note] if forced else ["no stable expansion"]
+        return EXIT_NEGATIVE, {"kb": args.kb}, result, lines, []
     lines = (f"expansion kernel {i}: {', '.join(world_texts(k))}" for i, k in enumerate(kernels, 1))
     return EXIT_OK, {"kb": args.kb}, result, lines, []
 

@@ -31,17 +31,14 @@ from .sequences import (
     beliefs,
     check_peels,
     close,
+    fixed_points,
     licensed,
     peel_sequences,
 )
 
-# Candidate extensions are searched over subsets of the rule set, so the
-# search refuses a theory with more rules than this.
+# Extensions are searched over subsets of the rule set, so the search
+# refuses a theory with more rules than this.
 DEFAULT_RULE_CAP = 16
-# The search holds up to 2^k candidate masks of 2^n bits for k rules over n
-# constants, so it refuses a theory whose k + n exceeds this: 2^32 bits is
-# 512 MiB. The belief-condition sweep of autoepistemic reads it too.
-DEFAULT_SWEEP_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -113,37 +110,34 @@ def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
     """The truth table and the extensions' model sets, in order.
 
     Every extension is generated by the facts plus the conclusions of the
-    rules that fire in it, so sweeping the intersections of the fact
-    models with rule conclusions and keeping each candidate equal to its
-    operator value finds exactly the fixed points. A candidate's operator
-    value depends only on which justification conditions it believes, so
-    each belief vector is closed once. The caps are checked in order
-    before the sweep allocates: rules, constants, then both at once.
+    rules that fire in it, so it is the closure of the belief vector of an
+    intersection of the fact models with rule conclusions. A depth-first
+    walk over those intersections guesses their vectors, holding one pool
+    per rule, and :func:`~partseq.sequences.fixed_points` keeps each
+    closure that believes its guess. The caps are checked in order before
+    the walk: rules, then constants.
     """
-    k, n = len(theory.rules), len(theory.vocab)
+    k = len(theory.rules)
     if k > DEFAULT_RULE_CAP:
         raise ResourceLimitError(
             f"theory has {k} rules; extension search is capped at {DEFAULT_RULE_CAP}"
         )
     table = TruthTable(theory.vocab)
-    if k + n > DEFAULT_SWEEP_BITS:
-        raise ResourceLimitError(
-            f"theory has {k} rules over {n} constants; extension search would "
-            f"hold up to 2^{k} candidate masks of 2^{n} bits, and is capped at "
-            f"2^{DEFAULT_SWEEP_BITS} bits (rules + constants <= {DEFAULT_SWEEP_BITS})"
-        )
     conditions, guarded, facts = theory.compiled
-    candidates = {facts}
-    for _, _, (_, _, gamma) in guarded:
-        candidates |= {c & gamma for c in candidates}
-    closures: dict[int, int] = {}  # by the beliefs, all a candidate's closure depends on
-    found = []
-    for c in candidates:
-        believed = beliefs(conditions, c)
-        if believed not in closures:
-            closures[believed] = close(facts, licensed(guarded, believed))
-        if closures[believed] == c:
-            found.append(c)
+    gammas = [gamma for _, _, (_, _, gamma) in guarded]
+    guesses: set[int] = set()
+
+    def walk(pool: int, start: int) -> None:
+        guesses.add(beliefs(conditions, pool))
+        for j in range(start, k):
+            narrower = pool & gammas[j]
+            # the empty pool believes every condition, which licenses no
+            # rule, and that vector's closure is the facts: the first pool
+            if narrower != pool and narrower:
+                walk(narrower, j + 1)
+
+    walk(facts, 0)
+    found = fixed_points(theory.compiled, guesses)
     found.sort(key=table.sort_key)
     return table, found
 

@@ -171,7 +171,7 @@ def threshold(
                 ratios = f"{ratio_text(ratio)} > {ratio_text(eps)}"
                 why = f"{name} falls below threshold (rejected mass ratio {ratios})"
             raise BelowThresholdError(f"step {i + 1}: {why}", step=i + 1, formula=name, ratio=ratio)
-        remaining &= ~peel
+        remaining ^= peel
     return seq
 
 

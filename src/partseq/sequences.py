@@ -228,7 +228,9 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 # needs and nothing it refuses. A default rule alpha : M beta / gamma
 # refuses the belief ~beta, and its theory leaves the facts' models; a
 # premise L a & ~L b -> g needs a and refuses b, with no prerequisite, and
-# its premises leave every world.
+# its premises leave every world. A fixed point of either formalism closes
+# rest under a guessed belief vector and believes it (fixed_points). Peels
+# lie inside what remains: a & b == a tests a subset; a ^ (a & b) peels.
 
 Item = tuple[str, int, int]
 Guarded = tuple[int, int, Item]
@@ -244,7 +246,7 @@ def beliefs(conditions: Sequence[int], pool: int) -> int:
     condition of mask ``conditions[j]`` holds throughout ``pool``."""
     believed = 0
     for j, condition in enumerate(conditions):
-        if pool & ~condition == 0:
+        if pool & condition == pool:
             believed |= 1 << j
     return believed
 
@@ -272,7 +274,7 @@ def close(worlds: int, items: Iterable[Item]) -> int:
         waiting = []
         for item in pending:
             _, prerequisite, conclusion = item
-            if worlds & ~prerequisite == 0:
+            if worlds & prerequisite == worlds:
                 worlds &= conclusion
             else:
                 waiting.append(item)
@@ -282,13 +284,27 @@ def close(worlds: int, items: Iterable[Item]) -> int:
     return worlds
 
 
+def fixed_points(compiled: Compiled, guesses: Iterable[int]) -> list[int]:
+    """``rest`` closed under the items each guessed belief vector licenses,
+    where the closure believes exactly that vector: the fixed points among
+    ``guesses``, none twice, since a closure believes one vector only."""
+    conditions, guarded, rest = compiled
+    found = []
+    for believed in guesses:
+        closure = close(rest, licensed(guarded, believed))
+        if beliefs(conditions, closure) == believed:
+            found.append(closure)
+    return found
+
+
 def peel_in_order(remaining: int, conclusions: Iterable[int]) -> list[int]:
     """``remaining`` peeled by each conclusion mask in turn: class i is the worlds
     still remaining that falsify conclusion i, kept even when empty; the rest is last."""
     classes = []
     for conclusion in conclusions:
-        classes.append(remaining & ~conclusion)
-        remaining &= conclusion
+        kept = remaining & conclusion
+        classes.append(remaining ^ kept)
+        remaining = kept
     return [*classes, remaining]
 
 
@@ -296,18 +312,18 @@ def _ready(items: list[Item], remaining: int) -> list[tuple[str, int]]:
     """Labels and non-empty peels of the items ready on ``remaining``."""
     steps = []
     for label, prerequisite, conclusion in items:
-        if remaining & ~prerequisite == 0:
-            peel = remaining & ~conclusion
+        if remaining & prerequisite == remaining:
+            peel = remaining ^ (remaining & conclusion)
             if peel:
                 steps.append((label, peel))
     return steps
 
 
 def peel_sequences(
-    kind: str, table: TruthTable, compiled: Compiled, fixed_points: Iterable[int]
+    kind: str, table: TruthTable, compiled: Compiled, points: Iterable[int]
 ) -> list[PartitionSequence]:
-    """Sequences peeled for each non-empty fixed point of ``compiled``,
-    one per peel order.
+    """Sequences peeled for each non-empty fixed point of ``compiled`` in
+    ``points``, one per peel order.
 
     Every sequence opens with the worlds outside ``rest``; the worlds of
     ``rest`` are then peeled by the items the fixed point licenses, in any
@@ -337,11 +353,11 @@ def peel_sequences(
             budget -= 1
             emit((*classes, remaining), (*labels, ""))
         for label, peel in steps:
-            explore(items, remaining & ~peel, (*classes, peel), (*labels, label))
+            explore(items, remaining ^ peel, (*classes, peel), (*labels, label))
 
-    for point in filter(None, fixed_points):
+    for point in filter(None, points):
         start = len(results)
-        explore(licensed(guarded, beliefs(conditions, point)), rest, (table.full & ~rest,), ("",))
+        explore(licensed(guarded, beliefs(conditions, point)), rest, (table.full ^ rest,), ("",))
     return results
 
 
@@ -378,7 +394,7 @@ def check_peels(
     conditions, guarded, rest = compiled
     noun, first, empty = _WORDING[kind]
     last, end = classes[-1], len(classes) - 1
-    if classes[0] != table.full & ~rest:
+    if classes[0] != table.full ^ rest:
         problems.append(Violation("condition 1", first, class_index=0))
     if empty and not last:
         problems.append(Violation("condition 3", empty, class_index=end))
@@ -390,7 +406,7 @@ def check_peels(
         cls = classes[i]
         items = licensed(guarded, beliefs(conditions, cls)) if strict else by_last
         if not any(
-            remaining & ~prerequisite == 0 and remaining & ~conclusion == cls
+            remaining & prerequisite == remaining and remaining ^ (remaining & conclusion) == cls
             for _, prerequisite, conclusion in items
         ):
             problems.append(
@@ -400,7 +416,7 @@ def check_peels(
                     class_index=i,
                 )
             )
-        remaining &= ~cls
+        remaining ^= cls
     for label, _ in _ready(by_last, last):
         problems.append(
             Violation(
@@ -629,10 +645,12 @@ def _read_class(listed, vocab: Vocabulary, parsed: dict, at: int) -> tuple[list[
         values = list(map(get, assigns))
         rows = list(map(bytes, values))
         # each assignment holds every name, so one as long as the names has
-        # no other key; bool is an int too, but no truth value and no weight;
-        # a Fraction hashes slowly, so weights are told apart by identity first
+        # no other key, but with no names only its type tells an object; bool
+        # is an int too, but no truth value and no weight; a Fraction hashes
+        # slowly, so weights are told apart by identity first
         if (
-            set(map(len, assigns)) <= {len(names)}
+            set(map(type, assigns)) <= {dict}
+            and set(map(len, assigns)) <= {len(names)}
             and set(map(type, chain.from_iterable(values))) <= {int}
             and not b"".join(rows).translate(None, b"\0\1")
             and set(map(type, weights)) <= {int, Fraction, str}

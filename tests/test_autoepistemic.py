@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from partseq import (
     build_ael_sequences,
     check_ael_sequence,
     conjoin,
-    defaults,
     enumerate_worlds,
     forced_inconsistency,
     models,
@@ -175,6 +175,14 @@ class TestStableExpansions:
         assert stable_expansions(premises) == []
         assert forced_inconsistency(premises)
 
+    def test_forced_inconsistency_beside_a_consistent_expansion(self, pq):
+        # believing p contradicts; not believing it licenses nothing, which
+        # leaves every world and so does not believe p
+        premises = parse_kb("vocab: p q\nL p -> false\n", "ael").body
+        (kernel,) = stable_expansions(premises)
+        assert kernel.worlds == frozenset(enumerate_worlds(pq))
+        assert forced_inconsistency(premises)
+
     def test_guess_cap(self, pq):
         formulas = tuple(
             ModalFormula(gamma=P, alpha=conjoin([P] * (i + 1))) for i in range(17)
@@ -243,28 +251,27 @@ class TestWorldCap:
             Vocabulary(names),
         )
 
-    def test_sweep_bound_refuses_twenty_constants_sixteen_conditions(self):
-        # up to 2^16 kernels of 2^20 bits: refused before anything is compiled
-        premises = self.chain(20, 16)
-        for run in (lambda: stable_expansions(premises), lambda: build_ael_sequences(premises)):
-            with pytest.raises(ResourceLimitError, match=r"capped at 2\^32 bits"):
-                run()
-        assert "compiled" not in premises.__dict__
+    def test_caps_checked_conditions_then_constants(self):
+        # each refused before anything is compiled
+        for n, g, message in ((20, 17, "capped at 16"), (21, 16, "capped at 20")):
+            premises = self.chain(n, g)
+            for run in (lambda: stable_expansions(premises), lambda: build_ael_sequences(premises)):
+                with pytest.raises(ResourceLimitError, match=message):
+                    run()
+            assert "compiled" not in premises.__dict__
 
-    def test_caps_checked_conditions_then_constants_then_sweep(self):
-        for n, g, message in (
-            (20, 17, "capped at 16"),
-            (21, 16, "capped at 20"),
-            (20, 13, r"capped at 2\^32 bits \(conditions \+ constants <= 32\)"),
-        ):
-            with pytest.raises(ResourceLimitError, match=message):
-                stable_expansions(self.chain(n, g))
-
-    def test_sweep_bound_is_conditions_plus_constants(self, monkeypatch):
-        monkeypatch.setattr(defaults, "DEFAULT_SWEEP_BITS", 8)
-        assert len(stable_expansions(self.chain(4, 4))) == 1
-        with pytest.raises(ResourceLimitError, match=r"2\^8 bits"):
-            stable_expansions(self.chain(5, 4))
+    def test_thirteen_conditions_over_twenty_constants_in_flat_memory(self):
+        # 2^13 guesses, each closed and tested on its own
+        premises = self.chain(20, 13)
+        tracemalloc.start()
+        try:
+            (kernel,) = stable_expansions(premises)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kernel.worlds) == 2**7
+        assert all(w.true_names >= {f"c{i}" for i in range(13)} for w in kernel.worlds)
+        assert peak < 16 << 20
 
     def test_twelve_conditions_over_sixteen_constants_run(self):
         premises = self.chain(16, 12)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -124,7 +125,7 @@ class TestGammaOperator:
 
 class TestOperatorReuse:
     """At a fixed point the operator hands back the caller's own worlds,
-    and the sweep closes each belief vector once."""
+    and the search closes each belief vector once."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32))
@@ -169,8 +170,8 @@ class TestOperatorReuse:
         assert value == mixed and {w.weight for w in value} == {1}
 
     def test_more_candidates_than_belief_vectors(self, monkeypatch):
-        # a five-rule chain beside a rule that defeats itself: 2^6 candidate
-        # masks, each refuting no justification or only the one of s
+        # a five-rule chain beside a rule that defeats itself: 2^6 pools,
+        # each refuting no justification or only the one of s
         theory = parse_kb(
             "vocab: a b c d e s\n"
             + "".join(f"rule r{c}: true : M {c} / {c}\n" for c in "abcde")
@@ -178,9 +179,9 @@ class TestOperatorReuse:
             "default",
         ).body
         closes = []
-        real_close = defaults.close
+        real_close = sequences.close
         monkeypatch.setattr(
-            defaults, "close", lambda *args: closes.append(args) or real_close(*args)
+            sequences, "close", lambda *args: closes.append(args) or real_close(*args)
         )
         worlds = enumerate_worlds(theory.vocab)
         assert extensions(theory) == [] == list(brute_force_default_last_classes(theory, worlds))
@@ -224,6 +225,17 @@ class TestExtensions:
         with pytest.raises(ResourceLimitError):
             extensions(DefaultTheory(rules=rules, facts=(), vocab=pq))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_walk_guesses_find_what_every_guess_finds(self, seed):
+        # the walk skips the empty pool: it believes every condition, which
+        # licenses no rule, so that vector's closure is the facts
+        theory = random_default_theory(random.Random(seed))
+        table, found = defaults._search(theory)
+        conditions, _, _ = theory.compiled
+        every = sequences.fixed_points(theory.compiled, range(1 << len(conditions)))
+        assert found == sorted(every, key=table.sort_key)
+
 
 class TestWorldCap:
     NAMES = [f"c{i}" for i in range(20)]
@@ -259,29 +271,29 @@ class TestWorldCap:
             with pytest.raises(ResourceLimitError, match="capped at 20"):
                 run()
 
-    def test_sweep_bound_refuses_twenty_constants_sixteen_rules(self):
-        # 2^16 candidate masks of 2^20 bits: refused before anything is compiled
-        theory = self.chain(self.NAMES, k=16)
-        for run in (lambda: extensions(theory), lambda: build_default_sequences(theory)):
-            with pytest.raises(ResourceLimitError, match=r"capped at 2\^32 bits"):
-                run()
-        assert not cached(theory)
-
-    def test_caps_checked_rules_then_constants_then_sweep(self):
+    def test_caps_checked_rules_then_constants(self):
+        # each refused before anything is compiled
         for names, k, message in (
             (self.NAMES + ["c20"], 17, "capped at 16"),
             (self.NAMES + ["c20"], 16, "capped at 20"),
-            (self.NAMES, 13, r"capped at 2\^32 bits \(rules \+ constants <= 32\)"),
         ):
-            with pytest.raises(ResourceLimitError, match=message):
-                extensions(self.chain(names, k))
+            theory = self.chain(names, k)
+            for run in (lambda: extensions(theory), lambda: build_default_sequences(theory)):
+                with pytest.raises(ResourceLimitError, match=message):
+                    run()
+            assert not cached(theory)
 
-    def test_sweep_bound_is_rules_plus_constants(self, monkeypatch):
-        monkeypatch.setattr(defaults, "DEFAULT_SWEEP_BITS", 8)
-        names = ["a", "b", "c", "d", "e"]
-        assert len(extensions(self.chain(names[:4], k=4))) == 1
-        with pytest.raises(ResourceLimitError, match=r"2\^8 bits"):
-            extensions(self.chain(names, k=4))
+    def test_thirteen_rules_over_twenty_constants_in_flat_memory(self):
+        # 2^13 pools of 2^20 bits, walked one per rule at a time
+        theory = self.chain(self.NAMES, k=13)
+        tracemalloc.start()
+        try:
+            (kernel,) = extensions(theory)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kernel.worlds == {World(theory.vocab, self.NAMES)}
+        assert peak < 16 << 20
 
     def test_twenty_constants_sequences_stay_masks(self, monkeypatch):
         monkeypatch.setattr(sequences, "DEFAULT_ORDER_LIMIT", 5)

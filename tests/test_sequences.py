@@ -1049,6 +1049,8 @@ class TestBulkReader:
             ({"classes": [[{"assign": {"p": 0}}, [1]]]}, "classes[0][1] must be an object"),
             ({"classes": [[{"assign": {"p": 0}}, {"assign": ["p"]}]]},
              "classes[0][1].assign must be an object"),
+            ({"vocab": [], "classes": [[{"assign": []}]]},
+             "classes[0][0].assign must be an object"),
         ],
     )
     def test_part_of_the_wrong_type_is_named(self, edit, message):
