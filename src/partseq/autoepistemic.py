@@ -10,10 +10,11 @@ part), so kernels stand in for whole belief sets here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .errors import ResourceLimitError
 from .logic import (
+    TRUE,
     Formula,
     Kernel,
     ModalFormula,
@@ -24,11 +25,10 @@ from .sequences import (
     Compiled,
     PartitionSequence,
     Violation,
-    beliefs,
     check_peels,
-    close,
+    compile_items,
     fixed_points,
-    licensed,
+    operator_value,
     peel_sequences,
 )
 
@@ -50,7 +50,7 @@ class AelPremises:
 
     @cached_property
     def guesses(self) -> tuple[Formula, ...]:
-        """Distinct formulas whose belief status decides which premises fire."""
+        """Distinct formulas under L, which the guess cap counts."""
         seen: dict[Formula, None] = {}
         for pm in self.formulas:
             seen.update(dict.fromkeys(((pm.alpha,) if pm.alpha is not None else ()) + pm.betas))
@@ -58,22 +58,13 @@ class AelPremises:
 
     @cached_property
     def compiled(self) -> Compiled:
-        """The premises in the peel section's form over the dense table:
-        the guess formulas' masks, each premise as the item (label, all
-        worlds, g mask) needing the bit of its positive condition, if any,
-        and refusing the bits of its negative ones, and all worlds, which
-        the empty first class leaves."""
-        table = TruthTable(self.vocab)
-        bit = {phi: 1 << j for j, phi in enumerate(self.guesses)}
-        guarded = tuple(
-            (
-                0 if pm.alpha is None else bit[pm.alpha],
-                reduce(int.__or__, map(bit.__getitem__, pm.betas), 0),
-                (str(pm), table.full, table.mask(pm.gamma)),
-            )
+        """The premises in the peel section's form over the dense table;
+        every world is left."""
+        items = (
+            (str(pm), () if pm.alpha is None else (pm.alpha,), pm.betas, TRUE, pm.gamma)
             for pm in self.formulas
         )
-        return tuple(map(table.mask, self.guesses)), guarded, table.full
+        return compile_items(TruthTable(self.vocab), items, TRUE)
 
 
 def omega_operator(
@@ -89,29 +80,26 @@ def omega_operator(
     if not kernel.is_consistent:
         raise ValueError("the belief operator is defined for consistent kernels only")
     table = TruthTable(premises.vocab)
-    conditions, guarded, rest = premises.compiled
-    believed = beliefs(conditions, table.mask_of(kernel.worlds))
-    value = close(rest, licensed(guarded, believed))
+    value = operator_value(premises.compiled, table.mask_of(kernel.worlds))
     return Kernel(table.worlds(value), premises.vocab)
 
 
 def forced_inconsistency(premises: AelPremises) -> bool:
     """Whether the inconsistent belief set is a stable expansion.
 
-    Once everything is believed, exactly the premises without a negative
-    belief condition fire; when their conclusions contradict each other,
-    the inconsistent set is its own value. The expansion enumeration
+    The empty pool believes everything, so exactly the premises without a
+    negative belief condition fire; when their conclusions contradict each
+    other, the inconsistent set is its own value. The expansion enumeration
     reports consistent kernels only, which may exist beside it.
     """
-    hard = (gamma for _, refuse, (_, _, gamma) in premises.compiled[1] if not refuse)
-    return reduce(int.__and__, hard, -1) == 0
+    return operator_value(premises.compiled, 0) == 0
 
 
 def _search(premises: AelPremises) -> tuple[TruthTable, list[int]]:
-    """The truth table and the consistent expansions' model sets, in order:
-    the non-empty :func:`~partseq.sequences.fixed_points` among all belief
-    vectors over the distinct condition formulas. The caps are checked in
-    order: conditions, then constants."""
+    """The truth table and the consistent expansions' model sets: the
+    non-empty :func:`~partseq.sequences.fixed_points`, in report order,
+    among all belief vectors over the distinct condition masks. The caps
+    are checked in order: condition formulas, then constants."""
     count = len(premises.guesses)
     if count > DEFAULT_GUESS_CAP:
         raise ResourceLimitError(
@@ -119,9 +107,8 @@ def _search(premises: AelPremises) -> tuple[TruthTable, list[int]]:
             f"expansion search is capped at {DEFAULT_GUESS_CAP}"
         )
     table = TruthTable(premises.vocab)
-    found = [k for k in fixed_points(premises.compiled, range(1 << count)) if k]
-    found.sort(key=table.sort_key)
-    return table, found
+    conditions = premises.compiled[0]
+    return table, [k for k in fixed_points(premises.compiled, range(1 << len(conditions))) if k]
 
 
 def stable_expansions(

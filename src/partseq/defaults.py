@@ -30,9 +30,9 @@ from .sequences import (
     Violation,
     beliefs,
     check_peels,
-    close,
+    compile_items,
     fixed_points,
-    licensed,
+    operator_value,
     peel_sequences,
 )
 
@@ -75,20 +75,10 @@ class DefaultTheory:
 
     @cached_property
     def compiled(self) -> Compiled:
-        """The theory in the peel section's form over the dense table: the
-        distinct masks of ~beta over the justifications, each rule as the
-        item (id, alpha mask, gamma mask) refusing the bits of its ~betas,
-        and the facts' mask, the worlds the first class leaves. So a rule
-        is licensed where each of its justifications is satisfiable."""
-        mask = TruthTable(self.vocab).mask
-        bit: dict[int, int] = {}  # each distinct ~beta mask, to its bit
-        guarded = []
-        for r in self.rules:
-            refuse = 0
-            for b in r.betas:
-                refuse |= 1 << bit.setdefault(mask(Not(b)), len(bit))
-            guarded.append((0, refuse, (r.rule_id, mask(r.alpha), mask(r.gamma))))
-        return tuple(bit), tuple(guarded), mask(self.fact_formula)
+        """The theory in the peel section's form over the dense table: a
+        rule refuses its ~betas, and the facts' models are left."""
+        items = ((r.rule_id, (), tuple(map(Not, r.betas)), r.alpha, r.gamma) for r in self.rules)
+        return compile_items(TruthTable(self.vocab), items, self.fact_formula)
 
 
 def gamma_operator(
@@ -101,13 +91,11 @@ def gamma_operator(
     ``candidate``), the least fixed point of applying them.
     """
     table = TruthTable(theory.vocab)
-    conditions, guarded, rest = theory.compiled
-    pool = table.mask_of(candidate)
-    return table.worlds(close(rest, licensed(guarded, beliefs(conditions, pool))))
+    return table.worlds(operator_value(theory.compiled, table.mask_of(candidate)))
 
 
 def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
-    """The truth table and the extensions' model sets, in order.
+    """The truth table and the extensions' model sets, in report order.
 
     Every extension is generated by the facts plus the conclusions of the
     rules that fire in it, so it is the closure of the belief vector of an
@@ -137,9 +125,7 @@ def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
                 walk(narrower, j + 1)
 
     walk(facts, 0)
-    found = fixed_points(theory.compiled, guesses)
-    found.sort(key=table.sort_key)
-    return table, found
+    return table, fixed_points(theory.compiled, guesses)
 
 
 def extensions(

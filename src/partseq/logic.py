@@ -18,7 +18,7 @@ from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import ParseError, ResourceLimitError, SemanticError
-from .rationals import Rational, as_fraction
+from .rationals import Rational, as_fraction, clipped, ratio_text
 
 # Exhaustive world enumeration is O(2^n); this is the practical desk-scale
 # ceiling. The dense TruthTable, which every enumerating operation builds,
@@ -106,7 +106,7 @@ class World:
             raise SemanticError(f"constants not in vocabulary: {sorted(unknown)}")
         self.weight = as_fraction(weight)
         if self.weight.numerator < 0:
-            raise ValueError(f"negative world weight: {self.weight}")
+            raise ValueError(f"negative world weight: {clipped(ratio_text(self.weight))}")
         self._hash = hash((vocab, self.true_names))
 
     @classmethod
@@ -554,7 +554,7 @@ class TruthTable:
         for mask, share in shares:
             share = as_fraction(share)
             if share < 0:
-                raise ValueError(f"negative world weight: {share}")
+                raise ValueError(f"negative world weight: {clipped(ratio_text(share))}")
             if mask & union:
                 raise ValueError("reweighted masks overlap")
             union |= mask
@@ -584,10 +584,6 @@ class TruthTable:
         """The total weight of the worlds of ``mask``, :meth:`weight` over
         the shares' common denominator."""
         return Fraction(self.weight(mask), self._numerators[1])
-
-    def sort_key(self, mask: int) -> tuple[int, list[int]]:
-        """Orders world sets by size, then by their worlds' truth values."""
-        return mask.bit_count(), _set_bits(mask)
 
 
 # ---------------------------------------------------------------------------

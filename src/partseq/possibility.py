@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .logic import Formula, Not, TruthTable, Vocabulary, format_formula
-from .rationals import ratio_text
+from .rationals import clipped, ratio_text
 from .sequences import PartitionSequence, Violation, class_masks, peel_in_order
 
 
@@ -36,7 +36,8 @@ class PossibilisticKB:
             if not formulas:
                 raise ValueError("empty formula set in a possibilistic level")
             if not 0 <= value <= 1:
-                raise ValueError(f"possibility value {value} outside [0, 1]")
+                shown = clipped(ratio_text(Fraction(value)))
+                raise ValueError(f"possibility value {shown} outside [0, 1]")
             if previous is not None and value <= previous:
                 raise ValueError("possibility values must increase strictly")
             previous = value

@@ -21,7 +21,7 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .logic import Formula, TruthTable, Vocabulary, World, format_formula
-from .rationals import Rational, as_fraction, ratio_text
+from .rationals import Rational, as_fraction, clipped, ratio_text
 from .sequences import PartitionSequence, peel_in_order
 
 MAX_THRESHOLD_CANDIDATES = 10
@@ -56,7 +56,7 @@ class SampleSpace:
         self.table, self.vocab = table, table.vocab
         total = table.mass(table.full)
         if total != 1:
-            raise ValueError(f"sample space weights total {ratio_text(total)}, not 1")
+            raise ValueError(f"sample space weights total {clipped(ratio_text(total))}, not 1")
 
     @cached_property
     def worlds(self) -> tuple[World, ...]:

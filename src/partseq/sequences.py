@@ -18,7 +18,8 @@ from operator import itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SemanticError
-from .logic import DEFAULT_WORLD_CAP, _ONE, TruthTable, Vocabulary, World, _from_bits, _set_bits
+from .logic import DEFAULT_WORLD_CAP, _ONE, Formula, TruthTable, Vocabulary, World
+from .logic import _from_bits, _set_bits
 from .rationals import (
     LiteralBoundError,
     clipped,
@@ -220,17 +221,18 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 # (label, prerequisite, conclusion) of a default or belief sequence peels
 # only while its prerequisite holds throughout the remaining worlds. World sets here
 # are truth-table masks (see logic.TruthTable), and so are an item's
-# prerequisite and conclusion. Both formalisms compile to the form
-# (conditions, guarded, rest): condition masks, items guarded by bits over
-# them, (need, refuse, item), and the worlds left once the first class is
-# split off. A pool of worlds believes condition j when it holds
-# throughout the pool, and licenses an item when it believes all the item
-# needs and nothing it refuses. A default rule alpha : M beta / gamma
-# refuses the belief ~beta, and its theory leaves the facts' models; a
-# premise L a & ~L b -> g needs a and refuses b, with no prerequisite, and
-# its premises leave every world. A fixed point of either formalism closes
-# rest under a guessed belief vector and believes it (fixed_points). Peels
-# lie inside what remains: a & b == a tests a subset; a ^ (a & b) peels.
+# prerequisite and conclusion. Both formalisms compile (compile_items) to
+# (conditions, guarded, rest): the distinct condition masks, items guarded
+# by bits over them, (need, refuse, item), and the worlds left once the
+# first class is split off. A pool believes condition j when it holds
+# throughout it, and licenses an item when it believes all the item needs
+# and nothing it refuses; the operator closes rest under what a pool
+# licenses (operator_value). A rule alpha : M beta / gamma refuses the
+# belief ~beta, and its theory leaves the facts' models; a premise
+# L a & ~L b -> g needs a and refuses b, with no prerequisite, and its
+# premises leave every world. A fixed point closes rest under a guessed
+# belief vector and believes it (fixed_points). Peels lie inside what
+# remains: a & b == a tests a subset; a ^ (a & b) peels.
 
 Item = tuple[str, int, int]
 Guarded = tuple[int, int, Item]
@@ -263,8 +265,7 @@ def licensed(guarded: Iterable[Guarded], believed: int) -> list[Item]:
 
 def close(worlds: int, items: Iterable[Item]) -> int:
     """``worlds`` peeled by every item whose prerequisite holds throughout
-    what remains, until a full pass peels nothing: the operator of both
-    formalisms, at the pool that licensed ``items``.
+    what remains, until a full pass peels nothing.
 
     An item peels at most once, since its conclusion then holds throughout
     every later remainder, so the order of ``items`` does not matter.
@@ -284,16 +285,40 @@ def close(worlds: int, items: Iterable[Item]) -> int:
     return worlds
 
 
+def compile_items(table: TruthTable, items: Iterable[tuple], rest: Formula) -> Compiled:
+    """``items`` (label, need, refuse, prerequisite, conclusion) and formula
+    ``rest`` over ``table``, in the form above; each distinct mask of a
+    formula in need or refuse gets one bit, in order of first use."""
+    bit: dict[int, int] = {}
+    guarded = []
+    for label, need, refuse, prerequisite, conclusion in items:
+        guard = [0, 0]
+        for side, formulas in enumerate((need, refuse)):
+            for phi in formulas:
+                guard[side] |= 1 << bit.setdefault(table.mask(phi), len(bit))
+        guarded.append((*guard, (label, table.mask(prerequisite), table.mask(conclusion))))
+    return tuple(bit), tuple(guarded), table.mask(rest)
+
+
+def operator_value(compiled: Compiled, pool: int) -> int:
+    """The operator of both formalisms at ``pool``: ``rest`` closed under
+    the items ``pool`` licenses."""
+    conditions, guarded, rest = compiled
+    return close(rest, licensed(guarded, beliefs(conditions, pool)))
+
+
 def fixed_points(compiled: Compiled, guesses: Iterable[int]) -> list[int]:
     """``rest`` closed under the items each guessed belief vector licenses,
     where the closure believes exactly that vector: the fixed points among
-    ``guesses``, none twice, since a closure believes one vector only."""
+    ``guesses``, none twice, since a closure believes one vector only;
+    smallest first, then by their set bits."""
     conditions, guarded, rest = compiled
     found = []
     for believed in guesses:
         closure = close(rest, licensed(guarded, believed))
         if beliefs(conditions, closure) == believed:
             found.append(closure)
+    found.sort(key=lambda mask: (mask.bit_count(), _set_bits(mask)))
     return found
 
 
@@ -635,7 +660,8 @@ def _read_class(listed, vocab: Vocabulary, parsed: dict, at: int) -> tuple[list[
     """The rows and weights, as written, of class ``at`` of a document,
     checked in bulk, each distinct weight (absent is 1) parsed once into
     ``parsed``; a class that fails a check is walked world by world, to
-    raise the first fault met."""
+    raise the first fault met, named by the world's path, and a world
+    listed twice by its second listing."""
     names, name_set = vocab.names, vocab._name_set  # type: ignore[attr-defined]
     # itemgetter of one name gives no tuple, and of none is refused
     get = itemgetter(*names) if len(names) > 1 else lambda a: tuple(a[n] for n in names)
@@ -654,32 +680,42 @@ def _read_class(listed, vocab: Vocabulary, parsed: dict, at: int) -> tuple[list[
             and set(map(type, chain.from_iterable(values))) <= {int}
             and not b"".join(rows).translate(None, b"\0\1")
             and set(map(type, weights)) <= {int, Fraction, str}
+            and len(set(rows)) == len(rows)
         ):
             for raw in set(dict(zip(map(id, weights), weights)).values()).difference(parsed):
                 parsed[raw] = _parse_weight(raw)
             return rows, weights
     except (KeyError, TypeError, ValueError):
         pass
-    rows, weights = [], []
+    rows, weights = {}, []  # rows in order, each once
     for j, w in enumerate(listed):
+        where = f"classes[{at}][{j}]"
         if type(w) is not dict:
-            raise ValueError(f"classes[{at}][{j}] must be an object")
+            raise ValueError(f"{where} must be an object")
+        if "assign" not in w:
+            raise ValueError(f"{where}: missing key 'assign'")
         assign = w["assign"]
         if type(assign) is not dict:
-            raise ValueError(f"classes[{at}][{j}].assign must be an object")
+            raise ValueError(f"{where}.assign must be an object")
         if assign.keys() != name_set:
-            raise ValueError("world assignment does not match the vocabulary")
+            raise ValueError(f"{where}: world assignment does not match the vocabulary")
         values = tuple(map(assign.__getitem__, names))
         for name, value in zip(names, values):
             if type(value) is not int or value not in (0, 1):
                 # an int past the interpreter's digit limit has no repr
                 shown = integer_text(value) if type(value) is int else repr(value)
-                raise ValueError(f"assignment of {name!r} is {clipped(shown)}, not 0 or 1")
+                raise ValueError(f"{where}: assignment of {name!r} is {clipped(shown)}, not 0 or 1")
         weight = w.get("weight", 1)
-        parsed[weight] = _parse_weight(weight)
-        rows.append(bytes(values))
+        try:
+            parsed[weight] = _parse_weight(weight)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        row = bytes(values)
+        if row in rows:
+            raise ValueError(f"{where}: a world is listed twice in one class")
+        rows[row] = None
         weights.append(weight)
-    return rows, weights
+    return list(rows), weights
 
 
 def sequence_from_obj(obj: dict) -> PartitionSequence:
@@ -702,8 +738,6 @@ def sequence_from_obj(obj: dict) -> PartitionSequence:
         if type(listed) is not list:
             raise ValueError(f"classes[{i}] must be a list")
         rows, raw = _read_class(listed, vocab, parsed, i)
-        if len(set(rows)) != len(rows):
-            raise ValueError("a world is listed twice in one class")
         classes.append(rows)
         weights += raw
     provenance = [] if obj.get("provenance") is None else obj["provenance"]

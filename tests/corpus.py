@@ -10,6 +10,8 @@ classes swapped or merged, a world moved, duplicated (with its weight or
 another) or dropped, a wrong kind, bad weights and bad assignments. A call's argv, exit code, stdout
 and stderr, with the directory written as ``$DIR``, make one record; the
 records of each command family are hashed in order, one sha256 a family.
+Last, the ``demos`` family runs each ``demos/*_demo.py`` in process and
+records its path, its stdout and its stderr the same way.
 
     PYTHONPATH=src python tests/corpus.py                  # print the digests
     PYTHONPATH=src python tests/corpus.py --check tests/corpus.sha256
@@ -29,6 +31,7 @@ import hashlib
 import io
 import json
 import random
+import runpy
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -43,6 +46,7 @@ from partseq.kbformats import KbDocument, parse_kb, serialize_kb  # noqa: E402
 from partseq.logic import format_formula  # noqa: E402
 
 DEMOS = HERE.parent / "demos" / "kb"
+DEMO_SCRIPTS = sorted((HERE.parent / "demos").glob("*_demo.py"))
 SIZES = {"full": 160, "slice": 3}  # genkit bases of each kind
 SEED = 20131
 FLAGS = ([], ["--json"], ["--strict"])
@@ -79,11 +83,12 @@ class Corpus:
         self.records = records
         self.index = self.files = 0
 
-    def call(self, family: str, argv: list[str]) -> tuple[int, str]:
+    def call(self, family: str, argv: list[str], run=cli.main) -> tuple[int, str]:
+        """``run(argv)`` with stdout and stderr captured, as one record."""
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
-                code = cli.main(argv)
+                code = run(argv)
             except Exception as exc:  # a traceback would reach the user
                 code = f"raised {type(exc).__name__}: {exc}"
         text = out.getvalue()
@@ -215,12 +220,19 @@ def _bases(per_kind: int):
     yield "default", "chain.dl", f"vocab: {' '.join(names)}\n{rules}"
 
 
+def _run_demo(argv: list[str]) -> int:
+    runpy.run_path(str(HERE.parent / argv[0]), run_name="__main__")
+    return 0
+
+
 def run(size: str, records=None) -> dict[str, str]:
     """The hex digest of each command family of the corpus of ``size``."""
     with tempfile.TemporaryDirectory(prefix="corpus") as tmp:
         corpus = Corpus(Path(tmp).resolve(), records)
         for index, (group, name, text) in enumerate(_bases(SIZES[size])):
             corpus.base(index, group, name, text)
+        for script in DEMO_SCRIPTS:
+            corpus.call("demos", [f"demos/{script.name}"], _run_demo)
     return {family: h.hexdigest() for family, h in sorted(corpus.digests.items())}
 
 

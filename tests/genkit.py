@@ -258,27 +258,35 @@ def per_world_sequence_from_obj(obj: dict):
             raise ValueError(f"classes[{i}] must be a list")
         rows = []
         for j, w in enumerate(listed):
+            where = f"classes[{i}][{j}]"
             if type(w) is not dict:
-                raise ValueError(f"classes[{i}][{j}] must be an object")
+                raise ValueError(f"{where} must be an object")
+            if "assign" not in w:
+                raise ValueError(f"{where}: missing key 'assign'")
             assign = w["assign"]
             if type(assign) is not dict:
-                raise ValueError(f"classes[{i}][{j}].assign must be an object")
+                raise ValueError(f"{where}.assign must be an object")
             if assign.keys() != name_set:
-                raise ValueError("world assignment does not match the vocabulary")
+                raise ValueError(f"{where}: world assignment does not match the vocabulary")
             values = tuple(map(assign.__getitem__, names))
             # bool is an int too, but not a truth value written as 0 or 1
             if not set(map(type, values)) <= {int} or not set(values) <= {0, 1}:
                 for name, value in zip(names, values):
                     if type(value) is not int or value not in (0, 1):
                         shown = integer_text(value) if type(value) is int else repr(value)
-                        raise ValueError(f"assignment of {name!r} is {clipped(shown)}, not 0 or 1")
+                        raise ValueError(
+                            f"{where}: assignment of {name!r} is {clipped(shown)}, not 0 or 1"
+                        )
             weight = w.get("weight", 1)
             if type(weight) is not int or weight != 1:
-                weight, unit = _per_world_weight(weight), False
+                try:
+                    weight, unit = _per_world_weight(weight), False
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+            if bytes(values) in rows:
+                raise ValueError(f"{where}: a world is listed twice in one class")
             rows.append(bytes(values))
             weights.append(weight)
-        if len(set(rows)) != len(rows):
-            raise ValueError("a world is listed twice in one class")
         classes.append(rows)
     provenance = [] if obj.get("provenance") is None else obj["provenance"]
     if type(provenance) is not list or not all(type(p) is str for p in provenance):

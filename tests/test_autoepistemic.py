@@ -31,7 +31,7 @@ from partseq import (
     stable_expansions,
     validate_structure,
 )
-from partseq.logic import Formula, TruthTable
+from partseq.logic import And, Formula, TruthTable
 from genkit import (
     _ael_sequence_ok,
     _subsets,
@@ -428,6 +428,50 @@ class TestAgainstBruteForce:
             assert (check_ael_sequence(premises, seq) == []) == ok, seq
         for seq in build_ael_sequences(premises):
             assert _ael_sequence_ok(premises, list(seq.classes), ts)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_conditions_of_one_mask_share_a_guess(self, n, monkeypatch):
+        # ~L ~ci -> ci and ~L ~(ci & ci) -> di: 2n formulas under L but n
+        # masks, so 2^n belief vectors are closed; the oracle's candidate
+        # sequences outgrow a test past six premises
+        names = [f"{x}{i}" for x in "cd" for i in range(n)]
+        premises = parse_kb(
+            f"vocab: {' '.join(names)}\n"
+            + "".join(f"~L ~c{i} -> c{i}\n" for i in range(n))
+            + "".join(f"~L ~(c{i} & c{i}) -> d{i}\n" for i in range(n)),
+            "ael",
+        ).body
+        closes = []
+        real_close = sequences.close
+        monkeypatch.setattr(
+            sequences, "close", lambda *args: closes.append(args) or real_close(*args)
+        )
+        (kernel,) = stable_expansions(premises)
+        assert len(premises.guesses) == 2 * n and len(closes) == 2**n
+        assert kernel.worlds == {World(premises.vocab, names)}
+        if n < 4:
+            worlds = enumerate_worlds(premises.vocab)
+            assert brute_force_ael_last_classes(premises, worlds) == {kernel.worlds}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_conditions_written_twice(self, seed):
+        # some premises write each condition phi as phi & phi, and a copy so
+        # written stands beside one premise: one mask, one condition bit
+        rng = random.Random(seed)
+        base = random_premises(rng)
+
+        def doubled(pm):
+            alpha = None if pm.alpha is None else And(pm.alpha, pm.alpha)
+            return dataclasses.replace(pm, alpha=alpha, betas=tuple(And(b, b) for b in pm.betas))
+
+        formulas = [doubled(pm) if rng.random() < 0.5 else pm for pm in base.formulas]
+        premises = AelPremises((*formulas, *map(doubled, base.formulas[:1])), base.vocab)
+        worlds = enumerate_worlds(premises.vocab)
+        got = {k.worlds for k in stable_expansions(premises)}
+        assert got == brute_force_ael_last_classes(premises, worlds)
+        masks = set(map(TruthTable(premises.vocab).mask, premises.guesses))
+        assert len(premises.compiled[0]) == len(masks)
 
     def test_checker_agrees_with_oracle_on_every_candidate(self):
         rng = random.Random(4242)

@@ -632,6 +632,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "sample space weights total 9999999999/10000000000, not 1" in err
 
+    def test_long_weight_total_is_one_short_line(self, capsys, tmp_path):
+        # the total has 4001 digits, past the interpreter's limit on
+        # int-to-str conversion: it is quoted clipped
+        kb = tmp_path / "long.prob"
+        kb.write_text("vocab: p\nworld p : 1e4000\nworld ~p : 0\n")
+        code, out, err = run(capsys, "prob", "condition", kb, "--on", "p")
+        assert code == 2 and out == "" and err.count("\n") == 1 and len(err) < 200
+        assert f"sample space weights total 1{'0' * 39}..., not 1" in err
+
     @pytest.mark.parametrize("argv", [["explain"], ["default", "check", "rivals.dl"]])
     def test_truncated_sequence_document_is_two(self, kbdir, capsys, argv):
         seq = kbdir / "truncated.json"
@@ -838,7 +847,7 @@ class TestNumberSizes:
             assert (code, out) == (2, "")
             assert err == (
                 "parse error: line 1, column 1: bad sequence document: "
-                f"assignment of 'p' is {big[:40]}..., not 0 or 1\n"
+                f"classes[0][0]: assignment of 'p' is {big[:40]}..., not 0 or 1\n"
             )
 
     @pytest.mark.parametrize(
@@ -918,20 +927,20 @@ class TestSequenceDocument:
         rest = [{"assign": {"p": 1}, "weight": "1/4"}]
         code, out, err = run(capsys, "explain", self.write(tmp_path, [twice, rest]))
         assert (code, out) == (2, "")
-        assert "bad sequence document: a world is listed twice" in err
+        assert "bad sequence document: classes[0][1]: a world is listed twice" in err
 
     @pytest.mark.parametrize("value", [7, -1, True, False, "1", 1.0, None])
     def test_assignment_other_than_zero_or_one_is_two(self, capsys, tmp_path, value):
         classes = [[{"assign": {"p": value}}], [{"assign": {"p": 1}}]]
         code, out, err = run(capsys, "explain", self.write(tmp_path, classes))
         assert (code, out) == (2, "")
-        assert "bad sequence document: assignment of 'p'" in err
+        assert "bad sequence document: classes[0][0]: assignment of 'p'" in err
 
     def test_zero_denominator_weight_is_two(self, capsys, tmp_path):
         classes = [[{"assign": {"p": 0}, "weight": "1/0"}], [{"assign": {"p": 1}}]]
         code, out, err = run(capsys, "explain", self.write(tmp_path, classes))
         assert (code, out) == (2, "")
-        assert err.endswith("bad sequence document: bad weight value: '1/0'\n")
+        assert err.endswith("bad sequence document: classes[0][0]: bad weight value: '1/0'\n")
         assert err.startswith("parse error: line 1, column 1: ")
 
     def test_weight_that_is_no_rational_is_quoted_clipped(self, capsys, tmp_path):
@@ -939,7 +948,10 @@ class TestSequenceDocument:
         code, out, err = run(capsys, "explain", self.write(tmp_path, classes))
         assert (code, out) == (2, "")
         quoted = "'" + "x" * 40 + "...'"
-        assert err == f"parse error: line 1, column 1: bad sequence document: bad weight value: {quoted}\n"
+        assert err == (
+            "parse error: line 1, column 1: bad sequence document: "
+            f"classes[0][0]: bad weight value: {quoted}\n"
+        )
 
     @pytest.mark.parametrize("key", ["kind", "vocab", "classes", "assign"])
     def test_missing_key_is_named(self, capsys, tmp_path, key):
@@ -949,14 +961,15 @@ class TestSequenceDocument:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "explain", path)
         assert (code, out) == (2, "")
-        assert err == f"parse error: line 1, column 1: bad sequence document: missing key '{key}'\n"
+        where = "classes[0][0]: " if key == "assign" else ""
+        assert err == f"parse error: line 1, column 1: bad sequence document: {where}missing key '{key}'\n"
 
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_weight_is_two(self, capsys, tmp_path, value):
         classes = [[{"assign": {"p": 0}, "weight": value}], [{"assign": {"p": 1}, "weight": 1}]]
         code, out, err = run(capsys, "explain", self.write(tmp_path, classes))
         assert (code, out) == (2, "")
-        assert f"bad sequence document: bad weight value: {value}" in err
+        assert f"bad sequence document: classes[0][0]: bad weight value: {value}" in err
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_is_two(self, capsys, tmp_path, constant):

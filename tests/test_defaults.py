@@ -231,10 +231,10 @@ class TestExtensions:
         # the walk skips the empty pool: it believes every condition, which
         # licenses no rule, so that vector's closure is the facts
         theory = random_default_theory(random.Random(seed))
-        table, found = defaults._search(theory)
+        _, found = defaults._search(theory)
         conditions, _, _ = theory.compiled
         every = sequences.fixed_points(theory.compiled, range(1 << len(conditions)))
-        assert found == sorted(every, key=table.sort_key)
+        assert found == every
 
 
 class TestWorldCap:

@@ -425,9 +425,11 @@ class TestBoundedLiterals:
              f"negative weight -{LONG[:39]}..."),
             (f"vocab: p\nposs 1{LONG[1:1000]} : p\n", "poss", (2, 6),
              f"possibility value 1{LONG[1:40]}... outside [0, 1]"),
+            ("vocab: p\nworld p : 1e4000\nworld ~p : 0\n", "prob", (3, 1),
+             f"sample space weights total 1{'0' * 39}..., not 1"),
         ],
         ids=["prob length", "poss length", "prob exponent", "poss exponent", "prob zero",
-             "poss word", "prob negative", "poss above one"],
+             "poss word", "prob negative", "poss above one", "prob long total"],
     )
     def test_message_names_the_bound(self, text, kind, where, message):
         with pytest.raises(ParseError) as got:

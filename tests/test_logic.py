@@ -120,6 +120,20 @@ class TestWorlds:
         with pytest.raises(ValueError):
             World(pq, ["p"], -1)
 
+    @pytest.mark.parametrize(
+        "weight, shown",
+        [(Fraction(-1, 2), "-1/2"), (-(10**5000), "-1" + "0" * 38 + "...")],
+        ids=["ratio", "5000 digits"],
+    )
+    def test_negative_weight_named_clipped(self, pq, weight, shown):
+        # a 5000-digit weight is quoted to 40 characters, past the
+        # interpreter's limit on int-to-str conversion
+        table = TruthTable(pq)
+        for refuse in (lambda: World(pq, ["p"], weight), lambda: table.reweighted([(1, weight)])):
+            with pytest.raises(ValueError) as got:
+                refuse()
+            assert str(got.value) == f"negative world weight: {shown}"
+
     def test_unknown_constant_rejected(self, pq):
         with pytest.raises(SemanticError):
             World(pq, ["r"])

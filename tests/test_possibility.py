@@ -63,11 +63,15 @@ class TestLevels:
             (((frozenset(), Fraction(1)),), "empty formula set in a possibilistic level"),
             (((frozenset([P]), Fraction(3, 2)),), "possibility value 3/2 outside [0, 1]"),
             (
+                ((frozenset([P]), Fraction(10**5000)),),
+                f"possibility value 1{'0' * 39}... outside [0, 1]",
+            ),
+            (
                 ((frozenset([P]), Fraction(1, 2)), (frozenset([Q]), Fraction(1, 2))),
                 "possibility values must increase strictly",
             ),
         ],
-        ids=["no level", "empty level", "value above 1", "equal values"],
+        ids=["no level", "empty level", "value above 1", "long value above 1", "equal values"],
     )
     def test_refused(self, pq, levels, message):
         with pytest.raises(ValueError) as got:
