@@ -36,6 +36,7 @@ from .rationals import LiteralBoundError, clipped, format_fraction, parse_fracti
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NAME_CHAR = re.compile(r"[A-Za-z0-9_]")
 _HEADER_NAME = re.compile(r"[^,\s]+")
+_TRUE_NAME = re.compile(r",([^~,]+)")
 _LITERALS = ("true", "false")
 
 
@@ -318,22 +319,27 @@ def _world_shape(line: str, lineno: int, indent: int, keyword: str, header):
 
 
 def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) -> World:
-    """The world of a world line. The common line, with no space inside a
-    literal and each ``~`` opening one, is read with whole-line string
-    operations and set tests; any other takes its literals one at a time,
+    """The world of a world line. The writer's line, the names in
+    vocabulary order between single commas and each after at most one
+    ``~``, is one comparison with the vocabulary's names; any other has its
+    blanks folded away in one step, and its names may then come in any
+    order. A line that still fails has its literals read one at a time,
     which words the first fault with its column."""
     colon = _split_required(line, ":", indent + 5, lineno, ":")
     body = line[indent + 5 : colon]
-    words = body.replace(",", " ").split()
-    name_set = vocab._name_set  # type: ignore[attr-defined]
-    # the body without its blanks is the words between single commas, so
-    # each literal is one word; a name with a "~" left in it is in no vocabulary
-    if not (
-        len(words) == len(vocab)
-        and "".join(body.split()) == ",".join(words)
-        and name_set == set((" " + " ".join(words)).replace(" ~", " ").split())
-    ):
-        words = _literals(body, lineno, indent + 5, vocab)
+    marked = "," + body.strip()
+    if marked.replace(",~", ",") != vocab._commas:  # type: ignore[attr-defined]
+        # blank runs fold to one blank, which goes beside a comma or after
+        # a "~": one left is inside a literal, and no name holds it
+        marked = " ".join(("," + body).split())
+        marked = marked.replace(" ,", ",").replace(", ", ",").replace("~ ", "~")
+        plain = marked.replace(",~", ",")
+        if plain != vocab._commas and (  # type: ignore[attr-defined]
+            plain.count(",") != len(vocab) or vocab._name_set != set(plain[1:].split(","))
+        ):
+            marked = "," + ",".join(_literals(body, lineno, indent + 5, vocab))
+    # a "~" opens each false literal, so the names after a bare comma are the true ones
+    true_names = frozenset(_TRUE_NAME.findall(marked))
     weight_text = line[colon + 1 :].strip()
     try:
         weight = parse_fraction(weight_text)
@@ -341,8 +347,7 @@ def _parse_world_line(line: str, lineno: int, indent: int, vocab: Vocabulary) ->
         raise _bad_literal("weight", weight_text, exc, lineno, colon + 2) from None
     if weight < 0:
         raise ParseError(f"negative weight {clipped(weight_text)}", lineno, colon + 2)
-    # a negated literal is no name, so the names among the literals are the true ones
-    return World._trusted(vocab, name_set.intersection(words), weight)
+    return World._trusted(vocab, true_names, weight)
 
 
 def _literals(body: str, lineno: int, start: int, vocab: Vocabulary) -> list[str]:

@@ -26,8 +26,7 @@ from .rationals import Rational, as_fraction, clipped, ratio_text
 DEFAULT_WORLD_CAP = 20
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_NAME = r"(?!(?:true|false)\b)[A-Za-z_][A-Za-z0-9_]*"  # a name, not a reserved literal
-_NAMES_RE = re.compile(rf"{_NAME}(?: {_NAME})*\Z")
+_NAMES_RE = re.compile(r"(?:,[A-Za-z_][A-Za-z0-9_]*)*\Z")
 
 # the weight of a world left unweighted, and of one in no share, shared:
 # a Fraction is slow to make
@@ -52,12 +51,12 @@ class Vocabulary:
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
-        name_set, joined = frozenset(names), " ".join(names)
-        # one match over the names joined by spaces checks them all, a name
-        # with a space in it showing as one word too many; only a fault
-        # walks them one at a time, to name the first
-        words = joined.count(" ") + 1
-        if names and not (_NAMES_RE.match(joined) and words == len(names) == len(name_set)):
+        name_set, commas = frozenset(names), "," + ",".join(names) if names else ""
+        # the names, each after a comma: one match checks them all (a name
+        # with a comma shows as one too many), and world lines are compared
+        # with this text; only a fault walks them one at a time, to name it
+        valid = _NAMES_RE.match(commas) and commas.count(",") == len(names) == len(name_set)
+        if not (valid and name_set.isdisjoint(("true", "false"))):
             seen = set()
             for name in names:
                 if not _NAME_RE.match(name):
@@ -69,6 +68,7 @@ class Vocabulary:
                 seen.add(name)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_name_set", name_set)
+        object.__setattr__(self, "_commas", commas)
         object.__setattr__(self, "_hash", hash(names))
 
     def __hash__(self) -> int:

@@ -252,7 +252,7 @@ def lottery_space(n: int) -> SampleSpace:
     """
     if not 1 <= n <= MAX_LOTTERY_TICKETS:
         raise ResourceLimitError(f"lottery size must be between 1 and {MAX_LOTTERY_TICKETS}")
-    vocab = Vocabulary(f"p{i}" for i in range(1, n + 1))
+    vocab = Vocabulary([f"p{i}" for i in range(1, n + 1)])
     shares = (((1 << n) - 1, Fraction(1, n)),)
     table = TruthTable.listed(
         vocab, n, lambda name: 1 << int(name[1:]) - 1, lambda i: (f"p{i + 1}",), shares

@@ -399,22 +399,25 @@ def _default_sequence_ok(theory, classes, ts: _TruthSets) -> bool:
     return True
 
 
-def _candidate_sequences(ts: _TruthSets, first, start, conclusions, max_classes):
+def _candidate_sequences(ts: _TruthSets, first, start, conclusions, max_classes, empty=True):
     """Every class list grown from ``[first]`` by splitting off the
     remaining worlds falsifying one of ``conclusions``, up to
-    ``max_classes`` classes, each closed by the worlds still remaining."""
+    ``max_classes`` classes, each closed by the worlds still remaining.
+    With ``empty`` false no split is empty: a valid list with an empty
+    split stays valid without it, and keeps its last class."""
 
     def grow(remaining, classes):
         yield classes + [remaining]
         if len(classes) + 1 >= max_classes:
             return
         for peel in {remaining - ts.sat(gamma) for gamma in conclusions}:
-            yield from grow(remaining - peel, classes + [peel])
+            if peel or empty:
+                yield from grow(remaining - peel, classes + [peel])
 
     yield from grow(start, [first])
 
 
-def default_candidates(theory, worlds):
+def default_candidates(theory, worlds, empty=True):
     """The truth sets and candidate class lists the default oracle judges.
 
     The class budget 2 + #rules covers the longest useful sequence (one
@@ -425,13 +428,13 @@ def default_candidates(theory, worlds):
     fact_sat = ts.sat(conjoin(theory.facts))
     conclusions = [rule.gamma for rule in theory.rules]
     return ts, _candidate_sequences(
-        ts, ts.worlds - fact_sat, fact_sat, conclusions, 2 + len(theory.rules)
+        ts, ts.worlds - fact_sat, fact_sat, conclusions, 2 + len(theory.rules), empty
     )
 
 
 def brute_force_default_last_classes(theory, worlds) -> set[frozenset]:
     """Last classes of every valid sequence, by bounded enumeration."""
-    ts, candidates = default_candidates(theory, worlds)
+    ts, candidates = default_candidates(theory, worlds, empty=False)
     return {c[-1] for c in candidates if _default_sequence_ok(theory, c, ts)}
 
 
@@ -463,17 +466,17 @@ def _ael_sequence_ok(premises, classes, ts: _TruthSets) -> bool:
     return True
 
 
-def ael_candidates(premises, worlds):
+def ael_candidates(premises, worlds, empty=True):
     """The truth sets and candidate class lists the belief oracle judges."""
     ts = _TruthSets(worlds)
     conclusions = [pm.gamma for pm in premises.formulas]
     return ts, _candidate_sequences(
-        ts, frozenset(), ts.worlds, conclusions, 2 + len(premises.formulas)
+        ts, frozenset(), ts.worlds, conclusions, 2 + len(premises.formulas), empty
     )
 
 
 def brute_force_ael_last_classes(premises, worlds) -> set[frozenset]:
-    ts, candidates = ael_candidates(premises, worlds)
+    ts, candidates = ael_candidates(premises, worlds, empty=False)
     return {c[-1] for c in candidates if _ael_sequence_ok(premises, c, ts)}
 
 

@@ -25,7 +25,7 @@ from partseq import (
     parse_kb,
     serialize_kb,
 )
-from partseq import Vocabulary, kbformats
+from partseq import Vocabulary, World, kbformats
 from partseq.kbformats import KB_KINDS
 from partseq.logic import parse_tokens
 from partseq.rationals import format_fraction
@@ -400,6 +400,114 @@ class TestWorldLines:
         else:
             w = kbformats._parse_world_line(line, 3, 2, vocab)
             assert (w, w.true_names, w.weight) == (expected, expected.true_names, expected.weight)
+
+
+_READ_WORLD_LINE = kbformats._parse_world_line
+
+
+def _by_literals(line: str, lineno: int, indent: int, vocab: Vocabulary):
+    """A world line whose literals all go through ``_literals``, the
+    per-literal reader. Its weight is read by the reader itself, from the
+    line with the literals rewritten in the writer's form, padded to their
+    width so that every column stays."""
+    start, colon = indent + 5, line.find(":", indent + 5)
+    if colon < 0:
+        return _READ_WORLD_LINE(line, lineno, indent, vocab)
+    literals = kbformats._literals(line[start:colon], lineno, start, vocab)
+    true_names = frozenset(lit for lit in literals if lit in vocab)
+    body = ",".join(n if n in true_names else "~" + n for n in vocab.names)
+    padded = line[:start] + body.ljust(colon - start) + line[colon:]
+    weight = _READ_WORLD_LINE(padded, lineno, indent, vocab).weight
+    return World(vocab, true_names, weight)
+
+
+def _read(text: str):
+    """The vocabulary and the worlds with their weights, or the fault's
+    line, column and message."""
+    try:
+        doc = parse_kb(text, "prob")
+    except ParseError as exc:
+        return exc.line, exc.column, exc.message
+    return doc.vocab, [(w.true_names, w.weight) for w in doc.body.worlds]
+
+
+# names that start one another, so a literal may run into its neighbour
+WORLD_NAMES = st.from_regex(r"[ab_][ab0-9]{0,2}", fullmatch=True)
+DEFECTS = ("~~p", "p~", "empty", "p q", "missing", "repeated", "unknown")
+
+
+@st.composite
+def world_files(draw):
+    """A ``.prob`` file over 1 to 12 constants whose world lines are each
+    in vocabulary order, shuffled, or padded with blanks around commas
+    and after ``~``; one line may carry one defect."""
+    names = draw(st.lists(WORLD_NAMES, min_size=1, max_size=12, unique=True))
+    n = len(names)
+    indices = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8, unique=True))
+    masses = draw(st.lists(st.integers(1, 9), min_size=len(indices), max_size=len(indices)))
+    faulty = draw(st.none() | st.integers(0, len(indices) - 1))
+    pad = st.sampled_from(["", " ", "  ", "\t", " \t"])
+    lines = ["vocab: " + " ".join(names)]
+    for k, (i, mass) in enumerate(zip(indices, masses)):
+        lits = [c if i >> (n - 1 - j) & 1 else "~" + c for j, c in enumerate(names)]
+        layout = draw(st.sampled_from(["ordered", "shuffled", "padded"]))
+        if layout != "ordered":
+            lits = list(draw(st.permutations(lits)))
+        if k == faulty:
+            defect, at = draw(st.sampled_from(DEFECTS)), draw(st.integers(0, n - 1))
+            name = lits[at].lstrip("~")
+            if defect == "~~p":
+                lits[at] = "~~" + name
+            elif defect == "p~":
+                lits[at] = name + "~"
+            elif defect == "empty":
+                lits.insert(at, "")
+            elif defect == "p q" and n > 1:
+                lits[at : at + 2] = [" ".join(lits[at : at + 2])]
+            elif defect == "missing":
+                del lits[at]
+            elif defect == "repeated":
+                lits.insert(draw(st.integers(0, n)), draw(st.sampled_from(["", "~"])) + name)
+            elif defect == "unknown":
+                lits.insert(at, draw(st.sampled_from(["zz", "~zz"])))
+        if layout == "padded":
+            lits = ["~" + draw(pad) + lit[1:] if lit[:1] == "~" else lit for lit in lits]
+            body = ",".join(draw(pad) + lit + draw(pad) for lit in lits)
+        else:
+            body = ",".join(lits)
+        weight = format_fraction(Fraction(mass, sum(masses)))
+        lines.append(f"world {body}{draw(pad)}:{draw(pad)}{weight}")
+    return "\n".join(lines) + "\n"
+
+
+class TestWorldLineRoutes:
+    """The writer's line is read by one comparison and any other line by
+    whole-line steps; every line must read as it does through
+    ``_literals``, the reader of one literal at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(world_files())
+    def test_same_space_or_fault_as_per_literal_reader(self, text):
+        fast = _read(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kbformats, "_parse_world_line", _by_literals)
+            slow = _read(text)
+        assert fast == slow
+
+    @settings(max_examples=100, deadline=None)
+    @given(world_files().filter(lambda text: isinstance(_read(text)[0], Vocabulary)))
+    def test_writer_lines_never_read_per_literal(self, text):
+        doc = parse_kb(text, "prob")
+        written = serialize_kb(doc)
+
+        def refuse(*args):
+            raise AssertionError("a written world line was read one literal at a time")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kbformats, "_literals", refuse)
+            again = parse_kb(written, "prob")
+        assert (again.vocab, again.body) == (doc.vocab, doc.body)
+        assert [w.weight for w in again.body.worlds] == [w.weight for w in doc.body.worlds]
 
 
 class TestBoundedLiterals:
