@@ -149,7 +149,7 @@ def _tokens(line: str, lineno: int, start: int, end: int | None = None) -> list[
 def _split_required(line: str, sep: str, start: int, lineno: int, what: str) -> int:
     pos = line.find(sep, start)
     if pos < 0:
-        raise ParseError(f"expected {what!r} in {line.strip()!r}", lineno, len(line) + 1)
+        raise ParseError(f"expected {what!r} in {clipped(line.strip())!r}", lineno, len(line) + 1)
     return pos
 
 
@@ -183,7 +183,8 @@ def _default_shape(line: str, lineno: int, indent: int, keyword: str, header):
     head = line[indent + 4 : head_end]
     rule_id = head.strip()
     if not _ID_RE.match(rule_id):
-        raise ParseError(f"bad rule id {rule_id!r}", lineno, head_end - len(head.lstrip()) + 1)
+        column = head_end - len(head.lstrip()) + 1
+        raise ParseError(f"bad rule id {clipped(rule_id)!r}", lineno, column)
     alpha_end = _split_required(line, ":", head_end + 1, lineno, ":")
     slash = _split_required(line, "/", alpha_end + 1, lineno, "/")
     formulas = [_tokens(line, lineno, head_end + 1, alpha_end)]
@@ -206,7 +207,7 @@ def _build_default(vocab: Vocabulary, lines, last: int) -> DefaultTheory:
         if rule_id is None:
             facts.extend(formulas)
         elif rule_id in rules:
-            raise ParseError(f"duplicate rule id {rule_id!r}", lineno, 1)
+            raise ParseError(f"duplicate rule id {clipped(rule_id)!r}", lineno, 1)
         else:
             alpha, *betas, gamma = formulas
             rules[rule_id] = DefaultRule(rule_id, alpha, tuple(betas), gamma)
@@ -367,10 +368,10 @@ def _literals(body: str, lineno: int, start: int, vocab: Vocabulary) -> list[str
         if not literal:
             raise ParseError("empty literal", lineno, col)
         if not _ID_RE.match(name):
-            raise ParseError(f"bad literal {literal!r}", lineno, col)
+            raise ParseError(f"bad literal {clipped(literal)!r}", lineno, col)
         if name not in vocab:
-            raise ParseError(f"unknown constant {name!r}", lineno, col)
-        raise ParseError(f"constant {name!r} assigned twice", lineno, col)
+            raise ParseError(f"unknown constant {clipped(name)!r}", lineno, col)
+        raise ParseError(f"constant {clipped(name)!r} assigned twice", lineno, col)
     if len(seen) != len(vocab):
         missing = ", ".join(n for n in vocab.names if n not in seen)
         message = f"world line must assign every constant; missing {missing}"

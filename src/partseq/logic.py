@@ -60,11 +60,11 @@ class Vocabulary:
             seen = set()
             for name in names:
                 if not _NAME_RE.match(name):
-                    raise ValueError(f"bad constant name: {name!r}")
+                    raise ValueError(f"bad constant name: {clipped(name)!r}")
                 if name in ("true", "false"):
                     raise ValueError(f"{name!r} is a reserved literal")
                 if name in seen:
-                    raise ValueError(f"duplicate constant name: {name!r}")
+                    raise ValueError(f"duplicate constant name: {clipped(name)!r}")
                 seen.add(name)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_name_set", name_set)
@@ -717,7 +717,11 @@ class _FormulaParser:
         self.tokens = tokens
         self.pos = 0
         self.vocab = vocab
-        self.level = 0  # expressions open around the parser: parentheses, operands
+        # connectives open around the parser, each counted once: by the
+        # parentheses around it, or else while its right operand is read,
+        # so formatted text within the depth bound stays within it;
+        # parentheses around no connective count too
+        self.level = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -730,7 +734,7 @@ class _FormulaParser:
     def expected(self, what: str) -> ParseError:
         tok = self.peek()
         got = tok.text or "end of input"
-        return ParseError(f"expected {what}, found {got!r}", tok.line, tok.column)
+        return ParseError(f"expected {what}, found {clipped(got)!r}", tok.line, tok.column)
 
     def within_limit(self, depth: int, tok: Token) -> int:
         if depth > MAX_FORMULA_DEPTH:
@@ -743,20 +747,22 @@ class _FormulaParser:
         phi, _ = self.expr(1)
         tok = self.peek()
         if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r} after formula", tok.line, tok.column)
+            message = f"unexpected {clipped(tok.text)!r} after formula"
+            raise ParseError(message, tok.line, tok.column)
         return phi
 
-    def expr(self, min_prec: int) -> tuple[Formula, int]:
+    def expr(self, min_prec: int, counted: bool = False) -> tuple[Formula, int]:
         """The formula ahead whose connectives bind at ``min_prec`` or
-        tighter, and its depth (precedence climbing)."""
-        self.level = self.within_limit(self.level + 1, self.peek())
+        tighter, and its depth (precedence climbing); ``counted`` when
+        parentheses around it are already counted in the level."""
         phi, depth = self.unary()
         while (op := _BINARY.get(self.peek().text)) and op[0] >= min_prec:
             prec, make = op
             tok = self.take()
+            self.level = self.within_limit(self.level + (not counted), self.peek())
             rhs, rhs_depth = self.expr(prec if make is Implies else prec + 1)
+            self.level -= not counted
             phi, depth = make(phi, rhs), self.within_limit(1 + max(depth, rhs_depth), tok)
-        self.level -= 1
         return phi, depth
 
     def unary(self) -> tuple[Formula, int]:
@@ -768,7 +774,9 @@ class _FormulaParser:
             phi, depth = self.constant(tok), 0
         elif tok.kind == "lp":
             self.take()
-            phi, depth = self.expr(1)
+            self.level = self.within_limit(self.level + 1, tok)
+            phi, depth = self.expr(1, True)
+            self.level -= 1
             if self.peek().kind != "rp":
                 raise self.expected("')'")
         else:
@@ -784,7 +792,7 @@ class _FormulaParser:
         if tok.text == "false":
             return FALSE
         if self.vocab is not None and tok.text not in self.vocab:
-            raise ParseError(f"unknown constant {tok.text!r}", tok.line, tok.column)
+            raise ParseError(f"unknown constant {clipped(tok.text)!r}", tok.line, tok.column)
         return Const(tok.text)
 
 

@@ -38,6 +38,11 @@ def clipped(text: str) -> str:
     return text if len(text) <= QUOTED_LENGTH else text[:QUOTED_LENGTH] + "..."
 
 
+def quoted(value) -> str:
+    """``value`` as a message quotes it: a string's text clipped, else its repr clipped."""
+    return repr(clipped(value)) if type(value) is str else clipped(repr(value))
+
+
 # Long integers are written in chunks of this many digits, fewer than the
 # least limit the interpreter may put on int-to-str conversion (640).
 _CHUNK_DIGITS = 600

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -26,6 +26,7 @@ from .rationals import (
     format_fraction,
     integer_text,
     parse_fraction,
+    quoted,
     ratio_text,
 )
 
@@ -67,7 +68,7 @@ class PartitionSequence:
 
     def __init__(self, table: TruthTable, masks: Sequence[int], kind: str, provenance=()):
         if kind not in KINDS:
-            raise ValueError(f"unknown sequence kind {kind!r}")
+            raise ValueError(f"unknown sequence kind {quoted(kind)}")
         if not masks:
             raise ValueError("a partition sequence needs at least one class")
         self.table, self.masks, self.kind = table, tuple(masks), kind
@@ -231,15 +232,17 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 # belief ~beta, and its theory leaves the facts' models; a premise
 # L a & ~L b -> g needs a and refuses b, with no prerequisite, and its
 # premises leave every world. A fixed point closes rest under a guessed
-# belief vector and believes it (fixed_points). Peels lie inside what
+# belief vector and believes it (fixed_points); its sequences are the
+# orders in which its licensed items can peel rest (_orders), where items
+# that peel the same worlds at a step are one step. Peels lie inside what
 # remains: a & b == a tests a subset; a ^ (a & b) peels.
 
 Item = tuple[str, int, int]
 Guarded = tuple[int, int, Item]
 Compiled = tuple[tuple[int, ...], tuple[Guarded, ...], int]
 
-# Bound on how many peel orders the sequence builders explore per call;
-# read at each call.
+# Bound on how many distinct peel orders the sequence builders take per
+# call, over all fixed points; read at each call.
 DEFAULT_ORDER_LIMIT = 1000
 
 
@@ -333,56 +336,44 @@ def peel_in_order(remaining: int, conclusions: Iterable[int]) -> list[int]:
     return [*classes, remaining]
 
 
-def _ready(items: list[Item], remaining: int) -> list[tuple[str, int]]:
-    """Labels and non-empty peels of the items ready on ``remaining``."""
-    steps = []
+def _orders(items: list[Item], remaining: int, classes: tuple, labels: tuple) -> Iterator:
+    """Each (classes, labels) that ``items`` peel from ``remaining`` after
+    ``classes``, depth first in item order. Of the ready items that peel
+    the same worlds only the first is walked: after either, the other
+    peels nothing and the same worlds remain, so no order is found twice."""
+    peels: dict[int, str] = {}
     for label, prerequisite, conclusion in items:
         if remaining & prerequisite == remaining:
             peel = remaining ^ (remaining & conclusion)
             if peel:
-                steps.append((label, peel))
-    return steps
+                peels.setdefault(peel, label)
+    if not peels:
+        yield (*classes, remaining), (*labels, "")
+    for peel, label in peels.items():
+        yield from _orders(items, remaining ^ peel, (*classes, peel), (*labels, label))
 
 
 def peel_sequences(
     kind: str, table: TruthTable, compiled: Compiled, points: Iterable[int]
 ) -> list[PartitionSequence]:
     """Sequences peeled for each non-empty fixed point of ``compiled`` in
-    ``points``, one per peel order.
+    ``points``, one per distinct peel order.
 
     Every sequence opens with the worlds outside ``rest``; the worlds of
     ``rest`` are then peeled by the items the fixed point licenses, in any
     order, until none splits off anything, and what remains closes the
     sequence. The order budget is shared per call: at most
-    :data:`DEFAULT_ORDER_LIMIT` finished orders are explored over all
-    fixed points together, and once it is spent each one still without a
-    sequence gets its first order, which always peels by the first ready
-    item. Exact duplicates are dropped.
+    :data:`DEFAULT_ORDER_LIMIT` sequences over all fixed points together,
+    and once it is spent each later fixed point still gets its first
+    order, which always peels by the first ready item.
     """
     conditions, guarded, rest = compiled
     results: list[PartitionSequence] = []
-    seen: set[tuple] = set()
-    budget = DEFAULT_ORDER_LIMIT
-
-    def emit(classes, labels):
-        if classes not in seen:
-            seen.add(classes)
-            results.append(PartitionSequence(table, classes, kind, labels))
-
-    def explore(items, remaining, classes, labels):
-        nonlocal budget
-        if budget <= 0 and len(results) > start:
-            return
-        steps = _ready(items, remaining)
-        if not steps:
-            budget -= 1
-            emit((*classes, remaining), (*labels, ""))
-        for label, peel in steps:
-            explore(items, remaining ^ peel, (*classes, peel), (*labels, label))
-
     for point in filter(None, points):
-        start = len(results)
-        explore(licensed(guarded, beliefs(conditions, point)), rest, (table.full ^ rest,), ("",))
+        items = licensed(guarded, beliefs(conditions, point))
+        orders = _orders(items, rest, (table.full ^ rest,), ("",))
+        for classes, labels in islice(orders, max(DEFAULT_ORDER_LIMIT - len(results), 1)):
+            results.append(PartitionSequence(table, classes, kind, labels))
     return results
 
 
@@ -424,9 +415,7 @@ def check_peels(
     if empty and not last:
         problems.append(Violation("condition 3", empty, class_index=end))
     by_last = licensed(guarded, beliefs(conditions, last))
-    remaining = 0
-    for cls in classes[1:]:
-        remaining |= cls
+    remaining = table.full ^ classes[0]
     for i in range(1, end):
         cls = classes[i]
         items = licensed(guarded, beliefs(conditions, cls)) if strict else by_last
@@ -442,15 +431,16 @@ def check_peels(
                 )
             )
         remaining ^= cls
-    for label, _ in _ready(by_last, last):
-        problems.append(
-            Violation(
-                "condition 3",
-                f"licensed {noun}'s conclusion fails somewhere in the last class",
-                class_index=end,
-                item=label,
+    for label, prerequisite, conclusion in by_last:
+        if last & prerequisite == last and last & conclusion != last:
+            problems.append(
+                Violation(
+                    "condition 3",
+                    f"licensed {noun}'s conclusion fails somewhere in the last class",
+                    class_index=end,
+                    item=label,
+                )
             )
-        )
     return problems
 
 
@@ -652,8 +642,7 @@ def _parse_weight(raw) -> Fraction:
             if weight.numerator < 0:
                 raise ValueError(f"negative world weight: {clipped(ratio_text(weight))}")
             return weight
-    shown = repr(clipped(raw)) if type(raw) is str else clipped(repr(raw))
-    raise ValueError(f"bad weight value: {shown}")
+    raise ValueError(f"bad weight value: {quoted(raw)}")
 
 
 def _read_class(listed, vocab: Vocabulary, parsed: dict, at: int) -> tuple[list[bytes], list]:
@@ -704,7 +693,8 @@ def _read_class(listed, vocab: Vocabulary, parsed: dict, at: int) -> tuple[list[
             if type(value) is not int or value not in (0, 1):
                 # an int past the interpreter's digit limit has no repr
                 shown = integer_text(value) if type(value) is int else repr(value)
-                raise ValueError(f"{where}: assignment of {name!r} is {clipped(shown)}, not 0 or 1")
+                message = f"assignment of {clipped(name)!r} is {clipped(shown)}, not 0 or 1"
+                raise ValueError(f"{where}: {message}")
         weight = w.get("weight", 1)
         try:
             parsed[weight] = _parse_weight(weight)

@@ -481,6 +481,88 @@ def brute_force_ael_last_classes(premises, worlds) -> set[frozenset]:
 
 
 # ---------------------------------------------------------------------------
+# Peel order oracle
+# ---------------------------------------------------------------------------
+#
+# The sequences the builders emit for given fixed points, by the plain
+# walk: every maximal order of non-empty ready peels, with no pruning,
+# its repeated class lists dropped after the first, under the order limit.
+
+
+def _peel_orders(first, start, steps):
+    """Each (classes, labels) of a maximal order in which ``steps``,
+    (label, prerequisite worlds, conclusion worlds), peel ``start`` after
+    ``[first]``: any step peels whose prerequisite holds throughout what
+    remains and whose conclusion fails somewhere in it; depth first, in
+    step order."""
+
+    def grow(remaining, classes, labels):
+        ready = [
+            (label, remaining - conclusion)
+            for label, prerequisite, conclusion in steps
+            if remaining <= prerequisite and not remaining <= conclusion
+        ]
+        if not ready:
+            yield classes + [remaining], labels + [""]
+        for label, peel in ready:
+            yield from grow(remaining - peel, classes + [peel], labels + [label])
+
+    yield from grow(start, [first], [""])
+
+
+def _limited(orders_per_point, limit: int) -> list[tuple[list, list]]:
+    """The distinct class lists of each point's orders, first found kept,
+    at most ``limit`` over all points, and at least one for each point."""
+    results = []
+    for orders in orders_per_point:
+        seen = set()
+        for classes, labels in orders:
+            if seen and len(results) >= limit:
+                break
+            if tuple(classes) not in seen:
+                seen.add(tuple(classes))
+                results.append((classes, labels))
+    return results
+
+
+def reference_default_sequences(theory, kernels, limit: int) -> list[tuple[list, list]]:
+    """(classes, provenance) of the default sequences for ``kernels``,
+    the extensions' model sets in report order: the facts' countermodels
+    first, then the facts' models peeled by the rules whose every
+    justification holds somewhere in the kernel."""
+    ts = _TruthSets(enumerate_worlds(theory.vocab))
+    facts = ts.sat(conjoin(theory.facts))
+
+    def orders(kernel):
+        steps = [
+            (rule.rule_id, ts.sat(rule.alpha), ts.sat(rule.gamma))
+            for rule in theory.rules
+            if all(ts.sat(b) & kernel for b in rule.betas)
+        ]
+        return _peel_orders(ts.worlds - facts, facts, steps)
+
+    return _limited(map(orders, filter(None, kernels)), limit)
+
+
+def reference_ael_sequences(premises, kernels, limit: int) -> list[tuple[list, list]]:
+    """(classes, provenance) of the belief sequences for ``kernels``, the
+    consistent expansions' model sets in report order: no first class,
+    then every world peeled by the premises the kernel licenses."""
+    ts = _TruthSets(enumerate_worlds(premises.vocab))
+
+    def orders(kernel):
+        steps = [
+            (str(pm), ts.worlds, ts.sat(pm.gamma))
+            for pm in premises.formulas
+            if (pm.alpha is None or kernel <= ts.sat(pm.alpha))
+            and not any(kernel <= ts.sat(b) for b in pm.betas)
+        ]
+        return _peel_orders(frozenset(), ts.worlds, steps)
+
+    return _limited(map(orders, kernels), limit)
+
+
+# ---------------------------------------------------------------------------
 # Operator oracles
 # ---------------------------------------------------------------------------
 

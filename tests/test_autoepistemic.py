@@ -44,6 +44,7 @@ from genkit import (
     plain,
     random_nonempty_subset,
     random_premises,
+    reference_ael_sequences,
 )
 
 P, Q = Const("p"), Const("q")
@@ -329,6 +330,33 @@ class TestBuildSequences:
         assert last_classes == {
             k.worlds for k in stable_expansions(introspective_premises)
         }
+
+    @pytest.mark.parametrize("limit", [1, 2, 1000])
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_sequences_are_the_plain_walks_distinct_orders(self, limit, seed):
+        # classes, provenance and order, under a patched order limit
+        premises = random_premises(random.Random(seed))
+        kernels = [k.worlds for k in stable_expansions(premises)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sequences, "DEFAULT_ORDER_LIMIT", limit)
+            built = build_ael_sequences(premises)
+        got = [(list(s.classes), list(s.provenance)) for s in built]
+        assert got == reference_ael_sequences(premises, kernels, limit)
+
+    def test_premises_written_thrice_peel_as_one(self):
+        # ~L ~c -> c, ~L ~(c & c) -> c and ~L ~(c & c & c) -> c peel
+        # alike, so each of the 5! orders is found once, by the first
+        names = [f"c{i}" for i in range(5)]
+        text = "".join(
+            f"~L ~{c} -> {c}\n~L ~({c} & {c}) -> {c}\n~L ~({c} & {c} & {c}) -> {c}\n"
+            for c in names
+        )
+        premises = parse_kb("vocab: " + " ".join(names) + "\n" + text, "ael").body
+        seqs = build_ael_sequences(premises)
+        assert len(seqs) == len({s.masks for s in seqs}) == 120
+        firsts = {str(pm) for pm in premises.formulas[::3]}
+        assert {label for s in seqs for label in s.provenance} == {"", *firsts}
 
     def test_first_class_always_empty_and_checker_agrees(self, monkeypatch):
         monkeypatch.setattr(sequences, "DEFAULT_ORDER_LIMIT", 20)

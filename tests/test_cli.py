@@ -577,6 +577,21 @@ class TestDeepInput:
             f"{MAX_FORMULA_DEPTH} levels\n"
         )
 
+    @pytest.mark.parametrize("symbol", ["&", "|", "<->"])
+    def test_formula_at_the_depth_bound_is_read(self, capsys, tmp_path, symbol):
+        # right-nested, each operand but the last parenthesised: the
+        # formatted text of a formula exactly at the bound
+        fact = "p"
+        for _ in range(MAX_FORMULA_DEPTH):
+            fact = f"p {symbol} ({fact})" if fact != "p" else f"p {symbol} p"
+        kb = tmp_path / "deep.dl"
+        kb.write_text("vocab: p\nfact: " + fact + "\n")
+        code, out, err = run(capsys, "default", "extensions", kb)
+        assert (code, err) == (0, "")
+        kb.write_text("vocab: p\nfact: p & (" + fact + ")\n")
+        code, _, err = run(capsys, "default", "extensions", kb)
+        assert code == 2 and "nested deeper than" in err
+
     @pytest.mark.parametrize(
         "document",
         [
@@ -599,7 +614,59 @@ class TestDeepInput:
         assert err == "parse error: line 1, column 1: bad sequence document: nested too deeply\n"
 
 
+LONG = "x" * 5000
+HALF_PROB = "vocab: p\nworld p : 1/2\nworld ~p : 1/2\n"
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "name, text, argv",
+        [
+            ("id.dl", f"vocab: p\nrule {LONG}-: true : M p / p\n", ["default", "extensions"]),
+            (
+                "twice.dl",
+                "vocab: p\n" + f"rule {LONG}: p : M p / p\n" * 2,
+                ["default", "extensions"],
+            ),
+            ("colon.dl", f"vocab: p\nrule r {LONG}\n", ["default", "extensions"]),
+            ("names.dl", f"vocab: {LONG} {LONG}\nfact: true\n", ["default", "extensions"]),
+            ("name.dl", f"vocab: 1{LONG}\nfact: true\n", ["default", "extensions"]),
+            ("unknown.dl", f"vocab: p\nfact: {LONG}\n", ["default", "extensions"]),
+            ("found.dl", f"vocab: p\nfact: (p {LONG}\n", ["default", "extensions"]),
+            ("after.ael", f"vocab: p\np {LONG}\n", ["ael", "expansions"]),
+            ("literal.prob", f"vocab: p\nworld ~~{LONG} : 1\n", ["worlds"]),
+            ("constant.prob", f"vocab: p\nworld {LONG} : 1\n", ["worlds"]),
+            ("assigned.prob", f"vocab: {LONG}\nworld {LONG},~{LONG} : 1\n", ["worlds"]),
+            ("half.prob", HALF_PROB, ["prob", "condition", "{kb}", "--on", LONG]),
+            (
+                "kind.json",
+                json.dumps({"kind": "x" * 50000, "vocab": ["p"], "classes": [[], []]}),
+                ["explain"],
+            ),
+            (
+                "assign.json",
+                json.dumps(
+                    {"kind": "default", "vocab": [LONG], "classes": [[{"assign": {LONG: 2}}], []]}
+                ),
+                ["explain"],
+            ),
+        ],
+        ids=[
+            "rule id", "duplicate rule id", "expected", "duplicate constant name",
+            "bad constant name", "unknown constant", "expected found", "unexpected after",
+            "bad literal", "unknown literal", "assigned twice", "unknown --on constant",
+            "sequence kind", "assignment",
+        ],
+    )
+    def test_long_input_text_is_quoted_clipped(self, capsys, tmp_path, name, text, argv):
+        kb = tmp_path / name
+        kb.write_text(text)
+        argv = [kb if a == "{kb}" else a for a in argv] if "{kb}" in argv else [*argv, kb]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200 and "Traceback" not in err
+        assert "x" * 30 + "...'" in err
+
     def test_parse_error_is_two(self, kbdir, capsys, tmp_path):
         bad = tmp_path / "bad.dl"
         bad.write_text("rule r1: true : M p")

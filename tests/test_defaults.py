@@ -43,6 +43,7 @@ from genkit import (
     plain,
     random_default_theory,
     random_nonempty_subset,
+    reference_default_sequences,
 )
 
 P, Q = Const("p"), Const("q")
@@ -371,6 +372,35 @@ class TestBuildSequences:
         seqs = build_default_sequences(rival_theory)
         last_classes = {s.last_class for s in seqs}
         assert last_classes == {k.worlds for k in extensions(rival_theory)}
+
+
+class TestPeelOrders:
+    @pytest.mark.parametrize("limit", [1, 2, 1000])
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_sequences_are_the_plain_walks_distinct_orders(self, limit, seed):
+        # classes, provenance and order, under a patched order limit
+        theory = random_default_theory(random.Random(seed))
+        kernels = [k.worlds for k in extensions(theory)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sequences, "DEFAULT_ORDER_LIMIT", limit)
+            built = build_default_sequences(theory)
+        got = [(list(s.classes), list(s.provenance)) for s in built]
+        assert got == reference_default_sequences(theory, kernels, limit)
+
+    def test_rules_written_thrice_peel_as_one(self):
+        # each rule's copies peel alike, so the 5! orders of the five
+        # rules are each found once, by the first copy, within the budget
+        names = [f"c{i}" for i in range(5)]
+        rules = tuple(
+            DefaultRule(f"r{i}_{j}", TRUE, (Const(n),), Const(n))
+            for i, n in enumerate(names)
+            for j in range(3)
+        )
+        seqs = build_default_sequences(DefaultTheory(rules, (), Vocabulary(names)))
+        assert len(seqs) == len({s.masks for s in seqs}) == 120
+        firsts = {f"r{i}_0" for i in range(5)}
+        assert {label for s in seqs for label in s.provenance} == {"", *firsts}
 
 
 class TestCheckSequence:

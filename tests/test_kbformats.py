@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from partseq import (
     FALSE,
     TRUE,
+    AelPremises,
     And,
     Const,
+    DefaultRule,
+    DefaultTheory,
     Iff,
     Implies,
     ModalFormula,
@@ -19,6 +22,7 @@ from partseq import (
     Or,
     ParseError,
     PartitionSequence,
+    PossibilisticKB,
     build_poss_sequence,
     format_formula,
     parse_formula,
@@ -26,8 +30,8 @@ from partseq import (
     serialize_kb,
 )
 from partseq import Vocabulary, World, kbformats
-from partseq.kbformats import KB_KINDS
-from partseq.logic import parse_tokens
+from partseq.kbformats import KB_KINDS, KbDocument
+from partseq.logic import MAX_FORMULA_DEPTH, parse_tokens
 from partseq.rationals import format_fraction
 from partseq.sequences import render_json
 
@@ -835,6 +839,23 @@ class TestRoundTrip:
                 assert render_json(rebuilt) == render_json(built)
             else:
                 assert rebuilt == built
+
+    @pytest.mark.parametrize("make", [And, Or, Implies, Iff])
+    @pytest.mark.parametrize("kind", ["default", "ael", "poss"])
+    def test_formulas_at_the_depth_bound_round_trip(self, kind, make):
+        # right-nested, so every operand but the innermost is parenthesised
+        # where the connective chains to the left
+        phi = P
+        for _ in range(MAX_FORMULA_DEPTH):
+            phi = make(Q, phi)
+        vocab = Vocabulary(["p", "q"])
+        body = {
+            "default": DefaultTheory((DefaultRule("r1", phi, (phi,), phi),), (phi,), vocab),
+            "ael": AelPremises((ModalFormula(gamma=phi, alpha=phi, betas=(phi,)),), vocab),
+            "poss": PossibilisticKB(((frozenset({phi}), Fraction(1, 2)),), vocab),
+        }[kind]
+        doc = KbDocument(kind, vocab, body)
+        assert parse_kb(serialize_kb(doc), kind) == doc
 
     @pytest.mark.parametrize(
         "kind, text", [("default", "fact: true"), ("ael", ""), ("poss", "poss 1 : true")]

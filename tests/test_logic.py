@@ -37,7 +37,7 @@ from partseq import (
     models,
     parse_formula,
 )
-from partseq.logic import TruthTable, WorldSet
+from partseq.logic import MAX_FORMULA_DEPTH, TruthTable, WorldSet
 from partseq.rationals import (
     MAX_DECIMAL_EXPONENT,
     MAX_LITERAL_LENGTH,
@@ -591,6 +591,34 @@ class TestSyntax:
 
     @given(_formulas)
     def test_format_round_trip(self, phi):
+        assert parse_formula(format_formula(phi)) == phi
+
+    @pytest.mark.parametrize("make", [And, Or, Implies, Iff])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_format_round_trip_at_the_depth_bound(self, make, side):
+        # a parenthesised operand is one level, like the connective it holds
+        phi = P
+        for _ in range(MAX_FORMULA_DEPTH):
+            phi = make(Q, phi) if side == "right" else make(phi, Q)
+        assert parse_formula(format_formula(phi)) == phi
+        deeper = make(Q, phi) if side == "right" else make(phi, Q)
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_FORMULA_DEPTH} levels"):
+            parse_formula(format_formula(deeper))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([Not, And, Or, Implies, Iff]), st.booleans()),
+            min_size=MAX_FORMULA_DEPTH,
+            max_size=MAX_FORMULA_DEPTH,
+        )
+    )
+    def test_format_round_trip_of_any_spine_at_the_bound(self, spine):
+        # each step wraps the formula so far as a negation or as either
+        # operand of a connective, so the depth is exactly the bound
+        phi = P
+        for make, right in spine:
+            phi = make(phi) if make is Not else make(Q, phi) if right else make(phi, Q)
         assert parse_formula(format_formula(phi)) == phi
 
     @given(st.text(max_size=40))
