@@ -27,9 +27,9 @@ from .sequences import (
     Violation,
     check_peels,
     compile_items,
-    fixed_points,
     operator_value,
     peel_sequences,
+    search,
 )
 
 # The expansion search guesses belief values for the distinct formulas
@@ -96,19 +96,18 @@ def forced_inconsistency(premises: AelPremises) -> bool:
 
 
 def _search(premises: AelPremises) -> tuple[TruthTable, list[int]]:
-    """The truth table and the consistent expansions' model sets: the
-    non-empty :func:`~partseq.sequences.fixed_points`, in report order,
-    among all belief vectors over the distinct condition masks. The caps
-    are checked in order: condition formulas, then constants."""
+    """The truth table and the consistent expansions' model sets, in
+    report order: the non-empty :func:`~partseq.sequences.search` of the
+    compiled premises, whose guesses are bounded by 2^g for g distinct
+    condition masks. The caps are checked in order: condition formulas,
+    then constants."""
     count = len(premises.guesses)
     if count > DEFAULT_GUESS_CAP:
         raise ResourceLimitError(
             f"premises mention {count} distinct belief conditions; "
             f"expansion search is capped at {DEFAULT_GUESS_CAP}"
         )
-    table = TruthTable(premises.vocab)
-    conditions = premises.compiled[0]
-    return table, [k for k in fixed_points(premises.compiled, range(1 << len(conditions))) if k]
+    return TruthTable(premises.vocab), list(filter(None, search(premises.compiled)))
 
 
 def stable_expansions(

@@ -28,12 +28,11 @@ from .sequences import (
     Compiled,
     PartitionSequence,
     Violation,
-    beliefs,
     check_peels,
     compile_items,
-    fixed_points,
     operator_value,
     peel_sequences,
+    search,
 )
 
 # Extensions are searched over subsets of the rule set, so the search
@@ -95,37 +94,16 @@ def gamma_operator(
 
 
 def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
-    """The truth table and the extensions' model sets, in report order.
-
-    Every extension is generated by the facts plus the conclusions of the
-    rules that fire in it, so it is the closure of the belief vector of an
-    intersection of the fact models with rule conclusions. A depth-first
-    walk over those intersections guesses their vectors, holding one pool
-    per rule, and :func:`~partseq.sequences.fixed_points` keeps each
-    closure that believes its guess. The caps are checked in order before
-    the walk: rules, then constants.
-    """
+    """The truth table and the extensions' model sets, in report order:
+    :func:`~partseq.sequences.search` of the compiled theory, whose guesses
+    are bounded by 2^k for k rules. The caps are checked in order before
+    the search: rules, then constants."""
     k = len(theory.rules)
     if k > DEFAULT_RULE_CAP:
         raise ResourceLimitError(
             f"theory has {k} rules; extension search is capped at {DEFAULT_RULE_CAP}"
         )
-    table = TruthTable(theory.vocab)
-    conditions, guarded, facts = theory.compiled
-    gammas = [gamma for _, _, (_, _, gamma) in guarded]
-    guesses: set[int] = set()
-
-    def walk(pool: int, start: int) -> None:
-        guesses.add(beliefs(conditions, pool))
-        for j in range(start, k):
-            narrower = pool & gammas[j]
-            # the empty pool believes every condition, which licenses no
-            # rule, and that vector's closure is the facts: the first pool
-            if narrower != pool and narrower:
-                walk(narrower, j + 1)
-
-    walk(facts, 0)
-    return table, fixed_points(theory.compiled, guesses)
+    return TruthTable(theory.vocab), search(theory.compiled)
 
 
 def extensions(

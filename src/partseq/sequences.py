@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -220,22 +220,24 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 # that falsify a conclusion, then repeat. One ordered peel (peel_in_order)
 # builds conditioning, thresholding and the possibility levels; an item
 # (label, prerequisite, conclusion) of a default or belief sequence peels
-# only while its prerequisite holds throughout the remaining worlds. World sets here
-# are truth-table masks (see logic.TruthTable), and so are an item's
-# prerequisite and conclusion. Both formalisms compile (compile_items) to
-# (conditions, guarded, rest): the distinct condition masks, items guarded
-# by bits over them, (need, refuse, item), and the worlds left once the
-# first class is split off. A pool believes condition j when it holds
-# throughout it, and licenses an item when it believes all the item needs
-# and nothing it refuses; the operator closes rest under what a pool
-# licenses (operator_value). A rule alpha : M beta / gamma refuses the
-# belief ~beta, and its theory leaves the facts' models; a premise
-# L a & ~L b -> g needs a and refuses b, with no prerequisite, and its
-# premises leave every world. A fixed point closes rest under a guessed
-# belief vector and believes it (fixed_points); its sequences are the
-# orders in which its licensed items can peel rest (_orders), where items
-# that peel the same worlds at a step are one step. Peels lie inside what
-# remains: a & b == a tests a subset; a ^ (a & b) peels.
+# only while its prerequisite holds throughout the remaining worlds. World
+# sets here are truth-table masks (see logic.TruthTable), and so are an
+# item's prerequisite and conclusion. Both formalisms compile
+# (compile_items) to (conditions, guarded, rest): the distinct condition
+# masks, items guarded by bits over them, (need, refuse, item), and the
+# worlds left once the first class is split off. A pool believes condition
+# j when it holds throughout it, and licenses an item when it believes all
+# the item needs and nothing it refuses; the operator closes rest under
+# what a pool licenses (operator_value). A rule alpha : M beta / gamma
+# refuses the belief ~beta, and its theory leaves the facts' models; a
+# premise L a & ~L b -> g needs a and refuses b, with no prerequisite, and
+# its premises leave every world. A fixed point closes rest under a guessed
+# belief vector and believes it (fixed_points); it is rest cut by the
+# conclusions it applies, so search guesses the vectors of those cuts, or
+# every vector when there are fewer conditions than conclusions. Its
+# sequences are the orders in which its licensed items can peel rest
+# (_orders), where items that peel the same worlds at a step are one step.
+# Peels lie inside what remains: a & b == a tests a subset; a ^ (a & b) peels.
 
 Item = tuple[str, int, int]
 Guarded = tuple[int, int, Item]
@@ -310,6 +312,12 @@ def operator_value(compiled: Compiled, pool: int) -> int:
     return close(rest, licensed(guarded, beliefs(conditions, pool)))
 
 
+def _report_order(a: int, b: int) -> int:
+    """Fewer worlds first, then the mask holding the lowest world where the two differ."""
+    differ = a ^ b
+    return a.bit_count() - b.bit_count() or (-1 if a & differ & -differ else int(a != b))
+
+
 def fixed_points(compiled: Compiled, guesses: Iterable[int]) -> list[int]:
     """``rest`` closed under the items each guessed belief vector licenses,
     where the closure believes exactly that vector: the fixed points among
@@ -321,8 +329,34 @@ def fixed_points(compiled: Compiled, guesses: Iterable[int]) -> list[int]:
         closure = close(rest, licensed(guarded, believed))
         if beliefs(conditions, closure) == believed:
             found.append(closure)
-    found.sort(key=lambda mask: (mask.bit_count(), _set_bits(mask)))
-    return found
+    return sorted(found, key=cmp_to_key(_report_order))
+
+
+def search(compiled: Compiled) -> list[int]:
+    """The :func:`fixed_points` of ``compiled``, in report order. When the
+    distinct condition masks are fewer than the distinct conclusion masks,
+    every belief vector is guessed. Otherwise the guesses are the vectors
+    of ``rest`` and of its nonempty cuts by sets of the conclusions, walked
+    depth first with one pool per conclusion: a fixed point is ``rest`` cut
+    by the conclusions it applies, so it is a pool and believes its own
+    vector. An empty cut believes every condition, which licenses no rule,
+    and a premise's closure of that vector is the inconsistent belief set.
+    """
+    conditions, guarded, rest = compiled
+    cuts = list(dict.fromkeys(conclusion for _, _, (_, _, conclusion) in guarded))
+    if len(conditions) < len(cuts):
+        return fixed_points(compiled, range(1 << len(conditions)))
+    guesses: set[int] = set()
+
+    def walk(pool: int, start: int) -> None:
+        guesses.add(beliefs(conditions, pool))
+        for j in range(start, len(cuts)):
+            narrower = pool & cuts[j]
+            if narrower != pool and narrower:
+                walk(narrower, j + 1)
+
+    walk(rest, 0)
+    return fixed_points(compiled, guesses)
 
 
 def peel_in_order(remaining: int, conclusions: Iterable[int]) -> list[int]:
@@ -423,24 +457,13 @@ def check_peels(
             remaining & prerequisite == remaining and remaining ^ (remaining & conclusion) == cls
             for _, prerequisite, conclusion in items
         ):
-            problems.append(
-                Violation(
-                    "condition 2",
-                    f"no {noun} produces this class from the remaining worlds",
-                    class_index=i,
-                )
-            )
+            message = f"no {noun} produces this class from the remaining worlds"
+            problems.append(Violation("condition 2", message, class_index=i))
         remaining ^= cls
     for label, prerequisite, conclusion in by_last:
         if last & prerequisite == last and last & conclusion != last:
-            problems.append(
-                Violation(
-                    "condition 3",
-                    f"licensed {noun}'s conclusion fails somewhere in the last class",
-                    class_index=end,
-                    item=label,
-                )
-            )
+            message = f"licensed {noun}'s conclusion fails somewhere in the last class"
+            problems.append(Violation("condition 3", message, class_index=end, item=label))
     return problems
 
 

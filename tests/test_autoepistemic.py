@@ -481,6 +481,26 @@ class TestAgainstBruteForce:
             worlds = enumerate_worlds(premises.vocab)
             assert brute_force_ael_last_classes(premises, worlds) == {kernel.worlds}
 
+    @pytest.mark.parametrize("g", range(4, 9))
+    def test_chain_closes_one_guess(self, g, monkeypatch):
+        # ~L ~ci -> ci: g conditions against g conclusions, so the cuts of
+        # every world by the ci are walked; none believes a ~ci, so the one
+        # vector guessed believes nothing, where guessing every vector
+        # closes 2^g
+        names = [f"c{i}" for i in range(g)]
+        premises = parse_kb(
+            f"vocab: {' '.join(names)}\n" + "".join(f"~L ~c{i} -> c{i}\n" for i in range(g)),
+            "ael",
+        ).body
+        closes = []
+        real_close = sequences.close
+        monkeypatch.setattr(
+            sequences, "close", lambda *args: closes.append(args) or real_close(*args)
+        )
+        (kernel,) = stable_expansions(premises)
+        assert len(closes) == 1
+        assert kernel.worlds == {World(premises.vocab, names)}
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32))
     def test_conditions_written_twice(self, seed):

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partseq import (
@@ -22,7 +22,6 @@ from partseq import (
     World,
     build_default_sequences,
     check_default_sequence,
-    defaults,
     enumerate_worlds,
     extensions,
     gamma_operator,
@@ -43,6 +42,7 @@ from genkit import (
     plain,
     random_default_theory,
     random_nonempty_subset,
+    random_premises,
     reference_default_sequences,
 )
 
@@ -228,14 +228,20 @@ class TestExtensions:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32))
+    @example(8)  # the rules have fewer conditions than conclusions, the premises not
+    @example(43)  # the premises have fewer conditions than conclusions, the rules not
     def test_walk_guesses_find_what_every_guess_finds(self, seed):
-        # the walk skips the empty pool: it believes every condition, which
-        # licenses no rule, so that vector's closure is the facts
+        # search walks the cuts of rest by the conclusions, or guesses every
+        # vector when there are fewer conditions. The walk skips the empty
+        # pool: it believes every condition, which licenses no rule, so that
+        # vector's closure is the facts; for premises it may close to the
+        # inconsistent belief set, which the expansion search drops
         theory = random_default_theory(random.Random(seed))
-        _, found = defaults._search(theory)
-        conditions, _, _ = theory.compiled
-        every = sequences.fixed_points(theory.compiled, range(1 << len(conditions)))
-        assert found == every
+        premises = random_premises(random.Random(seed))
+        for compiled, drop in ((theory.compiled, ()), (premises.compiled, (0,))):
+            every = sequences.fixed_points(compiled, range(1 << len(compiled[0])))
+            found = sequences.search(compiled)
+            assert [m for m in found if m not in drop] == [m for m in every if m not in drop]
 
 
 class TestWorldCap:

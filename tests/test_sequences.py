@@ -8,10 +8,11 @@ import random
 import re
 import tempfile
 from fractions import Fraction
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partseq import (
@@ -42,7 +43,7 @@ from partseq import autoepistemic, cli, defaults, logic, sequences
 from partseq.cli import main
 from partseq.defaults import DefaultRule, DefaultTheory
 from partseq.kbformats import KbDocument, parse_kb, serialize_kb
-from partseq.logic import TRUE, Const, Not, TruthTable
+from partseq.logic import TRUE, Const, Not, TruthTable, _set_bits
 from partseq.sequences import (
     KINDS,
     class_masks,
@@ -1189,3 +1190,16 @@ class TestValueSemantics:
                 assert seq != PartitionSequence.of_classes(classes, seq.vocab, kind, labels)
                 reweighed = [[w.reweighted(2 * w.weight + 1) for w in c] for c in seq.classes]
                 assert seq == PartitionSequence.of_classes(reweighed, seq.vocab, kind, labels)
+
+
+class TestReportOrder:
+    """Fixed points come smallest first, then in the order of their set
+    bits, which the first bit where two masks differ decides."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**12 - 1) | st.integers(0, 2**70), unique=True, max_size=12))
+    @example([0b1100, 0b1010, 0b1001, 0b0110, 0b0101, 0b0011, 0b0111, 0, 1 << 69, 1 << 3])
+    def test_same_order_as_the_set_bits(self, masks):
+        by_bits = sorted(masks, key=lambda mask: (mask.bit_count(), _set_bits(mask)))
+        assert sorted(masks, key=cmp_to_key(sequences._report_order)) == by_bits
+        assert all(sequences._report_order(mask, mask) == 0 for mask in masks)
