@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import AbstractSet
 
 from .errors import ResourceLimitError
 from .logic import (
@@ -82,8 +83,8 @@ class DefaultTheory:
 
 def gamma_operator(
     theory: DefaultTheory,
-    candidate: frozenset[World],
-) -> frozenset[World]:
+    candidate: AbstractSet[World],
+) -> AbstractSet[World]:
     """Model set of the operator value at ``candidate``: the closure of
     the facts' models under the rules whose justifications are each
     consistent with the candidate theory (no ~beta_i holds throughout

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from math import lcm
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .errors import ParseError, ResourceLimitError, SemanticError
 from .rationals import Rational, as_fraction, clipped, ratio_text
@@ -331,18 +332,74 @@ def _from_bits(found: Iterable[int], size: int) -> int:
     return int.from_bytes(bits, "little")
 
 
-class WorldSet(frozenset):
-    """A ``frozenset`` of the worlds of ``mask`` in a dense table over
-    ``vocab``, which :meth:`TruthTable.mask_of` reads back by its mask.
-    Set operations, copies and pickles give a plain ``frozenset``."""
+def _dense_worlds(vocab: Vocabulary, found: Iterable[int], weights) -> Iterator[World]:
+    """The world at each index of ``found`` in the dense table over
+    ``vocab``, with its weight. An index's digits are its truth values,
+    so they lie in the vocabulary, and the weights were checked when they
+    were set: no world repeats the checks of ``World.__init__``."""
+    names, trusted, digits = vocab.names, World._trusted, f"0{len(vocab)}b"
+    for i, q in zip(found, weights):
+        true_names = frozenset(compress(names, format(i, digits).encode().translate(_BITS)))
+        yield trusted(vocab, true_names, q)
 
-    __slots__ = ("vocab", "mask")
+
+def _recalled(memo: dict[int, World], found: list[int], build) -> Iterator[World]:
+    """The world at each index of ``found``, ``memo`` given those it lacks by ``build``."""
+    if missing := [i for i in found if i not in memo]:
+        memo.update(zip(missing, build(missing)))
+    return map(memo.__getitem__, found)
+
+
+class WorldSet(Set):
+    """The worlds of ``mask`` in the dense table over ``vocab``, each
+    weighing 1, built the first time a world is read. ``len``, truth and
+    equality with another ``WorldSet`` of an equal vocabulary read the
+    mask alone, and :meth:`TruthTable.mask_of` reads the set back by it.
+    Anything else reads the built ``frozenset``, so a ``WorldSet`` equals
+    and hashes as the ``frozenset`` of its worlds; set operations, the
+    other ``frozenset`` methods, copies and pickles give plain ones. Its
+    worlds are read from and built into ``memo``, the table's memo of
+    worlds, which holds no table, so a table makes no cycle with it."""
+
+    __slots__ = ("vocab", "mask", "_memo", "_built")
+    _from_iterable = frozenset
+
+    def __init__(self, vocab: Vocabulary, mask: int, memo: dict[int, World]):
+        self.vocab, self.mask, self._memo, self._built = vocab, mask, memo, None
+
+    @property
+    def built(self) -> frozenset[World]:
+        if self._built is None:
+            dense = lambda missing: _dense_worlds(self.vocab, missing, repeat(_ONE))
+            self._built = frozenset(_recalled(self._memo, _set_bits(self.mask), dense))
+        return self._built
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __contains__(self, world) -> bool:
+        return world in self.built
+
+    def __iter__(self) -> Iterator[World]:
+        return iter(self.built)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, WorldSet) and other.vocab == self.vocab:
+            return self.mask == other.mask
+        return self.built == other
+
+    def __hash__(self) -> int:
+        return hash(self.built)
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
 
     def __reduce__(self):
         return frozenset, (tuple(self),)
 
-    def __repr__(self) -> str:
-        return repr(frozenset(self))
+
+for _name in ("copy", "union", "intersection", "difference", "symmetric_difference", "issubset", "issuperset"):
+    setattr(WorldSet, _name, lambda self, *others, _name=_name: getattr(self.built, _name)(*others))
 
 
 class TruthTable:
@@ -361,12 +418,13 @@ class TruthTable:
 
     Meant to live for one call, for which it memoises the masks it
     compiles, the worlds it builds and, on a dense table with no shares
-    (every weight 1), each world set as a :class:`WorldSet`, which keeps
-    its mask; there :meth:`mask_of` keeps each ``WorldSet`` handed to it,
-    so an operator whose value is its argument hands back the caller's
-    own set and builds no world. A knowledge base keeps masks only
+    (every weight 1), each world set as a :class:`WorldSet`, which holds
+    its mask and the memo of worlds, into which it builds its worlds only
+    when one is read; there :meth:`mask_of` keeps each ``WorldSet`` handed
+    to it, so an operator whose value is its argument hands back the
+    caller's own set. A knowledge base keeps masks only
     (``DefaultTheory.compiled``), never a table, so a call's worlds go
-    when it returns.
+    when it returns and the sets it answered with are dropped.
     """
 
     def __init__(self, vocab: Vocabulary, worlds: Iterable[World] | None = None):
@@ -504,43 +562,29 @@ class TruthTable:
             weight_of.update(dict.fromkeys(_set_bits(mask & held), q))
         return list(map(weight_of.get, found, repeat(_ZERO)))
 
-    def _built(self, found: list[int], weights) -> dict[int, World]:
-        """The world at each index of ``found``, with its weight. A dense
-        index's digits are its truth values, and a listed table's worlds
-        name their constants; either way those lie in the vocabulary, and
-        the weights were checked when they were set, so no world repeats
-        the checks of ``World.__init__``."""
-        vocab, names, trusted = self.vocab, self.vocab.names, World._trusted
+    def _built(self, found: list[int], weights) -> Iterator[World]:
+        """The world at each index of ``found``, with its weight; a listed
+        table's worlds name constants of the vocabulary, and the weights
+        were checked when they were set."""
         weights = repeat(_ONE) if weights is None else weights
-        built = {}
         if self.dense:
-            digits = f"0{len(vocab)}b"
-            for i, q in zip(found, weights):
-                true_names = frozenset(compress(names, format(i, digits).encode().translate(_BITS)))
-                built[i] = trusted(vocab, true_names, q)
-        else:
-            for i, q in zip(found, weights):
-                built[i] = trusted(vocab, frozenset(self._true_names(i)), q)
-        return built
+            return _dense_worlds(self.vocab, found, weights)
+        vocab, trusted, true_names = self.vocab, World._trusted, self._true_names
+        return (trusted(vocab, frozenset(true_names(i)), q) for i, q in zip(found, weights))
 
     def world_list(self, mask: int) -> list[World]:
         """The worlds of ``mask`` in index order."""
-        found = _set_bits(mask)
-        built = self._worlds
-        missing = [i for i in found if i not in built]
-        if missing:
-            built.update(self._built(missing, self.weights_at(mask, missing)))
-        return list(map(built.__getitem__, found))
+        build = lambda missing: self._built(missing, self.weights_at(mask, missing))
+        return list(_recalled(self._worlds, _set_bits(mask), build))
 
-    def worlds(self, mask: int) -> frozenset[World]:
+    def worlds(self, mask: int) -> AbstractSet[World]:
         """The worlds of ``mask``; on a dense table with no shares, its
-        :class:`WorldSet`, built once."""
+        :class:`WorldSet`, made once, whose worlds are built when read."""
         if not self.dense or self.shares is not None:
             return frozenset(self.world_list(mask))
         found = self._sets.get(mask)
         if found is None:
-            found = self._sets[mask] = WorldSet(self.world_list(mask))
-            found.vocab, found.mask = self.vocab, mask
+            found = self._sets[mask] = WorldSet(self.vocab, mask, self._worlds)
         return found
 
     def reweighted(self, shares: Iterable[tuple[int, Rational]]) -> TruthTable:
@@ -629,7 +673,7 @@ class Kernel:
     formula); consistent kernels are non-empty.
     """
 
-    worlds: frozenset[World]
+    worlds: AbstractSet[World]
     vocab: Vocabulary
 
     @property

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache, reduce
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import itemgetter
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from operator import itemgetter, or_
+from typing import AbstractSet, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SemanticError
 from .logic import DEFAULT_WORLD_CAP, _ONE, Formula, TruthTable, Vocabulary, World
@@ -92,16 +92,16 @@ class PartitionSequence:
         return self.table.vocab
 
     @cached_property
-    def classes(self) -> tuple[frozenset[World], ...]:
+    def classes(self) -> tuple[AbstractSet[World], ...]:
         return tuple(map(self.table.worlds, self.masks))
 
     @property
-    def last_class(self) -> frozenset[World]:
+    def last_class(self) -> AbstractSet[World]:
         return self.table.worlds(self.masks[-1])
 
     @property
-    def all_worlds(self) -> frozenset[World]:
-        return frozenset().union(*self.classes)
+    def all_worlds(self) -> AbstractSet[World]:
+        return self.table.worlds(reduce(or_, self.masks))
 
     @cached_property
     def _key(self) -> tuple:
@@ -132,7 +132,7 @@ class PreferenceChain:
         self.table, self.masks = table, tuple(masks)
 
     @cached_property
-    def models(self) -> tuple[frozenset[World], ...]:
+    def models(self) -> tuple[AbstractSet[World], ...]:
         return tuple(map(self.table.worlds, self.masks))
 
 

@@ -1,6 +1,7 @@
 """Core language: world enumeration, valuation, entailment, syntax."""
 
 import copy
+import operator
 import pickle
 import random
 import re
@@ -22,6 +23,7 @@ from partseq import (
     Kernel,
     Not,
     Or,
+    PartitionSequence,
     ParseError,
     ResourceLimitError,
     SemanticError,
@@ -32,10 +34,15 @@ from partseq import (
     entails,
     enumerate_worlds,
     evaluate,
+    extensions,
     format_formula,
+    gamma_operator,
     lottery_space,
     models,
+    omega_operator,
     parse_formula,
+    parse_kb,
+    stable_expansions,
 )
 from partseq.logic import MAX_FORMULA_DEPTH, TruthTable, WorldSet
 from partseq.rationals import (
@@ -373,6 +380,74 @@ class TestWorldSet:
             got = table.worlds(mask)
             assert repr(got) == repr(frozenset(got))
         assert repr(table.worlds(0)) == "frozenset()"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 255), st.integers(0, 255), st.sampled_from(["r", "s"]))
+    def test_behaves_as_the_frozenset_of_its_worlds(self, a, b, last):
+        # each operand is made afresh, so every operation meets an unbuilt
+        # set; the second vocabulary is equal to the first or foreign
+        pqr, other = Vocabulary(["p", "q", "r"]), Vocabulary(["p", "q", last])
+        lazy = lambda vocab, mask: TruthTable(vocab).worlds(mask)
+        plain = lambda vocab, mask: frozenset(TruthTable(vocab).world_list(mask))
+        assert type(lazy(pqr, a)) is WorldSet
+        binary = (
+            operator.eq, operator.ne, operator.le, operator.lt, operator.ge, operator.gt,
+            operator.and_, operator.or_, operator.sub, operator.xor,
+            *(
+                lambda x, y, name=name: getattr(x, name)(y)
+                for name in (
+                    "isdisjoint", "union", "intersection", "difference",
+                    "symmetric_difference", "issubset", "issuperset",
+                )
+            ),
+        )
+        for op in binary:
+            for left, right in (((pqr, a), (other, b)), ((other, b), (pqr, a))):
+                want = op(plain(*left), plain(*right))
+                for got in (
+                    op(lazy(*left), plain(*right)),
+                    op(plain(*left), lazy(*right)),
+                    op(lazy(*left), lazy(*right)),
+                ):
+                    assert got == want and type(got) is type(want)
+        worlds = plain(pqr, a)
+        assert len(lazy(pqr, a)) == len(worlds) and bool(lazy(pqr, a)) == bool(worlds)
+        assert hash(lazy(pqr, a)) == hash(worlds)
+        assert lazy(pqr, a).copy() == worlds and type(lazy(pqr, a).copy()) is frozenset
+        for w in enumerate_worlds(pqr) + enumerate_worlds(other):
+            assert (w in lazy(pqr, a)) == (w in worlds)
+        assert lazy(pqr, a) in {worlds} and worlds in {lazy(pqr, a)}
+        assert len({worlds, lazy(pqr, a)}) == 1
+        assert {worlds: a}[lazy(pqr, a)] == a == {lazy(pqr, a): a}[worlds]
+
+    def test_worlds_are_built_once_per_table(self):
+        table = TruthTable(Vocabulary(["p", "q", "r"]))
+        first = {w: w for w in table.worlds(0b01101100)}
+        for later in (table.worlds(0b00111010), table.world_list(table.full)):
+            assert all(first.get(w, w) is w for w in later)
+        seq = PartitionSequence(table, (0b0011, 0b1100), "default")
+        assert seq.all_worlds == frozenset().union(*seq.classes)
+        assert all({w: w for c in seq.classes for w in c}[w] is w for w in seq.all_worlds)
+
+    def test_answers_build_no_world(self, monkeypatch):
+        # 20 constants: at 5 us a world, building an answer of 2^20 worlds
+        # takes seconds; masks alone answer in milliseconds
+        vocab = "vocab: " + " ".join(f"c{i}" for i in range(20)) + "\n"
+        premises = parse_kb(vocab + "".join(f"L c0 -> c{i}\n" for i in range(16)), "ael").body
+        rules = "".join(f"rule r{i}: true : M c19 / c{i}\n" for i in range(16))
+        theory = parse_kb(vocab + rules, "default").body
+        monkeypatch.setattr(World, "_trusted", lambda *args: pytest.fail("built a world"))
+        kernels = stable_expansions(premises)
+        assert sorted(len(k.worlds) for k in kernels) == [16, 1 << 20]
+        for k in kernels:
+            assert k.is_consistent and omega_operator(premises, k).worlds is k.worlds
+        (extension,) = extensions(theory)
+        assert len(extension.worlds) == 16 and extension.is_consistent
+        assert gamma_operator(theory, extension.worlds) is extension.worlds
+        monkeypatch.undo()
+        built = sorted(extension.worlds, key=World.bits)
+        assert built == TruthTable(theory.vocab).world_list(extension.worlds.mask)
+        assert all(w.weight == 1 and w.true_names >= {f"c{i}" for i in range(16)} for w in built)
 
 
 def per_world_mass(worlds, mask) -> Fraction:
