@@ -29,7 +29,8 @@ from .sequences import (
     compile_items,
     operator_value,
     peel_sequences,
-    search,
+    search_parts,
+    split_parts,
 )
 
 # The expansion search guesses belief values for the distinct formulas
@@ -40,10 +41,10 @@ DEFAULT_GUESS_CAP = 16
 
 @dataclass(frozen=True)
 class AelPremises:
-    """Belief premises in normal form. :attr:`guesses` and :attr:`compiled`
-    are built on first use and kept for the premises' life; they hold
-    formulas, ints, strings and tuples, never a ``World`` or a
-    ``TruthTable``, so they keep no worlds alive."""
+    """Belief premises in normal form. :attr:`guesses`, :attr:`compiled`
+    and :attr:`parts` are built on first use and kept for the premises'
+    life; they hold formulas, ints, strings and tuples, never a ``World``
+    or a ``TruthTable``, so they keep no worlds alive."""
 
     formulas: tuple[ModalFormula, ...]
     vocab: Vocabulary
@@ -65,6 +66,13 @@ class AelPremises:
             for pm in self.formulas
         )
         return compile_items(TruthTable(self.vocab), items, TRUE)
+
+    @cached_property
+    def parts(self) -> tuple[Compiled, ...]:
+        """:attr:`compiled` split into the parts of the premises that share
+        no constant (:func:`~partseq.sequences.split_parts`)."""
+        formulas = ((pm.alpha or TRUE, *pm.betas, pm.gamma) for pm in self.formulas)
+        return split_parts(self.compiled, formulas, ())
 
 
 def omega_operator(
@@ -97,17 +105,17 @@ def forced_inconsistency(premises: AelPremises) -> bool:
 
 def _search(premises: AelPremises) -> tuple[TruthTable, list[int]]:
     """The truth table and the consistent expansions' model sets, in
-    report order: the non-empty :func:`~partseq.sequences.search` of the
-    compiled premises, whose guesses are bounded by 2^g for g distinct
-    condition masks. The caps are checked in order: condition formulas,
-    then constants."""
+    report order: the ANDs of the consistent expansions of the premises'
+    parts (:func:`~partseq.sequences.search_parts`), whose guesses are
+    bounded by 2^g for g distinct condition masks. The caps are checked
+    in order: condition formulas, then constants."""
     count = len(premises.guesses)
     if count > DEFAULT_GUESS_CAP:
         raise ResourceLimitError(
             f"premises mention {count} distinct belief conditions; "
             f"expansion search is capped at {DEFAULT_GUESS_CAP}"
         )
-    return TruthTable(premises.vocab), list(filter(None, search(premises.compiled)))
+    return TruthTable(premises.vocab), search_parts(premises.parts)
 
 
 def stable_expansions(

@@ -33,7 +33,8 @@ from .sequences import (
     compile_items,
     operator_value,
     peel_sequences,
-    search,
+    search_parts,
+    split_parts,
 )
 
 # Extensions are searched over subsets of the rule set, so the search
@@ -61,9 +62,10 @@ class DefaultRule:
 
 @dataclass(frozen=True)
 class DefaultTheory:
-    """Default rules over facts. :attr:`compiled` is built on first use
-    and kept for the theory's life; it holds ints, strings and tuples,
-    never a ``World`` or a ``TruthTable``, so it keeps no worlds alive."""
+    """Default rules over facts. :attr:`compiled` and :attr:`parts` are
+    built on first use and kept for the theory's life; they hold ints,
+    strings and tuples, never a ``World`` or a ``TruthTable``, so they
+    keep no worlds alive."""
 
     rules: tuple[DefaultRule, ...]
     facts: tuple[Formula, ...]
@@ -79,6 +81,13 @@ class DefaultTheory:
         rule refuses its ~betas, and the facts' models are left."""
         items = ((r.rule_id, (), tuple(map(Not, r.betas)), r.alpha, r.gamma) for r in self.rules)
         return compile_items(TruthTable(self.vocab), items, self.fact_formula)
+
+    @cached_property
+    def parts(self) -> tuple[Compiled, ...]:
+        """:attr:`compiled` split into the parts of the theory that share
+        no constant (:func:`~partseq.sequences.split_parts`)."""
+        formulas = ((r.alpha, *r.betas, r.gamma) for r in self.rules)
+        return split_parts(self.compiled, formulas, self.facts)
 
 
 def gamma_operator(
@@ -96,15 +105,17 @@ def gamma_operator(
 
 def _search(theory: DefaultTheory) -> tuple[TruthTable, list[int]]:
     """The truth table and the extensions' model sets, in report order:
-    :func:`~partseq.sequences.search` of the compiled theory, whose guesses
-    are bounded by 2^k for k rules. The caps are checked in order before
-    the search: rules, then constants."""
+    the inconsistent extension alone when the facts have no model, and
+    otherwise the ANDs of the extensions of the theory's parts
+    (:func:`~partseq.sequences.search_parts`), whose guesses are bounded
+    by 2^k for k rules. The caps are checked in order before the search:
+    rules, then constants."""
     k = len(theory.rules)
     if k > DEFAULT_RULE_CAP:
         raise ResourceLimitError(
             f"theory has {k} rules; extension search is capped at {DEFAULT_RULE_CAP}"
         )
-    return TruthTable(theory.vocab), search(theory.compiled)
+    return TruthTable(theory.vocab), search_parts(theory.parts)
 
 
 def extensions(

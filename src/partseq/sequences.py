@@ -18,7 +18,7 @@ from operator import itemgetter, or_
 from typing import AbstractSet, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SemanticError
-from .logic import DEFAULT_WORLD_CAP, _ONE, Formula, TruthTable, Vocabulary, World
+from .logic import DEFAULT_WORLD_CAP, _ONE, Formula, TruthTable, Vocabulary, World, atoms
 from .logic import _from_bits, _set_bits
 from .rationals import (
     LiteralBoundError,
@@ -237,6 +237,8 @@ def preference_view(seq: PartitionSequence) -> PreferenceChain:
 # every vector when there are fewer conditions than conclusions. Its
 # sequences are the orders in which its licensed items can peel rest
 # (_orders), where items that peel the same worlds at a step are one step.
+# Items and facts that share no constant fall into parts (split_parts),
+# and a fixed point is an AND of one fixed point per part (search_parts).
 # Peels lie inside what remains: a & b == a tests a subset; a ^ (a & b) peels.
 
 Item = tuple[str, int, int]
@@ -305,6 +307,53 @@ def compile_items(table: TruthTable, items: Iterable[tuple], rest: Formula) -> C
     return tuple(bit), tuple(guarded), table.mask(rest)
 
 
+def split_parts(
+    compiled: Compiled, formulas: Iterable[Iterable[Formula]], facts: Iterable[Formula]
+) -> tuple[Compiled, ...]:
+    """``compiled``, over the conjoined ``facts``, split into parts that
+    share no constant. Its items, whose formulas are ``formulas`` in
+    order, join a part through their constants, and a fact joins the
+    parts whose constants it mentions, so ``rest`` is an AND of one mask
+    per part; the items that mention no constant are one part. Parts
+    come in order of their first items, and each keeps the whole
+    ``rest`` and the masks and items of ``compiled``, its condition bits
+    renumbered; a base of one part, or of no item, is its own one part."""
+    root: dict[str, str] = {}
+
+    def find(name: str) -> str:
+        while root.setdefault(name, name) != name:
+            name = root[name]
+        return name
+
+    def join(formulas: Iterable[Formula]) -> str | None:
+        found = {find(name) for phi in formulas for name in atoms(phi)}
+        top = min(found, default=None)
+        for name in found:
+            root[name] = top
+        return top
+
+    for fact in facts:
+        join((fact,))
+    keys = list(map(join, formulas))
+    groups: dict[str | None, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key and find(key), []).append(i)
+    if len(groups) < 2:
+        return (compiled,)
+    conditions, guarded, rest = compiled
+    parts = []
+    for group in groups.values():
+        own = [guarded[i] for i in group]
+        used = _set_bits(reduce(or_, (need | refuse for need, refuse, _ in own)))
+        bit = {j: 1 << k for k, j in enumerate(used)}
+        renumbered = tuple(
+            (sum(map(bit.get, _set_bits(need))), sum(map(bit.get, _set_bits(refuse))), item)
+            for need, refuse, item in own
+        )
+        parts.append((tuple(conditions[j] for j in used), renumbered, rest))
+    return tuple(parts)
+
+
 def operator_value(compiled: Compiled, pool: int) -> int:
     """The operator of both formalisms at ``pool``: ``rest`` closed under
     the items ``pool`` licenses."""
@@ -357,6 +406,27 @@ def search(compiled: Compiled) -> list[int]:
 
     walk(rest, 0)
     return fixed_points(compiled, guesses)
+
+
+def search_parts(parts: Sequence[Compiled]) -> list[int]:
+    """The non-empty fixed points of a base split into ``parts``
+    (:func:`split_parts`), in report order: every AND of one non-empty
+    :func:`search` point per part, and none once a part has none. The
+    parts share no constant, so whether a non-empty pool believes a
+    part's condition rests on that part's constants alone, and the
+    base's closure is the AND of the parts'. An empty ``rest``, which
+    every part holds, closes to itself under every vector, so it is then
+    the one fixed point."""
+    rest = parts[0][2]
+    if not rest:
+        return [0]
+    products = [rest]
+    for part in parts:
+        points = list(filter(None, search(part)))
+        if not points:
+            return []
+        products = [product & point for product in products for point in points]
+    return sorted(products, key=cmp_to_key(_report_order))
 
 
 def peel_in_order(remaining: int, conclusions: Iterable[int]) -> list[int]:

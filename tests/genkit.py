@@ -348,6 +348,57 @@ def per_world_structure(seq, all_worlds) -> list[Violation]:
     return problems
 
 
+def renamed_formula(phi, suffix: str):
+    """``phi`` with each constant ``c`` renamed ``c + suffix``."""
+    match phi:
+        case Const(name):
+            return Const(name + suffix)
+        case Not(sub):
+            return Not(renamed_formula(sub, suffix))
+        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            return type(phi)(renamed_formula(l, suffix), renamed_formula(r, suffix))
+        case _:
+            return phi
+
+
+def renamed(base, suffix: str):
+    """A default theory or premise set with each constant and rule label
+    ``x`` renamed ``x + suffix``."""
+
+    def rename(phi):
+        return renamed_formula(phi, suffix)
+
+    vocab = Vocabulary(name + suffix for name in base.vocab.names)
+    if isinstance(base, DefaultTheory):
+        rules = tuple(
+            DefaultRule(
+                r.rule_id + suffix, rename(r.alpha), tuple(map(rename, r.betas)), rename(r.gamma)
+            )
+            for r in base.rules
+        )
+        return DefaultTheory(rules, tuple(map(rename, base.facts)), vocab)
+    formulas = tuple(
+        ModalFormula(
+            gamma=rename(pm.gamma),
+            alpha=None if pm.alpha is None else rename(pm.alpha),
+            betas=tuple(map(rename, pm.betas)),
+        )
+        for pm in base.formulas
+    )
+    return AelPremises(formulas, vocab)
+
+
+def disjoint_union(bases, rng: random.Random):
+    """One base holding the items of ``bases`` of one kind, which share no
+    constant, over their constants shuffled by ``rng``."""
+    names = [name for base in bases for name in base.vocab.names]
+    vocab = Vocabulary(rng.sample(names, len(names)))
+    if isinstance(bases[0], DefaultTheory):
+        rules = tuple(r for base in bases for r in base.rules)
+        return DefaultTheory(rules, tuple(f for base in bases for f in base.facts), vocab)
+    return AelPremises(tuple(pm for base in bases for pm in base.formulas), vocab)
+
+
 # ---------------------------------------------------------------------------
 # Sequence-condition oracles
 # ---------------------------------------------------------------------------

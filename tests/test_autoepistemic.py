@@ -86,18 +86,20 @@ class TestOmegaOperator:
 
     def test_shared_compiled_form(self):
         # one premise object serves the search and then the operator; the
-        # form it keeps is formulas and masks only, all worlds left by the
-        # empty first class last, and equal fresh premises agree
+        # forms it keeps are formulas and masks only, all worlds left by
+        # the empty first class last in the whole and in each part, and
+        # equal fresh premises agree
         rng = random.Random(6262)
         for _ in range(200):
             premises = random_premises(rng)
             stable_expansions(premises)
-            compiled = premises.compiled
-            assert plain(compiled) and plain(premises.guesses, Formula)
-            assert cached(premises) == {"guesses", "compiled"}
+            compiled, parts = premises.compiled, premises.parts
+            assert plain(compiled) and plain(parts) and plain(premises.guesses, Formula)
+            assert cached(premises) == {"guesses", "compiled", "parts"}
             _, _, rest = compiled
             table = TruthTable(premises.vocab)
             assert rest == table.full
+            assert all(part_rest == rest for _, _, part_rest in parts)
             assert all(s.masks[0] == table.full & ~rest for s in build_ael_sequences(premises))
             fresh = dataclasses.replace(premises)
             ts = _TruthSets(enumerate_worlds(premises.vocab))
@@ -107,6 +109,7 @@ class TestOmegaOperator:
                 assert got == belief_operator(premises, kernel.worlds, ts), (premises, kernel)
                 assert got == omega_operator(fresh, kernel).worlds
             assert premises.compiled is compiled and fresh.compiled == compiled
+            assert premises.parts is parts and fresh.parts == parts
 
 
 class TestOperatorReuse:
@@ -243,12 +246,16 @@ class TestWorldCap:
             with pytest.raises(ResourceLimitError, match="capped at 20"):
                 run()
 
-    def chain(self, n, g):
+    def chain(self, n, g, connected=False):
         """``~L ~c -> c`` for the first ``g`` of ``n`` constants: ``g``
-        belief conditions, and one expansion, where those ``g`` hold."""
+        belief conditions, and one expansion, where those ``g`` hold.
+        ``connected`` writes each conclusion ``c & (c0 | ~c0)``, which
+        ties the premises into one part."""
         names = [f"c{i}" for i in range(n)]
+        z = Const(names[0])
+        link = (lambda c: c & (z | ~z)) if connected else (lambda c: c)
         return AelPremises(
-            tuple(ModalFormula(gamma=Const(c), betas=(Not(Const(c)),)) for c in names[:g]),
+            tuple(ModalFormula(gamma=link(Const(c)), betas=(Not(Const(c)),)) for c in names[:g]),
             Vocabulary(names),
         )
 
@@ -259,11 +266,11 @@ class TestWorldCap:
             for run in (lambda: stable_expansions(premises), lambda: build_ael_sequences(premises)):
                 with pytest.raises(ResourceLimitError, match=message):
                     run()
-            assert "compiled" not in premises.__dict__
+            assert not {"compiled", "parts"} & premises.__dict__.keys()
 
     def test_thirteen_conditions_over_twenty_constants_in_flat_memory(self):
-        # 2^13 guesses, each closed and tested on its own
-        premises = self.chain(20, 13)
+        # one part: 2^13 pools of 2^20 bits, walked one per premise at a time
+        premises = self.chain(20, 13, connected=True)
         tracemalloc.start()
         try:
             (kernel,) = stable_expansions(premises)
@@ -272,7 +279,20 @@ class TestWorldCap:
             tracemalloc.stop()
         assert len(kernel.worlds) == 2**7
         assert all(w.true_names >= {f"c{i}" for i in range(13)} for w in kernel.worlds)
-        assert peak < 16 << 20
+        assert len(premises.parts) == 1 and peak < 16 << 20
+
+    def test_sixteen_conditions_over_twenty_constants_split(self, monkeypatch):
+        # sixteen parts of one premise each: one pool and one close per part
+        closes = []
+        real_close = sequences.close
+        monkeypatch.setattr(
+            sequences, "close", lambda *args: closes.append(args) or real_close(*args)
+        )
+        premises = self.chain(20, 16)
+        (kernel,) = stable_expansions(premises)
+        assert len(kernel.worlds) == 2**4
+        assert all(w.true_names >= {f"c{i}" for i in range(16)} for w in kernel.worlds)
+        assert len(premises.parts) == 16 and len(closes) == 16
 
     def test_twelve_conditions_over_sixteen_constants_run(self):
         premises = self.chain(16, 12)
@@ -460,46 +480,55 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_conditions_of_one_mask_share_a_guess(self, n, monkeypatch):
         # ~L ~ci -> ci and ~L ~(ci & ci) -> di: 2n formulas under L but n
-        # masks, so 2^n belief vectors are closed; the oracle's candidate
-        # sequences outgrow a test past six premises
+        # masks. Apart, the n pairs are n parts of one mask and two
+        # conclusions, each closing its 2 belief vectors; with every
+        # conclusion mentioning c0 they are one part, closing 2^n. The
+        # oracle's candidate sequences outgrow a test past six premises
         names = [f"{x}{i}" for x in "cd" for i in range(n)]
-        premises = parse_kb(
-            f"vocab: {' '.join(names)}\n"
-            + "".join(f"~L ~c{i} -> c{i}\n" for i in range(n))
-            + "".join(f"~L ~(c{i} & c{i}) -> d{i}\n" for i in range(n)),
-            "ael",
-        ).body
         closes = []
         real_close = sequences.close
         monkeypatch.setattr(
             sequences, "close", lambda *args: closes.append(args) or real_close(*args)
         )
-        (kernel,) = stable_expansions(premises)
-        assert len(premises.guesses) == 2 * n and len(closes) == 2**n
-        assert kernel.worlds == {World(premises.vocab, names)}
-        if n < 4:
-            worlds = enumerate_worlds(premises.vocab)
-            assert brute_force_ael_last_classes(premises, worlds) == {kernel.worlds}
+        for link, parts, count in (("", n, 2 * n), (" & (c0 | ~c0)", 1, 2**n)):
+            premises = parse_kb(
+                f"vocab: {' '.join(names)}\n"
+                + "".join(f"~L ~c{i} -> c{i}{link}\n" for i in range(n))
+                + "".join(f"~L ~(c{i} & c{i}) -> d{i}{link}\n" for i in range(n)),
+                "ael",
+            ).body
+            closes.clear()
+            (kernel,) = stable_expansions(premises)
+            assert len(premises.guesses) == 2 * n and len(premises.parts) == parts
+            assert len(closes) == count
+            assert kernel.worlds == {World(premises.vocab, names)}
+            if n < 4:
+                worlds = enumerate_worlds(premises.vocab)
+                assert brute_force_ael_last_classes(premises, worlds) == {kernel.worlds}
 
     @pytest.mark.parametrize("g", range(4, 9))
     def test_chain_closes_one_guess(self, g, monkeypatch):
         # ~L ~ci -> ci: g conditions against g conclusions, so the cuts of
         # every world by the ci are walked; none believes a ~ci, so the one
         # vector guessed believes nothing, where guessing every vector
-        # closes 2^g
+        # closes 2^g. Apart, the g premises are g parts, one close each;
+        # with every conclusion mentioning c0, one part and one close
         names = [f"c{i}" for i in range(g)]
-        premises = parse_kb(
-            f"vocab: {' '.join(names)}\n" + "".join(f"~L ~c{i} -> c{i}\n" for i in range(g)),
-            "ael",
-        ).body
         closes = []
         real_close = sequences.close
         monkeypatch.setattr(
             sequences, "close", lambda *args: closes.append(args) or real_close(*args)
         )
-        (kernel,) = stable_expansions(premises)
-        assert len(closes) == 1
-        assert kernel.worlds == {World(premises.vocab, names)}
+        for link, parts, count in (("", g, g), (" & (c0 | ~c0)", 1, 1)):
+            premises = parse_kb(
+                f"vocab: {' '.join(names)}\n"
+                + "".join(f"~L ~c{i} -> c{i}{link}\n" for i in range(g)),
+                "ael",
+            ).body
+            closes.clear()
+            (kernel,) = stable_expansions(premises)
+            assert len(premises.parts) == parts and len(closes) == count
+            assert kernel.worlds == {World(premises.vocab, names)}
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32))

@@ -102,17 +102,19 @@ class TestGammaOperator:
 
     def test_shared_compiled_form(self):
         # one theory object serves the search and then the operator; the
-        # form it keeps is masks only, the facts' models left by the first
-        # class last, and an equal fresh theory agrees
+        # forms it keeps are masks only, the facts' models left by the
+        # first class last in the whole and in each part, and an equal
+        # fresh theory agrees
         rng = random.Random(6161)
         for _ in range(200):
             theory = random_default_theory(rng)
             extensions(theory)
-            compiled = theory.compiled
-            assert plain(compiled) and cached(theory) == {"compiled"}
+            compiled, parts = theory.compiled, theory.parts
+            assert plain(compiled) and plain(parts) and cached(theory) == {"compiled", "parts"}
             _, _, rest = compiled
             table = TruthTable(theory.vocab)
             assert rest == table.mask(theory.fact_formula)
+            assert all(part_rest == rest for _, _, part_rest in parts)
             assert all(s.masks[0] == table.full & ~rest for s in build_default_sequences(theory))
             fresh = dataclasses.replace(theory)
             ts = _TruthSets(enumerate_worlds(theory.vocab))
@@ -122,6 +124,7 @@ class TestGammaOperator:
                 assert got == default_operator(theory, candidate, ts), (theory, candidate)
                 assert got == gamma_operator(fresh, candidate)
             assert theory.compiled is compiled and fresh.compiled == compiled
+            assert theory.parts is parts and fresh.parts == parts
 
 
 class TestOperatorReuse:
@@ -171,26 +174,31 @@ class TestOperatorReuse:
         assert value == mixed and {w.weight for w in value} == {1}
 
     def test_more_candidates_than_belief_vectors(self, monkeypatch):
-        # a five-rule chain beside a rule that defeats itself: 2^6 pools,
-        # each refuting no justification or only the one of s
-        theory = parse_kb(
-            "vocab: a b c d e s\n"
-            + "".join(f"rule r{c}: true : M {c} / {c}\n" for c in "abcde")
-            + "rule s: true : M s / ~s\n",
-            "default",
-        ).body
+        # a five-rule chain beside a rule that defeats itself. Apart, they
+        # are six parts: each chain rule closes its one vector and s closes
+        # two, no extension. Tied by a conclusion that mentions a, one part
+        # of 2^6 pools, each refuting no justification or only the one of s
         closes = []
         real_close = sequences.close
         monkeypatch.setattr(
             sequences, "close", lambda *args: closes.append(args) or real_close(*args)
         )
-        worlds = enumerate_worlds(theory.vocab)
-        assert extensions(theory) == [] == list(brute_force_default_last_classes(theory, worlds))
-        assert len(closes) == 2
-        # with the self-defeating rule blocked by a fact, the chain's one extension
-        blocked = dataclasses.replace(theory, facts=(Not(Const("s")),))
-        got = {k.worlds for k in extensions(blocked)}
-        assert got == brute_force_default_last_classes(blocked, worlds) and len(got) == 1
+        for link, parts, count in (("", 6, 7), (" & (a | ~a)", 1, 2)):
+            theory = parse_kb(
+                "vocab: a b c d e s\n"
+                + "".join(f"rule r{c}: true : M {c} / {c}{link}\n" for c in "abcde")
+                + f"rule s: true : M s / ~s{link}\n",
+                "default",
+            ).body
+            closes.clear()
+            worlds = enumerate_worlds(theory.vocab)
+            assert extensions(theory) == []
+            assert not brute_force_default_last_classes(theory, worlds)
+            assert len(theory.parts) == parts and len(closes) == count
+            # with the self-defeating rule blocked by a fact, the chain's one extension
+            blocked = dataclasses.replace(theory, facts=(Not(Const("s")),))
+            got = {k.worlds for k in extensions(blocked)}
+            assert got == brute_force_default_last_classes(blocked, worlds) and len(got) == 1
 
     def test_foreign_world_is_refused(self, rival_theory):
         foreign = World(Vocabulary(["p", "r"]), ["p"])
@@ -247,13 +255,17 @@ class TestExtensions:
 class TestWorldCap:
     NAMES = [f"c{i}" for i in range(20)]
 
-    def chain(self, names, k=6):
+    def chain(self, names, k=6, connected=False):
         """Facts pin all but the last ``k`` constants; ``k`` rules
-        ``true : M c / c`` set the rest, so all constants end up true."""
+        ``true : M c / c`` set the rest, so all constants end up true.
+        ``connected`` writes each conclusion ``c & (z | ~z)`` for the last
+        constant ``z``, which ties the rules into one part."""
         vocab = Vocabulary(names)
+        z = Const(names[-1])
+        link = (lambda c: c & (z | ~z)) if connected else (lambda c: c)
         return DefaultTheory(
             rules=tuple(
-                DefaultRule(f"r{i}", TRUE, (Const(n),), Const(n))
+                DefaultRule(f"r{i}", TRUE, (Const(n),), link(Const(n)))
                 for i, n in enumerate(names[-k:])
             ),
             facts=tuple(Const(n) for n in names[:-k]),
@@ -291,8 +303,8 @@ class TestWorldCap:
             assert not cached(theory)
 
     def test_thirteen_rules_over_twenty_constants_in_flat_memory(self):
-        # 2^13 pools of 2^20 bits, walked one per rule at a time
-        theory = self.chain(self.NAMES, k=13)
+        # one part: 2^13 pools of 2^20 bits, walked one per rule at a time
+        theory = self.chain(self.NAMES, k=13, connected=True)
         tracemalloc.start()
         try:
             (kernel,) = extensions(theory)
@@ -300,7 +312,19 @@ class TestWorldCap:
         finally:
             tracemalloc.stop()
         assert kernel.worlds == {World(theory.vocab, self.NAMES)}
-        assert peak < 16 << 20
+        assert len(theory.parts) == 1 and peak < 16 << 20
+
+    def test_sixteen_rules_over_twenty_constants_split(self, monkeypatch):
+        # sixteen parts of one rule each: one pool and one close per part
+        closes = []
+        real_close = sequences.close
+        monkeypatch.setattr(
+            sequences, "close", lambda *args: closes.append(args) or real_close(*args)
+        )
+        theory = self.chain(self.NAMES, k=16)
+        (kernel,) = extensions(theory)
+        assert kernel.worlds == {World(theory.vocab, self.NAMES)}
+        assert len(theory.parts) == 16 and len(closes) == 16
 
     def test_twenty_constants_sequences_stay_masks(self, monkeypatch):
         monkeypatch.setattr(sequences, "DEFAULT_ORDER_LIMIT", 5)
